@@ -10,8 +10,10 @@ never shows up for generic objectives.
 
 from .classify import (
     ClassifiedPoint,
+    PointAnalysis,
     TangentSpectrum,
     Verdict,
+    analyze_points,
     classification_tolerance,
     classify_all,
     classify_point,

@@ -13,12 +13,14 @@ the columns of B are an orthonormal tangent basis:
 Points whose FONC residual ||grad f(x) - lam x|| exceeds tolerance are
 classified NOT_CRITICAL.  For n = 1 the tangent space is empty and every
 critical point is vacuously SOSC.
+
+:func:`analyze_points` does this analysis for a whole batch of points at
+once; every single-point function here is a view of a one-row batch.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +29,21 @@ from .critsolve import (
     DEFAULT_TOL_CRIT,
     CriticalPair,
     SolverConfig,
+    _reject_zero,
     critical_tolerance,
     find_critical_pairs,
 )
-from .polyhom import HomogeneousPolynomial, ZeroPolynomialError
+from .polyhom import HomogeneousPolynomial
 
 __all__ = [
     "Verdict",
     "TangentSpectrum",
     "ClassifiedPoint",
+    "PointAnalysis",
     "classification_tolerance",
     "tangent_basis",
     "tangent_spectrum",
+    "analyze_points",
     "classify_point",
     "classify_all",
 ]
@@ -92,19 +97,55 @@ class ClassifiedPoint:
         }
 
 
-def _reject_zero(f: HomogeneousPolynomial) -> None:
-    if f.is_zero:
-        raise ZeroPolynomialError(
-            "zero polynomial rejected: every sphere point is a degenerate critical point"
-        )
+@dataclass
+class PointAnalysis:
+    """First and second order data at k unit vectors, one row per point.
+
+    ``bases`` (k, n, n-1) holds the tangent bases B; ``eigenvalues``
+    (k, n-1, ascending) and ``eigenvectors`` (k, n, n-1, unit columns in
+    ambient coordinates) are the eigenpairs of B^T hess f(x) B.  ``margins``
+    is the smallest tangent eigenvalue minus lam, inf for n = 1.
+    """
+
+    points: np.ndarray
+    lam: np.ndarray
+    gradients: np.ndarray
+    residuals: np.ndarray
+    hessians: np.ndarray
+    bases: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    margins: np.ndarray
+    verdicts: list[Verdict]
+
+    def classified(self) -> list[ClassifiedPoint]:
+        """One :class:`ClassifiedPoint` per row."""
+        X = self.points
+        sphere = np.abs(np.einsum("ij,ij->i", X, X) - 1.0)
+        return [
+            ClassifiedPoint(
+                pair=CriticalPair(
+                    x=X[i].copy(),
+                    lam=float(self.lam[i]),
+                    residual=float(self.residuals[i]),
+                    sphere_residual=float(sphere[i]),
+                ),
+                spectrum=TangentSpectrum(basis=self.bases[i], eigenvalues=self.eigenvalues[i]),
+                sosc_margin=float(self.margins[i]),
+                verdict=verdict,
+            )
+            for i, verdict in enumerate(self.verdicts)
+        ]
 
 
-def _check_unit(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    nrm = np.linalg.norm(x)
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"point must lie on the unit sphere, got norm {nrm!r}")
-    return x
+def _tangent_bases(X: np.ndarray) -> np.ndarray:
+    """Householder bases of the tangent spaces at the rows of X, (k, n, n-1)."""
+    n = X.shape[1]
+    nrm = np.linalg.norm(X, axis=1)
+    V = X.copy()
+    V[:, 0] += np.where(X[:, 0] >= 0, nrm, -nrm)
+    scale = 2.0 / np.einsum("ij,ij->i", V, V)
+    return np.eye(n)[:, 1:] - scale[:, None, None] * (V[:, :, None] * V[:, None, 1:])
 
 
 def tangent_basis(x: np.ndarray) -> np.ndarray:
@@ -114,15 +155,63 @@ def tangent_basis(x: np.ndarray) -> np.ndarray:
     onto the line through x: O(n^2), numerically stable, no branching on
     random input.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if n == 1:
-        return np.zeros((1, 0))
-    s = np.linalg.norm(x) if x[0] >= 0 else -np.linalg.norm(x)
-    v = x.copy()
-    v[0] += s
-    H = np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v)
-    return H[:, 1:]
+    return _tangent_bases(np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def analyze_points(
+    f: HomogeneousPolynomial,
+    X,
+    *,
+    tol_crit: float = DEFAULT_TOL_CRIT,
+    tol_class: float = DEFAULT_TOL_CLASS,
+) -> PointAnalysis:
+    """First and second order analysis of every row of X in one batch.
+
+    Rows must be unit vectors.  ``tol_crit`` and ``tol_class`` are base
+    tolerances scaled by max(1, coefficient norm).  The degenerate band is
+    two-sided: a margin within +-tol_class of zero is reported
+    SONC_DEGENERATE even when slightly negative, which is the conservative
+    choice for detecting a measure-zero locus.
+    """
+    _reject_zero(f)
+    X = np.asarray(X, dtype=np.float64)
+    lam = f.d * f.evaluate_many(X)  # rejects X unless its shape is (k, n)
+    norms = np.linalg.norm(X, axis=1)
+    off = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+    if off.size:
+        raise ValueError(f"point must lie on the unit sphere, got norm {norms[off[0]]!r}")
+    crit_tol = critical_tolerance(f, tol_crit)
+    class_tol = classification_tolerance(f, tol_class)
+
+    G = f.gradient_many(X)
+    residuals = np.linalg.norm(G - lam[:, None] * X, axis=1)
+    H = f.hessian_many(X)
+    B = _tangent_bases(X)
+    M = B.swapaxes(1, 2) @ H @ B
+    eigenvalues, V = np.linalg.eigh(0.5 * (M + M.swapaxes(1, 2)))
+    Y = B @ V
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    margins = np.full(X.shape[0], np.inf) if f.n == 1 else eigenvalues[:, 0] - lam
+
+    verdicts = [
+        Verdict.NOT_CRITICAL if r > crit_tol
+        else Verdict.SOSC if m > class_tol
+        else Verdict.SONC_DEGENERATE if m >= -class_tol
+        else Verdict.FONC_ONLY
+        for r, m in zip(residuals, margins)
+    ]
+    return PointAnalysis(
+        points=X,
+        lam=lam,
+        gradients=G,
+        residuals=residuals,
+        hessians=H,
+        bases=B,
+        eigenvalues=eigenvalues,
+        eigenvectors=Y,
+        margins=margins,
+        verdicts=verdicts,
+    )
 
 
 def tangent_spectrum(f: HomogeneousPolynomial, x) -> TangentSpectrum:
@@ -131,65 +220,24 @@ def tangent_spectrum(f: HomogeneousPolynomial, x) -> TangentSpectrum:
     Sorted ascending; independent of the basis choice up to reordering.
     For n = 1 the spectrum is empty.
     """
-    _reject_zero(f)
-    x = _check_unit(x)
-    if x.shape != (f.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({f.n},)")
-    B = tangent_basis(x)
-    if B.shape[1] == 0:
-        return TangentSpectrum(basis=B, eigenvalues=np.zeros(0))
-    M = B.T @ f.hessian(x) @ B
-    M = 0.5 * (M + M.T)
-    return TangentSpectrum(basis=B, eigenvalues=np.linalg.eigvalsh(M))
+    analysis = analyze_points(f, [x])
+    return TangentSpectrum(basis=analysis.bases[0], eigenvalues=analysis.eigenvalues[0])
 
 
 def classify_point(
     f: HomogeneousPolynomial,
     x,
     *,
-    tol_crit: float | None = None,
-    tol_class: float | None = None,
+    tol_crit: float = DEFAULT_TOL_CRIT,
+    tol_class: float = DEFAULT_TOL_CLASS,
 ) -> ClassifiedPoint:
     """Verdict for one unit vector, with margins.
 
-    ``tol_crit`` and ``tol_class`` are base tolerances (defaults 1e-9 and
-    1e-7) that get scaled by max(1, coefficient norm).  The degenerate band
-    is two-sided: a margin within +-tol_class of zero is reported
-    SONC_DEGENERATE even when slightly negative, which is the conservative
-    choice for detecting a measure-zero locus.
+    ``tol_crit`` and ``tol_class`` are base tolerances that get scaled by
+    max(1, coefficient norm), as in :func:`analyze_points`.
     """
-    _reject_zero(f)
-    x = _check_unit(x)
-    if x.shape != (f.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({f.n},)")
-    crit_tol = critical_tolerance(f, DEFAULT_TOL_CRIT if tol_crit is None else tol_crit)
-    class_tol = classification_tolerance(
-        f, DEFAULT_TOL_CLASS if tol_class is None else tol_class
-    )
-
-    lam = f.d * f.evaluate(x)
-    g = f.gradient(x)
-    residual = float(np.linalg.norm(g - lam * x))
-    sphere_residual = float(abs(x @ x - 1.0))
-    spectrum = tangent_spectrum(f, x)
-    if f.n == 1:
-        margin = math.inf
-    else:
-        margin = float(spectrum.eigenvalues[0] - lam)
-
-    if residual > crit_tol:
-        verdict = Verdict.NOT_CRITICAL
-    elif f.n == 1 or margin > class_tol:
-        verdict = Verdict.SOSC
-    elif margin >= -class_tol:
-        verdict = Verdict.SONC_DEGENERATE
-    else:
-        verdict = Verdict.FONC_ONLY
-
-    pair = CriticalPair(
-        x=x.copy(), lam=float(lam), residual=residual, sphere_residual=sphere_residual
-    )
-    return ClassifiedPoint(pair=pair, spectrum=spectrum, sosc_margin=margin, verdict=verdict)
+    analysis = analyze_points(f, [x], tol_crit=tol_crit, tol_class=tol_class)
+    return analysis.classified()[0]
 
 
 def classify_all(
@@ -201,7 +249,5 @@ def classify_all(
     """Find critical pairs by multistart Newton and classify each of them."""
     cfg = config or SolverConfig()
     found = find_critical_pairs(f, cfg)
-    return [
-        classify_point(f, p.x, tol_crit=cfg.tol_crit, tol_class=tol_class)
-        for p in found.pairs
-    ]
+    X = np.array([p.x for p in found.pairs]).reshape(-1, f.n)
+    return analyze_points(f, X, tol_crit=cfg.tol_crit, tol_class=tol_class).classified()

@@ -24,8 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import classify_all, classify_point
-from .critsolve import SolverConfig, certify_against_oracle
+from .classify import DEFAULT_TOL_CLASS, classify_all, classify_point
+from .critsolve import (
+    DEFAULT_DEDUP_RADIUS,
+    DEFAULT_TOL_CRIT,
+    SolverConfig,
+    certify_against_oracle,
+)
 from .degeneracy import (
     NotCriticalError,
     detect_sosc_failure,
@@ -53,10 +58,6 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _load(path: str):
-    return read_polynomial(path)
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -75,7 +76,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _cmd_classify(args) -> int:
-    f = _load(args.poly)
+    f = read_polynomial(args.poly)
     points = classify_all(f, _solver_config(args))
     if args.json:
         text = json.dumps([p.to_dict() for p in points], indent=2) + "\n"
@@ -105,7 +106,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    f = _load(args.poly)
+    f = read_polynomial(args.poly)
     try:
         x = np.array([float(v) for v in args.point.split(",")])
     except ValueError:
@@ -141,7 +142,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_oracle2(args) -> int:
-    f = _load(args.poly)
+    f = read_polynomial(args.poly)
     if f.n != 2:
         print(f"oracle2 supports n = 2 only, got n = {f.n}", file=sys.stderr)
         return EXIT_INPUT
@@ -170,17 +171,14 @@ def _print_suite(report) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if args.mode != "d2" and args.d is None:
+        print(f"--d is required for --mode {args.mode}", file=sys.stderr)
+        return EXIT_INPUT
     if args.mode == "d2":
         report = run_witness_d2(args.n)
     elif args.mode == "general":
-        if args.d is None:
-            print("--d is required for --mode general", file=sys.stderr)
-            return EXIT_INPUT
         report = run_witness_general(args.n, args.d)
     else:
-        if args.d is None:
-            print("--d is required for --mode degenerate", file=sys.stderr)
-            return EXIT_INPUT
         kind = "repeated_lambda1" if args.d == 2 else "single_monomial"
         report = run_degenerate_family(kind, args.n, args.d)
     return _print_suite(report)
@@ -233,10 +231,10 @@ def _cmd_quad(args) -> int:
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--starts", type=int, default=None, help="Newton starts (default 50*d*n)")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--tol-crit", dest="tol_crit", type=float, default=1e-9,
+    parser.add_argument("--tol-crit", dest="tol_crit", type=float, default=DEFAULT_TOL_CRIT,
                         help="base FONC residual tolerance")
-    parser.add_argument("--dedup-radius", dest="dedup_radius", type=float, default=1e-6,
-                        help="merge radius for converged points")
+    parser.add_argument("--dedup-radius", dest="dedup_radius", type=float,
+                        default=DEFAULT_DEDUP_RADIUS, help="merge radius for converged points")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -259,8 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="probe one point for a degeneracy witness")
     p.add_argument("--poly", required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.add_argument("--tol-crit", dest="tol_crit", type=float, default=1e-9)
-    p.add_argument("--tol-class", dest="tol_class", type=float, default=1e-7)
+    p.add_argument("--tol-crit", dest="tol_crit", type=float, default=DEFAULT_TOL_CRIT)
+    p.add_argument("--tol-class", dest="tol_class", type=float, default=DEFAULT_TOL_CLASS)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("oracle2", help="exact complex-locus membership (n = 2)")

@@ -332,36 +332,59 @@ def _collect_pairs(
         kept_x[count] = X[i]
         kept_idx.append(int(i))
         count += 1
+    X, lam, res, sph = X[kept_idx], lam[kept_idx], res[kept_idx], sph[kept_idx]
 
-    pairs = [
+    # Antipodal closure: x critical implies -x critical with lam * (-1)^d.
+    # Kept points are more than dedup_radius apart, so -x can only coincide
+    # with a kept point, never with another added antipode.
+    lonely = np.array(
+        [np.min(np.linalg.norm(X + x, axis=1)) > dedup_radius for x in X], dtype=bool
+    )
+    Xm = -X[lonely]
+    lm = (1.0 if f.d % 2 == 0 else -1.0) * lam[lonely]
+    X = np.concatenate([X, Xm])
+    lam = np.concatenate([lam, lm])
+    res = np.concatenate([res, np.linalg.norm(f.gradient_many(Xm) - lm[:, None] * Xm, axis=1)])
+    sph = np.concatenate([sph, np.abs(np.einsum("ij,ij->i", Xm, Xm) - 1.0)])
+    closed = [
         CriticalPair(
             x=X[i].copy(),
             lam=float(lam[i]),
             residual=float(res[i]),
             sphere_residual=float(sph[i]),
         )
-        for i in kept_idx
+        for i in range(X.shape[0])
     ]
-
-    # Antipodal closure: x critical implies -x critical with lam * (-1)^d.
-    sign = 1.0 if f.d % 2 == 0 else -1.0
-    closed = list(pairs)
-    for p in pairs:
-        xm = -p.x
-        if any(np.linalg.norm(xm - q.x) <= dedup_radius for q in closed):
-            continue
-        lm = sign * p.lam
-        g = f.gradient(xm)
-        closed.append(
-            CriticalPair(
-                x=xm,
-                lam=lm,
-                residual=float(np.linalg.norm(g - lm * xm)),
-                sphere_residual=float(abs(xm @ xm - 1.0)),
-            )
-        )
     closed.sort(key=lambda p: (p.lam, tuple(p.x)))
     return closed
+
+
+def _solve_from(
+    f: HomogeneousPolynomial,
+    X0: np.ndarray,
+    *,
+    tol_crit: float,
+    dedup_radius: float,
+    max_iterations: int,
+    max_halvings: int,
+) -> CriticalSet:
+    """Newton-polish the unit start rows X0 and collect the converged pairs."""
+    tol = critical_tolerance(f, tol_crit)
+    X, lam, ok = _newton_polish(
+        f,
+        X0,
+        f.d * f.evaluate_many(X0),
+        max_iterations=max_iterations,
+        max_halvings=max_halvings,
+        stop_tol=1e-13 * max(1.0, f.coefficient_norm),
+        accept_tol=tol,
+    )
+    return CriticalSet(
+        pairs=_collect_pairs(f, X[ok], lam[ok], tol, dedup_radius),
+        dedup_radius=dedup_radius,
+        starts_used=X0.shape[0],
+        converged_fraction=float(np.mean(ok)) if X0.shape[0] else 0.0,
+    )
 
 
 def find_critical_pairs(
@@ -385,25 +408,13 @@ def find_critical_pairs(
     norms = np.linalg.norm(X0, axis=1)
     norms[norms == 0.0] = 1.0
     X0 /= norms[:, None]
-    lam0 = d * f.evaluate_many(X0)
-
-    tol = critical_tolerance(f, cfg.tol_crit)
-    stop_tol = 1e-13 * max(1.0, f.coefficient_norm)
-    X, lam, ok = _newton_polish(
+    return _solve_from(
         f,
         X0,
-        lam0,
+        tol_crit=cfg.tol_crit,
+        dedup_radius=cfg.dedup_radius,
         max_iterations=cfg.max_iterations,
         max_halvings=cfg.max_halvings,
-        stop_tol=stop_tol,
-        accept_tol=tol,
-    )
-    pairs = _collect_pairs(f, X[ok], lam[ok], tol, cfg.dedup_radius)
-    return CriticalSet(
-        pairs=pairs,
-        dedup_radius=cfg.dedup_radius,
-        starts_used=starts,
-        converged_fraction=float(np.mean(ok)) if starts else 0.0,
     )
 
 
@@ -475,25 +486,13 @@ def enumerate_critical_pairs_n2(
                 u = np.array([float(z.real), 1.0])
                 candidates.append(u / np.linalg.norm(u))
     U = np.array(candidates)
-    U = np.vstack([U, -U])
-    lam0 = d * f.evaluate_many(U)
-
-    tol = critical_tolerance(f, tol_crit)
-    X, lam, ok = _newton_polish(
+    return _solve_from(
         f,
-        U,
-        lam0,
+        np.vstack([U, -U]),
+        tol_crit=tol_crit,
+        dedup_radius=dedup_radius,
         max_iterations=30,
         max_halvings=30,
-        stop_tol=1e-13 * scale,
-        accept_tol=tol,
-    )
-    pairs = _collect_pairs(f, X[ok], lam[ok], tol, dedup_radius)
-    return CriticalSet(
-        pairs=pairs,
-        dedup_radius=dedup_radius,
-        starts_used=U.shape[0],
-        converged_fraction=float(np.mean(ok)) if U.shape[0] else 0.0,
     )
 
 
@@ -516,30 +515,24 @@ def certify_against_oracle(
     match_radius = max(cfg.dedup_radius, 1e-9)
     lam_tol = 1e-6 * max(1.0, f.coefficient_norm)
 
-    matched = 0
     used: set[int] = set()
     only_oracle: list[CriticalPair] = []
     for p in oracle.pairs:
-        hit = None
         for i, q in enumerate(found.pairs):
-            if i in used:
-                continue
             if (
-                np.linalg.norm(p.x - q.x) <= match_radius
+                i not in used
+                and np.linalg.norm(p.x - q.x) <= match_radius
                 and abs(p.lam - q.lam) <= lam_tol
             ):
-                hit = i
+                used.add(i)
                 break
-        if hit is None:
-            only_oracle.append(p)
         else:
-            used.add(hit)
-            matched += 1
+            only_oracle.append(p)
     only_multistart = [q for i, q in enumerate(found.pairs) if i not in used]
     return CertificationReport(
         certified=not only_multistart and not only_oracle,
         all_critical=False,
-        matched=matched,
+        matched=len(used),
         only_multistart=only_multistart,
         only_oracle=only_oracle,
     )

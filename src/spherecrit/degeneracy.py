@@ -46,9 +46,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import tangent_basis
-from .critsolve import DEFAULT_TOL_CRIT, critical_tolerance
-from .polyhom import HomogeneousPolynomial, ZeroPolynomialError
+from .classify import (
+    DEFAULT_TOL_CLASS,
+    Verdict,
+    analyze_points,
+)
+from .critsolve import DEFAULT_TOL_CRIT, _reject_zero, critical_tolerance
+from .polyhom import HomogeneousPolynomial
 
 __all__ = [
     "WitnessMatrix",
@@ -68,11 +72,9 @@ __all__ = [
     "witness_to_dict",
 ]
 
-DEFAULT_TOL_CLASS = 1e-7
 DEFAULT_TOL_RANK = 1e-6
 DEFAULT_TOL_DET = 1e-8
 DEFAULT_TOL_EIG = 1e-8
-UNIT_NORM_TOL = 1e-10
 
 
 class NotCriticalError(ValueError):
@@ -138,11 +140,20 @@ class OracleResult:
     minors_all_zero: bool
 
 
-def _reject_zero(f: HomogeneousPolynomial) -> None:
-    if f.is_zero:
-        raise ZeroPolynomialError(
-            "zero polynomial rejected: every sphere point is a degenerate critical point"
-        )
+def _witness_matrices(g, H, x, Y) -> np.ndarray:
+    """Witness matrices at x, one per row y of Y: columns (g; H y), (x; y), (0; x).
+
+    g and x have shape (..., n), the symmetric H (..., n, n) and Y
+    (..., m, n); the result has shape (..., m, 2n, 3).
+    """
+    n = x.shape[-1]
+    W = np.zeros(Y.shape[:-1] + (2 * n, 3))
+    W[..., :n, 0] = g[..., None, :]
+    W[..., n:, 0] = Y @ H
+    W[..., :n, 1] = x[..., None, :]
+    W[..., n:, 1] = Y
+    W[..., n:, 2] = x[..., None, :]
+    return W
 
 
 def build_witness_matrix(f: HomogeneousPolynomial, x, y) -> WitnessMatrix:
@@ -154,14 +165,8 @@ def build_witness_matrix(f: HomogeneousPolynomial, x, y) -> WitnessMatrix:
         raise ValueError(f"x and y must have shape ({n},), got {x.shape} and {y.shape}")
     if not np.any(x):
         raise ValueError("x must be nonzero")
-    W = np.zeros((2 * n, 3))
-    W[:n, 0] = f.gradient(x)
-    W[n:, 0] = f.hessian(x) @ y
-    W[:n, 1] = x
-    W[n:, 1] = y
-    W[n:, 2] = x
-    sv = np.linalg.svd(W, compute_uv=False)
-    return WitnessMatrix(matrix=W, singular_values=sv)
+    W = _witness_matrices(f.gradient(x), f.hessian(x), x, y[None, :])[0]
+    return WitnessMatrix(matrix=W, singular_values=np.linalg.svd(W, compute_uv=False))
 
 
 def rank_deficient(wm: WitnessMatrix, tol_rank: float = DEFAULT_TOL_RANK) -> bool:
@@ -191,56 +196,36 @@ def detect_sosc_failure(
     one-dimensional least squares mu = x . (hess f(x) y - lam y), exact when
     the bordered system holds.
     """
-    _reject_zero(f)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (f.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({f.n},)")
-    nrm = np.linalg.norm(x)
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"point must lie on the unit sphere, got norm {nrm!r}")
-
-    scale = max(1.0, f.coefficient_norm)
-    lam = f.d * f.evaluate(x)
-    g = f.gradient(x)
-    residual = float(np.linalg.norm(g - lam * x))
-    crit_tol = critical_tolerance(f, tol_crit)
-    if residual > crit_tol:
+    analysis = analyze_points(f, [x], tol_crit=tol_crit, tol_class=tol_class)
+    verdict = analysis.verdicts[0]
+    if verdict is Verdict.NOT_CRITICAL:
         raise NotCriticalError(
-            f"FONC residual {residual:.6e} exceeds tolerance {crit_tol:.6e}"
+            f"FONC residual {analysis.residuals[0]:.6e} exceeds tolerance "
+            f"{critical_tolerance(f, tol_crit):.6e}"
         )
-    if f.n == 1:
-        return None  # empty tangent space: SOSC holds vacuously
+    if verdict is not Verdict.SONC_DEGENERATE:
+        return None  # SOSC (vacuously for n = 1) or SONC fails outright
 
-    H = f.hessian(x)
-    B = tangent_basis(x)
-    M = B.T @ H @ B
-    M = 0.5 * (M + M.T)
-    eigvals, eigvecs = np.linalg.eigh(M)
-    margin = float(eigvals[0] - lam)
-    if abs(margin) > tol_class * scale:
-        return None
-
-    y = B @ eigvecs[:, 0]
-    y = y / np.linalg.norm(y)
-    mu = float(x @ (H @ y - lam * y))
-    wm = build_witness_matrix(f, x, y)
-    bordered_vec = np.concatenate([H @ y - lam * y - mu * x, [x @ y]])
+    x = analysis.points[0].copy()
+    lam = float(analysis.lam[0])
+    y = analysis.eigenvectors[0, :, 0].copy()
+    hy = analysis.hessians[0] @ y
+    mu = float(x @ (hy - lam * y))
+    W = _witness_matrices(analysis.gradients[0], analysis.hessians[0], x, y[None, :])[0]
+    bordered_vec = np.concatenate([hy - lam * y - mu * x, [x @ y]])
     return DegeneracyWitness(
-        x=x.copy(),
+        x=x,
         y=y,
         mu=mu,
-        lam=float(lam),
-        rank_defect_measure=float(wm.singular_values[2]),
+        lam=lam,
+        rank_defect_measure=float(np.linalg.svd(W, compute_uv=False)[2]),
         bordered_residual=float(np.linalg.norm(bordered_vec)),
         bordered_det=bordered_determinant(f, x, lam),
     )
 
 
 def bordered_matrix(f: HomogeneousPolynomial, x, lam: float) -> BorderedMatrix:
-    x = np.asarray(x, dtype=np.float64)
     n = f.n
-    if x.shape != (n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({n},)")
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = f.hessian(x) - lam * np.eye(n)
     M[:n, n] = x

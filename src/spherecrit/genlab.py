@@ -14,26 +14,38 @@ deterministic given the config seed; the only non-reproducible field is
 from __future__ import annotations
 
 import csv
+import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .classify import (
+    DEFAULT_TOL_CLASS,
     Verdict,
+    analyze_points,
     classify_all,
     classify_point,
-    tangent_basis,
 )
-from .critsolve import SolverConfig, critical_tolerance, find_critical_pairs
+from .critsolve import (
+    DEFAULT_TOL_CRIT,
+    SolverConfig,
+    critical_tolerance,
+    find_critical_pairs,
+)
 from .degeneracy import (
+    DEFAULT_TOL_DET,
+    DEFAULT_TOL_RANK,
+    _witness_matrices,
     bordered_determinant,
     bordered_scale,
     build_witness_matrix,
     detect_sosc_failure,
     exact_oracle_n2,
     quadratic_degeneracy,
+    rank_deficient,
 )
 from .polyhom import HomogeneousPolynomial, random_polynomial, write_polynomial
 
@@ -186,7 +198,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -217,9 +229,9 @@ class ExperimentConfig:
     seed: int = 0
     mode: str = "random"
     starts: int | None = None
-    tol_crit: float = 1e-9
-    tol_class: float = 1e-7
-    tol_rank: float = 1e-6
+    tol_crit: float = DEFAULT_TOL_CRIT
+    tol_class: float = DEFAULT_TOL_CLASS
+    tol_rank: float = DEFAULT_TOL_RANK
     dump_dir: str = "degenerate_dumps"
 
     def __post_init__(self) -> None:
@@ -241,16 +253,7 @@ class TrialRecord:
     oracle_on_locus: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "poly_seed": self.poly_seed,
-            "critical_count": self.critical_count,
-            "verdict_histogram": dict(self.verdict_histogram),
-            "min_sosc_margin": self.min_sosc_margin,
-            "degenerate_hits": self.degenerate_hits,
-            "rank_witness_hits": self.rank_witness_hits,
-            "oracle_on_locus": self.oracle_on_locus,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -287,8 +290,6 @@ class ExperimentReport:
         return doc
 
     def to_json(self, include_runtime: bool = True) -> str:
-        import json
-
         return json.dumps(self.to_dict(include_runtime), indent=2) + "\n"
 
     def write_csv(self, path) -> None:
@@ -350,39 +351,12 @@ class QuadSweepReport:
         return doc
 
     def to_json(self, include_runtime: bool = True) -> str:
-        import json
-
         return json.dumps(self.to_dict(include_runtime), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Randomized genericity experiment
 # ---------------------------------------------------------------------------
-
-
-def _rank_witness_hits(
-    f: HomogeneousPolynomial, x: np.ndarray, tol_rank: float
-) -> int:
-    """Count tangent eigenvector directions whose witness matrix drops rank.
-
-    Any real witness at x must be a tangent eigenvector (up to eigenvalue
-    multiplicity), so scanning all n - 1 of them covers every candidate.
-    """
-    if f.n == 1:
-        return 0
-    B = tangent_basis(x)
-    H = f.hessian(x)
-    M = B.T @ H @ B
-    M = 0.5 * (M + M.T)
-    _, vecs = np.linalg.eigh(M)
-    hits = 0
-    for k in range(vecs.shape[1]):
-        y = B @ vecs[:, k]
-        y = y / np.linalg.norm(y)
-        wm = build_witness_matrix(f, x, y)
-        if wm.singular_values[2] <= tol_rank * wm.singular_values[0]:
-            hits += 1
-    return hits
 
 
 def _dump_polynomial(f: HomogeneousPolynomial, dump_dir: str, name: str) -> str:
@@ -413,20 +387,21 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
         solver = SolverConfig(
             starts=config.starts, seed=poly_seed + 1, tol_crit=config.tol_crit
         )
-        points = classify_all(f, solver, tol_class=config.tol_class)
+        X = np.array([p.x for p in find_critical_pairs(f, solver).pairs]).reshape(-1, config.n)
+        analysis = analyze_points(f, X, tol_crit=config.tol_crit, tol_class=config.tol_class)
+        # Any real witness at x is a tangent eigenvector (up to eigenvalue
+        # multiplicity), so these k * (n - 1) directions cover every candidate.
+        Y = analysis.eigenvectors.swapaxes(1, 2)
+        W = _witness_matrices(analysis.gradients, analysis.hessians, analysis.points, Y)
+        sv = np.linalg.svd(W, compute_uv=False)
+        # The last singular value is the third one; n = 1 has no directions.
+        rank_hits = int(np.count_nonzero(sv[..., -1] <= config.tol_rank * sv[..., 0]))
 
-        histogram: dict[str, int] = {}
-        min_margin: float | None = None
-        degenerate = 0
-        rank_hits = 0
-        for point in points:
-            histogram[point.verdict.value] = histogram.get(point.verdict.value, 0) + 1
-            if point.verdict is Verdict.SONC_DEGENERATE:
-                degenerate += 1
-            if point.verdict is Verdict.SOSC and np.isfinite(point.sosc_margin):
-                if min_margin is None or point.sosc_margin < min_margin:
-                    min_margin = float(point.sosc_margin)
-            rank_hits += _rank_witness_hits(f, point.pair.x, config.tol_rank)
+        histogram = dict(Counter(verdict.value for verdict in analysis.verdicts))
+        degenerate = histogram.get(Verdict.SONC_DEGENERATE.value, 0)
+        sosc = np.array([v is Verdict.SOSC for v in analysis.verdicts], dtype=bool)
+        sosc &= np.isfinite(analysis.margins)
+        min_margin = float(analysis.margins[sosc].min()) if sosc.any() else None
 
         oracle_on_locus = exact_oracle_n2(f).on_locus if config.n == 2 else None
         if degenerate or rank_hits:
@@ -443,7 +418,7 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
             TrialRecord(
                 trial=trial,
                 poly_seed=poly_seed,
-                critical_count=len(points),
+                critical_count=len(analysis.verdicts),
                 verdict_histogram=histogram,
                 min_sosc_margin=min_margin,
                 degenerate_hits=degenerate,
@@ -606,10 +581,9 @@ def run_witness_general(n: int, d: int, seed: int = 0) -> SuiteReport:
         "|det| = |d-2|^(|S|-1) |lam|^(n-1) at every point",
     )
 
-    degenerate = 0
-    for x, _ in points:
-        if classify_point(p, x / np.linalg.norm(x)).verdict is Verdict.SONC_DEGENERATE:
-            degenerate += 1
+    X = np.array([x for x, _ in points])
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    degenerate = analyze_points(p, X).verdicts.count(Verdict.SONC_DEGENERATE)
     report.add("no_sonc_degenerate", degenerate == 0, f"{degenerate} degenerate verdicts")
 
     if n == 2:
@@ -670,18 +644,17 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
     if witness is None:
         report.add("witness_at_anchor", False, "no witness at the anchor point")
     else:
-        wm = build_witness_matrix(f, witness.x, witness.y)
-        sigma1 = float(wm.singular_values[0])
         det_scale = bordered_scale(f, witness.x, witness.lam)
         report.add(
             "witness_at_anchor",
-            witness.rank_defect_measure <= 1e-6 * max(1.0, sigma1),
+            rank_deficient(build_witness_matrix(f, witness.x, witness.y)),
             f"third singular value {witness.rank_defect_measure:.3e}",
         )
         report.add(
             "bordered_determinant_vanishes",
-            abs(witness.bordered_det) <= 1e-6 * det_scale,
-            f"|det H| = {abs(witness.bordered_det):.3e} <= 1e-6 * {det_scale:.3e}",
+            abs(witness.bordered_det) <= DEFAULT_TOL_DET * det_scale,
+            f"|det H| = {abs(witness.bordered_det):.3e} <= "
+            f"{DEFAULT_TOL_DET:.0e} * {det_scale:.3e}",
         )
         report.add(
             "witness_residuals_small",
@@ -691,22 +664,18 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         )
 
     if kind == "repeated_lambda1":
-        qd = quadratic_degeneracy(np.diag([1.0, 1.0] + [float(k) for k in range(2, n)]))
+        qd = quadratic_degeneracy(A)
         report.add(
             "quadratic_rule_agrees",
             qd.degenerate and qd.lambda1_multiplicity == 2,
             f"multiplicity {qd.lambda1_multiplicity}",
         )
     if kind == "single_monomial" and n >= 3:
-        rng = np.random.default_rng(seed)
-        flagged = 0
         samples = 5
-        for _ in range(samples):
-            v = rng.standard_normal(n)
-            v[0] = 0.0
-            v /= np.linalg.norm(v)
-            if classify_point(f, v).verdict is Verdict.SONC_DEGENERATE:
-                flagged += 1
+        V = np.random.default_rng(seed).standard_normal((samples, n))
+        V[:, 0] = 0.0
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        flagged = analyze_points(f, V).verdicts.count(Verdict.SONC_DEGENERATE)
         report.add(
             "sampled_locus_points_flagged",
             flagged == samples,

@@ -10,6 +10,8 @@ from spherecrit import (
     SolverConfig,
     Verdict,
     ZeroPolynomialError,
+    analyze_points,
+    axis_monomial,
     classify_all,
     classify_point,
     random_polynomial,
@@ -203,3 +205,57 @@ def test_classify_all_respects_solver_seed(diag123):
     b = classify_all(diag123, SolverConfig(seed=1))
     assert [p.verdict for p in a] == [p.verdict for p in b]
     assert all(np.array_equal(p.pair.x, q.pair.x) for p, q in zip(a, b))
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a)) or a == b
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        random_polynomial(2, 3, 11),
+        random_polynomial(3, 4, 12),
+        random_polynomial(4, 3, 13),
+        HomogeneousPolynomial(1, 3, {(3,): 2.0}),
+        axis_monomial(3, 4),
+    ],
+    ids=["random(2,3)", "random(3,4)", "random(4,3)", "n=1", "axis_monomial(3,4)"],
+)
+def test_classify_all_matches_classify_point(f):
+    # The batched analysis of a whole critical set and the one-row analysis
+    # of each of its points must agree row by row.
+    points = classify_all(f, SolverConfig(seed=5))
+    assert points
+    for batched in points:
+        single = classify_point(f, batched.pair.x)
+        assert batched.verdict is single.verdict
+        assert _close(batched.sosc_margin, single.sosc_margin)
+        assert _close(batched.pair.lam, single.pair.lam)
+        assert _close(batched.pair.residual, single.pair.residual)
+        assert batched.spectrum.eigenvalues.shape == (f.n - 1,)
+        for a, b in zip(batched.spectrum.eigenvalues, single.spectrum.eigenvalues):
+            assert _close(a, b)
+
+
+def test_analyze_points_input_checks(diag123):
+    with pytest.raises(ZeroPolynomialError):
+        analyze_points(HomogeneousPolynomial(3, 2, {}), np.eye(3))
+    with pytest.raises(ValueError, match="shape"):
+        analyze_points(diag123, np.eye(2))
+    with pytest.raises(ValueError, match="unit sphere"):
+        analyze_points(diag123, [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="shape"):
+        classify_point(diag123, [1.0, 0.0])
+
+
+def test_analyze_points_eigenvectors_are_tangent_eigenvectors():
+    rng = np.random.default_rng(31)
+    f = random_polynomial(4, 3, rng)
+    X = rng.standard_normal((6, 4))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    analysis = analyze_points(f, X)
+    for x, H, w, Y in zip(X, analysis.hessians, analysis.eigenvalues, analysis.eigenvectors):
+        assert np.allclose(Y.T @ Y, np.eye(3), atol=1e-12)
+        assert np.linalg.norm(Y.T @ x) <= 1e-12
+        assert np.allclose(Y.T @ H @ Y, np.diag(w), atol=1e-10 * max(1.0, np.linalg.norm(H)))

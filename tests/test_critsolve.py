@@ -13,6 +13,7 @@ from spherecrit import (
     critical_tolerance,
     enumerate_critical_pairs_n2,
     find_critical_pairs,
+    axis_monomial,
     random_polynomial,
     weighted_axis_quadratic,
 )
@@ -224,3 +225,23 @@ def test_converged_fraction_reported():
     f = random_polynomial(2, 4, 10)
     found = find_critical_pairs(f)
     assert 0.0 < found.converged_fraction <= 1.0
+
+
+def test_collect_pairs_closure_on_critical_subsphere():
+    # x1^4 in four variables: the whole subsphere x1 = 0 is critical, so the
+    # solver returns about as many pairs as it has starts.  The set must be
+    # closed under x -> -x (lam unchanged for even d), its points must stay
+    # more than dedup_radius apart, and its size is pinned to the 1518 pairs
+    # the per-pair closure loop produced for this seed.
+    cfg = SolverConfig(seed=0)
+    found = find_critical_pairs(axis_monomial(4, 4), cfg)
+    X = np.array([p.x for p in found.pairs])
+    lam = np.array([p.lam for p in found.pairs])
+    assert len(found.pairs) == 1518
+    for i, x in enumerate(X):
+        dist = np.linalg.norm(X - x, axis=1)
+        dist[i] = np.inf
+        assert dist.min() > cfg.dedup_radius
+        twin = np.argmin(np.linalg.norm(X + x, axis=1))
+        assert np.linalg.norm(X[twin] + x) <= cfg.dedup_radius
+        assert abs(lam[twin] - lam[i]) <= critical_tolerance(axis_monomial(4, 4))

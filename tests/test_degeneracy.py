@@ -11,6 +11,7 @@ from spherecrit import (
     SolverConfig,
     Verdict,
     ZeroPolynomialError,
+    analyze_points,
     axis_monomial,
     bordered_determinant,
     bordered_matrix,
@@ -23,6 +24,7 @@ from spherecrit import (
     detect_sosc_failure,
     enumerate_power_critical_points,
     exact_oracle_n2,
+    find_critical_pairs,
     geometric_power_polynomial,
     quadratic_degeneracy,
     quadratic_form_polynomial,
@@ -31,6 +33,7 @@ from spherecrit import (
     tangent_basis,
     weighted_axis_quadratic,
 )
+from spherecrit.degeneracy import _witness_matrices
 from conftest import unit
 
 
@@ -359,3 +362,22 @@ def test_sosc_eigenvectors_keep_full_rank(diag123):
         y = unit(B @ V[:, k])
         wm = build_witness_matrix(diag123, x, y)
         assert not rank_deficient(wm)
+
+
+@pytest.mark.parametrize("n, d, seed", [(2, 3, 1), (3, 4, 2), (4, 3, 3)])
+def test_batched_witness_matches_build_witness_matrix(n, d, seed):
+    # One SVD over the witness matrices of every (critical point, tangent
+    # eigenvector) pair must reproduce the one-matrix path per direction.
+    f = random_polynomial(n, d, seed)
+    X = np.array([p.x for p in find_critical_pairs(f, SolverConfig(seed=seed)).pairs])
+    analysis = analyze_points(f, X)
+    Y = analysis.eigenvectors.swapaxes(1, 2)
+    W = _witness_matrices(analysis.gradients, analysis.hessians, analysis.points, Y)
+    sv = np.linalg.svd(W, compute_uv=False)
+    assert sv.shape == (X.shape[0], n - 1, 3)
+    for i, x in enumerate(X):
+        for k in range(n - 1):
+            wm = build_witness_matrix(f, x, Y[i, k])
+            scale = max(1.0, wm.singular_values[0])
+            assert np.max(np.abs(W[i, k] - wm.matrix)) <= 1e-12 * scale
+            assert abs(sv[i, k, 2] - wm.singular_values[2]) <= 1e-12 * scale
