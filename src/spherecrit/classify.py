@@ -241,13 +241,10 @@ def classify_point(
 
 
 def classify_all(
-    f: HomogeneousPolynomial,
-    config: SolverConfig | None = None,
-    *,
-    tol_class: float = DEFAULT_TOL_CLASS,
+    f: HomogeneousPolynomial, config: SolverConfig | None = None
 ) -> list[ClassifiedPoint]:
     """Find critical pairs by multistart Newton and classify each of them."""
     cfg = config or SolverConfig()
     found = find_critical_pairs(f, cfg)
     X = np.array([p.x for p in found.pairs]).reshape(-1, f.n)
-    return analyze_points(f, X, tol_crit=cfg.tol_crit, tol_class=tol_class).classified()
+    return analyze_points(f, X, tol_crit=cfg.tol_crit).classified()

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import DEFAULT_TOL_CLASS, classify_all, classify_point
+from .classify import DEFAULT_TOL_CLASS, analyze_points, classify_all
 from .critsolve import (
     DEFAULT_DEDUP_RADIUS,
     DEFAULT_TOL_CRIT,
@@ -33,7 +33,7 @@ from .critsolve import (
 )
 from .degeneracy import (
     NotCriticalError,
-    detect_sosc_failure,
+    _witness_at,
     exact_oracle_n2,
     witness_to_dict,
 )
@@ -125,16 +125,15 @@ def _cmd_detect(args) -> int:
             file=sys.stderr,
         )
     x /= nrm
+    # One analysis serves both the witness search and the reported margin.
+    analysis = analyze_points(f, [x], tol_crit=args.tol_crit, tol_class=args.tol_class)
     try:
-        witness = detect_sosc_failure(
-            f, x, tol_crit=args.tol_crit, tol_class=args.tol_class
-        )
+        witness = _witness_at(f, analysis, args.tol_crit)
     except NotCriticalError as exc:
         print(f"point is not critical: {exc}", file=sys.stderr)
         return EXIT_NOT_CRITICAL
     if witness is None:
-        point = classify_point(f, x, tol_crit=args.tol_crit, tol_class=args.tol_class)
-        sys.stdout.write(f"no witness: SOSC margin = {_fmt(point.sosc_margin)}\n")
+        sys.stdout.write(f"no witness: SOSC margin = {_fmt(analysis.margins[0])}\n")
     else:
         payload = witness_to_dict(f, witness)
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")

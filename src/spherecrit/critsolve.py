@@ -46,6 +46,7 @@ __all__ = [
 DEFAULT_TOL_CRIT = 1e-9
 DEFAULT_DEDUP_RADIUS = 1e-6
 MAX_STARTS = 20000
+MAX_HALVINGS = 30  # step halvings per Newton iteration
 
 
 def critical_tolerance(f: HomogeneousPolynomial, base: float = DEFAULT_TOL_CRIT) -> float:
@@ -85,19 +86,19 @@ class CriticalSet:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Multistart Newton knobs.
+    """Multistart Newton knobs: start count, seed, tolerance, merge radius.
 
+    ``starts=None`` selects the default 50 * d * n, capped at 20000.
     ``tol_crit`` is the base tolerance; acceptance uses
-    ``tol_crit * max(1, coefficient norm)``.  ``starts=None`` selects the
-    default 50 * d * n, capped at 20000.
+    ``tol_crit * max(1, coefficient norm)``.  ``dedup_radius`` merges
+    converged points closer than it.  The iteration and step-halving caps
+    are fixed by the solver, not configured.
     """
 
     starts: int | None = None
     seed: int = 0
     tol_crit: float = DEFAULT_TOL_CRIT
     dedup_radius: float = DEFAULT_DEDUP_RADIUS
-    max_iterations: int = 100
-    max_halvings: int = 30
 
 
 @dataclass
@@ -188,13 +189,12 @@ def _newton_polish(
     lam0: np.ndarray,
     *,
     max_iterations: int,
-    max_halvings: int,
     stop_tol: float,
     accept_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the critical-pair system, batched over start rows.
 
-    Steps are halved (up to ``max_halvings`` times) whenever the residual
+    Steps are halved (up to ``MAX_HALVINGS`` times) whenever the residual
     norm fails to decrease; rows that still cannot decrease it are abandoned
     unless their residual already passes ``accept_tol``.  Returns the final
     points, multipliers, and the converged mask.
@@ -224,7 +224,7 @@ def _newton_polish(
         improved = np.zeros(rows.size, dtype=bool)
         t = np.ones(rows.size)
         trying = np.flatnonzero(usable)
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             if trying.size == 0:
                 break
             sub = rows[trying]
@@ -240,25 +240,19 @@ def _newton_polish(
             improved[trying[ok]] = True
             trying = trying[~ok]
             t[trying] *= 0.5
-        stuck = rows[~improved]
-        if stuck.size:
-            good = Fn[stuck] <= accept_tol
-            done[stuck[good]] = True
-            active[stuck] = False
         # Wandering rows shave off a sliver of residual per iteration without
         # converging (deep damping).  Genuine roots contract by at least half
         # per step even at multiple roots, so a run of near-unit ratios marks
         # a start worth abandoning in favor of the remaining oversampled ones.
         moved = rows[improved]
-        if moved.size:
-            slow = Fn[moved] > 0.9 * before[improved]
-            stalls[moved[slow]] += 1
-            stalls[moved[~slow]] = 0
-            hopeless = moved[slow][stalls[moved[slow]] >= 8]
-            if hopeless.size:
-                good = Fn[hopeless] <= accept_tol
-                done[hopeless[good]] = True
-                active[hopeless] = False
+        slow = Fn[moved] > 0.9 * before[improved]
+        stalls[moved[slow]] += 1
+        stalls[moved[~slow]] = 0
+        # Abandon the rows that could not decrease the residual and the
+        # hopeless stallers; keep those whose residual already passes.
+        abandon = np.concatenate([rows[~improved], moved[stalls[moved] >= 8]])
+        done[abandon[Fn[abandon] <= accept_tol]] = True
+        active[abandon] = False
 
     done |= active & (Fn <= accept_tol)
 
@@ -366,7 +360,6 @@ def _solve_from(
     tol_crit: float,
     dedup_radius: float,
     max_iterations: int,
-    max_halvings: int,
 ) -> CriticalSet:
     """Newton-polish the unit start rows X0 and collect the converged pairs."""
     tol = critical_tolerance(f, tol_crit)
@@ -375,7 +368,6 @@ def _solve_from(
         X0,
         f.d * f.evaluate_many(X0),
         max_iterations=max_iterations,
-        max_halvings=max_halvings,
         stop_tol=1e-13 * max(1.0, f.coefficient_norm),
         accept_tol=tol,
     )
@@ -413,8 +405,7 @@ def find_critical_pairs(
         X0,
         tol_crit=cfg.tol_crit,
         dedup_radius=cfg.dedup_radius,
-        max_iterations=cfg.max_iterations,
-        max_halvings=cfg.max_halvings,
+        max_iterations=100,
     )
 
 
@@ -492,7 +483,6 @@ def enumerate_critical_pairs_n2(
         tol_crit=tol_crit,
         dedup_radius=dedup_radius,
         max_iterations=30,
-        max_halvings=30,
     )
 
 

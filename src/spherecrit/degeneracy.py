@@ -48,6 +48,7 @@ import numpy as np
 
 from .classify import (
     DEFAULT_TOL_CLASS,
+    PointAnalysis,
     Verdict,
     analyze_points,
 )
@@ -197,6 +198,13 @@ def detect_sosc_failure(
     the bordered system holds.
     """
     analysis = analyze_points(f, [x], tol_crit=tol_crit, tol_class=tol_class)
+    return _witness_at(f, analysis, tol_crit)
+
+
+def _witness_at(
+    f: HomogeneousPolynomial, analysis: PointAnalysis, tol_crit: float
+) -> DegeneracyWitness | None:
+    """:func:`detect_sosc_failure` at the single row of ``analysis``."""
     verdict = analysis.verdicts[0]
     if verdict is Verdict.NOT_CRITICAL:
         raise NotCriticalError(
@@ -208,10 +216,11 @@ def detect_sosc_failure(
 
     x = analysis.points[0].copy()
     lam = float(analysis.lam[0])
+    H = analysis.hessians[0]
     y = analysis.eigenvectors[0, :, 0].copy()
-    hy = analysis.hessians[0] @ y
+    hy = H @ y
     mu = float(x @ (hy - lam * y))
-    W = _witness_matrices(analysis.gradients[0], analysis.hessians[0], x, y[None, :])[0]
+    W = _witness_matrices(analysis.gradients[0], H, x, y[None, :])[0]
     bordered_vec = np.concatenate([hy - lam * y - mu * x, [x @ y]])
     return DegeneracyWitness(
         x=x,
@@ -220,16 +229,23 @@ def detect_sosc_failure(
         lam=lam,
         rank_defect_measure=float(np.linalg.svd(W, compute_uv=False)[2]),
         bordered_residual=float(np.linalg.norm(bordered_vec)),
-        bordered_det=bordered_determinant(f, x, lam),
+        bordered_det=float(np.linalg.det(_bordered(H, x, lam)[0])),
     )
 
 
-def bordered_matrix(f: HomogeneousPolynomial, x, lam: float) -> BorderedMatrix:
-    n = f.n
+def _bordered(H: np.ndarray, x: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+    """Bordered matrix [[H - lam I, x], [x^T, 0]] for the Hessian H at x, and
+    its magnitude scale (1 + ||H||_F + |lam|)^(n+1)."""
+    n = x.shape[0]
     M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = f.hessian(x) - lam * np.eye(n)
+    M[:n, :n] = H - lam * np.eye(n)
     M[:n, n] = x
     M[n, :n] = x
+    return M, float((1.0 + np.linalg.norm(H) + abs(lam)) ** (n + 1))
+
+
+def bordered_matrix(f: HomogeneousPolynomial, x, lam: float) -> BorderedMatrix:
+    M, _ = _bordered(f.hessian(x), np.asarray(x, dtype=np.float64), lam)
     return BorderedMatrix(matrix=M, det=float(np.linalg.det(M)))
 
 
@@ -248,8 +264,7 @@ def bordered_scale(f: HomogeneousPolynomial, x, lam: float) -> float:
     The determinant grows like a product of row norms, so near-zero checks
     compare against (1 + ||hess f(x)||_F + |lam|)^(n+1).
     """
-    H = f.hessian(np.asarray(x, dtype=np.float64))
-    return float((1.0 + np.linalg.norm(H) + abs(lam)) ** (f.n + 1))
+    return _bordered(f.hessian(x), np.asarray(x, dtype=np.float64), lam)[1]
 
 
 def quadratic_degeneracy(A, *, tol_eig: float = DEFAULT_TOL_EIG) -> QuadraticDegeneracy:

@@ -22,19 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import (
-    DEFAULT_TOL_CLASS,
-    Verdict,
-    analyze_points,
-    classify_all,
-    classify_point,
-)
-from .critsolve import (
-    DEFAULT_TOL_CRIT,
-    SolverConfig,
-    critical_tolerance,
-    find_critical_pairs,
-)
+from .classify import Verdict, analyze_points, classify_all
+from .critsolve import SolverConfig, critical_tolerance, find_critical_pairs
 from .degeneracy import (
     DEFAULT_TOL_DET,
     DEFAULT_TOL_RANK,
@@ -227,11 +216,7 @@ class ExperimentConfig:
     d: int
     trials: int
     seed: int = 0
-    mode: str = "random"
     starts: int | None = None
-    tol_crit: float = DEFAULT_TOL_CRIT
-    tol_class: float = DEFAULT_TOL_CLASS
-    tol_rank: float = DEFAULT_TOL_RANK
     dump_dir: str = "degenerate_dumps"
 
     def __post_init__(self) -> None:
@@ -258,7 +243,6 @@ class TrialRecord:
 
 @dataclass
 class ExperimentReport:
-    mode: str
     n: int
     d: int
     trials: int
@@ -273,7 +257,6 @@ class ExperimentReport:
 
     def to_dict(self, include_runtime: bool = True) -> dict:
         doc = {
-            "mode": self.mode,
             "n": self.n,
             "d": self.d,
             "trials": self.trials,
@@ -374,8 +357,6 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
     witnesses; any degenerate hit is a hard failure that also dumps the
     offending polynomial to ``config.dump_dir`` for inspection.
     """
-    if config.mode != "random":
-        raise ValueError(f"run_random_genericity needs mode='random', got {config.mode!r}")
     t0 = time.perf_counter()
     records: list[TrialRecord] = []
     dumped: list[str] = []
@@ -384,18 +365,16 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
     for trial in range(config.trials):
         poly_seed = config.seed * SEED_STRIDE + trial
         f = random_polynomial(config.n, config.d, poly_seed)
-        solver = SolverConfig(
-            starts=config.starts, seed=poly_seed + 1, tol_crit=config.tol_crit
-        )
+        solver = SolverConfig(starts=config.starts, seed=poly_seed + 1)
         X = np.array([p.x for p in find_critical_pairs(f, solver).pairs]).reshape(-1, config.n)
-        analysis = analyze_points(f, X, tol_crit=config.tol_crit, tol_class=config.tol_class)
+        analysis = analyze_points(f, X)
         # Any real witness at x is a tangent eigenvector (up to eigenvalue
         # multiplicity), so these k * (n - 1) directions cover every candidate.
         Y = analysis.eigenvectors.swapaxes(1, 2)
         W = _witness_matrices(analysis.gradients, analysis.hessians, analysis.points, Y)
         sv = np.linalg.svd(W, compute_uv=False)
         # The last singular value is the third one; n = 1 has no directions.
-        rank_hits = int(np.count_nonzero(sv[..., -1] <= config.tol_rank * sv[..., 0]))
+        rank_hits = int(np.count_nonzero(sv[..., -1] <= DEFAULT_TOL_RANK * sv[..., 0]))
 
         histogram = dict(Counter(verdict.value for verdict in analysis.verdicts))
         degenerate = histogram.get(Verdict.SONC_DEGENERATE.value, 0)
@@ -438,7 +417,6 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
             "max": float(qs[4]),
         }
     return ExperimentReport(
-        mode=config.mode,
         n=config.n,
         d=config.d,
         trials=config.trials,
@@ -494,16 +472,16 @@ def run_witness_d2(n: int, seed: int = 0) -> SuiteReport:
     verdict_ok = True
     sosc_count = 0
     margin_detail = []
-    for q in pairs:
-        point = classify_point(p, q.x)
-        sosc_count += point.verdict is Verdict.SOSC
+    analysis = analyze_points(p, np.array([q.x for q in pairs]).reshape(-1, n))
+    for q, margin, verdict in zip(pairs, analysis.margins, analysis.verdicts):
+        sosc_count += verdict is Verdict.SOSC
         k = int(np.argmax(np.abs(q.x)))
         expected_margin = 1.0 if k == 0 else float(1 - (k + 1))
-        margin_detail.append(f"axis {k + 1}: margin {point.sosc_margin:.3e}")
-        if abs(point.sosc_margin - expected_margin) > 1e-8:
+        margin_detail.append(f"axis {k + 1}: margin {margin:.3e}")
+        if abs(margin - expected_margin) > 1e-8:
             verdict_ok = False
         expected_verdict = Verdict.SOSC if k == 0 else Verdict.FONC_ONLY
-        if point.verdict is not expected_verdict:
+        if verdict is not expected_verdict:
             verdict_ok = False
     report.add(
         "sosc_only_at_first_axis",

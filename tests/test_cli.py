@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line frontend."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from spherecrit import (
     write_polynomial,
 )
 from spherecrit.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -213,3 +216,20 @@ def test_cli_17_digit_output(diag123_file, capsys):
     out = capsys.readouterr().out
     # margin 1 prints as the bare shortest 17-significant-digit form
     assert "margin = 1" in out
+
+
+def test_classify_golden_stdout(capsys):
+    assert main(["classify", "--poly", str(DATA / "cubic_n3.json")]) == 0
+    assert capsys.readouterr().out == (DATA / "cubic_n3.classify.txt").read_text()
+
+
+def test_sample_golden_stdout_and_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["sample", "--n", "2", "--d", "3", "--trials", "3",
+            "--output", "report.json", "--dump-dir", "dumps"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (DATA / "sample_n2_d3_t3.stdout.txt").read_text()
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert isinstance(doc.pop("runtime_seconds"), float)
+    golden = (DATA / "sample_n2_d3_t3.report.json").read_text()
+    assert json.dumps(doc, indent=2) + "\n" == golden

@@ -131,6 +131,29 @@ def test_detect_raises_off_critical_points(diag123):
         detect_sosc_failure(diag123, unit([1.0, 1.0, 1.0]))
 
 
+def _rotated_repeated_bottom():
+    Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    A = Q @ np.diag([-1.0, -1.0, 2.0]) @ Q.T
+    return quadratic_form_polynomial(0.5 * (A + A.T)), unit(Q[:, 0])
+
+
+@pytest.mark.parametrize(
+    "f, x",
+    [
+        # The anchors run_degenerate_family probes, where det is exactly 0.
+        (quadratic_form_polynomial(np.diag([1.0, 1.0, 2.0])), [1.0, 0.0, 0.0]),
+        (axis_monomial(3, 3), [0.0, 1.0, 0.0]),
+        # A rotated instance, where rounding leaves det slightly off 0.
+        _rotated_repeated_bottom(),
+    ],
+    ids=["repeated_lambda1", "single_monomial", "rotated"],
+)
+def test_witness_bordered_det_matches_bordered_determinant(f, x):
+    w = detect_sosc_failure(f, x)
+    assert w is not None
+    assert w.bordered_det == bordered_determinant(f, w.x, w.lam)
+
+
 def test_witness_reconstruction_validates_converse():
     # From the witness pair alone: the FONC residual at x and the Rayleigh
     # quotient margin at y must both be inside tolerance.

@@ -195,14 +195,6 @@ def test_random_genericity_reproducible(tmp_path):
     assert a.to_json(include_runtime=False) == b.to_json(include_runtime=False)
 
 
-def test_random_genericity_mode_guard(tmp_path):
-    config = ExperimentConfig(
-        n=2, d=3, trials=1, seed=0, mode="witness_d2", dump_dir=str(tmp_path)
-    )
-    with pytest.raises(ValueError, match="mode"):
-        run_random_genericity(config)
-
-
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n=2, d=3, trials=0)
