@@ -194,10 +194,13 @@ def _newton_polish(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the critical-pair system, batched over start rows.
 
-    Steps are halved (up to ``MAX_HALVINGS`` times) whenever the residual
-    norm fails to decrease; rows that still cannot decrease it are abandoned
-    unless their residual already passes ``accept_tol``.  Returns the final
-    points, multipliers, and the converged mask.
+    Each row takes the longest step 2^-k (k = 0 .. ``MAX_HALVINGS``) that
+    strictly decreases its residual norm, as sequential halving would.  One
+    residual call tests a block of step lengths for every row still looking,
+    as many as fit in the start count, so a sparse straggler set scans many
+    lengths per call.  Rows that cannot decrease the residual at any length
+    are abandoned unless their residual already passes ``accept_tol``.
+    Returns the final points, multipliers, and the converged mask.
     """
     n = f.n
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
@@ -222,24 +225,27 @@ def _newton_polish(
             steps, usable = _solve_steps(J, -F[rows])
         before = Fn[rows].copy()
         improved = np.zeros(rows.size, dtype=bool)
-        t = np.ones(rows.size)
         trying = np.flatnonzero(usable)
-        for _ in range(MAX_HALVINGS + 1):
-            if trying.size == 0:
-                break
+        k = 0  # halvings already tried by every row still trying
+        while trying.size and k <= MAX_HALVINGS:
+            # Steps 2^-k .. 2^-(k+m-1) in one call of at most `size` rows.
+            m = min(MAX_HALVINGS + 1 - k, max(1, size // trying.size))
             sub = rows[trying]
-            trial = Z[sub] + t[trying, None] * steps[trying]
+            trial = Z[sub] + np.ldexp(1.0, -np.arange(k, k + m))[:, None, None] * steps[trying]
+            flat = trial.reshape(-1, n + 1)
             with np.errstate(all="ignore"):
-                Ft = _system_residual(f, trial[:, :n], trial[:, n])
-            Ftn = np.linalg.norm(Ft, axis=1)
+                Ft = _system_residual(f, flat[:, :n], flat[:, n]).reshape(trial.shape)
+            Ftn = np.linalg.norm(Ft, axis=2)
             ok = np.isfinite(Ftn) & (Ftn < Fn[sub])
-            acc = sub[ok]
-            Z[acc] = trial[ok]
-            F[acc] = Ft[ok]
-            Fn[acc] = Ftn[ok]
-            improved[trying[ok]] = True
-            trying = trying[~ok]
-            t[trying] *= 0.5
+            hit = ok.any(axis=0)
+            first = ok.argmax(axis=0)[hit], np.flatnonzero(hit)  # longest decreasing step
+            acc = sub[hit]
+            Z[acc] = trial[first]
+            F[acc] = Ft[first]
+            Fn[acc] = Ftn[first]
+            improved[trying[hit]] = True
+            trying = trying[~hit]
+            k += m
         # Wandering rows shave off a sliver of residual per iteration without
         # converging (deep damping).  Genuine roots contract by at least half
         # per step even at multiple roots, so a run of near-unit ratios marks
@@ -316,17 +322,17 @@ def _collect_pairs(
     keep = (res <= tol) & (sph <= 1e-12)
     X, lam, res, sph = X[keep], lam[keep], res[keep], sph[keep]
 
-    order = np.argsort(res, kind="stable")  # keep the tightest residual per cluster
-    kept_x = np.empty_like(X)
-    kept_idx: list[int] = []
-    count = 0
-    for i in order:
-        if count and np.min(np.linalg.norm(kept_x[:count] - X[i], axis=1)) <= dedup_radius:
-            continue
-        kept_x[count] = X[i]
-        kept_idx.append(int(i))
-        count += 1
-    X, lam, res, sph = X[kept_idx], lam[kept_idx], res[kept_idx], sph[kept_idx]
+    # Greedy dedup, tightest residual first: a row is kept unless an earlier
+    # kept row lies within dedup_radius, so each kept row covers its later
+    # neighbours in one vector test.
+    order = np.argsort(res, kind="stable")
+    Xo = X[order]
+    covered = np.zeros(order.size, dtype=bool)
+    for i in range(order.size):
+        if not covered[i]:
+            covered[i + 1 :] |= np.linalg.norm(Xo[i + 1 :] - Xo[i], axis=1) <= dedup_radius
+    kept = order[~covered]
+    X, lam, res, sph = X[kept], lam[kept], res[kept], sph[kept]
 
     # Antipodal closure: x critical implies -x critical with lam * (-1)^d.
     # Kept points are more than dedup_radius apart, so -x can only coincide

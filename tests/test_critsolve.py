@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spherecrit import critsolve
 from spherecrit import (
     HomogeneousPolynomial,
     SolverConfig,
@@ -245,3 +246,172 @@ def test_collect_pairs_closure_on_critical_subsphere():
         twin = np.argmin(np.linalg.norm(X + x, axis=1))
         assert np.linalg.norm(X[twin] + x) <= cfg.dedup_radius
         assert abs(lam[twin] - lam[i]) <= critical_tolerance(axis_monomial(4, 4))
+
+
+def _sequential_halving_polish(f, X0, lam0, *, max_iterations, stop_tol, accept_tol):
+    """Reference damped Newton that tries one step length per residual call.
+
+    Same iteration, acceptance, stall and multiple-root polish rules as
+    ``critsolve._newton_polish``; only the backtracking loop differs, halving
+    the step of every row still looking after each call.
+    """
+    n = f.n
+    Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
+    with np.errstate(all="ignore"):
+        F = critsolve._system_residual(f, Z[:, :n], Z[:, n])
+    Fn = np.linalg.norm(F, axis=1)
+    active = np.isfinite(Fn)
+    done = np.zeros(Z.shape[0], dtype=bool)
+    stalls = np.zeros(Z.shape[0], dtype=np.int64)
+    for _ in range(max_iterations):
+        finished = active & (Fn <= stop_tol)
+        done |= finished
+        active &= ~finished
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        with np.errstate(all="ignore"):
+            J = critsolve._system_jacobian(f, Z[rows, :n], Z[rows, n])
+            J[~np.isfinite(J)] = 0.0
+            steps, usable = critsolve._solve_steps(J, -F[rows])
+        before = Fn[rows].copy()
+        improved = np.zeros(rows.size, dtype=bool)
+        t = np.ones(rows.size)
+        trying = np.flatnonzero(usable)
+        for _ in range(critsolve.MAX_HALVINGS + 1):
+            if trying.size == 0:
+                break
+            sub = rows[trying]
+            trial = Z[sub] + t[trying, None] * steps[trying]
+            with np.errstate(all="ignore"):
+                Ft = critsolve._system_residual(f, trial[:, :n], trial[:, n])
+            Ftn = np.linalg.norm(Ft, axis=1)
+            ok = np.isfinite(Ftn) & (Ftn < Fn[sub])
+            acc = sub[ok]
+            Z[acc] = trial[ok]
+            F[acc] = Ft[ok]
+            Fn[acc] = Ftn[ok]
+            improved[trying[ok]] = True
+            trying = trying[~ok]
+            t[trying] *= 0.5
+        moved = rows[improved]
+        slow = Fn[moved] > 0.9 * before[improved]
+        stalls[moved[slow]] += 1
+        stalls[moved[~slow]] = 0
+        abandon = np.concatenate([rows[~improved], moved[stalls[moved] >= 8]])
+        done[abandon[Fn[abandon] <= accept_tol]] = True
+        active[abandon] = False
+    done |= active & (Fn <= accept_tol)
+
+    floor = 1e-14 * max(1.0, f.coefficient_norm)
+    polish = np.flatnonzero(done & (Fn > floor))
+    for _ in range(8):
+        if polish.size == 0:
+            break
+        with np.errstate(all="ignore"):
+            J = critsolve._system_jacobian(f, Z[polish, :n], Z[polish, n])
+            J[~np.isfinite(J)] = 0.0
+            steps, usable = critsolve._lstsq_steps(J, -F[polish])
+        best_norm = Fn[polish].copy()
+        best_z = Z[polish].copy()
+        best_f = F[polish].copy()
+        moved = np.zeros(polish.size, dtype=bool)
+        for factor in (1.0, 2.0, 3.0):
+            trial = Z[polish] + factor * steps
+            with np.errstate(all="ignore"):
+                Ft = critsolve._system_residual(f, trial[:, :n], trial[:, n])
+            Ftn = np.linalg.norm(Ft, axis=1)
+            better = usable & np.isfinite(Ftn) & (Ftn < best_norm)
+            best_z[better] = trial[better]
+            best_f[better] = Ft[better]
+            best_norm[better] = Ftn[better]
+            moved |= better
+        Z[polish] = best_z
+        F[polish] = best_f
+        Fn[polish] = best_norm
+        polish = polish[moved & (best_norm > floor)]
+    return Z[:, :n], Z[:, n], done
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        random_polynomial(2, 3, 101),
+        random_polynomial(3, 4, 102),
+        random_polynomial(4, 3, 103),
+        axis_monomial(3, 4),
+    ],
+    ids=["random(2,3)", "random(3,4)", "random(4,3)", "axis_monomial(3,4)"],
+)
+def test_step_ladder_matches_sequential_halving(f):
+    # The block ladder must pick the longest decreasing step, exactly as
+    # halving one step length per call does.  Batch shapes differ, so BLAS
+    # may round the residuals differently in the last bits.
+    rng = np.random.default_rng(7)
+    X0 = rng.standard_normal((50 * f.n * f.d, f.n))
+    X0 /= np.linalg.norm(X0, axis=1)[:, None]
+    kwargs = dict(
+        max_iterations=100,
+        stop_tol=1e-13 * max(1.0, f.coefficient_norm),
+        accept_tol=critical_tolerance(f),
+    )
+    lam0 = f.d * f.evaluate_many(X0)
+    X, lam, done = critsolve._newton_polish(f, X0, lam0, **kwargs)
+    X_ref, lam_ref, done_ref = _sequential_halving_polish(f, X0, lam0, **kwargs)
+    np.testing.assert_array_equal(done, done_ref)
+    np.testing.assert_allclose(X[done], X_ref[done], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(lam[done], lam_ref[done], rtol=0.0, atol=1e-12)
+
+
+def _greedy_dedup_reference(X, res, dedup_radius):
+    kept = []
+    for i in np.argsort(res, kind="stable"):
+        if all(np.linalg.norm(X[j] - X[i]) > dedup_radius for j in kept):
+            kept.append(int(i))
+    return sorted(kept)
+
+
+def test_collect_pairs_dedup_matches_greedy_reference():
+    # Every unit vector is critical for x.x with lam = 2; a distinct offset
+    # of lam per row orders the rows by residual and identifies each kept one.
+    f = HomogeneousPolynomial(3, 2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
+    radius = 1e-6
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((40, 3))
+    base[:, 0] = np.abs(base[:, 0]) + 1.0  # one hemisphere: every antipode is new
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    cloud = [base, base[:10]]  # exact duplicates
+    for scale in (0.9, 1.1, 1.8, 2.2):  # neighbours and chains of neighbours
+        u = rng.standard_normal(base.shape)
+        u -= np.einsum("ij,ij->i", u, base)[:, None] * base
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        cloud.append(base + scale * radius * u)
+    X = np.concatenate(cloud)
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    lam = 2.0 + rng.permutation(X.shape[0]) * 1e-12
+    res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
+
+    pairs = critsolve._collect_pairs(f, X, lam, 1e-6, radius)
+    kept = sorted(int(np.flatnonzero(lam == p.lam)[0]) for p in pairs if p.x[0] > 0)
+    expected = _greedy_dedup_reference(X, res, radius)
+    assert kept == expected
+    assert len(pairs) == 2 * len(expected)
+    assert 40 < len(expected) < X.shape[0]
+
+
+def test_residual_calls_per_solve_bounded(monkeypatch):
+    # Backtracking tests a block of step lengths per residual call; sequential
+    # halving made 526 calls on this solve and the ladder 75.  The count is
+    # deterministic, so the ceiling guards the call overhead without timing.
+    calls = []
+    inner = critsolve._system_residual
+
+    def counted(f, X, lam):
+        calls.append(X.shape[0])
+        return inner(f, X, lam)
+
+    monkeypatch.setattr(critsolve, "_system_residual", counted)
+    found = find_critical_pairs(random_polynomial(3, 4, 5), SolverConfig(seed=1))
+    assert found.pairs
+    assert len(calls) <= 100
+    assert max(calls) <= found.starts_used
