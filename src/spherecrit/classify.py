@@ -177,7 +177,7 @@ def analyze_points(
     X = np.asarray(X, dtype=np.float64)
     lam = f.d * f.evaluate_many(X)  # rejects X unless its shape is (k, n)
     norms = np.linalg.norm(X, axis=1)
-    off = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN-safe
     if off.size:
         raise ValueError(f"point must lie on the unit sphere, got norm {norms[off[0]]!r}")
     crit_tol = critical_tolerance(f, tol_crit)

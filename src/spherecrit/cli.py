@@ -115,6 +115,9 @@ def _cmd_detect(args) -> int:
     if x.shape != (f.n,):
         print(f"point has {x.size} coordinates, expected {f.n}", file=sys.stderr)
         return EXIT_INPUT
+    if not np.all(np.isfinite(x)):
+        print("point coordinates must be finite", file=sys.stderr)
+        return EXIT_INPUT
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0:
         print("point must be nonzero", file=sys.stderr)

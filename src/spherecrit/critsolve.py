@@ -415,24 +415,26 @@ def find_critical_pairs(
     )
 
 
-def _pencil_form_coefficients(f: HomogeneousPolynomial) -> np.ndarray:
-    """Coefficients of g = x2 * df/dx1 - x1 * df/dx2, indexed by the power of x1.
+def _partials(a: list) -> tuple[list, list]:
+    """d/dx1 and d/dx2 of a binary form given by its coefficient list."""
+    k = len(a) - 1
+    return [(i + 1) * a[i + 1] for i in range(k)], [(k - i) * a[i] for i in range(k)]
 
-    g vanishes exactly where the gradient is parallel to x, so its projective
-    roots are the critical directions.  deg g = d unless g is identically
-    zero (radially symmetric f).
+
+def _binary_form(f: HomogeneousPolynomial, num) -> tuple[list, list, list]:
+    """g = x2 * df/dx1 - x1 * df/dx2 and the partials df/dx1, df/dx2 (n = 2).
+
+    Coefficient lists hold numbers of type ``num`` and are indexed by the
+    power of x1.  g vanishes exactly where the gradient is parallel to x, so
+    its projective roots are the critical directions.  deg g = d unless g is
+    identically zero (radially symmetric f).
     """
-    d = f.d
-    a = np.zeros(d + 1)
+    a = [num(0)] * (f.d + 1)
     for (e1, _), c in f.terms.items():
-        a[e1] = c
-    g = np.zeros(d + 1)
-    for j in range(d + 1):
-        if j + 1 <= d:
-            g[j] += (j + 1) * a[j + 1]
-        if j >= 1:
-            g[j] -= (d - j + 1) * a[j - 1]
-    return g
+        a[e1] = num(c)
+    f1, f2 = _partials(a)
+    zero = [num(0)]
+    return [u - v for u, v in zip(f1 + zero, zero + f2)], f1, f2
 
 
 def enumerate_critical_pairs_n2(
@@ -447,7 +449,7 @@ def enumerate_critical_pairs_n2(
         raise ValueError(f"exact enumeration needs n = 2, got n = {f.n}")
     d = f.d
     scale = max(1.0, f.coefficient_norm)
-    g = _pencil_form_coefficients(f)
+    g = np.array(_binary_form(f, float)[0])
 
     if np.max(np.abs(g)) <= 1e-10 * scale * (d + 1):
         # Radial case: gradient parallel to x everywhere, the whole circle is

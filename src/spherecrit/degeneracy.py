@@ -26,7 +26,10 @@ kept deliberately separate:
 3. Exact n = 2 oracle.  For binary forms the constraint y.x = 0 pins
    y = (x2, -x1) up to scale (over the complex numbers too), so the rank
    condition reduces to four binary forms of degree d + 1, the 3 x 3 minors,
-   sharing a common nonzero complex root.  That is decided exactly with
+   sharing a common nonzero complex root.  The minors have the closed form
+   x1 g, x2 g, |x|^2 f1 - x1 q and |x|^2 f2 - x2 q, with g = x2 f1 - x1 f2
+   the binary form whose roots are the critical directions and
+   q = y^T hess f(x) y.  Common roots are decided exactly with
    rational arithmetic: float coefficients are binary rationals, so
    Fraction-based GCD of the dehomogenized minors (plus a common-root check
    in the x2 = 0 direction) gives a tolerance-free membership test for the
@@ -52,7 +55,13 @@ from .classify import (
     Verdict,
     analyze_points,
 )
-from .critsolve import DEFAULT_TOL_CRIT, _reject_zero, critical_tolerance
+from .critsolve import (
+    DEFAULT_TOL_CRIT,
+    _binary_form,
+    _partials,
+    _reject_zero,
+    critical_tolerance,
+)
 from .polyhom import HomogeneousPolynomial
 
 __all__ = [
@@ -97,7 +106,8 @@ class DegeneracyWitness:
     ``mu`` is the multiplier with hess f(x) y - lam y = mu x;
     ``rank_defect_measure`` is the third singular value of the witness
     matrix; ``bordered_residual`` is the norm of
-    (hess f(x) y - lam y - mu x, y.x).
+    (hess f(x) y - lam y - mu x, y.x); ``bordered_scale`` is the magnitude
+    scale of ``bordered_det`` (see :func:`bordered_scale`).
     """
 
     x: np.ndarray
@@ -107,6 +117,7 @@ class DegeneracyWitness:
     rank_defect_measure: float
     bordered_residual: float
     bordered_det: float
+    bordered_scale: float
 
 
 @dataclass
@@ -222,6 +233,7 @@ def _witness_at(
     mu = float(x @ (hy - lam * y))
     W = _witness_matrices(analysis.gradients[0], H, x, y[None, :])[0]
     bordered_vec = np.concatenate([hy - lam * y - mu * x, [x @ y]])
+    M, scale = _bordered(H, x, lam)
     return DegeneracyWitness(
         x=x,
         y=y,
@@ -229,7 +241,8 @@ def _witness_at(
         lam=lam,
         rank_defect_measure=float(np.linalg.svd(W, compute_uv=False)[2]),
         bordered_residual=float(np.linalg.norm(bordered_vec)),
-        bordered_det=float(np.linalg.det(_bordered(H, x, lam)[0])),
+        bordered_det=float(np.linalg.det(M)),
+        bordered_scale=scale,
     )
 
 
@@ -311,49 +324,6 @@ def witness_to_dict(
 # ---------------------------------------------------------------------------
 
 
-def _form_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    size = max(len(a), len(b))
-    out = [Fraction(0)] * size
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
-
-
-def _form_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    size = max(len(a), len(b))
-    out = [Fraction(0)] * size
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return out
-
-
-def _form_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _det3(r0, r1, r2) -> list[Fraction]:
-    a, b, c = r0
-    d_, e, g = r1
-    h, i, j = r2
-    m0 = _form_sub(_form_mul(e, j), _form_mul(g, i))
-    m1 = _form_sub(_form_mul(d_, j), _form_mul(g, h))
-    m2 = _form_sub(_form_mul(d_, i), _form_mul(e, h))
-    return _form_add(
-        _form_sub(_form_mul(a, m0), _form_mul(b, m1)),
-        _form_mul(c, m2),
-    )
-
-
 def _strip(p: list[Fraction]) -> list[Fraction]:
     k = len(p)
     while k and p[k - 1] == 0:
@@ -392,44 +362,23 @@ def _poly_gcd(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
 def _witness_minor_forms(f: HomogeneousPolynomial) -> list[list[Fraction]]:
     """The four 3x3 minors of the witness matrix with y = (x2, -x1).
 
-    Each minor is a binary form of degree d + 1 with exactly rational
-    coefficients (floats are binary rationals).
+    With g = x2 f1 - x1 f2 and q = y^T hess f y = x2^2 f11 - 2 x1 x2 f12 +
+    x1^2 f22, expanding along the third column gives the minors of rows
+    (1,2,3) and (1,2,4) as x1 g and x2 g, and expanding along the first row
+    gives rows (1,3,4) and (2,3,4) as |x|^2 f1 - x1 q and |x|^2 f2 - x2 q.
+    Each is a binary form of degree d + 1 with exactly rational coefficients
+    (floats are binary rationals).
     """
-    d = f.d
-    a = [Fraction(0)] * (d + 1)
-    for (e1, _), c in f.terms.items():
-        a[e1] = Fraction(c)
-
-    # First partials, degree d - 1.
-    f1 = [Fraction(i + 1) * a[i + 1] for i in range(d)]
-    f2 = [Fraction(d - i) * a[i] for i in range(d)]
-
-    one = Fraction(1)
-    y1 = [one, Fraction(0)]            # x2
-    y2 = [Fraction(0), -one]           # -x1
-    x1f = [Fraction(0), one]
-    x2f = [one, Fraction(0)]
-    zero1 = [Fraction(0), Fraction(0)]
-
-    if d >= 2:
-        f11 = [Fraction(i + 1) * f1[i + 1] for i in range(d - 1)]
-        f12 = [Fraction(d - 1 - i) * f1[i] for i in range(d - 1)]
-        f22 = [Fraction(d - 1 - i) * f2[i] for i in range(d - 1)]
-        hy1 = _form_add(_form_mul(f11, y1), _form_mul(f12, y2))
-        hy2 = _form_add(_form_mul(f12, y1), _form_mul(f22, y2))
-    else:
-        hy1 = [Fraction(0)]
-        hy2 = [Fraction(0)]
-
-    r1 = (f1, x1f, zero1)
-    r2 = (f2, x2f, zero1)
-    r3 = (hy1, y1, x1f)
-    r4 = (hy2, y2, x2f)
+    g, f1, f2 = _binary_form(f, Fraction)
+    f11, f12 = _partials(f1)
+    f22 = _partials(f2)[1]
+    z = [Fraction(0)]  # multiplying by x1 prepends a zero, by x2 appends one
+    q = [u - 2 * v + w for u, v, w in zip(f11 + z + z, z + f12 + z, z + z + f22)]
     return [
-        _det3(r1, r2, r3),
-        _det3(r1, r2, r4),
-        _det3(r1, r3, r4),
-        _det3(r2, r3, r4),
+        z + g,
+        g + z,
+        [u + v - w for u, v, w in zip(z + z + f1, f1 + z + z, z + q)],
+        [u + v - w for u, v, w in zip(z + z + f2, f2 + z + z, q + z)],
     ]
 
 

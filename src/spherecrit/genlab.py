@@ -29,7 +29,6 @@ from .degeneracy import (
     DEFAULT_TOL_RANK,
     _witness_matrices,
     bordered_determinant,
-    bordered_scale,
     build_witness_matrix,
     detect_sosc_failure,
     exact_oracle_n2,
@@ -502,7 +501,7 @@ def run_witness_d2(n: int, seed: int = 0) -> SuiteReport:
             det_ok = False
     report.add("bordered_determinant_nonzero", det_ok, "; ".join(det_detail))
 
-    no_witness = all(detect_sosc_failure(p, q.x) is None for q in pairs)
+    no_witness = {Verdict.SONC_DEGENERATE, Verdict.NOT_CRITICAL}.isdisjoint(analysis.verdicts)
     report.add("no_degeneracy_witness", no_witness, "detector returned None everywhere")
     return report
 
@@ -525,9 +524,10 @@ def run_witness_general(n: int, d: int, seed: int = 0) -> SuiteReport:
     points = enumerate_power_critical_points(n, d)
     tol = critical_tolerance(p)
 
-    residual_ok = all(
-        np.linalg.norm(p.gradient(x) - lam * x) <= tol for x, lam in points
-    )
+    X = np.array([x for x, _ in points])
+    lams = np.array([lam for _, lam in points])
+    residuals = np.linalg.norm(p.gradient_many(X) - lams[:, None] * X, axis=1)
+    residual_ok = bool(np.all(residuals <= tol))
     report.add(
         "enumeration_is_critical",
         residual_ok,
@@ -559,7 +559,6 @@ def run_witness_general(n: int, d: int, seed: int = 0) -> SuiteReport:
         "|det| = |d-2|^(|S|-1) |lam|^(n-1) at every point",
     )
 
-    X = np.array([x for x, _ in points])
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     degenerate = analyze_points(p, X).verdicts.count(Verdict.SONC_DEGENERATE)
     report.add("no_sonc_degenerate", degenerate == 0, f"{degenerate} degenerate verdicts")
@@ -622,7 +621,6 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
     if witness is None:
         report.add("witness_at_anchor", False, "no witness at the anchor point")
     else:
-        det_scale = bordered_scale(f, witness.x, witness.lam)
         report.add(
             "witness_at_anchor",
             rank_deficient(build_witness_matrix(f, witness.x, witness.y)),
@@ -630,9 +628,9 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         )
         report.add(
             "bordered_determinant_vanishes",
-            abs(witness.bordered_det) <= DEFAULT_TOL_DET * det_scale,
+            abs(witness.bordered_det) <= DEFAULT_TOL_DET * witness.bordered_scale,
             f"|det H| = {abs(witness.bordered_det):.3e} <= "
-            f"{DEFAULT_TOL_DET:.0e} * {det_scale:.3e}",
+            f"{DEFAULT_TOL_DET:.0e} * {witness.bordered_scale:.3e}",
         )
         report.add(
             "witness_residuals_small",

@@ -420,7 +420,12 @@ def parse_polynomial(text: str) -> HomogeneousPolynomial:
         coef = entry["coef"]
         if isinstance(coef, bool) or not isinstance(coef, (int, float)):
             raise PolynomialFormatError(f"'coef' must be a number in term {exp_raw}")
-        c = float(coef)
+        try:
+            c = float(coef)
+        except OverflowError:
+            raise PolynomialFormatError(
+                f"coefficient out of float64 range in term {exp_raw}"
+            ) from None
         if not math.isfinite(c):
             raise PolynomialFormatError(f"non-finite coefficient in term {exp_raw}")
         terms[exp] = c

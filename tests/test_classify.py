@@ -245,6 +245,8 @@ def test_analyze_points_input_checks(diag123):
         analyze_points(diag123, np.eye(2))
     with pytest.raises(ValueError, match="unit sphere"):
         analyze_points(diag123, [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="unit sphere"):
+        analyze_points(diag123, [[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0]])
     with pytest.raises(ValueError, match="shape"):
         classify_point(diag123, [1.0, 0.0])
 

@@ -77,6 +77,15 @@ def test_classify_malformed_exit_2(tmp_path, capsys):
     assert "exponent sum 1 != degree 2" in err
 
 
+def test_classify_coefficient_beyond_float64_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n":1,"d":1,"terms":[{"exp":[1],"coef":%d}]}' % 10**400)
+    assert main(["classify", "--poly", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out of float64 range" in captured.err
+
+
 def test_classify_missing_file_exit_2(tmp_path):
     assert main(["classify", "--poly", str(tmp_path / "nope.json")]) == 2
 
@@ -112,6 +121,16 @@ def test_detect_normalization_warning(diag123_file, capsys):
 def test_detect_bad_point_exit_2(diag123_file, capsys):
     assert main(["detect", "--poly", diag123_file, "--point", "1,0"]) == 2
     assert main(["detect", "--poly", diag123_file, "--point", "a,b,c"]) == 2
+
+
+@pytest.mark.parametrize("point", ["nan,1", "inf,1"])
+def test_detect_non_finite_point_exit_2(tmp_path, capsys, point):
+    path = tmp_path / "p.json"
+    write_polynomial(geometric_power_polynomial(2, 3), path)
+    assert main(["detect", "--poly", str(path), "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_oracle2_off_locus(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Rank witness, bordered determinant, quadratic rule, and the exact n = 2 oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from spherecrit import (
     tangent_basis,
     weighted_axis_quadratic,
 )
-from spherecrit.degeneracy import _witness_matrices
+from spherecrit.critsolve import _binary_form
+from spherecrit.degeneracy import _strip, _witness_matrices, _witness_minor_forms
 from conftest import unit
 
 
@@ -152,6 +154,7 @@ def test_witness_bordered_det_matches_bordered_determinant(f, x):
     w = detect_sosc_failure(f, x)
     assert w is not None
     assert w.bordered_det == bordered_determinant(f, w.x, w.lam)
+    assert w.bordered_scale == bordered_scale(f, w.x, w.lam)
 
 
 def test_witness_reconstruction_validates_converse():
@@ -347,6 +350,116 @@ def test_oracle_flags_constructed_degenerate_cases():
         assert exact_oracle_n2(f).on_locus
     f = quadratic_form_polynomial(np.diag([2.0, 2.0]))
     assert exact_oracle_n2(f).on_locus
+
+
+# ---------------------------------------------------------------------------
+# Closed-form minors against the general 3x3 determinant of polynomials
+# ---------------------------------------------------------------------------
+
+
+def _reference_add(a, b, sign=1):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, v in enumerate(a):
+        out[i] += v
+    for i, v in enumerate(b):
+        out[i] += sign * v
+    return out
+
+
+def _reference_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _reference_det3(r0, r1, r2):
+    a, b, c = r0
+    d, e, g = r1
+    h, i, j = r2
+    m0 = _reference_add(_reference_mul(e, j), _reference_mul(g, i), -1)
+    m1 = _reference_add(_reference_mul(d, j), _reference_mul(g, h), -1)
+    m2 = _reference_add(_reference_mul(d, i), _reference_mul(e, h), -1)
+    return _reference_add(
+        _reference_add(_reference_mul(a, m0), _reference_mul(b, m1), -1),
+        _reference_mul(c, m2),
+    )
+
+
+def _reference_minor_forms(f):
+    """The four 3x3 minors of [f1, x1, 0; f2, x2, 0; (H y)_1, y1, x1;
+    (H y)_2, y2, x2] with y = (x2, -x1), each a general polynomial determinant
+    (lists indexed by the power of x1)."""
+    d = f.d
+    a = [Fraction(0)] * (d + 1)
+    for (e1, _), c in f.terms.items():
+        a[e1] = Fraction(c)
+    f1 = [(i + 1) * a[i + 1] for i in range(d)]
+    f2 = [(d - i) * a[i] for i in range(d)]
+    f11 = [(i + 1) * f1[i + 1] for i in range(d - 1)]
+    f12 = [(d - 1 - i) * f1[i] for i in range(d - 1)]
+    f22 = [(d - 1 - i) * f2[i] for i in range(d - 1)]
+    one, zero = Fraction(1), Fraction(0)
+    y1, y2 = [one, zero], [zero, -one]
+    x1, x2 = [zero, one], [one, zero]
+    hy1 = _reference_add(_reference_mul(f11 or [zero], y1), _reference_mul(f12 or [zero], y2))
+    hy2 = _reference_add(_reference_mul(f12 or [zero], y1), _reference_mul(f22 or [zero], y2))
+    r1, r2 = (f1, x1, [zero]), (f2, x2, [zero])
+    r3, r4 = (hy1, y1, x1), (hy2, y2, x2)
+    return [
+        _reference_det3(r1, r2, r3),
+        _reference_det3(r1, r2, r4),
+        _reference_det3(r1, r3, r4),
+        _reference_det3(r2, r3, r4),
+    ]
+
+
+def _reference_pencil_form(f):
+    """g = x2 df/dx1 - x1 df/dx2 in float64, one coefficient at a time."""
+    d = f.d
+    a = np.zeros(d + 1)
+    for (e1, _), c in f.terms.items():
+        a[e1] = c
+    g = np.zeros(d + 1)
+    for j in range(d + 1):
+        if j + 1 <= d:
+            g[j] += (j + 1) * a[j + 1]
+        if j >= 1:
+            g[j] -= (d - j + 1) * a[j - 1]
+    return g
+
+
+def _binary(d, coefs):
+    return HomogeneousPolynomial(2, d, {(i, d - i): c for i, c in coefs.items()})
+
+
+_CONSTRUCTED_BINARY_FORMS = (
+    [axis_monomial(2, d) for d in range(1, 9)]
+    + [_binary(d, {0: 1.0}) for d in range(1, 9)]  # x2^d
+    + [geometric_power_polynomial(2, d) for d in range(1, 9)]
+    + [
+        _binary(2, {2: 1.0, 0: 1.0}),  # x1^2 + x2^2
+        _binary(4, {4: 1.0, 2: 2.0, 0: 1.0}),  # (x1^2 + x2^2)^2
+        _binary(4, {2: 1.0}),  # x1^2 x2^2
+        _binary(6, {6: 1.0, 4: 3.0, 2: 3.0, 0: 1.0}),  # (x1^2 + x2^2)^3
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [[random_polynomial(2, d, 700 + 10 * d + s) for s in range(8)] for d in range(1, 9)]
+    + [_CONSTRUCTED_BINARY_FORMS],
+    ids=[f"random_d{d}" for d in range(1, 9)] + ["constructed"],
+)
+def test_closed_form_minors_match_determinant_route(forms):
+    for f in forms:
+        got = [_strip(m) for m in _witness_minor_forms(f)]
+        expected = [_strip(m) for m in _reference_minor_forms(f)]
+        assert got == expected, f.terms
+        g = np.array(_binary_form(f, float)[0])
+        assert g.tobytes() == _reference_pencil_form(f).tobytes(), f.terms
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,12 @@ def test_parse_rejects_bad_json_and_structure():
         parse_polynomial('{"n": 2, "d": 1, "terms": [{"exp": [2, -1], "coef": 1.0}]}')
 
 
+def test_parse_rejects_coefficient_beyond_float64():
+    text = '{"n":1,"d":1,"terms":[{"exp":[1],"coef":%d}]}' % 10**400
+    with pytest.raises(PolynomialFormatError, match=r"out of float64 range in term \[1\]"):
+        parse_polynomial(text)
+
+
 def test_serialize_parse_round_trip():
     rng = np.random.default_rng(13)
     for _ in range(10):
