@@ -47,6 +47,7 @@ DEFAULT_TOL_CRIT = 1e-9
 DEFAULT_DEDUP_RADIUS = 1e-6
 MAX_STARTS = 20000
 MAX_HALVINGS = 30  # step halvings per Newton iteration
+MAX_SLOW_STEPS = 2  # consecutive slow iterations before a start is abandoned
 
 
 def critical_tolerance(f: HomogeneousPolynomial, base: float = DEFAULT_TOL_CRIT) -> float:
@@ -91,8 +92,8 @@ class SolverConfig:
     ``starts=None`` selects the default 50 * d * n, capped at 20000.
     ``tol_crit`` is the base tolerance; acceptance uses
     ``tol_crit * max(1, coefficient norm)``.  ``dedup_radius`` merges
-    converged points closer than it.  The iteration and step-halving caps
-    are fixed by the solver, not configured.
+    converged points closer than it.  The iteration, step-halving and
+    slow-step caps are fixed by the solver, not configured.
     """
 
     starts: int | None = None
@@ -140,23 +141,30 @@ def _system_jacobian(f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray) -
 
 
 def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched linear solve; rows with a singular Jacobian are flagged, not raised."""
+    """Batched linear solve; rows with a singular Jacobian are flagged, not raised.
+
+    The whole batch is solved first.  Only when LAPACK rejects it are rows
+    with a zero or non-finite determinant set aside and the rest solved,
+    row by row if the batch still fails.
+    """
     k, m = rhs.shape
-    det = np.linalg.det(J)
-    bad = ~np.isfinite(det) | (det == 0.0)
-    if bad.any():
-        J = J.copy()
-        J[bad] = np.eye(m)
+    bad = np.zeros(k, dtype=bool)
     try:
         steps = np.linalg.solve(J, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        # LAPACK can reject pivots det() accepted; fall back row by row.
-        steps = np.zeros_like(rhs)
-        for i in range(k):
-            try:
-                steps[i] = np.linalg.solve(J[i], rhs[i])
-            except np.linalg.LinAlgError:
-                bad[i] = True
+        det = np.linalg.det(J)
+        bad = ~np.isfinite(det) | (det == 0.0)
+        J = np.where(bad[:, None, None], np.eye(m), J)
+        try:
+            steps = np.linalg.solve(J, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # LAPACK can reject pivots det() accepted.
+            steps = np.zeros_like(rhs)
+            for i in range(k):
+                try:
+                    steps[i] = np.linalg.solve(J[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    bad[i] = True
     usable = ~bad & np.isfinite(steps).all(axis=1)
     return steps, usable
 
@@ -198,9 +206,11 @@ def _newton_polish(
     strictly decreases its residual norm, as sequential halving would.  One
     residual call tests a block of step lengths for every row still looking,
     as many as fit in the start count, so a sparse straggler set scans many
-    lengths per call.  Rows that cannot decrease the residual at any length
-    are abandoned unless their residual already passes ``accept_tol``.
-    Returns the final points, multipliers, and the converged mask.
+    lengths per call.  Rows that cannot decrease the residual at any length,
+    and rows whose residual fell by less than 10 % in each of the last
+    ``MAX_SLOW_STEPS`` iterations, are abandoned; an abandoned row still
+    counts as converged when its residual passes ``accept_tol``.  Returns
+    the final points, multipliers, and the converged mask.
     """
     n = f.n
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
@@ -248,15 +258,16 @@ def _newton_polish(
             k += m
         # Wandering rows shave off a sliver of residual per iteration without
         # converging (deep damping).  Genuine roots contract by at least half
-        # per step even at multiple roots, so a run of near-unit ratios marks
-        # a start worth abandoning in favor of the remaining oversampled ones.
+        # per step even at multiple roots, so MAX_SLOW_STEPS near-unit ratios
+        # in a row mark a start worth abandoning in favor of the remaining
+        # oversampled ones.
         moved = rows[improved]
         slow = Fn[moved] > 0.9 * before[improved]
         stalls[moved[slow]] += 1
         stalls[moved[~slow]] = 0
         # Abandon the rows that could not decrease the residual and the
         # hopeless stallers; keep those whose residual already passes.
-        abandon = np.concatenate([rows[~improved], moved[stalls[moved] >= 8]])
+        abandon = np.concatenate([rows[~improved], moved[stalls[moved] >= MAX_SLOW_STEPS]])
         done[abandon[Fn[abandon] <= accept_tol]] = True
         active[abandon] = False
 
@@ -301,6 +312,26 @@ def _newton_polish(
     return Z[:, :n], Z[:, n], done
 
 
+def _projection_windows(
+    X: np.ndarray, centres: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate rows of X within ``radius`` of each centre, by projection.
+
+    |u.(a - b)| <= |a - b| for a unit vector u, so every such row of centre
+    c sits at positions lo[c] .. hi[c] - 1 of the returned order of X's
+    projections, which lie within ``radius`` (plus rounding slack) of u.c.
+    u has nonzero entries, distinct in absolute value: it is the normal of
+    no subsphere x_i = 0 or x_i = +-x_j, where constructed critical sets lie.
+    """
+    u = np.cos(np.arange(1.0, X.shape[1] + 1.0))
+    u /= np.linalg.norm(u)
+    p = X @ u
+    order = np.argsort(p, kind="stable")
+    p, c = p[order], centres @ u
+    width = radius + 1e-12
+    return order, np.searchsorted(p, c - width, "left"), np.searchsorted(p, c + width, "right")
+
+
 def _collect_pairs(
     f: HomogeneousPolynomial,
     X: np.ndarray,
@@ -324,22 +355,30 @@ def _collect_pairs(
 
     # Greedy dedup, tightest residual first: a row is kept unless an earlier
     # kept row lies within dedup_radius, so each kept row covers its later
-    # neighbours in one vector test.
+    # neighbours in one vector test over its window.  A row alone in its
+    # window has no neighbour: it is kept and covers nothing.
     order = np.argsort(res, kind="stable")
     Xo = X[order]
+    by_p, lo, hi = _projection_windows(Xo, Xo, dedup_radius)
     covered = np.zeros(order.size, dtype=bool)
-    for i in range(order.size):
+    for i in np.flatnonzero(hi - lo > 1).tolist():
         if not covered[i]:
-            covered[i + 1 :] |= np.linalg.norm(Xo[i + 1 :] - Xo[i], axis=1) <= dedup_radius
+            near = by_p[lo[i] : hi[i]]
+            near = near[near > i]
+            covered[near[np.linalg.norm(Xo[near] - Xo[i], axis=1) <= dedup_radius]] = True
     kept = order[~covered]
     X, lam, res, sph = X[kept], lam[kept], res[kept], sph[kept]
 
     # Antipodal closure: x critical implies -x critical with lam * (-1)^d.
     # Kept points are more than dedup_radius apart, so -x can only coincide
-    # with a kept point, never with another added antipode.
-    lonely = np.array(
-        [np.min(np.linalg.norm(X + x, axis=1)) > dedup_radius for x in X], dtype=bool
-    )
+    # with a kept point, never with another added antipode.  Each (i, j)
+    # below pairs kept row i with a row j in the window of -X[i].
+    by_p, lo, hi = _projection_windows(X, -X, dedup_radius)
+    counts = hi - lo
+    i = np.repeat(np.arange(X.shape[0]), counts)
+    j = by_p[np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+    lonely = np.ones(X.shape[0], dtype=bool)
+    lonely[i[np.linalg.norm(X[j] + X[i], axis=1) <= dedup_radius]] = False
     Xm = -X[lonely]
     lm = (1.0 if f.d % 2 == 0 else -1.0) * lam[lonely]
     X = np.concatenate([X, Xm])

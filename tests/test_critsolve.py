@@ -1,5 +1,6 @@
 """Multistart solver, exact n = 2 enumeration, and their cross-certification."""
 
+import functools
 import math
 
 import numpy as np
@@ -232,13 +233,13 @@ def test_collect_pairs_closure_on_critical_subsphere():
     # x1^4 in four variables: the whole subsphere x1 = 0 is critical, so the
     # solver returns about as many pairs as it has starts.  The set must be
     # closed under x -> -x (lam unchanged for even d), its points must stay
-    # more than dedup_radius apart, and its size is pinned to the 1518 pairs
-    # the per-pair closure loop produced for this seed.
+    # more than dedup_radius apart, and its size is pinned to the 1512 pairs
+    # the solver returns for this seed (1518 with an 8-slow-step cap).
     cfg = SolverConfig(seed=0)
     found = find_critical_pairs(axis_monomial(4, 4), cfg)
     X = np.array([p.x for p in found.pairs])
     lam = np.array([p.lam for p in found.pairs])
-    assert len(found.pairs) == 1518
+    assert len(found.pairs) == 1512
     for i, x in enumerate(X):
         dist = np.linalg.norm(X - x, axis=1)
         dist[i] = np.inf
@@ -248,12 +249,22 @@ def test_collect_pairs_closure_on_critical_subsphere():
         assert abs(lam[twin] - lam[i]) <= critical_tolerance(axis_monomial(4, 4))
 
 
-def _sequential_halving_polish(f, X0, lam0, *, max_iterations, stop_tol, accept_tol):
+def _sequential_halving_polish(
+    f,
+    X0,
+    lam0,
+    *,
+    max_iterations,
+    stop_tol,
+    accept_tol,
+    max_slow_steps=critsolve.MAX_SLOW_STEPS,
+):
     """Reference damped Newton that tries one step length per residual call.
 
     Same iteration, acceptance, stall and multiple-root polish rules as
     ``critsolve._newton_polish``; only the backtracking loop differs, halving
-    the step of every row still looking after each call.
+    the step of every row still looking after each call.  ``max_slow_steps``
+    is the number of consecutive slow iterations that abandons a row.
     """
     n = f.n
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
@@ -298,7 +309,7 @@ def _sequential_halving_polish(f, X0, lam0, *, max_iterations, stop_tol, accept_
         slow = Fn[moved] > 0.9 * before[improved]
         stalls[moved[slow]] += 1
         stalls[moved[~slow]] = 0
-        abandon = np.concatenate([rows[~improved], moved[stalls[moved] >= 8]])
+        abandon = np.concatenate([rows[~improved], moved[stalls[moved] >= max_slow_steps]])
         done[abandon[Fn[abandon] <= accept_tol]] = True
         active[abandon] = False
     done |= active & (Fn <= accept_tol)
@@ -399,19 +410,83 @@ def test_collect_pairs_dedup_matches_greedy_reference():
     assert 40 < len(expected) < X.shape[0]
 
 
-def test_residual_calls_per_solve_bounded(monkeypatch):
-    # Backtracking tests a block of step lengths per residual call; sequential
-    # halving made 526 calls on this solve and the ladder 75.  The count is
-    # deterministic, so the ceiling guards the call overhead without timing.
-    calls = []
-    inner = critsolve._system_residual
+def test_early_abandon_keeps_every_critical_class(monkeypatch):
+    # Starts that stay slow for MAX_SLOW_STEPS iterations are abandoned.  The
+    # critical classes must be those found when such rows may wander for
+    # eight slow iterations.
+    cases = [(n, d, 300 + 10 * n + d + k) for n, d in ((3, 3), (3, 4), (4, 3)) for k in range(8)]
+    fast = [
+        find_critical_pairs(random_polynomial(n, d, s), SolverConfig(seed=s)) for n, d, s in cases
+    ]
+    reference = functools.partial(_sequential_halving_polish, max_slow_steps=8)
+    monkeypatch.setattr(critsolve, "_newton_polish", reference)
+    for (n, d, s), found in zip(cases, fast):
+        slow = find_critical_pairs(random_polynomial(n, d, s), SolverConfig(seed=s))
+        assert len(found.pairs) == len(slow.pairs), (n, d, s)
+        assert all(_has_pair(slow.pairs, p.x, p.lam) for p in found.pairs), (n, d, s)
+
+
+def test_solve_steps_skips_det_on_nonsingular_batch(monkeypatch):
+    J = np.random.default_rng(1).standard_normal((50, 4, 4))
+    rhs = np.random.default_rng(2).standard_normal((50, 4))
+
+    def no_det(_):
+        raise AssertionError("det called on a nonsingular batch")
+
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    steps, usable = critsolve._solve_steps(J, rhs)
+    assert usable.all()
+    np.testing.assert_array_equal(steps, np.linalg.solve(J, rhs[..., None])[..., 0])
+
+
+def test_solve_steps_flags_singular_row():
+    J = np.random.default_rng(3).standard_normal((20, 4, 4))
+    J[7] = np.outer([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 2.0, 0.5])  # rank one
+    rhs = np.random.default_rng(4).standard_normal((20, 4))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J[7], rhs[7])
+    steps, usable = critsolve._solve_steps(J, rhs)
+    assert np.flatnonzero(~usable).tolist() == [7]
+    for i in np.flatnonzero(usable):
+        np.testing.assert_array_equal(steps[i], np.linalg.solve(J[i], rhs[i]))
+
+
+def test_solve_steps_row_fallback_flags_lapack_rejection(monkeypatch):
+    # A det that misses the singular row leaves it to the row-by-row solve,
+    # which must still flag it.
+    J = np.random.default_rng(5).standard_normal((6, 3, 3))
+    J[2] = 0.0
+    rhs = np.ones((6, 3))
+    monkeypatch.setattr(np.linalg, "det", lambda J: np.ones(J.shape[0]))
+    steps, usable = critsolve._solve_steps(J, rhs)
+    assert np.flatnonzero(~usable).tolist() == [2]
+    for i in np.flatnonzero(usable):
+        np.testing.assert_array_equal(steps[i], np.linalg.solve(J[i], rhs[i]))
+
+
+def _count_rows(monkeypatch, name):
+    rows = []
+    inner = getattr(critsolve, name)
 
     def counted(f, X, lam):
-        calls.append(X.shape[0])
+        rows.append(X.shape[0])
         return inner(f, X, lam)
 
-    monkeypatch.setattr(critsolve, "_system_residual", counted)
+    monkeypatch.setattr(critsolve, name, counted)
+    return rows
+
+
+def test_residual_calls_per_solve_bounded(monkeypatch):
+    # Backtracking tests a block of step lengths per residual call, and
+    # starts that stay slow are dropped early.  On this solve sequential
+    # halving made 526 residual calls; the block ladder made 75 residual and
+    # 21 Jacobian calls with an 8-slow-step cap, and 30 and 11 with
+    # MAX_SLOW_STEPS = 2.  The counts are deterministic, so the ceilings
+    # guard the work without timing.
+    residual_rows = _count_rows(monkeypatch, "_system_residual")
+    jacobian_rows = _count_rows(monkeypatch, "_system_jacobian")
     found = find_critical_pairs(random_polynomial(3, 4, 5), SolverConfig(seed=1))
     assert found.pairs
-    assert len(calls) <= 100
-    assert max(calls) <= found.starts_used
+    assert len(residual_rows) <= 40
+    assert len(jacobian_rows) <= 14
+    assert max(residual_rows) <= found.starts_used
