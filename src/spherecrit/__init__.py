@@ -11,14 +11,11 @@ never shows up for generic objectives.
 from .classify import (
     ClassifiedPoint,
     PointAnalysis,
-    TangentSpectrum,
     Verdict,
     analyze_points,
     classification_tolerance,
     classify_all,
     classify_point,
-    tangent_basis,
-    tangent_spectrum,
 )
 from .critsolve import (
     CertificationReport,
@@ -31,15 +28,12 @@ from .critsolve import (
     find_critical_pairs,
 )
 from .degeneracy import (
-    BorderedMatrix,
     DegeneracyWitness,
     NotCriticalError,
     OracleResult,
     QuadraticDegeneracy,
     WitnessMatrix,
-    bordered_determinant,
-    bordered_matrix,
-    bordered_scale,
+    bordered_determinants,
     build_witness_matrix,
     detect_sosc_failure,
     exact_oracle_n2,

@@ -15,7 +15,7 @@ classified NOT_CRITICAL.  For n = 1 the tangent space is empty and every
 critical point is vacuously SOSC.
 
 :func:`analyze_points` does this analysis for a whole batch of points at
-once; every single-point function here is a view of a one-row batch.
+once; :func:`classify_point` is its one-row verdict.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .critsolve import (
     DEFAULT_TOL_CRIT,
     CriticalPair,
     SolverConfig,
+    _check_tolerance,
     _reject_zero,
     critical_tolerance,
     find_critical_pairs,
@@ -37,12 +38,9 @@ from .polyhom import HomogeneousPolynomial
 
 __all__ = [
     "Verdict",
-    "TangentSpectrum",
     "ClassifiedPoint",
     "PointAnalysis",
     "classification_tolerance",
-    "tangent_basis",
-    "tangent_spectrum",
     "analyze_points",
     "classify_point",
     "classify_all",
@@ -71,18 +69,12 @@ def classification_tolerance(
 
 
 @dataclass
-class TangentSpectrum:
-    """Orthonormal tangent basis (columns) and the sorted eigenvalues of
-    B^T hess f(x) B, ascending."""
-
-    basis: np.ndarray
-    eigenvalues: np.ndarray
-
-
-@dataclass
 class ClassifiedPoint:
+    """A point with its verdict; ``tangent_eigenvalues`` are the eigenvalues
+    of B^T hess f(x) B, ascending (empty for n = 1)."""
+
     pair: CriticalPair
-    spectrum: TangentSpectrum
+    tangent_eigenvalues: np.ndarray
     sosc_margin: float
     verdict: Verdict
 
@@ -91,7 +83,7 @@ class ClassifiedPoint:
             "x": [float(v) for v in self.pair.x],
             "lambda": self.pair.lam,
             "residual": self.pair.residual,
-            "tangent_eigenvalues": [float(v) for v in self.spectrum.eigenvalues],
+            "tangent_eigenvalues": [float(v) for v in self.tangent_eigenvalues],
             "margin": self.sosc_margin,
             "verdict": self.verdict.value,
         }
@@ -122,40 +114,35 @@ class PointAnalysis:
         """One :class:`ClassifiedPoint` per row."""
         X = self.points
         sphere = np.abs(np.einsum("ij,ij->i", X, X) - 1.0)
+        rows = zip(
+            X,
+            self.lam.tolist(),
+            self.residuals.tolist(),
+            sphere.tolist(),
+            self.eigenvalues,
+            self.margins.tolist(),
+            self.verdicts,
+        )
         return [
             ClassifiedPoint(
-                pair=CriticalPair(
-                    x=X[i].copy(),
-                    lam=float(self.lam[i]),
-                    residual=float(self.residuals[i]),
-                    sphere_residual=float(sphere[i]),
-                ),
-                spectrum=TangentSpectrum(basis=self.bases[i], eigenvalues=self.eigenvalues[i]),
-                sosc_margin=float(self.margins[i]),
+                pair=CriticalPair(x=x.copy(), lam=lam, residual=res, sphere_residual=sph),
+                tangent_eigenvalues=w,
+                sosc_margin=margin,
                 verdict=verdict,
             )
-            for i, verdict in enumerate(self.verdicts)
+            for x, lam, res, sph, w, margin, verdict in rows
         ]
 
 
 def _tangent_bases(X: np.ndarray) -> np.ndarray:
-    """Householder bases of the tangent spaces at the rows of X, (k, n, n-1)."""
+    """Householder bases of the tangent spaces at the rows of X, (k, n, n-1):
+    the reflection sending e1 onto the line through x, minus its first column."""
     n = X.shape[1]
     nrm = np.linalg.norm(X, axis=1)
     V = X.copy()
     V[:, 0] += np.where(X[:, 0] >= 0, nrm, -nrm)
     scale = 2.0 / np.einsum("ij,ij->i", V, V)
     return np.eye(n)[:, 1:] - scale[:, None, None] * (V[:, :, None] * V[:, None, 1:])
-
-
-def tangent_basis(x: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of x-perp, shape (n, n-1).
-
-    Built from the Householder reflection sending the first coordinate axis
-    onto the line through x: O(n^2), numerically stable, no branching on
-    random input.
-    """
-    return _tangent_bases(np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def analyze_points(
@@ -171,8 +158,11 @@ def analyze_points(
     tolerances scaled by max(1, coefficient norm).  The degenerate band is
     two-sided: a margin within +-tol_class of zero is reported
     SONC_DEGENERATE even when slightly negative, which is the conservative
-    choice for detecting a measure-zero locus.
+    choice for detecting a measure-zero locus.  Both tolerances must be
+    finite and non-negative.
     """
+    _check_tolerance("tol_crit", tol_crit)
+    _check_tolerance("tol_class", tol_class)
     _reject_zero(f)
     X = np.asarray(X, dtype=np.float64)
     lam = f.d * f.evaluate_many(X)  # rejects X unless its shape is (k, n)
@@ -212,16 +202,6 @@ def analyze_points(
         margins=margins,
         verdicts=verdicts,
     )
-
-
-def tangent_spectrum(f: HomogeneousPolynomial, x) -> TangentSpectrum:
-    """Eigenvalues of the Hessian restricted to the tangent space at x.
-
-    Sorted ascending; independent of the basis choice up to reordering.
-    For n = 1 the spectrum is empty.
-    """
-    analysis = analyze_points(f, [x])
-    return TangentSpectrum(basis=analysis.bases[0], eigenvalues=analysis.eigenvalues[0])
 
 
 def classify_point(

@@ -48,6 +48,13 @@ DEFAULT_DEDUP_RADIUS = 1e-6
 MAX_STARTS = 20000
 MAX_HALVINGS = 30  # step halvings per Newton iteration
 MAX_SLOW_STEPS = 2  # consecutive slow iterations before a start is abandoned
+LSTSQ_RCOND = 1e-10  # relative singular value cutoff of the multiple-root polish
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Reject a tolerance that is NaN, infinite or negative."""
+    if not (0.0 <= value < np.inf):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def critical_tolerance(f: HomogeneousPolynomial, base: float = DEFAULT_TOL_CRIT) -> float:
@@ -100,6 +107,10 @@ class SolverConfig:
     seed: int = 0
     tol_crit: float = DEFAULT_TOL_CRIT
     dedup_radius: float = DEFAULT_DEDUP_RADIUS
+
+    def __post_init__(self) -> None:
+        _check_tolerance("tol_crit", self.tol_crit)
+        _check_tolerance("dedup_radius", self.dedup_radius)
 
 
 @dataclass
@@ -169,9 +180,7 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return steps, usable
 
 
-def _lstsq_steps(
-    J: np.ndarray, rhs: np.ndarray, rcond: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def _lstsq_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched truncated-SVD least-squares steps.
 
     Near-null Jacobian directions (manifolds of critical points, multiple
@@ -182,7 +191,7 @@ def _lstsq_steps(
         U, s, Vt = np.linalg.svd(J)
     except np.linalg.LinAlgError:
         return np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
-    cutoff = rcond * s[:, :1]
+    cutoff = LSTSQ_RCOND * s[:, :1]
     safe = np.where(s > 0.0, s, 1.0)
     sinv = np.where(s > cutoff, 1.0 / safe, 0.0)
     z = np.einsum("kms,km->ks", U, rhs) * sinv
@@ -385,17 +394,14 @@ def _collect_pairs(
     lam = np.concatenate([lam, lm])
     res = np.concatenate([res, np.linalg.norm(f.gradient_many(Xm) - lm[:, None] * Xm, axis=1)])
     sph = np.concatenate([sph, np.abs(np.einsum("ij,ij->i", Xm, Xm) - 1.0)])
-    closed = [
-        CriticalPair(
-            x=X[i].copy(),
-            lam=float(lam[i]),
-            residual=float(res[i]),
-            sphere_residual=float(sph[i]),
+    # Ascending by (lam, x1, ..., xn); lexsort's last key is the primary one.
+    order = np.lexsort((*X.T[::-1], lam))
+    return [
+        CriticalPair(x=X[i].copy(), lam=lam_i, residual=res_i, sphere_residual=sph_i)
+        for i, lam_i, res_i, sph_i in zip(
+            order.tolist(), lam[order].tolist(), res[order].tolist(), sph[order].tolist()
         )
-        for i in range(X.shape[0])
     ]
-    closed.sort(key=lambda p: (p.lam, tuple(p.x)))
-    return closed
 
 
 def _solve_from(
@@ -483,6 +489,8 @@ def enumerate_critical_pairs_n2(
     dedup_radius: float = DEFAULT_DEDUP_RADIUS,
 ) -> CriticalSet:
     """Exact enumeration of the critical set for n = 2 via binary-form roots."""
+    _check_tolerance("tol_crit", tol_crit)
+    _check_tolerance("dedup_radius", dedup_radius)
     _reject_zero(f)
     if f.n != 2:
         raise ValueError(f"exact enumeration needs n = 2, got n = {f.n}")

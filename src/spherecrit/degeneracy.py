@@ -21,7 +21,8 @@ kept deliberately separate:
    hess f(x) y - lam y - mu x = 0 with y.x = 0, which makes the symmetric
    (n+1) x (n+1) bordered matrix [[hess f(x) - lam I, x], [x^T, 0]] singular.
    det = 0 is necessary for degeneracy, not sufficient, and is reported as a
-   corroborating signal only.
+   corroborating signal only (:func:`bordered_determinants`, and
+   ``bordered_det`` of a witness).
 
 3. Exact n = 2 oracle.  For binary forms the constraint y.x = 0 pins
    y = (x2, -x1) up to scale (over the complex numbers too), so the rank
@@ -67,16 +68,13 @@ from .polyhom import HomogeneousPolynomial
 __all__ = [
     "WitnessMatrix",
     "DegeneracyWitness",
-    "BorderedMatrix",
     "QuadraticDegeneracy",
     "OracleResult",
     "NotCriticalError",
     "build_witness_matrix",
     "rank_deficient",
     "detect_sosc_failure",
-    "bordered_matrix",
-    "bordered_determinant",
-    "bordered_scale",
+    "bordered_determinants",
     "quadratic_degeneracy",
     "exact_oracle_n2",
     "witness_to_dict",
@@ -107,7 +105,9 @@ class DegeneracyWitness:
     ``rank_defect_measure`` is the third singular value of the witness
     matrix; ``bordered_residual`` is the norm of
     (hess f(x) y - lam y - mu x, y.x); ``bordered_scale`` is the magnitude
-    scale of ``bordered_det`` (see :func:`bordered_scale`).
+    scale (1 + ||hess f(x)||_F + |lam|)^(n+1) that near-zero tests of
+    ``bordered_det`` compare against, since the determinant grows like a
+    product of row norms.
     """
 
     x: np.ndarray
@@ -118,14 +118,6 @@ class DegeneracyWitness:
     bordered_residual: float
     bordered_det: float
     bordered_scale: float
-
-
-@dataclass
-class BorderedMatrix:
-    """Symmetric (n+1) x (n+1) matrix [[hess f(x) - lam I, x], [x^T, 0]]."""
-
-    matrix: np.ndarray
-    det: float
 
 
 @dataclass
@@ -233,7 +225,7 @@ def _witness_at(
     mu = float(x @ (hy - lam * y))
     W = _witness_matrices(analysis.gradients[0], H, x, y[None, :])[0]
     bordered_vec = np.concatenate([hy - lam * y - mu * x, [x @ y]])
-    M, scale = _bordered(H, x, lam)
+    M, scale = _bordered(analysis.hessians[:1], analysis.points[:1], analysis.lam[:1])
     return DegeneracyWitness(
         x=x,
         y=y,
@@ -241,43 +233,41 @@ def _witness_at(
         lam=lam,
         rank_defect_measure=float(np.linalg.svd(W, compute_uv=False)[2]),
         bordered_residual=float(np.linalg.norm(bordered_vec)),
-        bordered_det=float(np.linalg.det(M)),
-        bordered_scale=scale,
+        bordered_det=float(np.linalg.det(M)[0]),
+        bordered_scale=float(scale[0]),
     )
 
 
-def _bordered(H: np.ndarray, x: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """Bordered matrix [[H - lam I, x], [x^T, 0]] for the Hessian H at x, and
-    its magnitude scale (1 + ||H||_F + |lam|)^(n+1)."""
-    n = x.shape[0]
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = H - lam * np.eye(n)
-    M[:n, n] = x
-    M[n, :n] = x
-    return M, float((1.0 + np.linalg.norm(H) + abs(lam)) ** (n + 1))
+def _bordered(H: np.ndarray, X: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bordered matrices [[H - lam I, x], [x^T, 0]], one per row x of X, and
+    their magnitude scales (1 + ||H||_F + |lam|)^(n+1).
 
-
-def bordered_matrix(f: HomogeneousPolynomial, x, lam: float) -> BorderedMatrix:
-    M, _ = _bordered(f.hessian(x), np.asarray(x, dtype=np.float64), lam)
-    return BorderedMatrix(matrix=M, det=float(np.linalg.det(M)))
-
-
-def bordered_determinant(f: HomogeneousPolynomial, x, lam: float) -> float:
-    """det of the bordered matrix; zero is necessary at degenerate points.
-
-    Used as a necessary condition only: vanishing does not by itself certify
-    a degenerate point.
+    H has shape (k, n, n), X (k, n) and lam (k,); the matrices have shape
+    (k, n+1, n+1).  The Frobenius norms are BLAS dot products, so each
+    equals ``np.linalg.norm`` of its own matrix bit for bit.
     """
-    return bordered_matrix(f, x, lam).det
+    k, n = X.shape
+    M = np.zeros((k, n + 1, n + 1))
+    M[:, :n, :n] = H - lam[:, None, None] * np.eye(n)
+    M[:, :n, n] = X
+    M[:, n, :n] = X
+    h = H.reshape(k, 1, n * n)
+    frobenius = np.sqrt(h @ h.swapaxes(1, 2))[:, 0, 0]
+    return M, (1.0 + frobenius + np.abs(lam)) ** (n + 1)
 
 
-def bordered_scale(f: HomogeneousPolynomial, x, lam: float) -> float:
-    """Magnitude scale for near-zero tests of the bordered determinant.
+def bordered_determinants(f: HomogeneousPolynomial, X, lam) -> np.ndarray:
+    """det of the bordered matrix at each row of X with multiplier lam[i].
 
-    The determinant grows like a product of row norms, so near-zero checks
-    compare against (1 + ||hess f(x)||_F + |lam|)^(n+1).
+    Zero is necessary at degenerate points, not sufficient: a vanishing
+    determinant does not by itself certify a degenerate point.
     """
-    return _bordered(f.hessian(x), np.asarray(x, dtype=np.float64), lam)[1]
+    X = np.asarray(X, dtype=np.float64)
+    H = f.hessian_many(X)  # rejects X unless its shape is (k, n)
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.shape != X.shape[:1]:
+        raise ValueError(f"lam must have shape ({X.shape[0]},), got {lam.shape}")
+    return np.linalg.det(_bordered(H, X, lam)[0])
 
 
 def quadratic_degeneracy(A, *, tol_eig: float = DEFAULT_TOL_EIG) -> QuadraticDegeneracy:
@@ -297,9 +287,7 @@ def quadratic_degeneracy(A, *, tol_eig: float = DEFAULT_TOL_EIG) -> QuadraticDeg
     return QuadraticDegeneracy(degenerate=multiplicity >= 2, lambda1_multiplicity=multiplicity)
 
 
-def witness_to_dict(
-    f: HomogeneousPolynomial, witness: DegeneracyWitness, *, include_oracle: bool = True
-) -> dict:
+def witness_to_dict(f: HomogeneousPolynomial, witness: DegeneracyWitness) -> dict:
     """JSON-ready view of a witness; adds the exact oracle verdict for n = 2."""
     payload = {
         "x": [float(v) for v in witness.x],
@@ -309,7 +297,7 @@ def witness_to_dict(
         "third_singular_value": witness.rank_defect_measure,
         "bordered_det": witness.bordered_det,
     }
-    if include_oracle and f.n == 2:
+    if f.n == 2:
         payload["oracle_on_locus"] = exact_oracle_n2(f).on_locus
     return payload
 

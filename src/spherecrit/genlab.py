@@ -28,7 +28,7 @@ from .degeneracy import (
     DEFAULT_TOL_DET,
     DEFAULT_TOL_RANK,
     _witness_matrices,
-    bordered_determinant,
+    bordered_determinants,
     build_witness_matrix,
     detect_sosc_failure,
     exact_oracle_n2,
@@ -39,9 +39,7 @@ from .polyhom import HomogeneousPolynomial, random_polynomial, write_polynomial
 
 __all__ = [
     "ExperimentConfig",
-    "TrialRecord",
     "ExperimentReport",
-    "CheckResult",
     "SuiteReport",
     "QuadSweepReport",
     "weighted_axis_quadratic",
@@ -490,9 +488,8 @@ def run_witness_d2(n: int, seed: int = 0) -> SuiteReport:
 
     det_ok = True
     det_detail = []
-    for k in range(n):
-        lam = float(k + 1)
-        det = bordered_determinant(p, _axis(n, k), lam)
+    dets = bordered_determinants(p, np.eye(n), np.arange(1.0, n + 1.0))
+    for k, det in enumerate(dets):
         expected = -float(np.prod([j - (k + 1) for j in range(1, n + 1) if j != k + 1]))
         det_detail.append(f"axis {k + 1}: det {det:.6g}")
         if abs(det - expected) > 1e-8 * max(1.0, abs(expected)):
@@ -538,8 +535,7 @@ def run_witness_general(n: int, d: int, seed: int = 0) -> SuiteReport:
     formula_ok = True
     min_ratio = np.inf
     scale = 1e-6 * max(1.0, p.coefficient_norm)
-    for x, lam in points:
-        det = bordered_determinant(p, x, lam)
+    for (x, lam), det in zip(points, bordered_determinants(p, X, lams)):
         ratio = abs(det) / scale
         min_ratio = min(min_ratio, ratio)
         if abs(det) <= scale:

@@ -13,7 +13,9 @@ import numpy as np
 from spherecrit import (
     SolverConfig,
     Verdict,
+    analyze_points,
     axis_monomial,
+    bordered_determinants,
     build_witness_matrix,
     certify_against_oracle,
     classification_tolerance,
@@ -30,8 +32,6 @@ from spherecrit import (
     run_random_genericity,
     run_witness_d2,
     run_witness_general,
-    tangent_basis,
-    tangent_spectrum,
     weighted_axis_quadratic,
 )
 from conftest import central_difference_gradient, central_difference_hessian, unit
@@ -50,9 +50,7 @@ def test_criterion_1_witness_suite_quadratic():
         if not report.passed:
             failures.append((n, [c.name for c in report.checks if not c.passed]))
     # Anchor value: n = 3, first axis, determinant by cofactor expansion.
-    from spherecrit import bordered_determinant
-
-    det = bordered_determinant(weighted_axis_quadratic(3), [1.0, 0.0, 0.0], 1.0)
+    det = bordered_determinants(weighted_axis_quadratic(3), [[1.0, 0.0, 0.0]], [1.0])[0]
     anchor_ok = abs(det - (-2.0)) <= 1e-8
     margin = classify_point(weighted_axis_quadratic(3), [1.0, 0.0, 0.0]).sosc_margin
     margin_ok = abs(margin - 1.0) <= 1e-8
@@ -195,7 +193,7 @@ def test_criterion_6_calculus_invariants():
             basis_ok += 1
         else:
             u = unit(rng.standard_normal(n))
-            ours = tangent_spectrum(f, u).eigenvalues
+            ours = analyze_points(f, [u]).eigenvalues[0]
             M = np.concatenate([u[:, None], rng.standard_normal((n, n - 1))], axis=1)
             Q, _ = np.linalg.qr(M)
             B = Q[:, 1:]
@@ -259,11 +257,8 @@ def test_criterion_7_bidirectional_witness_consistency():
                     sosc_points.append((p, unit(x)))
     checked = 0
     for f, x in sosc_points:
-        B = tangent_basis(x)
-        M = B.T @ f.hessian(x) @ B
-        _, V = np.linalg.eigh(0.5 * (M + M.T))
-        for k in range(V.shape[1]):
-            y = unit(B @ V[:, k])
+        # The unit tangent eigenvector directions B @ V[:, k].
+        for y in analyze_points(f, [x]).eigenvectors[0].T:
             wm = build_witness_matrix(f, x, y)
             checked += 1
             if wm.singular_values[2] <= 1e-6 * wm.singular_values[0]:

@@ -15,8 +15,7 @@ from spherecrit import (
     classify_all,
     classify_point,
     random_polynomial,
-    tangent_basis,
-    tangent_spectrum,
+    weighted_axis_quadratic,
 )
 from conftest import unit
 
@@ -32,25 +31,24 @@ def _random_tangent_frame(x, rng):
 def test_tangent_basis_is_orthonormal_and_tangent():
     rng = np.random.default_rng(2)
     for n in (2, 3, 5):
-        for _ in range(10):
-            x = unit(rng.standard_normal(n))
-            B = tangent_basis(x)
-            assert B.shape == (n, n - 1)
+        X = np.array([unit(rng.standard_normal(n)) for _ in range(10)])
+        bases = analyze_points(weighted_axis_quadratic(n), X).bases
+        assert bases.shape == (10, n, n - 1)
+        for x, B in zip(X, bases):
             assert np.allclose(B.T @ B, np.eye(n - 1), atol=1e-12)
             assert np.linalg.norm(B.T @ x) <= 1e-12
 
 
 def test_tangent_spectrum_weighted_quadratic(diag123):
-    spec = tangent_spectrum(diag123, [1.0, 0.0, 0.0])
-    assert np.allclose(spec.eigenvalues, [2.0, 3.0], atol=1e-12)
-    spec = tangent_spectrum(diag123, [0.0, 1.0, 0.0])
-    assert np.allclose(spec.eigenvalues, [1.0, 3.0], atol=1e-12)
+    eigenvalues = analyze_points(diag123, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).eigenvalues
+    assert np.allclose(eigenvalues[0], [2.0, 3.0], atol=1e-12)
+    assert np.allclose(eigenvalues[1], [1.0, 3.0], atol=1e-12)
 
 
 def test_tangent_spectrum_monomial_off_axis():
     f = HomogeneousPolynomial(2, 4, {(4, 0): 1.0})
-    spec = tangent_spectrum(f, [0.0, 1.0])
-    assert np.allclose(spec.eigenvalues, [0.0], atol=0.0)
+    eigenvalues = analyze_points(f, [[0.0, 1.0]]).eigenvalues[0]
+    assert np.allclose(eigenvalues, [0.0], atol=0.0)
 
 
 def test_tangent_spectrum_basis_invariance():
@@ -60,7 +58,7 @@ def test_tangent_spectrum_basis_invariance():
         d = int(rng.integers(2, 6))
         f = random_polynomial(n, d, rng)
         x = unit(rng.standard_normal(n))
-        ours = tangent_spectrum(f, x).eigenvalues
+        ours = analyze_points(f, [x]).eigenvalues[0]
         B = _random_tangent_frame(x, rng)
         M = B.T @ f.hessian(x) @ B
         theirs = np.linalg.eigvalsh(0.5 * (M + M.T))
@@ -70,7 +68,7 @@ def test_tangent_spectrum_basis_invariance():
 
 def test_tangent_spectrum_rejects_non_unit(diag123):
     with pytest.raises(ValueError, match="unit sphere"):
-        tangent_spectrum(diag123, [1.0, 1.0, 0.0])
+        analyze_points(diag123, [[1.0, 1.0, 0.0]])
 
 
 def test_classify_weighted_quadratic_first_axis(diag123):
@@ -135,7 +133,7 @@ def test_sosc_points_are_local_minima(diag123):
     rng = np.random.default_rng(4)
     x = np.array([1.0, 0.0, 0.0])
     base = diag123.evaluate(x)
-    B = tangent_basis(x)
+    B = analyze_points(diag123, [x]).bases[0]
     for _ in range(200):
         u = B @ unit(rng.standard_normal(2))
         x_new = unit(x + 1e-3 * u)
@@ -157,7 +155,7 @@ def test_n1_edge_vacuous_sosc():
         point = classify_point(f, [s])
         assert point.verdict is Verdict.SOSC
         assert point.sosc_margin == math.inf
-        assert point.spectrum.eigenvalues.size == 0
+        assert point.tangent_eigenvalues.size == 0
 
 
 def test_verdict_bands_partition():
@@ -233,8 +231,8 @@ def test_classify_all_matches_classify_point(f):
         assert _close(batched.sosc_margin, single.sosc_margin)
         assert _close(batched.pair.lam, single.pair.lam)
         assert _close(batched.pair.residual, single.pair.residual)
-        assert batched.spectrum.eigenvalues.shape == (f.n - 1,)
-        for a, b in zip(batched.spectrum.eigenvalues, single.spectrum.eigenvalues):
+        assert batched.tangent_eigenvalues.shape == (f.n - 1,)
+        for a, b in zip(batched.tangent_eigenvalues, single.tangent_eigenvalues):
             assert _close(a, b)
 
 
@@ -249,6 +247,20 @@ def test_analyze_points_input_checks(diag123):
         analyze_points(diag123, [[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0]])
     with pytest.raises(ValueError, match="shape"):
         classify_point(diag123, [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"tol_crit": math.nan}, {"tol_crit": -1e-9}, {"tol_class": math.inf}, {"tol_class": math.nan}],
+)
+def test_analyze_points_rejects_bad_tolerance(diag123, tolerances):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        analyze_points(diag123, np.eye(3), **tolerances)
+
+
+def test_analyze_points_accepts_zero_tolerance(diag123):
+    analysis = analyze_points(diag123, np.eye(3), tol_crit=0.0, tol_class=0.0)
+    assert analysis.verdicts[0] is Verdict.SOSC
 
 
 def test_analyze_points_eigenvectors_are_tangent_eigenvectors():

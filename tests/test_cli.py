@@ -133,6 +133,26 @@ def test_detect_non_finite_point_exit_2(tmp_path, capsys, point):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--dedup-radius=nan", "--dedup-radius=-1", "--tol-crit=nan"])
+def test_classify_bad_tolerance_exit_2(flag, capsys):
+    assert main(["classify", "--poly", str(DATA / "cubic_n3.json"), flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and non-negative" in captured.err
+
+
+def test_classify_zero_dedup_radius_accepted(capsys):
+    assert main(["classify", "--poly", str(DATA / "cubic_n3.json"), "--dedup-radius=0"]) == 0
+    assert capsys.readouterr().out.startswith("critical points: ")
+
+
+def test_detect_bad_tolerance_exit_2(x1cubed_file, capsys):
+    assert main(["detect", "--poly", x1cubed_file, "--point", "0,1", "--tol-class=nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol_class must be finite and non-negative" in captured.err
+
+
 def test_oracle2_off_locus(tmp_path, capsys):
     path = tmp_path / "p.json"
     write_polynomial(geometric_power_polynomial(2, 3), path)

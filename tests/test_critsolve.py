@@ -197,6 +197,18 @@ def test_starts_default_and_override():
     assert found.starts_used == 37
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"tol_crit": math.nan}, {"tol_crit": -1e-9}, {"dedup_radius": math.nan},
+     {"dedup_radius": -1.0}, {"dedup_radius": math.inf}],
+)
+def test_bad_solver_tolerance_rejected(fields):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        SolverConfig(**fields)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        enumerate_critical_pairs_n2(random_polynomial(2, 3, 1), **fields)
+
+
 def test_n1_sphere_is_two_points():
     f = HomogeneousPolynomial(1, 3, {(3,): 2.0})
     found = find_critical_pairs(f)
@@ -408,6 +420,25 @@ def test_collect_pairs_dedup_matches_greedy_reference():
     assert kept == expected
     assert len(pairs) == 2 * len(expected)
     assert 40 < len(expected) < X.shape[0]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [random_polynomial(3, 3, 2), axis_monomial(3, 4), weighted_axis_quadratic(4)],
+    ids=["random(3,3)", "axis_monomial(3,4)", "weighted_axis_quadratic(4)"],
+)
+def test_collect_pairs_sorted_by_lambda_then_x(f):
+    # Ascending (lam, x1, ..., xn) whatever the input order; ties in lam
+    # (the +-e_k pairs, the critical subsphere) are broken by x.
+    pairs = find_critical_pairs(f, SolverConfig(seed=1)).pairs
+    X = np.array([p.x for p in pairs])
+    lam = np.array([p.lam for p in pairs])
+    order = np.random.default_rng(5).permutation(len(pairs))
+    again = critsolve._collect_pairs(f, X[order], lam[order], critical_tolerance(f), 1e-6)
+    assert len(again) == len(pairs)
+    for found in (pairs, again):
+        keys = [(p.lam, tuple(p.x)) for p in found]
+        assert keys == sorted(keys)
 
 
 def test_early_abandon_keeps_every_critical_class(monkeypatch):

@@ -14,9 +14,7 @@ from spherecrit import (
     ZeroPolynomialError,
     analyze_points,
     axis_monomial,
-    bordered_determinant,
-    bordered_matrix,
-    bordered_scale,
+    bordered_determinants,
     build_witness_matrix,
     classify_all,
     classify_point,
@@ -31,11 +29,10 @@ from spherecrit import (
     quadratic_form_polynomial,
     random_polynomial,
     rank_deficient,
-    tangent_basis,
     weighted_axis_quadratic,
 )
 from spherecrit.critsolve import _binary_form
-from spherecrit.degeneracy import _strip, _witness_matrices, _witness_minor_forms
+from spherecrit.degeneracy import _bordered, _strip, _witness_matrices, _witness_minor_forms
 from conftest import unit
 
 
@@ -153,8 +150,8 @@ def _rotated_repeated_bottom():
 def test_witness_bordered_det_matches_bordered_determinant(f, x):
     w = detect_sosc_failure(f, x)
     assert w is not None
-    assert w.bordered_det == bordered_determinant(f, w.x, w.lam)
-    assert w.bordered_scale == bordered_scale(f, w.x, w.lam)
+    assert w.bordered_det == bordered_determinants(f, [w.x], [w.lam])[0]
+    assert w.bordered_scale == (1.0 + np.linalg.norm(f.hessian(w.x)) + abs(w.lam)) ** (f.n + 1)
 
 
 def test_witness_reconstruction_validates_converse():
@@ -181,7 +178,8 @@ def test_witness_reconstruction_validates_converse():
 
 
 def test_bordered_matrix_weighted_quadratic(diag123):
-    bm = bordered_matrix(diag123, [1.0, 0.0, 0.0], 1.0)
+    X = np.array([[1.0, 0.0, 0.0]])
+    matrices, _ = _bordered(diag123.hessian_many(X), X, np.array([1.0]))
     hand = np.array(
         [
             [0.0, 0.0, 0.0, 1.0],
@@ -190,14 +188,14 @@ def test_bordered_matrix_weighted_quadratic(diag123):
             [1.0, 0.0, 0.0, 0.0],
         ]
     )
-    assert np.array_equal(bm.matrix, hand)
-    assert bm.det == pytest.approx(-2.0, abs=1e-12)
-    assert bordered_determinant(diag123, [1.0, 0.0, 0.0], 1.0) == pytest.approx(-2.0)
+    assert matrices.shape == (1, 4, 4)
+    assert np.array_equal(matrices[0], hand)
+    assert bordered_determinants(diag123, X, [1.0])[0] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_bordered_determinant_degenerate_monomial():
     f = axis_monomial(2, 3)
-    det = bordered_determinant(f, [0.0, 1.0], 0.0)
+    det = bordered_determinants(f, [[0.0, 1.0]], [0.0])[0]
     assert det == pytest.approx(0.0, abs=1e-14)
 
 
@@ -207,19 +205,39 @@ def test_bordered_determinant_at_power_polynomial_points():
     p = geometric_power_polynomial(2, 3)
     points = enumerate_power_critical_points(2, 3)
     assert len(points) == 6
-    magnitudes = sorted(abs(bordered_determinant(p, x, lam)) for x, lam in points)
+    dets = bordered_determinants(p, [x for x, _ in points], [lam for _, lam in points])
+    magnitudes = sorted(np.abs(dets))
     expected = sorted([6.0, 6.0, 12.0, 12.0, 12.0 / math.sqrt(5.0), 12.0 / math.sqrt(5.0)])
     assert np.allclose(magnitudes, expected, rtol=1e-10)
-    for x, lam in points:
-        assert abs(bordered_determinant(p, x, lam)) > 1e-6 * max(
-            1.0, p.coefficient_norm
-        )
+    assert np.all(np.abs(dets) > 1e-6 * max(1.0, p.coefficient_norm))
 
 
 def test_bordered_scale_grows_with_hessian(diag123):
-    small = bordered_scale(diag123, [1.0, 0.0, 0.0], 1.0)
-    big = bordered_scale(diag123, [1.0, 0.0, 0.0], 100.0)
+    X = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    _, (small, big) = _bordered(diag123.hessian_many(X), X, np.array([1.0, 100.0]))
     assert big > small > 1.0
+
+
+def test_bordered_determinants_batch_matches_rows():
+    # One batched call reproduces the one-row call of each point up to the
+    # rounding of the batched Hessian jets.
+    rng = np.random.default_rng(37)
+    for n, d in ((2, 3), (3, 4), (5, 3)):
+        f = random_polynomial(n, d, rng)
+        X = rng.standard_normal((7, n))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        lam = d * f.evaluate_many(X)
+        batched = bordered_determinants(f, X, lam)
+        assert batched.shape == (7,)
+        for x, lm, det in zip(X, lam, batched):
+            assert bordered_determinants(f, [x], [lm])[0] == pytest.approx(det, rel=1e-12)
+
+
+def test_bordered_determinants_input_checks(diag123):
+    with pytest.raises(ValueError, match="shape"):
+        bordered_determinants(diag123, np.eye(2), [1.0, 2.0])
+    with pytest.raises(ValueError, match="lam must have shape"):
+        bordered_determinants(diag123, np.eye(3), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +501,13 @@ def test_witness_iff_degenerate_verdict():
         if witness is not None:
             wm = build_witness_matrix(f, witness.x, witness.y)
             assert rank_deficient(wm)
-            assert abs(witness.bordered_det) <= 1e-8 * bordered_scale(
-                f, witness.x, witness.lam
-            )
+            assert abs(witness.bordered_det) <= 1e-8 * witness.bordered_scale
 
 
 def test_sosc_eigenvectors_keep_full_rank(diag123):
     # At a strict minimizer no tangent eigenvector produces a rank drop.
     x = np.array([1.0, 0.0, 0.0])
-    B = tangent_basis(x)
-    M = B.T @ diag123.hessian(x) @ B
-    _, V = np.linalg.eigh(M)
-    for k in range(V.shape[1]):
-        y = unit(B @ V[:, k])
+    for y in analyze_points(diag123, [x]).eigenvectors[0].T:
         wm = build_witness_matrix(diag123, x, y)
         assert not rank_deficient(wm)
 
