@@ -13,7 +13,6 @@ from .classify import (
     PointAnalysis,
     Verdict,
     analyze_points,
-    classification_tolerance,
     classify_all,
     classify_point,
 )
@@ -23,9 +22,9 @@ from .critsolve import (
     CriticalSet,
     SolverConfig,
     certify_against_oracle,
-    critical_tolerance,
     enumerate_critical_pairs_n2,
     find_critical_pairs,
+    scaled_tolerance,
 )
 from .degeneracy import (
     DegeneracyWitness,

@@ -31,8 +31,8 @@ from .critsolve import (
     SolverConfig,
     _check_tolerance,
     _reject_zero,
-    critical_tolerance,
     find_critical_pairs,
+    scaled_tolerance,
 )
 from .polyhom import HomogeneousPolynomial
 
@@ -40,7 +40,6 @@ __all__ = [
     "Verdict",
     "ClassifiedPoint",
     "PointAnalysis",
-    "classification_tolerance",
     "analyze_points",
     "classify_point",
     "classify_all",
@@ -55,17 +54,6 @@ class Verdict(str, enum.Enum):
     FONC_ONLY = "FONC_ONLY"
     SONC_DEGENERATE = "SONC_DEGENERATE"
     SOSC = "SOSC"
-
-
-def classification_tolerance(
-    f: HomogeneousPolynomial, base: float = DEFAULT_TOL_CLASS
-) -> float:
-    """Margin threshold: base * max(1, coefficient norm).
-
-    One order looser than the critical-pair tolerance because second-order
-    quantities amplify solver error.
-    """
-    return base * max(1.0, f.coefficient_norm)
 
 
 @dataclass
@@ -97,6 +85,8 @@ class PointAnalysis:
     (k, n-1, ascending) and ``eigenvectors`` (k, n, n-1, unit columns in
     ambient coordinates) are the eigenpairs of B^T hess f(x) B.  ``margins``
     is the smallest tangent eigenvalue minus lam, inf for n = 1.
+    ``crit_tol`` and ``class_tol`` are the absolute residual and margin
+    thresholds the verdicts applied.
     """
 
     points: np.ndarray
@@ -109,6 +99,8 @@ class PointAnalysis:
     eigenvectors: np.ndarray
     margins: np.ndarray
     verdicts: list[Verdict]
+    crit_tol: float
+    class_tol: float
 
     def classified(self) -> list[ClassifiedPoint]:
         """One :class:`ClassifiedPoint` per row."""
@@ -155,11 +147,13 @@ def analyze_points(
     """First and second order analysis of every row of X in one batch.
 
     Rows must be unit vectors.  ``tol_crit`` and ``tol_class`` are base
-    tolerances scaled by max(1, coefficient norm).  The degenerate band is
-    two-sided: a margin within +-tol_class of zero is reported
+    tolerances, finite and non-negative, that :func:`scaled_tolerance`
+    turns into the absolute ``crit_tol`` and ``class_tol`` of the result.
+    The margin tolerance is two orders looser than the residual one because
+    second-order quantities amplify solver error.  The degenerate band is
+    two-sided: a margin within +-class_tol of zero is reported
     SONC_DEGENERATE even when slightly negative, which is the conservative
-    choice for detecting a measure-zero locus.  Both tolerances must be
-    finite and non-negative.
+    choice for detecting a measure-zero locus.
     """
     _check_tolerance("tol_crit", tol_crit)
     _check_tolerance("tol_class", tol_class)
@@ -170,8 +164,8 @@ def analyze_points(
     off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN-safe
     if off.size:
         raise ValueError(f"point must lie on the unit sphere, got norm {norms[off[0]]!r}")
-    crit_tol = critical_tolerance(f, tol_crit)
-    class_tol = classification_tolerance(f, tol_class)
+    crit_tol = scaled_tolerance(f, tol_crit)
+    class_tol = scaled_tolerance(f, tol_class)
 
     G = f.gradient_many(X)
     residuals = np.linalg.norm(G - lam[:, None] * X, axis=1)
@@ -201,6 +195,8 @@ def analyze_points(
         eigenvectors=Y,
         margins=margins,
         verdicts=verdicts,
+        crit_tol=crit_tol,
+        class_tol=class_tol,
     )
 
 
@@ -211,11 +207,8 @@ def classify_point(
     tol_crit: float = DEFAULT_TOL_CRIT,
     tol_class: float = DEFAULT_TOL_CLASS,
 ) -> ClassifiedPoint:
-    """Verdict for one unit vector, with margins.
-
-    ``tol_crit`` and ``tol_class`` are base tolerances that get scaled by
-    max(1, coefficient norm), as in :func:`analyze_points`.
-    """
+    """Verdict for one unit vector, with margins; the tolerances are
+    scaled as in :func:`analyze_points`."""
     analysis = analyze_points(f, [x], tol_crit=tol_crit, tol_class=tol_class)
     return analysis.classified()[0]
 

@@ -131,7 +131,7 @@ def _cmd_detect(args) -> int:
     # One analysis serves both the witness search and the reported margin.
     analysis = analyze_points(f, [x], tol_crit=args.tol_crit, tol_class=args.tol_class)
     try:
-        witness = _witness_at(f, analysis, args.tol_crit)
+        witness = _witness_at(analysis)
     except NotCriticalError as exc:
         print(f"point is not critical: {exc}", file=sys.stderr)
         return EXIT_NOT_CRITICAL

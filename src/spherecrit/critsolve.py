@@ -37,7 +37,7 @@ __all__ = [
     "CriticalSet",
     "SolverConfig",
     "CertificationReport",
-    "critical_tolerance",
+    "scaled_tolerance",
     "find_critical_pairs",
     "enumerate_critical_pairs_n2",
     "certify_against_oracle",
@@ -46,6 +46,7 @@ __all__ = [
 DEFAULT_TOL_CRIT = 1e-9
 DEFAULT_DEDUP_RADIUS = 1e-6
 MAX_STARTS = 20000
+MAX_ITERATIONS = 100  # Newton iterations per start
 MAX_HALVINGS = 30  # step halvings per Newton iteration
 MAX_SLOW_STEPS = 2  # consecutive slow iterations before a start is abandoned
 LSTSQ_RCOND = 1e-10  # relative singular value cutoff of the multiple-root polish
@@ -57,11 +58,12 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
-def critical_tolerance(f: HomogeneousPolynomial, base: float = DEFAULT_TOL_CRIT) -> float:
-    """Residual acceptance threshold: base * max(1, coefficient norm).
+def scaled_tolerance(f: HomogeneousPolynomial, base: float) -> float:
+    """The absolute threshold of every test on f: base * max(1, coefficient norm).
 
-    The FONC residual is linear in the coefficients of f, so the absolute
-    tolerance scales with the coefficient norm.
+    Residuals, margins and multipliers are linear in the coefficients of f,
+    so each base tolerance scales with the coefficient norm, with a floor
+    at norm 1.
     """
     return base * max(1.0, f.coefficient_norm)
 
@@ -97,8 +99,8 @@ class SolverConfig:
     """Multistart Newton knobs: start count, seed, tolerance, merge radius.
 
     ``starts=None`` selects the default 50 * d * n, capped at 20000.
-    ``tol_crit`` is the base tolerance; acceptance uses
-    ``tol_crit * max(1, coefficient norm)``.  ``dedup_radius`` merges
+    ``tol_crit`` is the base residual tolerance that acceptance scales by
+    :func:`scaled_tolerance`.  ``dedup_radius`` merges
     converged points closer than it.  The iteration, step-halving and
     slow-step caps are fixed by the solver, not configured.
     """
@@ -205,12 +207,12 @@ def _newton_polish(
     X0: np.ndarray,
     lam0: np.ndarray,
     *,
-    max_iterations: int,
-    stop_tol: float,
     accept_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the critical-pair system, batched over start rows.
 
+    A row stops once its residual passes ``scaled_tolerance(f, 1e-13)``, or
+    after ``MAX_ITERATIONS`` iterations.
     Each row takes the longest step 2^-k (k = 0 .. ``MAX_HALVINGS``) that
     strictly decreases its residual norm, as sequential halving would.  One
     residual call tests a block of step lengths for every row still looking,
@@ -222,6 +224,7 @@ def _newton_polish(
     the final points, multipliers, and the converged mask.
     """
     n = f.n
+    stop_tol = scaled_tolerance(f, 1e-13)
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
     size = Z.shape[0]
     with np.errstate(all="ignore"):
@@ -231,7 +234,7 @@ def _newton_polish(
     done = np.zeros(size, dtype=bool)
     stalls = np.zeros(size, dtype=np.int64)
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         finished = active & (Fn <= stop_tol)
         done |= finished
         active &= ~finished
@@ -290,7 +293,7 @@ def _newton_polish(
     # critical points) and overshooting by the root multiplicity restores
     # fast convergence; simple roots are already converged and reject the
     # overshoot.
-    floor = 1e-14 * max(1.0, f.coefficient_norm)
+    floor = scaled_tolerance(f, 1e-14)
     polish = np.flatnonzero(done & (Fn > floor))
     for _ in range(8):
         if polish.size == 0:
@@ -410,18 +413,10 @@ def _solve_from(
     *,
     tol_crit: float,
     dedup_radius: float,
-    max_iterations: int,
 ) -> CriticalSet:
     """Newton-polish the unit start rows X0 and collect the converged pairs."""
-    tol = critical_tolerance(f, tol_crit)
-    X, lam, ok = _newton_polish(
-        f,
-        X0,
-        f.d * f.evaluate_many(X0),
-        max_iterations=max_iterations,
-        stop_tol=1e-13 * max(1.0, f.coefficient_norm),
-        accept_tol=tol,
-    )
+    tol = scaled_tolerance(f, tol_crit)
+    X, lam, ok = _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
     return CriticalSet(
         pairs=_collect_pairs(f, X[ok], lam[ok], tol, dedup_radius),
         dedup_radius=dedup_radius,
@@ -451,13 +446,7 @@ def find_critical_pairs(
     norms = np.linalg.norm(X0, axis=1)
     norms[norms == 0.0] = 1.0
     X0 /= norms[:, None]
-    return _solve_from(
-        f,
-        X0,
-        tol_crit=cfg.tol_crit,
-        dedup_radius=cfg.dedup_radius,
-        max_iterations=100,
-    )
+    return _solve_from(f, X0, tol_crit=cfg.tol_crit, dedup_radius=cfg.dedup_radius)
 
 
 def _partials(a: list) -> tuple[list, list]:
@@ -495,10 +484,9 @@ def enumerate_critical_pairs_n2(
     if f.n != 2:
         raise ValueError(f"exact enumeration needs n = 2, got n = {f.n}")
     d = f.d
-    scale = max(1.0, f.coefficient_norm)
     g = np.array(_binary_form(f, float)[0])
 
-    if np.max(np.abs(g)) <= 1e-10 * scale * (d + 1):
+    if np.max(np.abs(g)) <= scaled_tolerance(f, 1e-10) * (d + 1):
         # Radial case: gradient parallel to x everywhere, the whole circle is
         # critical with the constant multiplier d * f.
         e1 = np.array([1.0, 0.0])
@@ -506,7 +494,7 @@ def enumerate_critical_pairs_n2(
             f,
             np.array([e1, -e1]),
             d * np.array([f.evaluate(e1), f.evaluate(-e1)]),
-            critical_tolerance(f, tol_crit),
+            scaled_tolerance(f, tol_crit),
             dedup_radius,
         )
         return CriticalSet(
@@ -532,13 +520,7 @@ def enumerate_critical_pairs_n2(
                 u = np.array([float(z.real), 1.0])
                 candidates.append(u / np.linalg.norm(u))
     U = np.array(candidates)
-    return _solve_from(
-        f,
-        np.vstack([U, -U]),
-        tol_crit=tol_crit,
-        dedup_radius=dedup_radius,
-        max_iterations=30,
-    )
+    return _solve_from(f, np.vstack([U, -U]), tol_crit=tol_crit, dedup_radius=dedup_radius)
 
 
 def certify_against_oracle(
@@ -558,7 +540,7 @@ def certify_against_oracle(
         return CertificationReport(certified=False, all_critical=True, matched=0)
     found = find_critical_pairs(f, cfg)
     match_radius = max(cfg.dedup_radius, 1e-9)
-    lam_tol = 1e-6 * max(1.0, f.coefficient_norm)
+    lam_tol = scaled_tolerance(f, 1e-6)
 
     used: set[int] = set()
     only_oracle: list[CriticalPair] = []

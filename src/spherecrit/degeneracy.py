@@ -61,7 +61,6 @@ from .critsolve import (
     _binary_form,
     _partials,
     _reject_zero,
-    critical_tolerance,
 )
 from .polyhom import HomogeneousPolynomial
 
@@ -200,19 +199,16 @@ def detect_sosc_failure(
     one-dimensional least squares mu = x . (hess f(x) y - lam y), exact when
     the bordered system holds.
     """
-    analysis = analyze_points(f, [x], tol_crit=tol_crit, tol_class=tol_class)
-    return _witness_at(f, analysis, tol_crit)
+    return _witness_at(analyze_points(f, [x], tol_crit=tol_crit, tol_class=tol_class))
 
 
-def _witness_at(
-    f: HomogeneousPolynomial, analysis: PointAnalysis, tol_crit: float
-) -> DegeneracyWitness | None:
+def _witness_at(analysis: PointAnalysis) -> DegeneracyWitness | None:
     """:func:`detect_sosc_failure` at the single row of ``analysis``."""
     verdict = analysis.verdicts[0]
     if verdict is Verdict.NOT_CRITICAL:
         raise NotCriticalError(
             f"FONC residual {analysis.residuals[0]:.6e} exceeds tolerance "
-            f"{critical_tolerance(f, tol_crit):.6e}"
+            f"{analysis.crit_tol:.6e}"
         )
     if verdict is not Verdict.SONC_DEGENERATE:
         return None  # SOSC (vacuously for n = 1) or SONC fails outright

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import Verdict, analyze_points, classify_all
-from .critsolve import SolverConfig, critical_tolerance, find_critical_pairs
+from .critsolve import DEFAULT_TOL_CRIT, SolverConfig, find_critical_pairs, scaled_tolerance
 from .degeneracy import (
     DEFAULT_TOL_DET,
     DEFAULT_TOL_RANK,
@@ -183,9 +183,6 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SuiteReport:
@@ -198,13 +195,6 @@ class SuiteReport:
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, bool(passed), detail))
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 @dataclass
@@ -234,9 +224,6 @@ class TrialRecord:
     rank_witness_hits: int
     oracle_on_locus: bool | None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ExperimentReport:
@@ -244,29 +231,18 @@ class ExperimentReport:
     d: int
     trials: int
     seed: int
-    records: list[TrialRecord]
     total_degenerate: int
     total_rank_witnesses: int
     min_sosc_margin: float | None
     margin_quantiles: dict[str, float] | None
     dumped_files: list[str]
+    records: list[TrialRecord]
     runtime_seconds: float
 
     def to_dict(self, include_runtime: bool = True) -> dict:
-        doc = {
-            "n": self.n,
-            "d": self.d,
-            "trials": self.trials,
-            "seed": self.seed,
-            "total_degenerate": self.total_degenerate,
-            "total_rank_witnesses": self.total_rank_witnesses,
-            "min_sosc_margin": self.min_sosc_margin,
-            "margin_quantiles": self.margin_quantiles,
-            "dumped_files": list(self.dumped_files),
-            "records": [r.to_dict() for r in self.records],
-        }
-        if include_runtime:
-            doc["runtime_seconds"] = self.runtime_seconds
+        doc = asdict(self)
+        if not include_runtime:
+            del doc["runtime_seconds"]
         return doc
 
     def to_json(self, include_runtime: bool = True) -> str:
@@ -317,17 +293,11 @@ class QuadSweepReport:
         )
 
     def to_dict(self, include_runtime: bool = True) -> dict:
-        doc = {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "degenerate_count": self.degenerate_count,
-            "disagreements": list(self.disagreements),
-            "planted": list(self.planted),
-            "passed": self.passed,
-        }
+        doc = asdict(self)
+        runtime = doc.pop("runtime_seconds")
+        doc["passed"] = self.passed
         if include_runtime:
-            doc["runtime_seconds"] = self.runtime_seconds
+            doc["runtime_seconds"] = runtime
         return doc
 
     def to_json(self, include_runtime: bool = True) -> str:
@@ -494,7 +464,7 @@ def run_witness_d2(n: int, seed: int = 0) -> SuiteReport:
         det_detail.append(f"axis {k + 1}: det {det:.6g}")
         if abs(det - expected) > 1e-8 * max(1.0, abs(expected)):
             det_ok = False
-        if abs(det) <= 1e-6 * max(1.0, p.coefficient_norm):
+        if abs(det) <= scaled_tolerance(p, 1e-6):
             det_ok = False
     report.add("bordered_determinant_nonzero", det_ok, "; ".join(det_detail))
 
@@ -519,7 +489,7 @@ def run_witness_general(n: int, d: int, seed: int = 0) -> SuiteReport:
     p = geometric_power_polynomial(n, d)
     report = SuiteReport(name=f"witness_general(n={n}, d={d})")
     points = enumerate_power_critical_points(n, d)
-    tol = critical_tolerance(p)
+    tol = scaled_tolerance(p, DEFAULT_TOL_CRIT)
 
     X = np.array([x for x, _ in points])
     lams = np.array([lam for _, lam in points])
@@ -534,7 +504,7 @@ def run_witness_general(n: int, d: int, seed: int = 0) -> SuiteReport:
     det_ok = True
     formula_ok = True
     min_ratio = np.inf
-    scale = 1e-6 * max(1.0, p.coefficient_norm)
+    scale = scaled_tolerance(p, 1e-6)
     for (x, lam), det in zip(points, bordered_determinants(p, X, lams)):
         ratio = abs(det) / scale
         min_ratio = min(min_ratio, ratio)
@@ -630,7 +600,7 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         )
         report.add(
             "witness_residuals_small",
-            witness.bordered_residual <= 1e-8 * max(1.0, f.coefficient_norm)
+            witness.bordered_residual <= scaled_tolerance(f, 1e-8)
             and abs(witness.y @ witness.x) <= 1e-10,
             f"bordered residual {witness.bordered_residual:.3e}",
         )

@@ -372,7 +372,8 @@ def parse_polynomial(text: str) -> HomogeneousPolynomial:
 
     Raises :class:`PolynomialFormatError` naming the offending term when an
     exponent sum does not match the declared degree or when two terms carry
-    the same exponent vector.
+    the same exponent vector; every :class:`HomogeneousPolynomial` check
+    failure is re-raised as one.
     """
     try:
         doc = json.loads(text)
@@ -385,10 +386,6 @@ def parse_polynomial(text: str) -> HomogeneousPolynomial:
             raise PolynomialFormatError(f"missing required key '{key}'")
     n = _require_int(doc, "n")
     d = _require_int(doc, "d")
-    if n < 1:
-        raise PolynomialFormatError(f"'n' must be >= 1, got {n}")
-    if d < 1:
-        raise PolynomialFormatError(f"'d' must be >= 1, got {d}")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list):
         raise PolynomialFormatError("'terms' must be a list")
@@ -409,27 +406,21 @@ def parse_polynomial(text: str) -> HomogeneousPolynomial:
                 f"'exp' must be a list of {n} integers, got {exp_raw!r}"
             )
         exp = tuple(exp_raw)
-        if any(e < 0 for e in exp):
-            raise PolynomialFormatError(f"negative exponent in term {exp_raw}")
-        if sum(exp) != d:
-            raise PolynomialFormatError(
-                f"exponent sum {sum(exp)} != degree {d} in term {exp_raw}"
-            )
         if exp in terms:
             raise PolynomialFormatError(f"duplicate monomial {exp_raw}")
         coef = entry["coef"]
         if isinstance(coef, bool) or not isinstance(coef, (int, float)):
             raise PolynomialFormatError(f"'coef' must be a number in term {exp_raw}")
         try:
-            c = float(coef)
+            terms[exp] = float(coef)
         except OverflowError:
             raise PolynomialFormatError(
                 f"coefficient out of float64 range in term {exp_raw}"
             ) from None
-        if not math.isfinite(c):
-            raise PolynomialFormatError(f"non-finite coefficient in term {exp_raw}")
-        terms[exp] = c
-    return HomogeneousPolynomial(n, d, terms)
+    try:
+        return HomogeneousPolynomial(n, d, terms)
+    except ValueError as exc:
+        raise PolynomialFormatError(str(exc)) from exc
 
 
 def read_polynomial(path) -> HomogeneousPolynomial:

@@ -18,9 +18,7 @@ from spherecrit import (
     bordered_determinants,
     build_witness_matrix,
     certify_against_oracle,
-    classification_tolerance,
     classify_point,
-    critical_tolerance,
     detect_sosc_failure,
     enumerate_power_critical_points,
     ExperimentConfig,
@@ -32,8 +30,11 @@ from spherecrit import (
     run_random_genericity,
     run_witness_d2,
     run_witness_general,
+    scaled_tolerance,
     weighted_axis_quadratic,
 )
+from spherecrit.classify import DEFAULT_TOL_CLASS
+from spherecrit.critsolve import DEFAULT_TOL_CRIT
 from conftest import central_difference_gradient, central_difference_hessian, unit
 
 
@@ -237,7 +238,8 @@ def test_criterion_7_bidirectional_witness_consistency():
         lam = f.d * f.evaluate(w.x)
         fonc = np.linalg.norm(f.gradient(w.x) - lam * w.x)
         margin = w.y @ f.hessian(w.x) @ w.y - lam
-        if fonc > critical_tolerance(f) or margin > classification_tolerance(f):
+        crit_tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
+        if fonc > crit_tol or margin > scaled_tolerance(f, DEFAULT_TOL_CLASS):
             converse_ok = False
 
     # Full rank at every tangent eigenvector of the SOSC points of criteria 1-2.

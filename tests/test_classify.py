@@ -1,6 +1,7 @@
 """Tangent spectrum and FONC/SONC/SOSC classification."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spherecrit import (
     classify_all,
     classify_point,
     random_polynomial,
+    scaled_tolerance,
     weighted_axis_quadratic,
 )
 from conftest import unit
@@ -273,3 +275,39 @@ def test_analyze_points_eigenvectors_are_tangent_eigenvectors():
         assert np.allclose(Y.T @ Y, np.eye(3), atol=1e-12)
         assert np.linalg.norm(Y.T @ x) <= 1e-12
         assert np.allclose(Y.T @ H @ Y, np.diag(w), atol=1e-10 * max(1.0, np.linalg.norm(H)))
+
+
+def _scaled(f, c):
+    return HomogeneousPolynomial.from_coefficient_vector(f.n, f.d, c * f.coefficient_vector())
+
+
+@pytest.mark.parametrize("norm", [0.25, 40.0])
+def test_analysis_reports_the_thresholds_it_applied(norm):
+    f = random_polynomial(3, 3, 8)
+    f = _scaled(f, norm / f.coefficient_norm)
+    defaults = analyze_points(f, np.eye(3))
+    assert defaults.crit_tol == scaled_tolerance(f, 1e-9)
+    assert defaults.class_tol == scaled_tolerance(f, 1e-7)
+    custom = analyze_points(f, np.eye(3), tol_crit=1e-6, tol_class=1e-4)
+    assert custom.crit_tol == scaled_tolerance(f, 1e-6) == 1e-6 * max(1.0, f.coefficient_norm)
+    assert custom.class_tol == scaled_tolerance(f, 1e-4) == 1e-4 * max(1.0, f.coefficient_norm)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3)])
+def test_verdicts_invariant_under_scaling_above_unit_norm(n, d):
+    """classify_all(c f) keeps its verdict histogram and critical count for c >= 1.
+
+    The forms have unit coefficient norm, so every scaled copy stays on the
+    norm >= 1 side of the tolerance floor.  Extending this to norms below 1
+    is ROADMAP item 2.
+    """
+    for seed in range(8):
+        f = random_polynomial(n, d, [n, d, seed])
+        f = _scaled(f, 1.0 / f.coefficient_norm)
+        summaries = [
+            (len(points), Counter(p.verdict for p in points))
+            for points in (
+                classify_all(_scaled(f, c), SolverConfig(seed=seed)) for c in (1.0, 10.0, 1e3, 1e6)
+            )
+        ]
+        assert summaries == summaries[:1] * 4, (n, d, seed)

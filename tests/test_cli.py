@@ -9,6 +9,7 @@ from spherecrit import (
     HomogeneousPolynomial,
     axis_monomial,
     geometric_power_polynomial,
+    scaled_tolerance,
     weighted_axis_quadratic,
     write_polynomial,
 )
@@ -86,6 +87,24 @@ def test_classify_coefficient_beyond_float64_exit_2(tmp_path, capsys):
     assert "out of float64 range" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":0,"d":2,"terms":[]}',
+        '{"n":2,"d":0,"terms":[{"exp":[0,0],"coef":1.0}]}',
+        '{"n":1,"d":1,"terms":[{"exp":[1],"coef":1e400}]}',
+    ],
+    ids=["n=0", "d=0", "coef=1e400"],
+)
+def test_classify_constructor_rejection_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["classify", "--poly", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("polynomial format error: ")
+
+
 def test_classify_missing_file_exit_2(tmp_path):
     assert main(["classify", "--poly", str(tmp_path / "nope.json")]) == 2
 
@@ -110,6 +129,17 @@ def test_detect_not_critical_exit_4(diag123_file, capsys):
     err = capsys.readouterr().err
     assert "not critical" in err
     assert "FONC residual" in err
+
+
+def test_detect_not_critical_reports_scaled_tolerance(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    f = HomogeneousPolynomial(3, 2, {(2, 0, 0): 3.0, (0, 2, 0): 6.0, (0, 0, 2): 9.0})
+    write_polynomial(f, path)
+    point = "0.6,0.8,0"
+    assert main(["detect", "--poly", str(path), "--point", point, "--tol-crit", "1e-3"]) == 4
+    err = capsys.readouterr().err
+    assert f"exceeds tolerance {scaled_tolerance(f, 1e-3):.6e}" in err
+    assert scaled_tolerance(f, 1e-3) > 1e-2
 
 
 def test_detect_normalization_warning(diag123_file, capsys):

@@ -12,13 +12,14 @@ from spherecrit import (
     SolverConfig,
     ZeroPolynomialError,
     certify_against_oracle,
-    critical_tolerance,
     enumerate_critical_pairs_n2,
     find_critical_pairs,
     axis_monomial,
     random_polynomial,
+    scaled_tolerance,
     weighted_axis_quadratic,
 )
+from spherecrit.critsolve import DEFAULT_TOL_CRIT
 def _has_pair(pairs, x, lam, xtol=1e-8, ltol=1e-8):
     return any(
         np.linalg.norm(p.x - np.asarray(x)) <= xtol and abs(p.lam - lam) <= ltol
@@ -67,7 +68,7 @@ def test_pair_invariants_on_random_instances():
         n = int(rng.integers(2, 4))
         d = int(rng.integers(2, 5))
         f = random_polynomial(n, d, rng)
-        tol = critical_tolerance(f)
+        tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
         found = find_critical_pairs(f, SolverConfig(seed=int(rng.integers(1 << 30))))
         assert found.pairs, "expected at least one critical pair"
         for p in found.pairs:
@@ -248,7 +249,8 @@ def test_collect_pairs_closure_on_critical_subsphere():
     # more than dedup_radius apart, and its size is pinned to the 1512 pairs
     # the solver returns for this seed (1518 with an 8-slow-step cap).
     cfg = SolverConfig(seed=0)
-    found = find_critical_pairs(axis_monomial(4, 4), cfg)
+    f = axis_monomial(4, 4)
+    found = find_critical_pairs(f, cfg)
     X = np.array([p.x for p in found.pairs])
     lam = np.array([p.lam for p in found.pairs])
     assert len(found.pairs) == 1512
@@ -258,7 +260,7 @@ def test_collect_pairs_closure_on_critical_subsphere():
         assert dist.min() > cfg.dedup_radius
         twin = np.argmin(np.linalg.norm(X + x, axis=1))
         assert np.linalg.norm(X[twin] + x) <= cfg.dedup_radius
-        assert abs(lam[twin] - lam[i]) <= critical_tolerance(axis_monomial(4, 4))
+        assert abs(lam[twin] - lam[i]) <= scaled_tolerance(f, DEFAULT_TOL_CRIT)
 
 
 def _sequential_halving_polish(
@@ -266,8 +268,6 @@ def _sequential_halving_polish(
     X0,
     lam0,
     *,
-    max_iterations,
-    stop_tol,
     accept_tol,
     max_slow_steps=critsolve.MAX_SLOW_STEPS,
 ):
@@ -279,6 +279,7 @@ def _sequential_halving_polish(
     is the number of consecutive slow iterations that abandons a row.
     """
     n = f.n
+    stop_tol = scaled_tolerance(f, 1e-13)
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
     with np.errstate(all="ignore"):
         F = critsolve._system_residual(f, Z[:, :n], Z[:, n])
@@ -286,7 +287,7 @@ def _sequential_halving_polish(
     active = np.isfinite(Fn)
     done = np.zeros(Z.shape[0], dtype=bool)
     stalls = np.zeros(Z.shape[0], dtype=np.int64)
-    for _ in range(max_iterations):
+    for _ in range(critsolve.MAX_ITERATIONS):
         finished = active & (Fn <= stop_tol)
         done |= finished
         active &= ~finished
@@ -326,7 +327,7 @@ def _sequential_halving_polish(
         active[abandon] = False
     done |= active & (Fn <= accept_tol)
 
-    floor = 1e-14 * max(1.0, f.coefficient_norm)
+    floor = scaled_tolerance(f, 1e-14)
     polish = np.flatnonzero(done & (Fn > floor))
     for _ in range(8):
         if polish.size == 0:
@@ -373,14 +374,10 @@ def test_step_ladder_matches_sequential_halving(f):
     rng = np.random.default_rng(7)
     X0 = rng.standard_normal((50 * f.n * f.d, f.n))
     X0 /= np.linalg.norm(X0, axis=1)[:, None]
-    kwargs = dict(
-        max_iterations=100,
-        stop_tol=1e-13 * max(1.0, f.coefficient_norm),
-        accept_tol=critical_tolerance(f),
-    )
+    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     lam0 = f.d * f.evaluate_many(X0)
-    X, lam, done = critsolve._newton_polish(f, X0, lam0, **kwargs)
-    X_ref, lam_ref, done_ref = _sequential_halving_polish(f, X0, lam0, **kwargs)
+    X, lam, done = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
+    X_ref, lam_ref, done_ref = _sequential_halving_polish(f, X0, lam0, accept_tol=tol)
     np.testing.assert_array_equal(done, done_ref)
     np.testing.assert_allclose(X[done], X_ref[done], rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(lam[done], lam_ref[done], rtol=0.0, atol=1e-12)
@@ -434,7 +431,9 @@ def test_collect_pairs_sorted_by_lambda_then_x(f):
     X = np.array([p.x for p in pairs])
     lam = np.array([p.lam for p in pairs])
     order = np.random.default_rng(5).permutation(len(pairs))
-    again = critsolve._collect_pairs(f, X[order], lam[order], critical_tolerance(f), 1e-6)
+    again = critsolve._collect_pairs(
+        f, X[order], lam[order], scaled_tolerance(f, DEFAULT_TOL_CRIT), 1e-6
+    )
     assert len(again) == len(pairs)
     for found in (pairs, again):
         keys = [(p.lam, tuple(p.x)) for p in found]

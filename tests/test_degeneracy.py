@@ -18,8 +18,6 @@ from spherecrit import (
     build_witness_matrix,
     classify_all,
     classify_point,
-    classification_tolerance,
-    critical_tolerance,
     detect_sosc_failure,
     enumerate_power_critical_points,
     exact_oracle_n2,
@@ -29,9 +27,11 @@ from spherecrit import (
     quadratic_form_polynomial,
     random_polynomial,
     rank_deficient,
+    scaled_tolerance,
     weighted_axis_quadratic,
 )
-from spherecrit.critsolve import _binary_form
+from spherecrit.classify import DEFAULT_TOL_CLASS
+from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form
 from spherecrit.degeneracy import _bordered, _strip, _witness_matrices, _witness_minor_forms
 from conftest import unit
 
@@ -168,8 +168,8 @@ def test_witness_reconstruction_validates_converse():
         lam = f.d * f.evaluate(w.x)
         fonc = np.linalg.norm(f.gradient(w.x) - lam * w.x)
         margin = w.y @ f.hessian(w.x) @ w.y - lam
-        assert fonc <= critical_tolerance(f)
-        assert margin <= classification_tolerance(f)
+        assert fonc <= scaled_tolerance(f, DEFAULT_TOL_CRIT)
+        assert margin <= scaled_tolerance(f, DEFAULT_TOL_CLASS)
 
 
 # ---------------------------------------------------------------------------

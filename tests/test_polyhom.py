@@ -202,6 +202,20 @@ def test_parse_rejects_bad_json_and_structure():
         parse_polynomial('{"n": 2, "d": 1, "terms": [{"exp": [2, -1], "coef": 1.0}]}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n":0,"d":2,"terms":[]}', "variable count must be a positive integer"),
+        ('{"n":2,"d":0,"terms":[{"exp":[0,0],"coef":1.0}]}', "degree must be a positive integer"),
+        ('{"n":1,"d":1,"terms":[{"exp":[1],"coef":1e400}]}', r"non-finite coefficient inf in term \[1\]"),
+    ],
+    ids=["n=0", "d=0", "coef=1e400"],
+)
+def test_parse_reraises_constructor_checks(text, message):
+    with pytest.raises(PolynomialFormatError, match=message):
+        parse_polynomial(text)
+
+
 def test_parse_rejects_coefficient_beyond_float64():
     text = '{"n":1,"d":1,"terms":[{"exp":[1],"coef":%d}]}' % 10**400
     with pytest.raises(PolynomialFormatError, match=r"out of float64 range in term \[1\]"):
