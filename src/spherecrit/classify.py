@@ -104,25 +104,22 @@ class PointAnalysis:
 
     def classified(self) -> list[ClassifiedPoint]:
         """One :class:`ClassifiedPoint` per row."""
-        X = self.points
-        sphere = np.abs(np.einsum("ij,ij->i", X, X) - 1.0)
         rows = zip(
-            X,
+            self.points,
             self.lam.tolist(),
             self.residuals.tolist(),
-            sphere.tolist(),
             self.eigenvalues,
             self.margins.tolist(),
             self.verdicts,
         )
         return [
             ClassifiedPoint(
-                pair=CriticalPair(x=x.copy(), lam=lam, residual=res, sphere_residual=sph),
+                pair=CriticalPair(x=x.copy(), lam=lam, residual=res),
                 tangent_eigenvalues=w,
                 sosc_margin=margin,
                 verdict=verdict,
             )
-            for x, lam, res, sph, w, margin, verdict in rows
+            for x, lam, res, w, margin, verdict in rows
         ]
 
 

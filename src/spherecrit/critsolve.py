@@ -75,7 +75,6 @@ class CriticalPair:
     x: np.ndarray
     lam: float
     residual: float
-    sphere_residual: float
 
 
 @dataclass
@@ -84,11 +83,11 @@ class CriticalSet:
 
     ``all_critical`` marks the radially symmetric n = 2 special case
     f = c (x1^2 + x2^2)^(d/2), where the whole circle is critical; ``pairs``
-    then holds the two antipodal representatives at the first axis.
+    then holds the two antipodal representatives at the first axis.  The
+    pairs lie more than the solver's ``dedup_radius`` apart.
     """
 
     pairs: list[CriticalPair]
-    dedup_radius: float
     starts_used: int
     converged_fraction: float
     all_critical: bool = False
@@ -302,24 +301,20 @@ def _newton_polish(
             J = _system_jacobian(f, Z[polish, :n], Z[polish, n])
             J[~np.isfinite(J)] = 0.0
             steps, usable = _lstsq_steps(J, -F[polish])
-        best_norm = Fn[polish].copy()
-        best_z = Z[polish].copy()
-        best_f = F[polish].copy()
+        Z0 = Z[polish]
         moved = np.zeros(polish.size, dtype=bool)
         for factor in (1.0, 2.0, 3.0):
-            trial = Z[polish] + factor * steps
+            trial = Z0 + factor * steps
             with np.errstate(all="ignore"):
                 Ft = _system_residual(f, trial[:, :n], trial[:, n])
             Ftn = np.linalg.norm(Ft, axis=1)
-            better = usable & np.isfinite(Ftn) & (Ftn < best_norm)
-            best_z[better] = trial[better]
-            best_f[better] = Ft[better]
-            best_norm[better] = Ftn[better]
+            better = usable & np.isfinite(Ftn) & (Ftn < Fn[polish])
+            acc = polish[better]
+            Z[acc] = trial[better]
+            F[acc] = Ft[better]
+            Fn[acc] = Ftn[better]
             moved |= better
-        Z[polish] = best_z
-        F[polish] = best_f
-        Fn[polish] = best_norm
-        polish = polish[moved & (best_norm > floor)]
+        polish = polish[moved & (Fn[polish] > floor)]
 
     return Z[:, :n], Z[:, n], done
 
@@ -352,18 +347,12 @@ def _collect_pairs(
     dedup_radius: float,
 ) -> list[CriticalPair]:
     """Normalize, filter by residual, dedup, and close under the antipodal map."""
-    n = f.n
-    if X.shape[0] == 0:
-        return []
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0.5
     X, lam = X[keep] / norms[keep, None], lam[keep]
-    if X.shape[0] == 0:
-        return []
     res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
-    sph = np.abs(np.einsum("ij,ij->i", X, X) - 1.0)
-    keep = (res <= tol) & (sph <= 1e-12)
-    X, lam, res, sph = X[keep], lam[keep], res[keep], sph[keep]
+    keep = res <= tol
+    X, lam, res = X[keep], lam[keep], res[keep]
 
     # Greedy dedup, tightest residual first: a row is kept unless an earlier
     # kept row lies within dedup_radius, so each kept row covers its later
@@ -379,7 +368,7 @@ def _collect_pairs(
             near = near[near > i]
             covered[near[np.linalg.norm(Xo[near] - Xo[i], axis=1) <= dedup_radius]] = True
     kept = order[~covered]
-    X, lam, res, sph = X[kept], lam[kept], res[kept], sph[kept]
+    X, lam, res = X[kept], lam[kept], res[kept]
 
     # Antipodal closure: x critical implies -x critical with lam * (-1)^d.
     # Kept points are more than dedup_radius apart, so -x can only coincide
@@ -396,14 +385,11 @@ def _collect_pairs(
     X = np.concatenate([X, Xm])
     lam = np.concatenate([lam, lm])
     res = np.concatenate([res, np.linalg.norm(f.gradient_many(Xm) - lm[:, None] * Xm, axis=1)])
-    sph = np.concatenate([sph, np.abs(np.einsum("ij,ij->i", Xm, Xm) - 1.0)])
     # Ascending by (lam, x1, ..., xn); lexsort's last key is the primary one.
     order = np.lexsort((*X.T[::-1], lam))
     return [
-        CriticalPair(x=X[i].copy(), lam=lam_i, residual=res_i, sphere_residual=sph_i)
-        for i, lam_i, res_i, sph_i in zip(
-            order.tolist(), lam[order].tolist(), res[order].tolist(), sph[order].tolist()
-        )
+        CriticalPair(x=X[i].copy(), lam=lam_i, residual=res_i)
+        for i, lam_i, res_i in zip(order.tolist(), lam[order].tolist(), res[order].tolist())
     ]
 
 
@@ -419,9 +405,8 @@ def _solve_from(
     X, lam, ok = _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
     return CriticalSet(
         pairs=_collect_pairs(f, X[ok], lam[ok], tol, dedup_radius),
-        dedup_radius=dedup_radius,
         starts_used=X0.shape[0],
-        converged_fraction=float(np.mean(ok)) if X0.shape[0] else 0.0,
+        converged_fraction=float(np.mean(ok)),
     )
 
 
@@ -485,42 +470,27 @@ def enumerate_critical_pairs_n2(
         raise ValueError(f"exact enumeration needs n = 2, got n = {f.n}")
     d = f.d
     g = np.array(_binary_form(f, float)[0])
-
-    if np.max(np.abs(g)) <= scaled_tolerance(f, 1e-10) * (d + 1):
-        # Radial case: gradient parallel to x everywhere, the whole circle is
-        # critical with the constant multiplier d * f.
-        e1 = np.array([1.0, 0.0])
-        reps = _collect_pairs(
-            f,
-            np.array([e1, -e1]),
-            d * np.array([f.evaluate(e1), f.evaluate(-e1)]),
-            scaled_tolerance(f, tol_crit),
-            dedup_radius,
-        )
-        return CriticalSet(
-            pairs=reps,
-            dedup_radius=dedup_radius,
-            starts_used=2,
-            converged_fraction=1.0,
-            all_critical=True,
-        )
+    # Radial case: the gradient is parallel to x everywhere, so the whole
+    # circle is critical and e1, the one candidate kept, represents it.
+    radial = bool(np.max(np.abs(g)) <= scaled_tolerance(f, 1e-10) * (d + 1))
 
     # x2 = 0 direction handled separately; it is critical iff the top
     # coefficient of g vanishes, and the residual filter re-checks that.
     candidates = [np.array([1.0, 0.0])]
-    coeffs = g[::-1]
-    lead_tol = 1e-12 * np.max(np.abs(g))
-    k = 0
-    while k < d and abs(coeffs[k]) <= lead_tol:
-        k += 1
-    trimmed = coeffs[k:]
-    if trimmed.size > 1:
-        for z in np.roots(trimmed):
+    if not radial:
+        coeffs = g[::-1]
+        lead_tol = 1e-12 * np.max(np.abs(g))
+        k = 0
+        while k < d and abs(coeffs[k]) <= lead_tol:
+            k += 1
+        for z in np.roots(coeffs[k:]):
             if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
                 u = np.array([float(z.real), 1.0])
                 candidates.append(u / np.linalg.norm(u))
     U = np.array(candidates)
-    return _solve_from(f, np.vstack([U, -U]), tol_crit=tol_crit, dedup_radius=dedup_radius)
+    found = _solve_from(f, np.vstack([U, -U]), tol_crit=tol_crit, dedup_radius=dedup_radius)
+    found.all_critical = radial
+    return found
 
 
 def certify_against_oracle(

@@ -172,10 +172,11 @@ def build_witness_matrix(f: HomogeneousPolynomial, x, y) -> WitnessMatrix:
     return WitnessMatrix(matrix=W, singular_values=np.linalg.svd(W, compute_uv=False))
 
 
-def rank_deficient(wm: WitnessMatrix, tol_rank: float = DEFAULT_TOL_RANK) -> bool:
-    """Numerical rank <= 2 decision: third singular value relative to the first."""
+def rank_deficient(wm: WitnessMatrix) -> bool:
+    """Numerical rank <= 2 decision: third singular value at most
+    ``DEFAULT_TOL_RANK`` times the first."""
     sv = wm.singular_values
-    return bool(sv[2] <= tol_rank * sv[0])
+    return bool(sv[2] <= DEFAULT_TOL_RANK * sv[0])
 
 
 def detect_sosc_failure(
@@ -266,11 +267,11 @@ def bordered_determinants(f: HomogeneousPolynomial, X, lam) -> np.ndarray:
     return np.linalg.det(_bordered(H, X, lam)[0])
 
 
-def quadratic_degeneracy(A, *, tol_eig: float = DEFAULT_TOL_EIG) -> QuadraticDegeneracy:
+def quadratic_degeneracy(A) -> QuadraticDegeneracy:
     """Degeneracy rule for f = x^T A x / 2: least eigenvalue not simple.
 
     Symmetric eigenvalues are perfectly conditioned, so the multiplicity
-    decision uses the tight threshold tol_eig * ||A||_F.
+    decision uses the tight threshold ``DEFAULT_TOL_EIG`` * ||A||_F.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -278,7 +279,7 @@ def quadratic_degeneracy(A, *, tol_eig: float = DEFAULT_TOL_EIG) -> QuadraticDeg
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.linalg.norm(A))):
         raise ValueError("A must be symmetric")
     w = np.linalg.eigvalsh(A)
-    tol = tol_eig * np.linalg.norm(A)
+    tol = DEFAULT_TOL_EIG * np.linalg.norm(A)
     multiplicity = int(np.count_nonzero(w - w[0] <= tol))
     return QuadraticDegeneracy(degenerate=multiplicity >= 2, lambda1_multiplicity=multiplicity)
 

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 SEED_STRIDE = 1_000_003  # per-trial seeds: base * SEED_STRIDE + trial
+PLANTED_MULTIPLICITIES = (2, 3)  # least-eigenvalue multiplicities the quad sweep plants
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +67,6 @@ SEED_STRIDE = 1_000_003  # per-trial seeds: base * SEED_STRIDE + trial
 def weighted_axis_quadratic(n: int) -> HomogeneousPolynomial:
     """(x1^2 + 2 x2^2 + ... + n xn^2) / 2: critical points are the signed axes
     with multiplier k at the k-th axis, and only the first axis is SOSC."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     terms = {}
     for k in range(n):
         exp = [0] * n
@@ -83,8 +82,6 @@ def geometric_power_polynomial(n: int, d: int) -> HomogeneousPolynomial:
     determinant away from zero, so it anchors the non-degenerate side of the
     test suites.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
     alpha = 2.0 ** (d - 2)
     terms = {}
     for k in range(n):
@@ -96,9 +93,7 @@ def geometric_power_polynomial(n: int, d: int) -> HomogeneousPolynomial:
 
 def axis_monomial(n: int, d: int) -> HomogeneousPolynomial:
     """x1^d: for d >= 3 the entire subsphere x1 = 0 is critical and degenerate."""
-    exp = [0] * n
-    exp[0] = d
-    return HomogeneousPolynomial(n, d, {tuple(exp): 1.0})
+    return HomogeneousPolynomial(n, d, {(d,) + (0,) * (n - 1): 1.0})
 
 
 def quadratic_form_polynomial(A) -> HomogeneousPolynomial:
@@ -132,16 +127,13 @@ def enumerate_power_critical_points(n: int, d: int) -> list[tuple[np.ndarray, fl
     coordinate, so points are indexed by a nonempty support set plus sign
     data: for odd d the sign of every coordinate matches the sign of lam and
     both lam branches occur; for even d only lam > 0 is feasible and each
-    supported coordinate picks a sign freely.  Support enumeration is
-    2^n - 1 sets, kept to n <= 4; larger n falls back to the multistart
-    solver.
+    supported coordinate picks a sign freely.  That gives 2 (2^n - 1) points
+    for odd d and 3^n - 1 for even d; n is kept to at most 10 (59048 points).
     """
     if d == 2:
         raise ValueError("d = 2 is the quadratic case; its enumeration is the eigenbasis")
-    p = geometric_power_polynomial(n, d)
-    if n > 4:
-        found = find_critical_pairs(p, SolverConfig(seed=0))
-        return [(pair.x, pair.lam) for pair in found.pairs]
+    if not (1 <= n <= 10 and d >= 1):
+        raise ValueError(f"closed-form enumeration needs 1 <= n <= 10, d >= 1; got {n}, {d}")
     alpha = 2.0 ** (d - 2)
     if d == 1:
         c = np.array([alpha ** (k + 1) for k in range(n)])
@@ -403,7 +395,7 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def run_witness_d2(n: int, seed: int = 0) -> SuiteReport:
+def run_witness_d2(n: int) -> SuiteReport:
     """Quadratic witness suite on (x1^2 + 2 x2^2 + ... + n xn^2) / 2.
 
     Checks the full known structure: 2n critical points at the signed axes
@@ -415,8 +407,7 @@ def run_witness_d2(n: int, seed: int = 0) -> SuiteReport:
         raise ValueError("need n >= 2")
     p = weighted_axis_quadratic(n)
     report = SuiteReport(name=f"witness_d2(n={n})")
-    found = find_critical_pairs(p, SolverConfig(seed=seed))
-    pairs = found.pairs
+    pairs = find_critical_pairs(p).pairs
 
     report.add(
         "critical_count",
@@ -473,7 +464,7 @@ def run_witness_d2(n: int, seed: int = 0) -> SuiteReport:
     return report
 
 
-def run_witness_general(n: int, d: int, seed: int = 0) -> SuiteReport:
+def run_witness_general(n: int, d: int) -> SuiteReport:
     """Witness suite on the geometric power polynomial for d != 2.
 
     Every real critical point must keep |det H(x, lam)| strictly positive
@@ -666,14 +657,13 @@ def check_planted_quadratic(
     }
 
 
-def run_quadratic_sweep(
-    n: int, trials: int, seed: int = 0, planted: tuple[int, ...] = (2, 3)
-) -> QuadSweepReport:
+def run_quadratic_sweep(n: int, trials: int, seed: int = 0) -> QuadSweepReport:
     """Cross-validate the eigenvalue rule against the pipeline on random A.
 
     Random symmetric matrices generically have a simple least eigenvalue, so
-    both detectors should report non-degenerate on every draw; planted
-    multiplicities must be caught by both.
+    both detectors should report non-degenerate on every draw.  Each
+    multiplicity of ``PLANTED_MULTIPLICITIES`` that fits in n is planted
+    once and must be caught by both.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -694,8 +684,8 @@ def run_quadratic_sweep(
             )
     planted_results = [
         check_planted_quadratic(n, k, seed=seed + 1000 + k)
-        for k in planted
-        if 2 <= k <= n
+        for k in PLANTED_MULTIPLICITIES
+        if k <= n
     ]
     return QuadSweepReport(
         n=n,

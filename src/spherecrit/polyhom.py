@@ -115,8 +115,6 @@ class _TermBundle:
         self.dmax = int(self.exps.max(initial=0))
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        if self.exps.shape[0] == 0:
-            return np.zeros((pts.shape[0], self.weights.shape[1]))
         table = _powers_table(pts, self.dmax)
         monomials = table[:, self.cols, self.exps].prod(axis=2)
         return monomials @ self.weights
@@ -261,12 +259,10 @@ class HomogeneousPolynomial:
             f"{self.num_terms} terms)"
         )
 
-    def _as_matrix(self, pts, role: str = "points") -> np.ndarray:
+    def _as_matrix(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self._n:
-            raise ValueError(
-                f"{role} must have shape (k, {self._n}), got {pts.shape}"
-            )
+            raise ValueError(f"points must have shape (k, {self._n}), got {pts.shape}")
         return pts
 
     def _as_point(self, x) -> np.ndarray:

@@ -10,9 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@pytest.mark.slow
 def test_bench_selftest_passes():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "selftest.py")],

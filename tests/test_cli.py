@@ -228,6 +228,11 @@ def test_witness_general_needs_degree(capsys):
     assert main(["witness", "--mode", "general", "--n", "2"]) == 2
 
 
+def test_witness_general_beyond_closed_form_limit(capsys):
+    assert main(["witness", "--mode", "general", "--n", "11", "--d", "3"]) == 2
+    assert "n <= 10" in capsys.readouterr().err
+
+
 def test_sample_writes_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"

@@ -19,7 +19,7 @@ from spherecrit import (
     scaled_tolerance,
     weighted_axis_quadratic,
 )
-from spherecrit.critsolve import DEFAULT_TOL_CRIT
+from spherecrit.critsolve import DEFAULT_DEDUP_RADIUS, DEFAULT_TOL_CRIT
 def _has_pair(pairs, x, lam, xtol=1e-8, ltol=1e-8):
     return any(
         np.linalg.norm(p.x - np.asarray(x)) <= xtol and abs(p.lam - lam) <= ltol
@@ -73,7 +73,7 @@ def test_pair_invariants_on_random_instances():
         assert found.pairs, "expected at least one critical pair"
         for p in found.pairs:
             assert p.residual <= tol
-            assert p.sphere_residual <= 1e-12
+            assert abs(p.x @ p.x - 1) <= 1e-12
             assert abs(np.linalg.norm(p.x) - 1.0) <= 1e-12
             # Euler identity under the FONC pins the multiplier.
             assert abs(p.lam - f.d * f.evaluate(p.x)) <= tol
@@ -89,7 +89,7 @@ def test_antipodal_closure():
             mirrored = [
                 q
                 for q in found.pairs
-                if np.linalg.norm(q.x + p.x) <= found.dedup_radius
+                if np.linalg.norm(q.x + p.x) <= DEFAULT_DEDUP_RADIUS
             ]
             assert mirrored, f"antipode missing for {p.x}"
             assert abs(mirrored[0].lam - sign * p.lam) <= 1e-8
@@ -100,7 +100,7 @@ def test_pairwise_separation_respects_dedup_radius():
     found = find_critical_pairs(f)
     for i, p in enumerate(found.pairs):
         for q in found.pairs[i + 1 :]:
-            assert np.linalg.norm(p.x - q.x) > found.dedup_radius
+            assert np.linalg.norm(p.x - q.x) > DEFAULT_DEDUP_RADIUS
 
 
 def test_zero_polynomial_rejected():
@@ -133,7 +133,11 @@ def test_enumeration_radial_special_case():
     f = HomogeneousPolynomial(2, 4, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0})
     found = enumerate_critical_pairs_n2(f)
     assert found.all_critical
-    assert found.pairs, "representatives expected"
+    # Newton leaves e1 untouched: the residual there is exactly zero.
+    X = np.array([p.x for p in found.pairs])
+    assert X.tobytes() == np.array([[-1.0, -0.0], [1.0, 0.0]]).tobytes()
+    assert found.starts_used == 2
+    assert found.converged_fraction == 1.0
     for p in found.pairs:
         assert abs(p.lam - 4.0) <= 1e-9
 
@@ -389,6 +393,13 @@ def _greedy_dedup_reference(X, res, dedup_radius):
         if all(np.linalg.norm(X[j] - X[i]) > dedup_radius for j in kept):
             kept.append(int(i))
     return sorted(kept)
+
+
+@pytest.mark.parametrize("X", [np.zeros((0, 3)), np.full((4, 3), 0.25)], ids=["empty", "short"])
+def test_collect_pairs_without_usable_rows(X):
+    # No rows, or rows too short to normalize: nothing survives.
+    f = random_polynomial(3, 3, 4)
+    assert critsolve._collect_pairs(f, X, np.ones(X.shape[0]), 1e-6, 1e-6) == []
 
 
 def test_collect_pairs_dedup_matches_greedy_reference():

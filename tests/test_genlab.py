@@ -8,6 +8,7 @@ import pytest
 
 from spherecrit import (
     ExperimentConfig,
+    axis_monomial,
     check_planted_quadratic,
     enumerate_power_critical_points,
     geometric_power_polynomial,
@@ -39,6 +40,22 @@ def test_geometric_power_terms():
     assert geometric_power_polynomial(2, 1).terms == {(1, 0): 0.5, (0, 1): 0.25}
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: weighted_axis_quadratic(0),
+        lambda: geometric_power_polynomial(0, 3),
+        lambda: geometric_power_polynomial(2, 0),
+        lambda: axis_monomial(0, 3),
+    ],
+    ids=["weighted_axis_quadratic(0)", "geometric_power(0,3)", "geometric_power(2,0)",
+         "axis_monomial(0,3)"],
+)
+def test_builders_reject_bad_shape(build):
+    with pytest.raises(ValueError, match="positive integer"):
+        build()
+
+
 def test_quadratic_form_polynomial_hessian_round_trip():
     rng = np.random.default_rng(0)
     G = rng.standard_normal((4, 4))
@@ -56,10 +73,13 @@ def test_power_point_enumeration_counts():
     assert len(enumerate_power_critical_points(2, 4)) == 8  # 2 + 2 + 4
     assert len(enumerate_power_critical_points(3, 4)) == 26  # 3^3 - 1
     assert len(enumerate_power_critical_points(2, 1)) == 2
+    for n in (5, 6):
+        assert len(enumerate_power_critical_points(n, 3)) == 2 * (2**n - 1)  # 62, 126
+        assert len(enumerate_power_critical_points(n, 4)) == 3**n - 1  # 242, 728
 
 
 def test_power_point_enumeration_is_critical():
-    for n, d in [(2, 3), (3, 4), (2, 5), (3, 1)]:
+    for n, d in [(2, 3), (3, 4), (2, 5), (3, 1), (5, 3), (5, 4), (6, 3), (6, 4)]:
         p = geometric_power_polynomial(n, d)
         for x, lam in enumerate_power_critical_points(n, d):
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
@@ -71,6 +91,13 @@ def test_power_point_enumeration_is_critical():
 def test_power_point_enumeration_rejects_d2():
     with pytest.raises(ValueError):
         enumerate_power_critical_points(2, 2)
+
+
+def test_power_point_enumeration_limited_to_n10():
+    with pytest.raises(ValueError, match="n <= 10"):
+        enumerate_power_critical_points(11, 3)
+    with pytest.raises(ValueError, match="n <= 10"):
+        run_witness_general(11, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +125,13 @@ def test_witness_d2_details():
 def test_witness_general_suite_passes(n, d):
     report = run_witness_general(n, d)
     assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+def test_witness_general_checks_every_closed_form_point():
+    report = run_witness_general(5, 4)
+    assert report.passed, [c.name for c in report.checks if not c.passed]
+    check = next(c for c in report.checks if c.name == "enumeration_is_critical")
+    assert check.detail.startswith("242 closed-form points")
 
 
 def test_witness_general_rejects_quadratic():

@@ -118,6 +118,21 @@ def test_hessian_matches_finite_differences():
         assert np.linalg.norm(fd - H) <= 1e-5 * max(1.0, np.linalg.norm(H))
 
 
+@pytest.mark.parametrize("k", [0, 5])
+def test_empty_term_sets_give_exact_zeros(k):
+    # The zero polynomial has no terms; a linear form has no Hessian terms.
+    X = np.random.default_rng(8).standard_normal((k, 3))
+    zero = HomogeneousPolynomial(3, 2, {})
+    for values, shape in [
+        (zero.evaluate_many(X), (k,)),
+        (zero.gradient_many(X), (k, 3)),
+        (zero.hessian_many(X), (k, 3, 3)),
+        (random_polynomial(3, 1, 2).hessian_many(X), (k, 3, 3)),
+    ]:
+        assert values.shape == shape
+        assert not values.any()
+
+
 def test_euler_identities():
     rng = np.random.default_rng(5)
     for _ in range(40):
