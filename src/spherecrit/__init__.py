@@ -31,7 +31,6 @@ from .degeneracy import (
     NotCriticalError,
     OracleResult,
     QuadraticDegeneracy,
-    WitnessMatrix,
     bordered_determinants,
     build_witness_matrix,
     detect_sosc_failure,

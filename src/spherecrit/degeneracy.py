@@ -11,18 +11,19 @@ kept deliberately separate:
        [ grad f(x)       x   0 ]
        [ hess f(x) y     y   x ]
 
-   rank deficient (rank <= 2).  :func:`detect_sosc_failure` takes y from the
-   bottom tangent eigenvector and measures deficiency via the third singular
-   value.  Conversely, any pair (x, y) satisfying the rank condition forces
-   the FONC to hold at x while the SOSC fails, so a returned witness can be
-   re-validated from (x, y) alone.
+   rank deficient (rank <= 2), which :func:`rank_deficient` decides for the
+   batches of :func:`build_witness_matrix`.  :func:`detect_sosc_failure`
+   takes y from the bottom tangent eigenvector.  Conversely, any pair (x, y)
+   satisfying the rank condition forces the FONC to hold at x while the SOSC
+   fails, so a returned witness can be re-validated from (x, y) alone.
 
 2. Bordered determinant.  A witness (y, mu) solves
    hess f(x) y - lam y - mu x = 0 with y.x = 0, which makes the symmetric
    (n+1) x (n+1) bordered matrix [[hess f(x) - lam I, x], [x^T, 0]] singular.
    det = 0 is necessary for degeneracy, not sufficient, and is reported as a
    corroborating signal only (:func:`bordered_determinants`, and
-   ``bordered_det`` of a witness).
+   ``bordered_det`` of a witness).  It counts as zero when
+   |det| <= ``scaled_tolerance(f, DEFAULT_TOL_DET)``, and nowhere else.
 
 3. Exact n = 2 oracle.  For binary forms the constraint y.x = 0 pins
    y = (x2, -x1) up to scale (over the complex numbers too), so the rank
@@ -65,7 +66,6 @@ from .critsolve import (
 from .polyhom import HomogeneousPolynomial
 
 __all__ = [
-    "WitnessMatrix",
     "DegeneracyWitness",
     "QuadraticDegeneracy",
     "OracleResult",
@@ -80,20 +80,12 @@ __all__ = [
 ]
 
 DEFAULT_TOL_RANK = 1e-6
-DEFAULT_TOL_DET = 1e-8
+DEFAULT_TOL_DET = 1e-6
 DEFAULT_TOL_EIG = 1e-8
 
 
 class NotCriticalError(ValueError):
     """The queried point does not satisfy the FONC to tolerance."""
-
-
-@dataclass
-class WitnessMatrix:
-    """The 2n x 3 rank-test matrix and its singular values (descending)."""
-
-    matrix: np.ndarray
-    singular_values: np.ndarray
 
 
 @dataclass
@@ -103,10 +95,9 @@ class DegeneracyWitness:
     ``mu`` is the multiplier with hess f(x) y - lam y = mu x;
     ``rank_defect_measure`` is the third singular value of the witness
     matrix; ``bordered_residual`` is the norm of
-    (hess f(x) y - lam y - mu x, y.x); ``bordered_scale`` is the magnitude
-    scale (1 + ||hess f(x)||_F + |lam|)^(n+1) that near-zero tests of
-    ``bordered_det`` compare against, since the determinant grows like a
-    product of row norms.
+    (hess f(x) y - lam y - mu x, y.x); ``bordered_det`` is the determinant
+    of the bordered matrix, which vanishes when it is at most
+    ``scaled_tolerance(f, DEFAULT_TOL_DET)`` in magnitude.
     """
 
     x: np.ndarray
@@ -116,7 +107,6 @@ class DegeneracyWitness:
     rank_defect_measure: float
     bordered_residual: float
     bordered_det: float
-    bordered_scale: float
 
 
 @dataclass
@@ -159,24 +149,28 @@ def _witness_matrices(g, H, x, Y) -> np.ndarray:
     return W
 
 
-def build_witness_matrix(f: HomogeneousPolynomial, x, y) -> WitnessMatrix:
-    """Assemble the 2n x 3 matrix with columns (grad f; hess f y), (x; y), (0; x)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = f.n
-    if x.shape != (n,) or y.shape != (n,):
-        raise ValueError(f"x and y must have shape ({n},), got {x.shape} and {y.shape}")
-    if not np.any(x):
-        raise ValueError("x must be nonzero")
-    W = _witness_matrices(f.gradient(x), f.hessian(x), x, y[None, :])[0]
-    return WitnessMatrix(matrix=W, singular_values=np.linalg.svd(W, compute_uv=False))
+def build_witness_matrix(f: HomogeneousPolynomial, X, Y) -> np.ndarray:
+    """Witness matrices, shape (k, m, 2n, 3), at the rows x of X, shape
+    (k, n), each with its m directions y in Y, shape (k, m, n).  n = 1 has
+    no tangent directions, so there only m = 0 is accepted."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    G = f.gradient_many(X)  # rejects X unless its shape is (k, n)
+    k, n = X.shape
+    if Y.ndim != 3 or Y.shape[0] != k or Y.shape[2] != n:
+        raise ValueError(f"Y must have shape ({k}, m, {n}), got {Y.shape}")
+    if n == 1 and Y.shape[1]:
+        raise ValueError("n = 1 has no tangent directions")
+    if not np.all(np.any(X, axis=1)):
+        raise ValueError("rows of X must be nonzero")
+    return _witness_matrices(G, f.hessian_many(X), X, Y)
 
 
-def rank_deficient(wm: WitnessMatrix) -> bool:
-    """Numerical rank <= 2 decision: third singular value at most
-    ``DEFAULT_TOL_RANK`` times the first."""
-    sv = wm.singular_values
-    return bool(sv[2] <= DEFAULT_TOL_RANK * sv[0])
+def rank_deficient(W) -> np.ndarray:
+    """Numerical rank <= 2 of each witness matrix in W, shape (..., 2n, 3):
+    third (last) singular value at most ``DEFAULT_TOL_RANK`` times the first."""
+    sv = np.linalg.svd(np.asarray(W, dtype=np.float64), compute_uv=False)
+    return sv[..., -1] <= DEFAULT_TOL_RANK * sv[..., 0]
 
 
 def detect_sosc_failure(
@@ -222,7 +216,7 @@ def _witness_at(analysis: PointAnalysis) -> DegeneracyWitness | None:
     mu = float(x @ (hy - lam * y))
     W = _witness_matrices(analysis.gradients[0], H, x, y[None, :])[0]
     bordered_vec = np.concatenate([hy - lam * y - mu * x, [x @ y]])
-    M, scale = _bordered(analysis.hessians[:1], analysis.points[:1], analysis.lam[:1])
+    M = _bordered(analysis.hessians[:1], analysis.points[:1], analysis.lam[:1])
     return DegeneracyWitness(
         x=x,
         y=y,
@@ -231,40 +225,36 @@ def _witness_at(analysis: PointAnalysis) -> DegeneracyWitness | None:
         rank_defect_measure=float(np.linalg.svd(W, compute_uv=False)[2]),
         bordered_residual=float(np.linalg.norm(bordered_vec)),
         bordered_det=float(np.linalg.det(M)[0]),
-        bordered_scale=float(scale[0]),
     )
 
 
-def _bordered(H: np.ndarray, X: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bordered matrices [[H - lam I, x], [x^T, 0]], one per row x of X, and
-    their magnitude scales (1 + ||H||_F + |lam|)^(n+1).
+def _bordered(H: np.ndarray, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Bordered matrices [[H - lam I, x], [x^T, 0]], one per row x of X.
 
-    H has shape (k, n, n), X (k, n) and lam (k,); the matrices have shape
-    (k, n+1, n+1).  The Frobenius norms are BLAS dot products, so each
-    equals ``np.linalg.norm`` of its own matrix bit for bit.
+    H has shape (k, n, n), X (k, n) and lam (k,); the result has shape
+    (k, n+1, n+1).
     """
     k, n = X.shape
     M = np.zeros((k, n + 1, n + 1))
     M[:, :n, :n] = H - lam[:, None, None] * np.eye(n)
     M[:, :n, n] = X
     M[:, n, :n] = X
-    h = H.reshape(k, 1, n * n)
-    frobenius = np.sqrt(h @ h.swapaxes(1, 2))[:, 0, 0]
-    return M, (1.0 + frobenius + np.abs(lam)) ** (n + 1)
+    return M
 
 
 def bordered_determinants(f: HomogeneousPolynomial, X, lam) -> np.ndarray:
     """det of the bordered matrix at each row of X with multiplier lam[i].
 
-    Zero is necessary at degenerate points, not sufficient: a vanishing
-    determinant does not by itself certify a degenerate point.
+    A determinant vanishes when |det| <= ``scaled_tolerance(f,
+    DEFAULT_TOL_DET)``.  Zero is necessary at degenerate points, not
+    sufficient: a vanishing determinant does not by itself certify one.
     """
     X = np.asarray(X, dtype=np.float64)
     H = f.hessian_many(X)  # rejects X unless its shape is (k, n)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != X.shape[:1]:
         raise ValueError(f"lam must have shape ({X.shape[0]},), got {lam.shape}")
-    return np.linalg.det(_bordered(H, X, lam)[0])
+    return np.linalg.det(_bordered(H, X, lam))
 
 
 def quadratic_degeneracy(A) -> QuadraticDegeneracy:
@@ -274,8 +264,8 @@ def quadratic_degeneracy(A) -> QuadraticDegeneracy:
     decision uses the tight threshold ``DEFAULT_TOL_EIG`` * ||A||_F.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError(f"A must be square and nonempty, got shape {A.shape}")
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.linalg.norm(A))):
         raise ValueError("A must be symmetric")
     w = np.linalg.eigvalsh(A)

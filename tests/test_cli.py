@@ -211,17 +211,22 @@ def test_oracle2_certify_flag(tmp_path, capsys):
 def test_witness_d2_suite(capsys):
     assert main(["witness", "--mode", "d2", "--n", "3"]) == 0
     out = capsys.readouterr().out
+    assert out == (DATA / "witness_d2_n3.stdout.txt").read_text()
     assert "suite witness_d2(n=3): PASS" in out
 
 
 def test_witness_general_suite(capsys):
     assert main(["witness", "--mode", "general", "--n", "2", "--d", "3"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out == (DATA / "witness_general_n2_d3.stdout.txt").read_text()
+    assert "PASS" in out
 
 
 def test_witness_degenerate_suite(capsys):
     assert main(["witness", "--mode", "degenerate", "--n", "2", "--d", "3"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out == (DATA / "witness_degenerate_n2_d3.stdout.txt").read_text()
+    assert "PASS" in out
 
 
 def test_witness_general_needs_degree(capsys):
@@ -283,6 +288,13 @@ def test_quad_writes_report(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["passed"] is True
     assert "disagreements: 0" in capsys.readouterr().out
+
+
+def test_quad_empty_dimension_exit_2(tmp_path, capsys):
+    report = tmp_path / "quad.json"
+    assert main(["quad", "--n", "0", "--trials", "1", "--output", str(report)]) == 2
+    assert "n >= 1" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_17_digit_output(diag123_file, capsys):

@@ -32,7 +32,7 @@ from spherecrit import (
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
 from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form
-from spherecrit.degeneracy import _bordered, _strip, _witness_matrices, _witness_minor_forms
+from spherecrit.degeneracy import DEFAULT_TOL_DET, _bordered, _strip, _witness_minor_forms
 from conftest import unit
 
 
@@ -45,47 +45,79 @@ def test_witness_matrix_zero_gradient_case():
     # f = x1^3 (n = 3) at x = e2, y = e3: gradient and hessian both vanish,
     # so the columns are (0; 0), (e2; e3), (0; e2): rank exactly 2.
     f = axis_monomial(3, 3)
-    wm = build_witness_matrix(f, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    W = build_witness_matrix(f, [[0.0, 1.0, 0.0]], [[[0.0, 0.0, 1.0]]])
     expected = np.zeros((6, 3))
     expected[1, 1] = 1.0
     expected[5, 1] = 1.0
     expected[4, 2] = 1.0
-    assert np.array_equal(wm.matrix, expected)
-    assert wm.singular_values[2] == pytest.approx(0.0, abs=1e-14)
-    assert wm.singular_values[1] > 0.5
-    assert rank_deficient(wm)
+    assert np.array_equal(W[0, 0], expected)
+    sv = np.linalg.svd(W[0, 0], compute_uv=False)
+    assert sv[2] == pytest.approx(0.0, abs=1e-14)
+    assert sv[1] > 0.5
+    assert rank_deficient(W)[0, 0]
 
 
 def test_witness_matrix_weighted_quadratic_full_rank(diag123):
     # Columns (e1; 2 e2), (e1; e2), (0; e1): the independent oracle is a
     # direct SVD of the hand-built 6 x 3 matrix.
-    wm = build_witness_matrix(diag123, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    W = build_witness_matrix(diag123, [[1.0, 0.0, 0.0]], [[[0.0, 1.0, 0.0]]])
     hand = np.zeros((6, 3))
     hand[0, 0] = 1.0
     hand[4, 0] = 2.0
     hand[0, 1] = 1.0
     hand[4, 1] = 1.0
     hand[3, 2] = 1.0
-    assert np.array_equal(wm.matrix, hand)
+    assert np.array_equal(W[0, 0], hand)
     sv = np.linalg.svd(hand, compute_uv=False)
-    assert np.allclose(wm.singular_values, sv, atol=1e-14)
-    assert wm.singular_values[2] > 0.3
-    assert not rank_deficient(wm)
+    assert np.allclose(np.linalg.svd(W[0, 0], compute_uv=False), sv, atol=1e-14)
+    assert sv[2] > 0.3
+    assert not rank_deficient(W)[0, 0]
 
 
 def test_witness_matrix_repeated_eigenvalue_rank_two():
     f = quadratic_form_polynomial(np.diag([1.0, 1.0, 2.0]))
-    wm = build_witness_matrix(f, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    W = build_witness_matrix(f, [[1.0, 0.0, 0.0]], [[[0.0, 1.0, 0.0]]])
     # Columns (e1; e2), (e1; e2), (0; e1): first two coincide.
-    assert np.array_equal(wm.matrix[:, 0], wm.matrix[:, 1])
-    assert wm.singular_values[2] == pytest.approx(0.0, abs=1e-14)
+    assert np.array_equal(W[0, 0, :, 0], W[0, 0, :, 1])
+    assert np.linalg.svd(W[0, 0], compute_uv=False)[2] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_witness_matrix_validation(diag123):
     with pytest.raises(ValueError, match="shape"):
-        build_witness_matrix(diag123, [1.0, 0.0], [0.0, 1.0, 0.0])
+        build_witness_matrix(diag123, [[1.0, 0.0]], [[[0.0, 1.0, 0.0]]])
+    with pytest.raises(ValueError, match="shape"):
+        build_witness_matrix(diag123, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="shape"):
+        build_witness_matrix(diag123, np.eye(3), np.zeros((2, 1, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        build_witness_matrix(diag123, np.eye(3), np.zeros((3, 1, 2)))
     with pytest.raises(ValueError, match="nonzero"):
-        build_witness_matrix(diag123, [0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        build_witness_matrix(diag123, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], np.ones((2, 1, 3)))
+
+
+def test_witness_matrix_batch_shapes(diag123):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((4, 3))
+    W = build_witness_matrix(diag123, X, rng.standard_normal((4, 2, 3)))
+    assert W.shape == (4, 2, 6, 3)
+    assert rank_deficient(W).shape == (4, 2)
+    assert rank_deficient(W[1, 0]).shape == ()
+    assert build_witness_matrix(diag123, X, np.zeros((4, 0, 3))).shape == (4, 0, 6, 3)
+    assert build_witness_matrix(diag123, np.zeros((0, 3)), np.zeros((0, 2, 3))).shape == (
+        0, 2, 6, 3)
+
+
+def test_witness_matrix_at_n1():
+    # The sphere in one dimension has no tangent directions: an empty Y gives
+    # an empty batch, and a direction is refused instead of yielding a 2 x 3
+    # matrix with two singular values.
+    f = random_polynomial(1, 3, 4)
+    W = build_witness_matrix(f, [[1.0], [-1.0]], np.zeros((2, 0, 1)))
+    assert W.shape == (2, 0, 2, 3)
+    hits = rank_deficient(W)
+    assert hits.shape == (2, 0) and hits.dtype == bool
+    with pytest.raises(ValueError, match="n = 1 has no tangent directions"):
+        build_witness_matrix(f, [[1.0]], [[[0.0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +183,6 @@ def test_witness_bordered_det_matches_bordered_determinant(f, x):
     w = detect_sosc_failure(f, x)
     assert w is not None
     assert w.bordered_det == bordered_determinants(f, [w.x], [w.lam])[0]
-    assert w.bordered_scale == (1.0 + np.linalg.norm(f.hessian(w.x)) + abs(w.lam)) ** (f.n + 1)
 
 
 def test_witness_reconstruction_validates_converse():
@@ -179,7 +210,7 @@ def test_witness_reconstruction_validates_converse():
 
 def test_bordered_matrix_weighted_quadratic(diag123):
     X = np.array([[1.0, 0.0, 0.0]])
-    matrices, _ = _bordered(diag123.hessian_many(X), X, np.array([1.0]))
+    matrices = _bordered(diag123.hessian_many(X), X, np.array([1.0]))
     hand = np.array(
         [
             [0.0, 0.0, 0.0, 1.0],
@@ -209,13 +240,36 @@ def test_bordered_determinant_at_power_polynomial_points():
     magnitudes = sorted(np.abs(dets))
     expected = sorted([6.0, 6.0, 12.0, 12.0, 12.0 / math.sqrt(5.0), 12.0 / math.sqrt(5.0)])
     assert np.allclose(magnitudes, expected, rtol=1e-10)
-    assert np.all(np.abs(dets) > 1e-6 * max(1.0, p.coefficient_norm))
+    assert np.all(np.abs(dets) > scaled_tolerance(p, DEFAULT_TOL_DET))
 
 
-def test_bordered_scale_grows_with_hessian(diag123):
-    X = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    _, (small, big) = _bordered(diag123.hessian_many(X), X, np.array([1.0, 100.0]))
-    assert big > small > 1.0
+@pytest.mark.parametrize("n, d", [(4, 4), (5, 4), (3, 5)])
+def test_power_family_determinants_nonzero_under_the_one_rule(n, d):
+    # The closed-form points the witness suite checks: none vanishes under
+    # the zero rule run_degenerate_family also applies.
+    p = geometric_power_polynomial(n, d)
+    points = enumerate_power_critical_points(n, d)
+    dets = bordered_determinants(p, [x for x, _ in points], [lam for _, lam in points])
+    assert np.all(np.abs(dets) > scaled_tolerance(p, DEFAULT_TOL_DET))
+
+
+def _family_anchors():
+    # The polynomial and anchor run_degenerate_family probes for each kind.
+    for n in range(2, 7):
+        diag = [1.0, 1.0] + [float(k) for k in range(2, n)]
+        yield quadratic_form_polynomial(np.diag(diag)), np.eye(n)[0]
+    for n in range(2, 6):
+        for d in range(3, 7):
+            yield axis_monomial(n, d), np.eye(n)[1]
+
+
+def test_family_anchor_determinants_vanish_under_the_one_rule():
+    anchors = list(_family_anchors())
+    assert len(anchors) == 21
+    for f, x in anchors:
+        w = detect_sosc_failure(f, x)
+        assert w is not None
+        assert abs(w.bordered_det) <= scaled_tolerance(f, DEFAULT_TOL_DET)
 
 
 def test_bordered_determinants_batch_matches_rows():
@@ -273,6 +327,11 @@ def test_quadratic_degeneracy_random_matrices_generic():
         G = rng.standard_normal((6, 6))
         hits += quadratic_degeneracy(0.5 * (G + G.T)).degenerate
     assert hits == 0
+
+
+def test_quadratic_degeneracy_rejects_empty_matrix():
+    with pytest.raises(ValueError, match="nonempty"):
+        quadratic_degeneracy(np.zeros((0, 0)))
 
 
 def test_quadratic_degeneracy_rejects_nonsymmetric():
@@ -499,33 +558,31 @@ def test_witness_iff_degenerate_verdict():
         assert (witness is not None) == expected
         assert (verdict is Verdict.SONC_DEGENERATE) == expected
         if witness is not None:
-            wm = build_witness_matrix(f, witness.x, witness.y)
-            assert rank_deficient(wm)
-            assert abs(witness.bordered_det) <= 1e-8 * witness.bordered_scale
+            assert rank_deficient(build_witness_matrix(f, [witness.x], [[witness.y]]))[0, 0]
+            assert abs(witness.bordered_det) <= scaled_tolerance(f, DEFAULT_TOL_DET)
 
 
 def test_sosc_eigenvectors_keep_full_rank(diag123):
     # At a strict minimizer no tangent eigenvector produces a rank drop.
     x = np.array([1.0, 0.0, 0.0])
-    for y in analyze_points(diag123, [x]).eigenvectors[0].T:
-        wm = build_witness_matrix(diag123, x, y)
-        assert not rank_deficient(wm)
+    Y = analyze_points(diag123, [x]).eigenvectors.swapaxes(1, 2)
+    assert not np.any(rank_deficient(build_witness_matrix(diag123, [x], Y)))
 
 
 @pytest.mark.parametrize("n, d, seed", [(2, 3, 1), (3, 4, 2), (4, 3, 3)])
 def test_batched_witness_matches_build_witness_matrix(n, d, seed):
-    # One SVD over the witness matrices of every (critical point, tangent
-    # eigenvector) pair must reproduce the one-matrix path per direction.
+    # One batch over every (critical point, tangent eigenvector) pair must
+    # reproduce the one-matrix batch of each direction.
     f = random_polynomial(n, d, seed)
     X = np.array([p.x for p in find_critical_pairs(f, SolverConfig(seed=seed)).pairs])
-    analysis = analyze_points(f, X)
-    Y = analysis.eigenvectors.swapaxes(1, 2)
-    W = _witness_matrices(analysis.gradients, analysis.hessians, analysis.points, Y)
+    Y = analyze_points(f, X).eigenvectors.swapaxes(1, 2)
+    W = build_witness_matrix(f, X, Y)
     sv = np.linalg.svd(W, compute_uv=False)
     assert sv.shape == (X.shape[0], n - 1, 3)
     for i, x in enumerate(X):
         for k in range(n - 1):
-            wm = build_witness_matrix(f, x, Y[i, k])
-            scale = max(1.0, wm.singular_values[0])
-            assert np.max(np.abs(W[i, k] - wm.matrix)) <= 1e-12 * scale
-            assert abs(sv[i, k, 2] - wm.singular_values[2]) <= 1e-12 * scale
+            single = build_witness_matrix(f, [x], [[Y[i, k]]])[0, 0]
+            single_sv = np.linalg.svd(single, compute_uv=False)
+            scale = max(1.0, single_sv[0])
+            assert np.max(np.abs(W[i, k] - single)) <= 1e-12 * scale
+            assert abs(sv[i, k, 2] - single_sv[2]) <= 1e-12 * scale

@@ -229,6 +229,16 @@ def test_random_genericity_reproducible(tmp_path):
     assert a.to_json(include_runtime=False) == b.to_json(include_runtime=False)
 
 
+def test_random_genericity_at_n1_has_no_rank_hits(tmp_path):
+    # On the 0-sphere the scan has no tangent directions to test.
+    config = ExperimentConfig(n=1, d=3, trials=4, seed=2, dump_dir=str(tmp_path / "dumps"))
+    report = run_random_genericity(config)
+    assert report.total_rank_witnesses == 0
+    for record in report.records:
+        assert record.critical_count == 2
+        assert record.rank_witness_hits == 0
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n=2, d=3, trials=0)
@@ -289,6 +299,13 @@ def test_quadratic_sweep_agreement():
     assert report.disagreements == []
     assert report.degenerate_count == 0
     assert len(report.planted) == 2
+
+
+def test_quadratic_sweep_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="n >= 1"):
+        run_quadratic_sweep(0, 1)
+    with pytest.raises(ValueError, match="trials >= 1"):
+        run_quadratic_sweep(3, 0)
 
 
 def test_quadratic_sweep_planted_detection():
