@@ -29,7 +29,6 @@ from .critsolve import (
     DEFAULT_TOL_CRIT,
     CriticalPair,
     SolverConfig,
-    _check_tolerance,
     _reject_zero,
     find_critical_pairs,
     scaled_tolerance,
@@ -134,26 +133,18 @@ def _tangent_bases(X: np.ndarray) -> np.ndarray:
     return np.eye(n)[:, 1:] - scale[:, None, None] * (V[:, :, None] * V[:, None, 1:])
 
 
-def analyze_points(
-    f: HomogeneousPolynomial,
-    X,
-    *,
-    tol_crit: float = DEFAULT_TOL_CRIT,
-    tol_class: float = DEFAULT_TOL_CLASS,
-) -> PointAnalysis:
+def analyze_points(f: HomogeneousPolynomial, X) -> PointAnalysis:
     """First and second order analysis of every row of X in one batch.
 
-    Rows must be unit vectors.  ``tol_crit`` and ``tol_class`` are base
-    tolerances, finite and non-negative, that :func:`scaled_tolerance`
-    turns into the absolute ``crit_tol`` and ``class_tol`` of the result.
+    Rows must be unit vectors.  :func:`scaled_tolerance` turns the base
+    tolerances ``DEFAULT_TOL_CRIT`` and ``DEFAULT_TOL_CLASS`` into the
+    absolute ``crit_tol`` and ``class_tol`` of the result.
     The margin tolerance is two orders looser than the residual one because
     second-order quantities amplify solver error.  The degenerate band is
     two-sided: a margin within +-class_tol of zero is reported
     SONC_DEGENERATE even when slightly negative, which is the conservative
     choice for detecting a measure-zero locus.
     """
-    _check_tolerance("tol_crit", tol_crit)
-    _check_tolerance("tol_class", tol_class)
     _reject_zero(f)
     X = np.asarray(X, dtype=np.float64)
     lam = f.d * f.evaluate_many(X)  # rejects X unless its shape is (k, n)
@@ -161,8 +152,8 @@ def analyze_points(
     off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN-safe
     if off.size:
         raise ValueError(f"point must lie on the unit sphere, got norm {norms[off[0]]!r}")
-    crit_tol = scaled_tolerance(f, tol_crit)
-    class_tol = scaled_tolerance(f, tol_class)
+    crit_tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
+    class_tol = scaled_tolerance(f, DEFAULT_TOL_CLASS)
 
     G = f.gradient_many(X)
     residuals = np.linalg.norm(G - lam[:, None] * X, axis=1)
@@ -197,24 +188,16 @@ def analyze_points(
     )
 
 
-def classify_point(
-    f: HomogeneousPolynomial,
-    x,
-    *,
-    tol_crit: float = DEFAULT_TOL_CRIT,
-    tol_class: float = DEFAULT_TOL_CLASS,
-) -> ClassifiedPoint:
-    """Verdict for one unit vector, with margins; the tolerances are
-    scaled as in :func:`analyze_points`."""
-    analysis = analyze_points(f, [x], tol_crit=tol_crit, tol_class=tol_class)
-    return analysis.classified()[0]
+def classify_point(f: HomogeneousPolynomial, x) -> ClassifiedPoint:
+    """Verdict for one unit vector, with margins, at the thresholds of
+    :func:`analyze_points`."""
+    return analyze_points(f, [x]).classified()[0]
 
 
 def classify_all(
     f: HomogeneousPolynomial, config: SolverConfig | None = None
 ) -> list[ClassifiedPoint]:
     """Find critical pairs by multistart Newton and classify each of them."""
-    cfg = config or SolverConfig()
-    found = find_critical_pairs(f, cfg)
+    found = find_critical_pairs(f, config)
     X = np.array([p.x for p in found.pairs]).reshape(-1, f.n)
-    return analyze_points(f, X, tol_crit=cfg.tol_crit).classified()
+    return analyze_points(f, X).classified()

@@ -24,13 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import DEFAULT_TOL_CLASS, analyze_points, classify_all
-from .critsolve import (
-    DEFAULT_DEDUP_RADIUS,
-    DEFAULT_TOL_CRIT,
-    SolverConfig,
-    certify_against_oracle,
-)
+from .classify import analyze_points, classify_all
+from .critsolve import SolverConfig, certify_against_oracle
 from .degeneracy import (
     NotCriticalError,
     _witness_at,
@@ -66,18 +61,9 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        starts=args.starts,
-        seed=args.seed,
-        tol_crit=args.tol_crit,
-        dedup_radius=args.dedup_radius,
-    )
-
-
 def _cmd_classify(args) -> int:
     f = read_polynomial(args.poly)
-    points = classify_all(f, _solver_config(args))
+    points = classify_all(f, SolverConfig(starts=args.starts, seed=args.seed))
     if args.json:
         text = json.dumps([p.to_dict() for p in points], indent=2) + "\n"
     elif args.csv:
@@ -129,7 +115,7 @@ def _cmd_detect(args) -> int:
         )
     x /= nrm
     # One analysis serves both the witness search and the reported margin.
-    analysis = analyze_points(f, [x], tol_crit=args.tol_crit, tol_class=args.tol_class)
+    analysis = analyze_points(f, [x])
     try:
         witness = _witness_at(analysis)
     except NotCriticalError as exc:
@@ -175,6 +161,9 @@ def _print_suite(report) -> int:
 def _cmd_witness(args) -> int:
     if args.mode != "d2" and args.d is None:
         print(f"--d is required for --mode {args.mode}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.mode == "d2" and args.d not in (None, 2):
+        print(f"--mode d2 runs d = 2 only, got --d {args.d}", file=sys.stderr)
         return EXIT_INPUT
     if args.mode == "d2":
         report = run_witness_d2(args.n)
@@ -230,15 +219,6 @@ def _cmd_quad(args) -> int:
     return EXIT_OK if report.passed else EXIT_SUITE_FAILED
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--starts", type=int, default=None, help="Newton starts (default 50*d*n)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--tol-crit", dest="tol_crit", type=float, default=DEFAULT_TOL_CRIT,
-                        help="base FONC residual tolerance")
-    parser.add_argument("--dedup-radius", dest="dedup_radius", type=float,
-                        default=DEFAULT_DEDUP_RADIUS, help="merge radius for converged points")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherecrit",
@@ -249,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="find and classify all critical points")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    _add_solver_flags(p)
+    p.add_argument("--starts", type=int, default=None, help="Newton starts (default 50*d*n)")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable JSON output")
     fmt.add_argument("--csv", action="store_true", help="CSV output")
@@ -259,8 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="probe one point for a degeneracy witness")
     p.add_argument("--poly", required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.add_argument("--tol-crit", dest="tol_crit", type=float, default=DEFAULT_TOL_CRIT)
-    p.add_argument("--tol-class", dest="tol_class", type=float, default=DEFAULT_TOL_CLASS)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("oracle2", help="exact complex-locus membership (n = 2)")

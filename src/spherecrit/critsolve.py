@@ -52,12 +52,6 @@ MAX_SLOW_STEPS = 2  # consecutive slow iterations before a start is abandoned
 LSTSQ_RCOND = 1e-10  # relative singular value cutoff of the multiple-root polish
 
 
-def _check_tolerance(name: str, value: float) -> None:
-    """Reject a tolerance that is NaN, infinite or negative."""
-    if not (0.0 <= value < np.inf):
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-
-
 def scaled_tolerance(f: HomogeneousPolynomial, base: float) -> float:
     """The absolute threshold of every test on f: base * max(1, coefficient norm).
 
@@ -84,7 +78,7 @@ class CriticalSet:
     ``all_critical`` marks the radially symmetric n = 2 special case
     f = c (x1^2 + x2^2)^(d/2), where the whole circle is critical; ``pairs``
     then holds the two antipodal representatives at the first axis.  The
-    pairs lie more than the solver's ``dedup_radius`` apart.
+    pairs lie more than ``DEFAULT_DEDUP_RADIUS`` apart.
     """
 
     pairs: list[CriticalPair]
@@ -95,23 +89,17 @@ class CriticalSet:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Multistart Newton knobs: start count, seed, tolerance, merge radius.
+    """Multistart Newton knobs: start count and seed.
 
     ``starts=None`` selects the default 50 * d * n, capped at 20000.
-    ``tol_crit`` is the base residual tolerance that acceptance scales by
-    :func:`scaled_tolerance`.  ``dedup_radius`` merges
-    converged points closer than it.  The iteration, step-halving and
-    slow-step caps are fixed by the solver, not configured.
+    Everything else is fixed by the solver, not configured: acceptance at
+    ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, merging at
+    ``DEFAULT_DEDUP_RADIUS``, and the iteration, step-halving and slow-step
+    caps.
     """
 
     starts: int | None = None
     seed: int = 0
-    tol_crit: float = DEFAULT_TOL_CRIT
-    dedup_radius: float = DEFAULT_DEDUP_RADIUS
-
-    def __post_init__(self) -> None:
-        _check_tolerance("tol_crit", self.tol_crit)
-        _check_tolerance("dedup_radius", self.dedup_radius)
 
 
 @dataclass
@@ -340,13 +328,10 @@ def _projection_windows(
 
 
 def _collect_pairs(
-    f: HomogeneousPolynomial,
-    X: np.ndarray,
-    lam: np.ndarray,
-    tol: float,
-    dedup_radius: float,
+    f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray, tol: float
 ) -> list[CriticalPair]:
-    """Normalize, filter by residual, dedup, and close under the antipodal map."""
+    """Normalize, filter by residual ``tol``, dedup at ``DEFAULT_DEDUP_RADIUS``,
+    and close under the antipodal map."""
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0.5
     X, lam = X[keep] / norms[keep, None], lam[keep]
@@ -355,31 +340,31 @@ def _collect_pairs(
     X, lam, res = X[keep], lam[keep], res[keep]
 
     # Greedy dedup, tightest residual first: a row is kept unless an earlier
-    # kept row lies within dedup_radius, so each kept row covers its later
-    # neighbours in one vector test over its window.  A row alone in its
-    # window has no neighbour: it is kept and covers nothing.
+    # kept row lies within DEFAULT_DEDUP_RADIUS, so each kept row covers its
+    # later neighbours in one vector test over its window.  A row alone in
+    # its window has no neighbour: it is kept and covers nothing.
     order = np.argsort(res, kind="stable")
     Xo = X[order]
-    by_p, lo, hi = _projection_windows(Xo, Xo, dedup_radius)
+    by_p, lo, hi = _projection_windows(Xo, Xo, DEFAULT_DEDUP_RADIUS)
     covered = np.zeros(order.size, dtype=bool)
     for i in np.flatnonzero(hi - lo > 1).tolist():
         if not covered[i]:
             near = by_p[lo[i] : hi[i]]
             near = near[near > i]
-            covered[near[np.linalg.norm(Xo[near] - Xo[i], axis=1) <= dedup_radius]] = True
+            covered[near[np.linalg.norm(Xo[near] - Xo[i], axis=1) <= DEFAULT_DEDUP_RADIUS]] = True
     kept = order[~covered]
     X, lam, res = X[kept], lam[kept], res[kept]
 
     # Antipodal closure: x critical implies -x critical with lam * (-1)^d.
-    # Kept points are more than dedup_radius apart, so -x can only coincide
-    # with a kept point, never with another added antipode.  Each (i, j)
-    # below pairs kept row i with a row j in the window of -X[i].
-    by_p, lo, hi = _projection_windows(X, -X, dedup_radius)
+    # Kept points are more than DEFAULT_DEDUP_RADIUS apart, so -x can only
+    # coincide with a kept point, never with another added antipode.  Each
+    # (i, j) below pairs kept row i with a row j in the window of -X[i].
+    by_p, lo, hi = _projection_windows(X, -X, DEFAULT_DEDUP_RADIUS)
     counts = hi - lo
     i = np.repeat(np.arange(X.shape[0]), counts)
     j = by_p[np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
     lonely = np.ones(X.shape[0], dtype=bool)
-    lonely[i[np.linalg.norm(X[j] + X[i], axis=1) <= dedup_radius]] = False
+    lonely[i[np.linalg.norm(X[j] + X[i], axis=1) <= DEFAULT_DEDUP_RADIUS]] = False
     Xm = -X[lonely]
     lm = (1.0 if f.d % 2 == 0 else -1.0) * lam[lonely]
     X = np.concatenate([X, Xm])
@@ -393,18 +378,12 @@ def _collect_pairs(
     ]
 
 
-def _solve_from(
-    f: HomogeneousPolynomial,
-    X0: np.ndarray,
-    *,
-    tol_crit: float,
-    dedup_radius: float,
-) -> CriticalSet:
+def _solve_from(f: HomogeneousPolynomial, X0: np.ndarray) -> CriticalSet:
     """Newton-polish the unit start rows X0 and collect the converged pairs."""
-    tol = scaled_tolerance(f, tol_crit)
+    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     X, lam, ok = _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
     return CriticalSet(
-        pairs=_collect_pairs(f, X[ok], lam[ok], tol, dedup_radius),
+        pairs=_collect_pairs(f, X[ok], lam[ok], tol),
         starts_used=X0.shape[0],
         converged_fraction=float(np.mean(ok)),
     )
@@ -416,8 +395,9 @@ def find_critical_pairs(
     """All critical pairs reachable by multistart Newton from uniform sphere starts.
 
     Non-converged starts are counted in ``converged_fraction``, not returned.
-    Each returned pair satisfies the residual invariants at the configured
-    tolerance, and the set is closed under the antipodal map.
+    Each returned pair has residual at most
+    ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, and the set is closed under
+    the antipodal map.
     """
     cfg = config or SolverConfig()
     _reject_zero(f)
@@ -431,7 +411,7 @@ def find_critical_pairs(
     norms = np.linalg.norm(X0, axis=1)
     norms[norms == 0.0] = 1.0
     X0 /= norms[:, None]
-    return _solve_from(f, X0, tol_crit=cfg.tol_crit, dedup_radius=cfg.dedup_radius)
+    return _solve_from(f, X0)
 
 
 def _partials(a: list) -> tuple[list, list]:
@@ -456,15 +436,8 @@ def _binary_form(f: HomogeneousPolynomial, num) -> tuple[list, list, list]:
     return [u - v for u, v in zip(f1 + zero, zero + f2)], f1, f2
 
 
-def enumerate_critical_pairs_n2(
-    f: HomogeneousPolynomial,
-    *,
-    tol_crit: float = DEFAULT_TOL_CRIT,
-    dedup_radius: float = DEFAULT_DEDUP_RADIUS,
-) -> CriticalSet:
+def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
     """Exact enumeration of the critical set for n = 2 via binary-form roots."""
-    _check_tolerance("tol_crit", tol_crit)
-    _check_tolerance("dedup_radius", dedup_radius)
     _reject_zero(f)
     if f.n != 2:
         raise ValueError(f"exact enumeration needs n = 2, got n = {f.n}")
@@ -488,7 +461,7 @@ def enumerate_critical_pairs_n2(
                 u = np.array([float(z.real), 1.0])
                 candidates.append(u / np.linalg.norm(u))
     U = np.array(candidates)
-    found = _solve_from(f, np.vstack([U, -U]), tol_crit=tol_crit, dedup_radius=dedup_radius)
+    found = _solve_from(f, np.vstack([U, -U]))
     found.all_critical = radial
     return found
 
@@ -502,14 +475,10 @@ def certify_against_oracle(
     the oracle's critical set.  The radial special case cannot be matched
     pairwise and is flagged instead of certified.
     """
-    cfg = config or SolverConfig()
-    oracle = enumerate_critical_pairs_n2(
-        f, tol_crit=cfg.tol_crit, dedup_radius=cfg.dedup_radius
-    )
+    oracle = enumerate_critical_pairs_n2(f)
     if oracle.all_critical:
         return CertificationReport(certified=False, all_critical=True, matched=0)
-    found = find_critical_pairs(f, cfg)
-    match_radius = max(cfg.dedup_radius, 1e-9)
+    found = find_critical_pairs(f, config)
     lam_tol = scaled_tolerance(f, 1e-6)
 
     used: set[int] = set()
@@ -518,7 +487,7 @@ def certify_against_oracle(
         for i, q in enumerate(found.pairs):
             if (
                 i not in used
-                and np.linalg.norm(p.x - q.x) <= match_radius
+                and np.linalg.norm(p.x - q.x) <= DEFAULT_DEDUP_RADIUS
                 and abs(p.lam - q.lam) <= lam_tol
             ):
                 used.add(i)

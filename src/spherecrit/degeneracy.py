@@ -51,18 +51,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import (
-    DEFAULT_TOL_CLASS,
-    PointAnalysis,
-    Verdict,
-    analyze_points,
-)
-from .critsolve import (
-    DEFAULT_TOL_CRIT,
-    _binary_form,
-    _partials,
-    _reject_zero,
-)
+from .classify import PointAnalysis, Verdict, analyze_points
+from .critsolve import _binary_form, _partials, _reject_zero
 from .polyhom import HomogeneousPolynomial
 
 __all__ = [
@@ -173,13 +163,7 @@ def rank_deficient(W) -> np.ndarray:
     return sv[..., -1] <= DEFAULT_TOL_RANK * sv[..., 0]
 
 
-def detect_sosc_failure(
-    f: HomogeneousPolynomial,
-    x,
-    *,
-    tol_crit: float = DEFAULT_TOL_CRIT,
-    tol_class: float = DEFAULT_TOL_CLASS,
-) -> DegeneracyWitness | None:
+def detect_sosc_failure(f: HomogeneousPolynomial, x) -> DegeneracyWitness | None:
     """Search for a degeneracy witness at a critical point.
 
     Returns None when the SOSC margin is strictly positive beyond tolerance
@@ -194,7 +178,7 @@ def detect_sosc_failure(
     one-dimensional least squares mu = x . (hess f(x) y - lam y), exact when
     the bordered system holds.
     """
-    return _witness_at(analyze_points(f, [x], tol_crit=tol_crit, tol_class=tol_class))
+    return _witness_at(analyze_points(f, [x]))
 
 
 def _witness_at(analysis: PointAnalysis) -> DegeneracyWitness | None:

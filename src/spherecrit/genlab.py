@@ -55,6 +55,11 @@ __all__ = [
 
 SEED_STRIDE = 1_000_003  # per-trial seeds: base * SEED_STRIDE + trial
 PLANTED_MULTIPLICITIES = (2, 3)  # least-eigenvalue multiplicities the quad sweep plants
+# Witness-suite thresholds, outside the scaled_tolerance rule unless noted.
+CLOSED_FORM_TOL = 1e-8  # computed axes, lambdas, margins, determinants vs their closed forms
+WITNESS_RESIDUAL_TOL = 1e-8  # bordered-system residual of an anchor witness, scaled
+WITNESS_TANGENCY_TOL = 1e-10  # |y.x| of an anchor witness
+LOCUS_TOL = 1e-6  # distance of a flagged point from the known degenerate locus
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +102,9 @@ def axis_monomial(n: int, d: int) -> HomogeneousPolynomial:
 def quadratic_form_polynomial(A) -> HomogeneousPolynomial:
     """x^T A x / 2 for symmetric A, so that hess f == A everywhere."""
     A = np.asarray(A, dtype=np.float64)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape != (n, n):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
+    n = A.shape[0]
     terms = {}
     for i in range(n):
         for j in range(i, n):
@@ -410,13 +415,13 @@ def run_witness_d2(n: int) -> SuiteReport:
         f"found {len(pairs)}, expected {2 * n}",
     )
 
-    axis_tol = 1e-8
     all_axes = True
     for k in range(n):
         for sgn in (1.0, -1.0):
             target = sgn * _axis(n, k)
             hit = any(
-                np.linalg.norm(q.x - target) <= axis_tol and abs(q.lam - (k + 1)) <= axis_tol
+                np.linalg.norm(q.x - target) <= CLOSED_FORM_TOL
+                and abs(q.lam - (k + 1)) <= CLOSED_FORM_TOL
                 for q in pairs
             )
             all_axes = all_axes and hit
@@ -431,7 +436,7 @@ def run_witness_d2(n: int) -> SuiteReport:
         k = int(np.argmax(np.abs(q.x)))
         expected_margin = 1.0 if k == 0 else float(1 - (k + 1))
         margin_detail.append(f"axis {k + 1}: margin {margin:.3e}")
-        if abs(margin - expected_margin) > 1e-8:
+        if abs(margin - expected_margin) > CLOSED_FORM_TOL:
             verdict_ok = False
         expected_verdict = Verdict.SOSC if k == 0 else Verdict.FONC_ONLY
         if verdict is not expected_verdict:
@@ -448,7 +453,7 @@ def run_witness_d2(n: int) -> SuiteReport:
     for k, det in enumerate(dets):
         expected = -float(np.prod([j - (k + 1) for j in range(1, n + 1) if j != k + 1]))
         det_detail.append(f"axis {k + 1}: det {det:.6g}")
-        if abs(det - expected) > 1e-8 * max(1.0, abs(expected)):
+        if abs(det - expected) > CLOSED_FORM_TOL * max(1.0, abs(expected)):
             det_ok = False
         if abs(det) <= scaled_tolerance(p, DEFAULT_TOL_DET):
             det_ok = False
@@ -494,11 +499,11 @@ def run_witness_general(n: int, d: int) -> SuiteReport:
     report.add(
         "bordered_determinant_positive",
         np.all(dets > det_tol),
-        f"min |det| / (1e-6 * max(1, ||f||)) = {dets.min() / det_tol:.3e}",
+        f"min |det| = {dets.min():.3e} > {det_tol:.3e}",
     )
     report.add(
         "bordered_determinant_matches_diag_formula",
-        np.all(np.abs(dets - expected) <= 1e-8 * np.maximum(1.0, expected)),
+        np.all(np.abs(dets - expected) <= CLOSED_FORM_TOL * np.maximum(1.0, expected)),
         "|det| = |d-2|^(|S|-1) |lam|^(n-1) at every point",
     )
 
@@ -553,7 +558,7 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         len(degenerate) >= 1,
         f"{len(degenerate)} SONC_DEGENERATE of {len(points)} critical points",
     )
-    on_locus = all(locus(pt.pair.x) <= 1e-6 for pt in degenerate)
+    on_locus = all(locus(pt.pair.x) <= LOCUS_TOL for pt in degenerate)
     report.add(
         "degenerate_points_on_expected_locus",
         bool(degenerate) and on_locus,
@@ -577,8 +582,8 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         )
         report.add(
             "witness_residuals_small",
-            witness.bordered_residual <= scaled_tolerance(f, 1e-8)
-            and abs(witness.y @ witness.x) <= 1e-10,
+            witness.bordered_residual <= scaled_tolerance(f, WITNESS_RESIDUAL_TOL)
+            and abs(witness.y @ witness.x) <= WITNESS_TANGENCY_TOL,
             f"bordered residual {witness.bordered_residual:.3e}",
         )
 

@@ -251,20 +251,6 @@ def test_analyze_points_input_checks(diag123):
         classify_point(diag123, [1.0, 0.0])
 
 
-@pytest.mark.parametrize(
-    "tolerances",
-    [{"tol_crit": math.nan}, {"tol_crit": -1e-9}, {"tol_class": math.inf}, {"tol_class": math.nan}],
-)
-def test_analyze_points_rejects_bad_tolerance(diag123, tolerances):
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        analyze_points(diag123, np.eye(3), **tolerances)
-
-
-def test_analyze_points_accepts_zero_tolerance(diag123):
-    analysis = analyze_points(diag123, np.eye(3), tol_crit=0.0, tol_class=0.0)
-    assert analysis.verdicts[0] is Verdict.SOSC
-
-
 def test_analyze_points_eigenvectors_are_tangent_eigenvectors():
     rng = np.random.default_rng(31)
     f = random_polynomial(4, 3, rng)
@@ -285,12 +271,9 @@ def _scaled(f, c):
 def test_analysis_reports_the_thresholds_it_applied(norm):
     f = random_polynomial(3, 3, 8)
     f = _scaled(f, norm / f.coefficient_norm)
-    defaults = analyze_points(f, np.eye(3))
-    assert defaults.crit_tol == scaled_tolerance(f, 1e-9)
-    assert defaults.class_tol == scaled_tolerance(f, 1e-7)
-    custom = analyze_points(f, np.eye(3), tol_crit=1e-6, tol_class=1e-4)
-    assert custom.crit_tol == scaled_tolerance(f, 1e-6) == 1e-6 * max(1.0, f.coefficient_norm)
-    assert custom.class_tol == scaled_tolerance(f, 1e-4) == 1e-4 * max(1.0, f.coefficient_norm)
+    analysis = analyze_points(f, np.eye(3))
+    assert analysis.crit_tol == scaled_tolerance(f, 1e-9) == 1e-9 * max(1.0, f.coefficient_norm)
+    assert analysis.class_tol == scaled_tolerance(f, 1e-7) == 1e-7 * max(1.0, f.coefficient_norm)
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3)])

@@ -14,6 +14,7 @@ from spherecrit import (
     write_polynomial,
 )
 from spherecrit.cli import main
+from spherecrit.critsolve import DEFAULT_TOL_CRIT
 
 DATA = Path(__file__).parent / "data"
 
@@ -132,14 +133,14 @@ def test_detect_not_critical_exit_4(diag123_file, capsys):
 
 
 def test_detect_not_critical_reports_scaled_tolerance(tmp_path, capsys):
+    # ||f|| is about 11.2, so the printed threshold is the scaled one, not the base.
     path = tmp_path / "big.json"
     f = HomogeneousPolynomial(3, 2, {(2, 0, 0): 3.0, (0, 2, 0): 6.0, (0, 0, 2): 9.0})
     write_polynomial(f, path)
-    point = "0.6,0.8,0"
-    assert main(["detect", "--poly", str(path), "--point", point, "--tol-crit", "1e-3"]) == 4
+    assert main(["detect", "--poly", str(path), "--point", "0.6,0.8,0"]) == 4
     err = capsys.readouterr().err
-    assert f"exceeds tolerance {scaled_tolerance(f, 1e-3):.6e}" in err
-    assert scaled_tolerance(f, 1e-3) > 1e-2
+    assert f"exceeds tolerance {scaled_tolerance(f, DEFAULT_TOL_CRIT):.6e}" in err
+    assert scaled_tolerance(f, DEFAULT_TOL_CRIT) > 10 * DEFAULT_TOL_CRIT
 
 
 def test_detect_normalization_warning(diag123_file, capsys):
@@ -161,26 +162,6 @@ def test_detect_non_finite_point_exit_2(tmp_path, capsys, point):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
-
-
-@pytest.mark.parametrize("flag", ["--dedup-radius=nan", "--dedup-radius=-1", "--tol-crit=nan"])
-def test_classify_bad_tolerance_exit_2(flag, capsys):
-    assert main(["classify", "--poly", str(DATA / "cubic_n3.json"), flag]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be finite and non-negative" in captured.err
-
-
-def test_classify_zero_dedup_radius_accepted(capsys):
-    assert main(["classify", "--poly", str(DATA / "cubic_n3.json"), "--dedup-radius=0"]) == 0
-    assert capsys.readouterr().out.startswith("critical points: ")
-
-
-def test_detect_bad_tolerance_exit_2(x1cubed_file, capsys):
-    assert main(["detect", "--poly", x1cubed_file, "--point", "0,1", "--tol-class=nan"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tol_class must be finite and non-negative" in captured.err
 
 
 def test_oracle2_off_locus(tmp_path, capsys):
@@ -231,6 +212,19 @@ def test_witness_degenerate_suite(capsys):
 
 def test_witness_general_needs_degree(capsys):
     assert main(["witness", "--mode", "general", "--n", "2"]) == 2
+
+
+@pytest.mark.parametrize("d", ["3", "7"])
+def test_witness_d2_rejects_other_degree(d, capsys):
+    assert main(["witness", "--mode", "d2", "--n", "2", "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d = 2 only" in captured.err
+
+
+def test_witness_d2_accepts_degree_two(capsys):
+    assert main(["witness", "--mode", "d2", "--n", "3", "--d", "2"]) == 0
+    assert capsys.readouterr().out == (DATA / "witness_d2_n3.stdout.txt").read_text()
 
 
 def test_witness_general_beyond_closed_form_limit(capsys):

@@ -66,6 +66,15 @@ def test_quadratic_form_polynomial_hessian_round_trip():
     assert f.evaluate(x) == pytest.approx(0.5 * x @ A @ x, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "A", [np.float64(3.0), np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))],
+    ids=["0-d", "1-d", "2x3", "3-d"],
+)
+def test_quadratic_form_polynomial_rejects_non_square(A):
+    with pytest.raises(ValueError, match="must be square"):
+        quadratic_form_polynomial(A)
+
+
 def test_power_point_enumeration_counts():
     # Odd d: two points per nonempty support; even d: 2^(|S|) per support.
     assert len(enumerate_power_critical_points(2, 3)) == 2 * 3
