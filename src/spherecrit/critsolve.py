@@ -128,15 +128,28 @@ def _system_residual(f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray) -
     return F
 
 
-def _system_jacobian(f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    n = f.n
-    J = np.empty((X.shape[0], n + 1, n + 1))
-    J[:, :n, :n] = f.hessian_many(X)
+def _bordered(H: np.ndarray, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Bordered matrices [[H - lam I, x], [x^T, 0]], one per row x of X.
+
+    H has shape (k, n, n), X (k, n) and lam (k,); the result has shape
+    (k, n+1, n+1).  Its determinant is the bordered-determinant signal of
+    :mod:`spherecrit.degeneracy`.
+    """
+    k, n = X.shape
+    M = np.zeros((k, n + 1, n + 1))
+    M[:, :n, :n] = H
     idx = np.arange(n)
-    J[:, idx, idx] -= lam[:, None]
-    J[:, :n, n] = -X
-    J[:, n, :n] = X
-    J[:, n, n] = 0.0
+    M[:, idx, idx] -= lam[:, None]
+    M[:, :n, n] = X
+    M[:, n, :n] = X
+    return M
+
+
+def _system_jacobian(f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Jacobian of the critical-pair system: the bordered matrix with its lam
+    column negated, so it is singular exactly where the bordered one is."""
+    J = _bordered(f.hessian_many(X), X, lam)
+    J[:, :-1, -1] = -X
     return J
 
 
@@ -144,27 +157,19 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Batched linear solve; rows with a singular Jacobian are flagged, not raised.
 
     The whole batch is solved first.  Only when LAPACK rejects it are rows
-    with a zero or non-finite determinant set aside and the rest solved,
-    row by row if the batch still fails.
+    with a zero or non-finite determinant flagged unusable and the rest
+    solved again; ``_newton_polish`` hands the flagged rows to its
+    truncated-SVD polish.  ``det`` and ``solve`` factor the same matrices
+    with the same LU, so the second solve meets no zero pivot.
     """
-    k, m = rhs.shape
-    bad = np.zeros(k, dtype=bool)
+    bad = np.zeros(rhs.shape[0], dtype=bool)
     try:
         steps = np.linalg.solve(J, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         det = np.linalg.det(J)
         bad = ~np.isfinite(det) | (det == 0.0)
-        J = np.where(bad[:, None, None], np.eye(m), J)
-        try:
-            steps = np.linalg.solve(J, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # LAPACK can reject pivots det() accepted.
-            steps = np.zeros_like(rhs)
-            for i in range(k):
-                try:
-                    steps[i] = np.linalg.solve(J[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    bad[i] = True
+        J = np.where(bad[:, None, None], np.eye(rhs.shape[1]), J)
+        steps = np.linalg.solve(J, rhs[..., None])[..., 0]
     usable = ~bad & np.isfinite(steps).all(axis=1)
     return steps, usable
 
@@ -207,8 +212,11 @@ def _newton_polish(
     lengths per call.  Rows that cannot decrease the residual at any length,
     and rows whose residual fell by less than 10 % in each of the last
     ``MAX_SLOW_STEPS`` iterations, are abandoned; an abandoned row still
-    counts as converged when its residual passes ``accept_tol``.  Returns
-    the final points, multipliers, and the converged mask.
+    counts as converged when its residual passes ``accept_tol``.  Rows
+    without a Newton step (a singular Jacobian, as at a degenerate critical
+    point) leave the loop for the multiple-root polish and count as
+    converged only if the polish brings their residual to ``accept_tol``.
+    Returns the final points, multipliers, and the converged mask.
     """
     n = f.n
     stop_tol = scaled_tolerance(f, 1e-13)
@@ -219,6 +227,7 @@ def _newton_polish(
     Fn = np.linalg.norm(F, axis=1)
     active = np.isfinite(Fn)
     done = np.zeros(size, dtype=bool)
+    singular = np.zeros(size, dtype=bool)
     stalls = np.zeros(size, dtype=np.int64)
 
     for _ in range(MAX_ITERATIONS):
@@ -232,6 +241,7 @@ def _newton_polish(
             J = _system_jacobian(f, Z[rows, :n], Z[rows, n])
             J[~np.isfinite(J)] = 0.0
             steps, usable = _solve_steps(J, -F[rows])
+        singular[rows[~usable]] = True
         before = Fn[rows].copy()
         improved = np.zeros(rows.size, dtype=bool)
         trying = np.flatnonzero(usable)
@@ -275,13 +285,14 @@ def _newton_polish(
     # Multiple-root polish.  Plain Newton converges only linearly to roots
     # with a singular Jacobian (critical points that are themselves
     # degenerate), stalling a few orders above machine precision, which is
-    # enough to throw off second-order margins downstream.  Truncated
+    # enough to throw off second-order margins downstream, and takes no
+    # step at all where the Jacobian is exactly singular.  Truncated
     # least-squares steps ignore the null directions (e.g. a whole circle of
     # critical points) and overshooting by the root multiplicity restores
     # fast convergence; simple roots are already converged and reject the
     # overshoot.
     floor = scaled_tolerance(f, 1e-14)
-    polish = np.flatnonzero(done & (Fn > floor))
+    polish = np.flatnonzero((done | singular) & (Fn > floor))
     for _ in range(8):
         if polish.size == 0:
             break
@@ -303,6 +314,7 @@ def _newton_polish(
             Fn[acc] = Ftn[better]
             moved |= better
         polish = polish[moved & (Fn[polish] > floor)]
+    done |= singular & (Fn <= accept_tol)
 
     return Z[:, :n], Z[:, n], done
 

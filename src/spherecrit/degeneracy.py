@@ -52,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import PointAnalysis, Verdict, analyze_points
-from .critsolve import _binary_form, _partials, _reject_zero
+from .critsolve import _binary_form, _bordered, _partials, _reject_zero
 from .polyhom import HomogeneousPolynomial
 
 __all__ = [
@@ -210,20 +210,6 @@ def _witness_at(analysis: PointAnalysis) -> DegeneracyWitness | None:
         bordered_residual=float(np.linalg.norm(bordered_vec)),
         bordered_det=float(np.linalg.det(M)[0]),
     )
-
-
-def _bordered(H: np.ndarray, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Bordered matrices [[H - lam I, x], [x^T, 0]], one per row x of X.
-
-    H has shape (k, n, n), X (k, n) and lam (k,); the result has shape
-    (k, n+1, n+1).
-    """
-    k, n = X.shape
-    M = np.zeros((k, n + 1, n + 1))
-    M[:, :n, :n] = H - lam[:, None, None] * np.eye(n)
-    M[:, :n, n] = X
-    M[:, n, :n] = X
-    return M
 
 
 def bordered_determinants(f: HomogeneousPolynomial, X, lam) -> np.ndarray:

@@ -13,6 +13,7 @@ from spherecrit import (
     weighted_axis_quadratic,
     write_polynomial,
 )
+from spherecrit import genlab
 from spherecrit.cli import main
 from spherecrit.critsolve import DEFAULT_TOL_CRIT
 
@@ -154,6 +155,18 @@ def test_detect_bad_point_exit_2(diag123_file, capsys):
     assert main(["detect", "--poly", diag123_file, "--point", "a,b,c"]) == 2
 
 
+def test_detect_zero_point_exit_2(x1cubed_file, capsys):
+    assert main(["detect", "--poly", x1cubed_file, "--point", "0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "point must be nonzero" in captured.err
+
+
+def test_classify_zero_starts_exit_2(diag123_file, capsys):
+    assert main(["classify", "--poly", diag123_file, "--starts", "0"]) == 2
+    assert "need at least one start, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("point", ["nan,1", "inf,1"])
 def test_detect_non_finite_point_exit_2(tmp_path, capsys, point):
     path = tmp_path / "p.json"
@@ -254,6 +267,21 @@ def test_sample_writes_report(tmp_path, capsys):
     assert csv_path.exists()
     out = capsys.readouterr().out
     assert "degenerate_hits: 0" in out
+
+
+def test_sample_dump_exit_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(genlab, "random_polynomial", lambda n, d, seed: axis_monomial(3, 4))
+    dumps = tmp_path / "dumps"
+    args = ["sample", "--n", "3", "--d", "4", "--trials", "1",
+            "--output", str(tmp_path / "r.json"), "--dump-dir", str(dumps)]
+    assert main(args) == 1
+    dumped = [
+        line.removeprefix("degenerate polynomial dumped: ")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("degenerate polynomial dumped: ")
+    ]
+    assert dumped and all(Path(path).parent == dumps for path in dumped)
+    assert all(Path(path).exists() for path in dumped)
 
 
 def test_sample_stdout_deterministic(tmp_path, capsys):

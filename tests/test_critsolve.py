@@ -177,6 +177,14 @@ def test_certification_random_batch():
     assert certified >= 29
 
 
+def test_certification_reports_points_only_the_oracle_found():
+    report = certify_against_oracle(random_polynomial(2, 3, 4), SolverConfig(starts=1, seed=0))
+    assert not report.certified
+    assert report.matched == 2
+    assert len(report.only_oracle) == 4
+    assert report.only_multistart == []
+
+
 def test_certification_flags_radial_case():
     f = HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
     report = certify_against_oracle(f)
@@ -277,6 +285,7 @@ def _sequential_halving_polish(
     Fn = np.linalg.norm(F, axis=1)
     active = np.isfinite(Fn)
     done = np.zeros(Z.shape[0], dtype=bool)
+    singular = np.zeros(Z.shape[0], dtype=bool)
     stalls = np.zeros(Z.shape[0], dtype=np.int64)
     for _ in range(critsolve.MAX_ITERATIONS):
         finished = active & (Fn <= stop_tol)
@@ -289,6 +298,7 @@ def _sequential_halving_polish(
             J = critsolve._system_jacobian(f, Z[rows, :n], Z[rows, n])
             J[~np.isfinite(J)] = 0.0
             steps, usable = critsolve._solve_steps(J, -F[rows])
+        singular[rows[~usable]] = True
         before = Fn[rows].copy()
         improved = np.zeros(rows.size, dtype=bool)
         t = np.ones(rows.size)
@@ -319,7 +329,7 @@ def _sequential_halving_polish(
     done |= active & (Fn <= accept_tol)
 
     floor = scaled_tolerance(f, 1e-14)
-    polish = np.flatnonzero(done & (Fn > floor))
+    polish = np.flatnonzero((done | singular) & (Fn > floor))
     for _ in range(8):
         if polish.size == 0:
             break
@@ -345,6 +355,7 @@ def _sequential_halving_polish(
         F[polish] = best_f
         Fn[polish] = best_norm
         polish = polish[moved & (best_norm > floor)]
+    done |= singular & (Fn <= accept_tol)
     return Z[:, :n], Z[:, n], done
 
 
@@ -477,17 +488,39 @@ def test_solve_steps_flags_singular_row():
         np.testing.assert_array_equal(steps[i], np.linalg.solve(J[i], rhs[i]))
 
 
-def test_solve_steps_row_fallback_flags_lapack_rejection(monkeypatch):
-    # A det that misses the singular row leaves it to the row-by-row solve,
-    # which must still flag it.
-    J = np.random.default_rng(5).standard_normal((6, 3, 3))
-    J[2] = 0.0
-    rhs = np.ones((6, 3))
-    monkeypatch.setattr(np.linalg, "det", lambda J: np.ones(J.shape[0]))
-    steps, usable = critsolve._solve_steps(J, rhs)
-    assert np.flatnonzero(~usable).tolist() == [2]
-    for i in np.flatnonzero(usable):
-        np.testing.assert_array_equal(steps[i], np.linalg.solve(J[i], rhs[i]))
+def _singular_start():
+    # On x1^3 with lam = 0 the Jacobian rows of x2 and x3 are proportional,
+    # so LAPACK rejects the Newton step at this start off the circle x1 = 0.
+    f = axis_monomial(3, 3)
+    x = np.array([[1e-3, 0.6, 0.8]])
+    x /= np.linalg.norm(x)
+    return f, x, np.zeros(1), scaled_tolerance(f, DEFAULT_TOL_CRIT)
+
+
+def test_singular_row_converges_through_polish():
+    f, x, lam, tol = _singular_start()
+    J = critsolve._system_jacobian(f, x, lam)
+    assert not critsolve._solve_steps(J, np.ones((1, 4)))[1].any()
+    X, lam, done = critsolve._newton_polish(f, x, lam, accept_tol=tol)
+    assert done.tolist() == [True]
+    assert abs(X[0, 0]) <= 1e-15 and abs(lam[0]) <= 1e-15
+    np.testing.assert_allclose(X[0, 1:], x[0, 1:], rtol=1e-6)
+
+
+def test_singular_row_without_svd_is_not_converged(monkeypatch):
+    f, x, lam, tol = _singular_start()
+
+    def no_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rhs = np.ones((2, 4))
+    steps, usable = critsolve._lstsq_steps(np.zeros((2, 4, 4)), rhs)
+    assert not usable.any()
+    np.testing.assert_array_equal(steps, np.zeros_like(rhs))
+    X, _, done = critsolve._newton_polish(f, x, lam, accept_tol=tol)
+    assert done.tolist() == [False]
+    np.testing.assert_array_equal(X, x)
 
 
 def _count_rows(monkeypatch, name):

@@ -31,8 +31,8 @@ from spherecrit import (
     weighted_axis_quadratic,
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
-from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form
-from spherecrit.degeneracy import DEFAULT_TOL_DET, _bordered, _strip, _witness_minor_forms
+from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form, _bordered
+from spherecrit.degeneracy import DEFAULT_TOL_DET, _strip, _witness_minor_forms
 from conftest import unit
 
 
@@ -390,6 +390,31 @@ def test_oracle_linear_generic_off_locus():
 def test_oracle_distinct_diagonal_quadratic_off_locus():
     f = HomogeneousPolynomial(2, 2, {(2, 0): 0.5, (0, 2): 1.0})
     assert not exact_oracle_n2(f).on_locus
+
+
+def test_oracle_zero_at_infinity_only():
+    # Every minor misses x1^4, so all vanish at (1, 0); their
+    # dehomogenizations at x2 = 1 are coprime.
+    f = HomogeneousPolynomial(2, 3, {(3, 0): 1.0, (1, 2): 1.5, (0, 3): 0.7})
+    result = exact_oracle_n2(f)
+    assert result.on_locus
+    assert result.gcd_degree == 0
+    assert result.vanishes_at_infinity
+    assert result.certificate == "minors share the zero (1, 0) at infinity (x2 = 0 direction)"
+
+
+def test_oracle_common_factor_and_zero_at_infinity():
+    f = HomogeneousPolynomial(
+        2, 5, {(5, 0): 1.0, (3, 2): 2.5, (2, 3): 2.5, (0, 5): 1.0}
+    )
+    result = exact_oracle_n2(f)
+    assert result.on_locus
+    assert result.gcd_degree == 1
+    assert result.gcd == (0.0, 1.0)
+    assert result.vanishes_at_infinity
+    assert result.certificate == (
+        "minors share a degree-1 factor and a common zero at infinity"
+    )
 
 
 def test_oracle_requires_n2(diag123):

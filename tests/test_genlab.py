@@ -148,22 +148,31 @@ def test_witness_general_rejects_quadratic():
         run_witness_general(2, 2)
 
 
+# Every solver seed 0-9 must pass, except on x1^4 over S^2, whose flagged
+# points leave the locus at seeds 1, 5 and 8 (ROADMAP item 3).
 @pytest.mark.parametrize(
-    "kind,n,d",
+    "kind,n,d,seeds",
     [
-        ("repeated_lambda1", 2, 2),
-        ("repeated_lambda1", 3, 2),
-        ("single_monomial", 2, 3),
-        ("single_monomial", 3, 3),
-        ("single_monomial", 2, 4),
-        ("single_monomial", 3, 4),
+        pytest.param(kind, n, d, seeds, id=f"{kind}-{n}-{d}")
+        for kind, n, d, seeds in [
+            ("repeated_lambda1", 2, 2, range(10)),
+            ("repeated_lambda1", 3, 2, range(10)),
+            ("repeated_lambda1", 4, 2, range(10)),
+            ("repeated_lambda1", 5, 2, range(10)),
+            ("single_monomial", 2, 3, range(10)),
+            ("single_monomial", 3, 3, range(10)),
+            ("single_monomial", 4, 3, range(10)),
+            ("single_monomial", 2, 4, range(10)),
+            ("single_monomial", 3, 4, [0]),
+        ]
     ],
 )
-def test_degenerate_family_suites_pass(kind, n, d):
-    report = run_degenerate_family(kind, n, d)
-    assert report.passed, [
-        (c.name, c.detail) for c in report.checks if not c.passed
-    ]
+def test_degenerate_family_suites_pass(kind, n, d, seeds):
+    for seed in seeds:
+        report = run_degenerate_family(kind, n, d, seed)
+        assert report.passed, (seed, [
+            (c.name, c.detail) for c in report.checks if not c.passed
+        ])
 
 
 def test_degenerate_family_validates_arguments():
