@@ -432,20 +432,17 @@ def _partials(a: list) -> tuple[list, list]:
     return [(i + 1) * a[i + 1] for i in range(k)], [(k - i) * a[i] for i in range(k)]
 
 
-def _binary_form(f: HomogeneousPolynomial, num) -> tuple[list, list, list]:
+def _binary_form(a: list) -> tuple[list, list, list]:
     """g = x2 * df/dx1 - x1 * df/dx2 and the partials df/dx1, df/dx2 (n = 2).
 
-    Coefficient lists hold numbers of type ``num`` and are indexed by the
-    power of x1.  g vanishes exactly where the gradient is parallel to x, so
-    its projective roots are the critical directions.  deg g = d unless g is
-    identically zero (radially symmetric f).
+    ``a`` holds the coefficients of f, index i that of x1^i x2^(d-i), and the
+    returned lists are indexed the same way, in the number type of ``a``.
+    g vanishes exactly where the gradient is parallel to x, so its projective
+    roots are the critical directions.  deg g = d unless g is identically
+    zero (radially symmetric f).
     """
-    a = [num(0)] * (f.d + 1)
-    for (e1, _), c in f.terms.items():
-        a[e1] = num(c)
     f1, f2 = _partials(a)
-    zero = [num(0)]
-    return [u - v for u, v in zip(f1 + zero, zero + f2)], f1, f2
+    return [u - v for u, v in zip(f1 + [0], [0] + f2)], f1, f2
 
 
 def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
@@ -454,7 +451,7 @@ def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
     if f.n != 2:
         raise ValueError(f"exact enumeration needs n = 2, got n = {f.n}")
     d = f.d
-    g = np.array(_binary_form(f, float)[0])
+    g = np.array(_binary_form(f.coefficient_vector()[::-1].tolist())[0])
     # Radial case: the gradient is parallel to x everywhere, so the whole
     # circle is critical and e1, the one candidate kept, represents it.
     radial = bool(np.max(np.abs(g)) <= scaled_tolerance(f, 1e-10) * (d + 1))

@@ -31,13 +31,16 @@ kept deliberately separate:
    sharing a common nonzero complex root.  The minors have the closed form
    x1 g, x2 g, |x|^2 f1 - x1 q and |x|^2 f2 - x2 q, with g = x2 f1 - x1 f2
    the binary form whose roots are the critical directions and
-   q = y^T hess f(x) y.  Common roots are decided exactly with
-   rational arithmetic: float coefficients are binary rationals, so
-   Fraction-based GCD of the dehomogenized minors (plus a common-root check
-   in the x2 = 0 direction) gives a tolerance-free membership test for the
-   complex degeneracy locus.  A real degenerate point forces membership; the
-   converse can fail (complex-only witnesses), so oracle verdict and numeric
-   detection are always reported side by side, never merged.
+   q = y^T hess f(x) y.  Common roots are decided exactly over the
+   integers: every float coefficient is m 2^e, so scaling f by the common
+   power-of-two denominator of its coefficients gives integer minors, and a
+   primitive polynomial remainder sequence (pseudo-remainders with the
+   content divided out) computes the GCD of their dehomogenizations.  With
+   a common-root check in the x2 = 0 direction this is a tolerance-free
+   membership test for the complex degeneracy locus.  A real degenerate
+   point forces membership; the converse can fail (complex-only witnesses),
+   so oracle verdict and numeric detection are always reported side by
+   side, never merged.
 
 The d = 2 specialization is :func:`quadratic_degeneracy`: for f = x^T A x / 2
 some SONC point is degenerate exactly when the least eigenvalue of A is not
@@ -46,8 +49,8 @@ simple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -111,8 +114,9 @@ class OracleResult:
 
     ``on_locus`` is True when a nonzero complex pair (x, y), y.x = 0, makes
     the witness matrix rank deficient.  ``gcd`` holds the monic common
-    factor of the dehomogenized minors (float view of exact rationals) when
-    its degree is at least one.
+    factor of the dehomogenized minors when its degree is at least one: the
+    primitive integer GCD h with each coefficient divided by the leading one,
+    correctly rounded to float.
     """
 
     on_locus: bool
@@ -260,64 +264,79 @@ def witness_to_dict(f: HomogeneousPolynomial, witness: DegeneracyWitness) -> dic
 
 
 # ---------------------------------------------------------------------------
-# Exact n = 2 oracle: binary-form minors and rational GCD.
+# Exact n = 2 oracle: binary-form minors over the integers and their GCD.
 #
-# Binary forms of degree k are coefficient lists of length k + 1 over
-# Fraction, index i holding the coefficient of x1^i x2^(k-i).  The same list
+# Binary forms of degree k are coefficient lists of length k + 1 over the
+# integers, index i holding the coefficient of x1^i x2^(k-i).  The same list
 # read as a univariate polynomial in t = x1 is the dehomogenization at
-# x2 = 1, which is what the Euclidean algorithm runs on.
+# x2 = 1, which is what the primitive remainder sequence runs on.
 # ---------------------------------------------------------------------------
 
 
-def _strip(p: list[Fraction]) -> list[Fraction]:
+def _strip(p: list[int]) -> list[int]:
     k = len(p)
     while k and p[k - 1] == 0:
         k -= 1
     return p[:k]
 
 
-def _poly_mod(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    u = list(u)
-    dv = len(v) - 1
+def _primitive(p: list[int]) -> list[int]:
+    """p (stripped, nonzero) over its content, leading coefficient positive."""
+    c = math.gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return [a // c for a in p]
+
+
+def _prem(u: list[int], v: list[int]) -> list[int]:
+    """Primitive part of the pseudo-remainder of u by v, [] when it is zero.
+
+    Each step replaces u by lead(v) u - top(u) t^shift v, which cancels the
+    top coefficient, so the remainder is u mod v over the rationals times a
+    nonzero integer, which the primitive part drops.
+    """
     lead = v[-1]
-    while len(u) - 1 >= dv:
-        q = u[-1] / lead
-        if q:
-            shift = len(u) - 1 - dv
-            for i in range(dv + 1):
-                u[shift + i] -= q * v[i]
-        u.pop()
-    return u
+    shift = len(u) - len(v)
+    while u and shift >= 0:
+        top = u[-1]
+        u = [lead * c for c in u[:-1]]
+        for i, c in enumerate(v[:-1]):
+            u[shift + i] -= top * c
+        u = _strip(u)
+        shift = len(u) - len(v)
+    return _primitive(u) if u else []
 
 
-def _poly_gcd(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    u, v = _strip(u), _strip(v)
+def _prs_gcd(u: list[int], v: list[int]) -> list[int]:
+    """Primitive GCD of the primitive polynomials u and v ([] is zero)."""
     while v:
-        u, v = v, _strip(_poly_mod(u, v))
-        # Monic normalization keeps the rationals from ballooning.
-        lead = u[-1]
-        if lead != 1:
-            u = [c / lead for c in u]
-    if u:
-        lead = u[-1]
-        u = [c / lead for c in u]
+        u, v = v, _prem(u, v)
     return u
 
 
-def _witness_minor_forms(f: HomogeneousPolynomial) -> list[list[Fraction]]:
+def _integer_coefficients(f: HomogeneousPolynomial) -> list[int]:
+    """Coefficients of the binary form f, index i that of x1^i x2^(d-i),
+    times their common power-of-two denominator: exact integers."""
+    ratios = [c.as_integer_ratio() for c in f.coefficient_vector()[::-1].tolist()]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios]
+
+
+def _witness_minor_forms(f: HomogeneousPolynomial) -> list[list[int]]:
     """The four 3x3 minors of the witness matrix with y = (x2, -x1).
 
     With g = x2 f1 - x1 f2 and q = y^T hess f y = x2^2 f11 - 2 x1 x2 f12 +
     x1^2 f22, expanding along the third column gives the minors of rows
     (1,2,3) and (1,2,4) as x1 g and x2 g, and expanding along the first row
     gives rows (1,3,4) and (2,3,4) as |x|^2 f1 - x1 q and |x|^2 f2 - x2 q.
-    Each is a binary form of degree d + 1 with exactly rational coefficients
-    (floats are binary rationals).
+    Each is a binary form of degree d + 1, computed from the integer
+    coefficients of :func:`_integer_coefficients`, so exactly (the minors
+    are linear in f, hence scaled by the same power of two).
     """
-    g, f1, f2 = _binary_form(f, Fraction)
+    g, f1, f2 = _binary_form(_integer_coefficients(f))
     f11, f12 = _partials(f1)
     f22 = _partials(f2)[1]
-    z = [Fraction(0)]  # multiplying by x1 prepends a zero, by x2 appends one
+    z = [0]  # multiplying by x1 prepends a zero, by x2 appends one
     q = [u - 2 * v + w for u, v, w in zip(f11 + z + z, z + f12 + z, z + z + f22)]
     return [
         z + g,
@@ -334,7 +353,7 @@ def exact_oracle_n2(f: HomogeneousPolynomial) -> OracleResult:
     single direction y = (x2, -x1) up to scale, so a nonzero witness pair
     exists exactly when the four 3x3 minors of the witness matrix, binary
     forms of degree d + 1, share a common projective root.  The decision is
-    a rational-arithmetic GCD of the dehomogenized minors, plus a shared
+    a primitive-PRS GCD of the dehomogenized integer minors, plus a shared
     root at infinity when every minor misses the x1^(d+1) monomial.
     """
     _reject_zero(f)
@@ -342,9 +361,8 @@ def exact_oracle_n2(f: HomogeneousPolynomial) -> OracleResult:
         raise ValueError(f"exact oracle needs n = 2, got n = {f.n}")
     minors = _witness_minor_forms(f)
     stripped = [_strip(m) for m in minors]
-    nonzero = [m for m in stripped if m]
 
-    if not nonzero:
+    if not any(stripped):
         return OracleResult(
             on_locus=True,
             certificate="all 3x3 minors vanish identically; every nonzero x admits a witness",
@@ -357,12 +375,14 @@ def exact_oracle_n2(f: HomogeneousPolynomial) -> OracleResult:
     top = f.d + 1  # coefficient index of x1^(d+1)
     vanishes_at_infinity = all(len(m) <= top for m in stripped)
 
-    g = nonzero[0]
-    for m in nonzero[1:]:
-        g = _poly_gcd(g, m)
-        if len(g) == 1:
-            break
-    gcd_degree = len(g) - 1
+    # Minor 1 is t times minor 2, so the GCD starts from minor 2.
+    h: list[int] = []
+    for m in stripped[1:]:
+        if m:
+            h = _prs_gcd(h, _primitive(m))
+            if len(h) == 1:
+                break
+    gcd_degree = len(h) - 1
     on_locus = gcd_degree >= 1 or vanishes_at_infinity
 
     if gcd_degree >= 1 and vanishes_at_infinity:
@@ -384,7 +404,7 @@ def exact_oracle_n2(f: HomogeneousPolynomial) -> OracleResult:
         on_locus=on_locus,
         certificate=certificate,
         gcd_degree=gcd_degree,
-        gcd=tuple(float(c) for c in g) if gcd_degree >= 1 else None,
+        gcd=tuple(c / h[-1] for c in h) if gcd_degree >= 1 else None,
         vanishes_at_infinity=vanishes_at_infinity,
         minors_all_zero=False,
     )

@@ -202,6 +202,16 @@ def test_oracle2_certify_flag(tmp_path, capsys):
     assert "certified" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["cubic_n2", "x1cubed_n2", "zero_at_infinity_n2"])
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+def test_oracle2_golden_stdout(name, certify, capsys):
+    argv = ["oracle2", "--poly", str(DATA / f"{name}.json")]
+    suffix = ".certify" if certify else ""
+    assert main(argv + ["--certify"] * certify) == 0
+    golden = DATA / f"oracle2_{name}{suffix}.stdout.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_witness_d2_suite(capsys):
     assert main(["witness", "--mode", "d2", "--n", "3"]) == 0
     out = capsys.readouterr().out

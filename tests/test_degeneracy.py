@@ -32,7 +32,12 @@ from spherecrit import (
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
 from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form, _bordered
-from spherecrit.degeneracy import DEFAULT_TOL_DET, _strip, _witness_minor_forms
+from spherecrit.degeneracy import (
+    DEFAULT_TOL_DET,
+    OracleResult,
+    _strip,
+    _witness_minor_forms,
+)
 from conftest import unit
 
 
@@ -395,8 +400,7 @@ def test_oracle_distinct_diagonal_quadratic_off_locus():
 def test_oracle_zero_at_infinity_only():
     # Every minor misses x1^4, so all vanish at (1, 0); their
     # dehomogenizations at x2 = 1 are coprime.
-    f = HomogeneousPolynomial(2, 3, {(3, 0): 1.0, (1, 2): 1.5, (0, 3): 0.7})
-    result = exact_oracle_n2(f)
+    result = exact_oracle_n2(_ZERO_AT_INFINITY_FORMS[0])
     assert result.on_locus
     assert result.gcd_degree == 0
     assert result.vanishes_at_infinity
@@ -404,10 +408,7 @@ def test_oracle_zero_at_infinity_only():
 
 
 def test_oracle_common_factor_and_zero_at_infinity():
-    f = HomogeneousPolynomial(
-        2, 5, {(5, 0): 1.0, (3, 2): 2.5, (2, 3): 2.5, (0, 5): 1.0}
-    )
-    result = exact_oracle_n2(f)
+    result = exact_oracle_n2(_ZERO_AT_INFINITY_FORMS[1])
     assert result.on_locus
     assert result.gcd_degree == 1
     assert result.gcd == (0.0, 1.0)
@@ -422,15 +423,6 @@ def test_oracle_requires_n2(diag123):
         exact_oracle_n2(diag123)
     with pytest.raises(ZeroPolynomialError):
         exact_oracle_n2(HomogeneousPolynomial(2, 2, {}))
-
-
-def test_oracle_exactness_under_scaling():
-    # Membership is a projective property of the coefficients: scaling the
-    # polynomial must not change the verdict.
-    for seed in range(5):
-        f = random_polynomial(2, 4, seed)
-        g = HomogeneousPolynomial(2, 4, {k: 3.0 * v for k, v in f.terms.items()})
-        assert exact_oracle_n2(f).on_locus == exact_oracle_n2(g).on_locus
 
 
 def test_oracle_agrees_with_numeric_pipeline_on_random_inputs():
@@ -556,12 +548,157 @@ _CONSTRUCTED_BINARY_FORMS = (
     ids=[f"random_d{d}" for d in range(1, 9)] + ["constructed"],
 )
 def test_closed_form_minors_match_determinant_route(forms):
+    # The integer minors are the rational ones times the common power-of-two
+    # denominator of the coefficients: the minors are linear in f.
     for f in forms:
+        scale = max(Fraction(c).denominator for c in f.terms.values())
         got = [_strip(m) for m in _witness_minor_forms(f)]
-        expected = [_strip(m) for m in _reference_minor_forms(f)]
+        expected = [[scale * c for c in _strip(m)] for m in _reference_minor_forms(f)]
         assert got == expected, f.terms
-        g = np.array(_binary_form(f, float)[0])
+        g = np.array(_binary_form(f.coefficient_vector()[::-1].tolist())[0])
         assert g.tobytes() == _reference_pencil_form(f).tobytes(), f.terms
+
+
+# ---------------------------------------------------------------------------
+# Integer oracle against the rational Euclid it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_strip(p):
+    k = len(p)
+    while k and p[k - 1] == 0:
+        k -= 1
+    return p[:k]
+
+
+def _reference_poly_mod(u, v):
+    u = list(u)
+    dv = len(v) - 1
+    lead = v[-1]
+    while len(u) - 1 >= dv:
+        q = u[-1] / lead
+        if q:
+            shift = len(u) - 1 - dv
+            for i in range(dv + 1):
+                u[shift + i] -= q * v[i]
+        u.pop()
+    return u
+
+
+def _reference_poly_gcd(u, v):
+    """Euclid over Fraction, made monic after every step."""
+    u, v = _reference_strip(u), _reference_strip(v)
+    while v:
+        u, v = v, _reference_strip(_reference_poly_mod(u, v))
+        lead = u[-1]
+        if lead != 1:
+            u = [c / lead for c in u]
+    if u:
+        lead = u[-1]
+        u = [c / lead for c in u]
+    return u
+
+
+def _reference_oracle(f):
+    """exact_oracle_n2 over Fraction: rational minors, monic Euclid."""
+    stripped = [_reference_strip(m) for m in _reference_minor_forms(f)]
+    nonzero = [m for m in stripped if m]
+    if not nonzero:
+        return OracleResult(
+            on_locus=True,
+            certificate="all 3x3 minors vanish identically; every nonzero x admits a witness",
+            gcd_degree=-1,
+            gcd=None,
+            vanishes_at_infinity=True,
+            minors_all_zero=True,
+        )
+    vanishes_at_infinity = all(len(m) <= f.d + 1 for m in stripped)
+    g = nonzero[0]
+    for m in nonzero[1:]:
+        g = _reference_poly_gcd(g, m)
+        if len(g) == 1:
+            break
+    degree = len(g) - 1
+    if degree >= 1 and vanishes_at_infinity:
+        certificate = f"minors share a degree-{degree} factor and a common zero at infinity"
+    elif degree >= 1:
+        certificate = f"minors share a degree-{degree} factor; its roots are witness directions"
+    elif vanishes_at_infinity:
+        certificate = "minors share the zero (1, 0) at infinity (x2 = 0 direction)"
+    else:
+        certificate = (
+            "minors are coprime and do not all vanish at x2 = 0; "
+            "no nonzero complex witness pair exists"
+        )
+    return OracleResult(
+        on_locus=degree >= 1 or vanishes_at_infinity,
+        certificate=certificate,
+        gcd_degree=degree,
+        gcd=tuple(float(c) for c in g) if degree >= 1 else None,
+        vanishes_at_infinity=vanishes_at_infinity,
+        minors_all_zero=False,
+    )
+
+
+def _product_form(*factors):
+    """Product of powers (a x1 + b x2)^k, given as (a, b, k) triples."""
+    coefs = np.array([1])
+    for a, b, k in factors:
+        for _ in range(k):
+            coefs = np.convolve(coefs, [b, a])  # index = power of x1
+    d = len(coefs) - 1
+    return _binary(d, {i: float(c) for i, c in enumerate(coefs) if c})
+
+
+# Products of linear forms with repeated roots: their minors share a factor.
+_REPEATED_ROOT_PRODUCTS = (
+    _product_form((1, 2, 6), (1, 1, 2)),  # (x1 + 2 x2)^6 (x1 + x2)^2
+    _product_form((1, -1, 4), (2, 1, 1)),  # (x1 - x2)^4 (2 x1 + x2)
+    _product_form((1, 0, 3), (1, 1, 3)),  # x1^3 (x1 + x2)^3
+    _product_form((3, 1, 3), (1, -2, 2)),  # (3 x1 + x2)^3 (x1 - 2 x2)^2: gcd t + 1/3
+)
+# Every minor misses x1^(d+1): a common zero at infinity.
+_ZERO_AT_INFINITY_FORMS = (
+    _binary(3, {3: 1.0, 1: 1.5, 0: 0.7}),
+    _binary(5, {5: 1.0, 3: 2.5, 2: 2.5, 0: 1.0}),
+)
+
+
+def _assert_same_oracle_result(got, expected, label):
+    assert got == expected, label
+    if expected.gcd is not None:
+        assert [c.hex() for c in got.gcd] == [c.hex() for c in expected.gcd], label
+
+
+def test_integer_oracle_matches_rational_euclid():
+    forms = [random_polynomial(2, d, 5100 + 10 * d + s) for d in range(1, 9) for s in range(6)]
+    forms += list(_CONSTRUCTED_BINARY_FORMS)
+    forms += list(_REPEATED_ROOT_PRODUCTS) + list(_ZERO_AT_INFINITY_FORMS)
+    for f in forms:
+        _assert_same_oracle_result(exact_oracle_n2(f), _reference_oracle(f), f.terms)
+    for f in _REPEATED_ROOT_PRODUCTS:
+        assert exact_oracle_n2(f).gcd_degree >= 1, f.terms
+
+
+def test_oracle_exactness_under_scaling():
+    # Membership is a projective property of the coefficients.  Scaling by a
+    # power of two is exact in floats, so every field must stay the same.
+    anchors = [random_polynomial(2, d, 5300 + d) for d in range(1, 9)]
+    anchors += list(_REPEATED_ROOT_PRODUCTS) + list(_ZERO_AT_INFINITY_FORMS)
+    anchors += [axis_monomial(2, 3), geometric_power_polynomial(2, 5)]
+    for f in anchors:
+        base = exact_oracle_n2(f)
+        for k in (-400, -60, 60, 400):
+            terms = {e: math.ldexp(c, k) for e, c in f.terms.items()}
+            g = HomogeneousPolynomial(2, f.d, terms)
+            _assert_same_oracle_result(exact_oracle_n2(g), base, (f.terms, k))
+    # Other scalings round the coefficients; random forms stay off the locus.
+    for seed in range(5):
+        f = random_polynomial(2, 4, seed)
+        assert not exact_oracle_n2(f).on_locus
+        for c in (1e-150, 1e-12, 3.0, 1e12, 1e150):
+            g = HomogeneousPolynomial(2, 4, {e: c * v for e, v in f.terms.items()})
+            assert not exact_oracle_n2(g).on_locus, (seed, c)
 
 
 # ---------------------------------------------------------------------------
