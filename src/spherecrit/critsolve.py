@@ -12,9 +12,10 @@ Two finders are provided:
 * :func:`enumerate_critical_pairs_n2` is exact for n = 2: critical
   directions are the real projective roots of the degree-d binary form
   g = x2 * df/dx1 - x1 * df/dx2, found by companion-matrix root-finding of
-  the dehomogenization g(t, 1) plus an explicit check of the x2 = 0
-  direction.  Root candidates are Newton-polished, so the returned set is
-  the real critical set up to root-finding tolerance.
+  the dehomogenization g(t, 1).  The x2 = 0 direction is a candidate only
+  when g's x1^d coefficient vanishes (a root at infinity, read off deg
+  g(t, 1) < d).  Only these root candidates are Newton-polished, so the
+  returned set is the real critical set up to root-finding tolerance.
 
 :func:`certify_against_oracle` cross-checks the two finders on the same
 input, which is how multistart coverage is validated at n = 2.
@@ -456,15 +457,21 @@ def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
     # circle is critical and e1, the one candidate kept, represents it.
     radial = bool(np.max(np.abs(g)) <= scaled_tolerance(f, 1e-10) * (d + 1))
 
-    # x2 = 0 direction handled separately; it is critical iff the top
-    # coefficient of g vanishes, and the residual filter re-checks that.
-    candidates = [np.array([1.0, 0.0])]
-    if not radial:
+    # Only roots of g are seeded.  The x2 = 0 direction (e1) is a root iff
+    # the x1^d coefficient of g vanishes, which the leading-coefficient
+    # strip reads off as a root at infinity (k >= 1); the residual filter
+    # re-checks it.  In the radial case e1 is the one representative.
+    candidates = []
+    if radial:
+        candidates.append(np.array([1.0, 0.0]))
+    else:
         coeffs = g[::-1]
         lead_tol = 1e-12 * np.max(np.abs(g))
         k = 0
         while k < d and abs(coeffs[k]) <= lead_tol:
             k += 1
+        if k >= 1:
+            candidates.append(np.array([1.0, 0.0]))
         for z in np.roots(coeffs[k:]):
             if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
                 u = np.array([float(z.real), 1.0])

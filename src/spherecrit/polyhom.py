@@ -27,7 +27,7 @@ import json
 import math
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -98,6 +98,28 @@ def _powers_table(pts: np.ndarray, dmax: int) -> np.ndarray:
     return table
 
 
+class _BundlePlan(NamedTuple):
+    """Support-only half of a :class:`_TermBundle`, shared by every polynomial
+    with one support.
+
+    ``exps`` is the monomial pool (rows in order of first appearance) and
+    ``cols`` / ``dmax`` index the powers table.  Entry t of the index arrays
+    puts ``(coefs[source[t]] * a[t]) * b[t]`` into weight cell
+    ``(rows[t], columns[t])``, where ``a`` and ``b`` are the exponents
+    brought down by the first and second derivative (1 where none was).
+    """
+
+    exps: np.ndarray
+    cols: np.ndarray
+    dmax: int
+    shape: tuple[int, int]
+    rows: np.ndarray
+    columns: np.ndarray
+    source: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
 class _TermBundle:
     """Shared monomial list plus an output weight matrix.
 
@@ -108,11 +130,12 @@ class _TermBundle:
 
     __slots__ = ("exps", "cols", "weights", "dmax")
 
-    def __init__(self, n: int, monomials: list[Monomial], weights: np.ndarray):
-        self.exps = np.array(monomials, dtype=np.intp).reshape(len(monomials), n)
-        self.cols = np.broadcast_to(np.arange(n), self.exps.shape)
-        self.weights = weights
-        self.dmax = int(self.exps.max(initial=0))
+    def __init__(self, plan: _BundlePlan, coefs: np.ndarray):
+        self.exps, self.cols, self.dmax = plan.exps, plan.cols, plan.dmax
+        # Each (row, column) cell occurs at most once, so assignment is the
+        # sum over terms.
+        self.weights = np.zeros(plan.shape)
+        self.weights[plan.rows, plan.columns] = coefs[plan.source] * plan.a * plan.b
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         table = _powers_table(pts, self.dmax)
@@ -120,29 +143,84 @@ class _TermBundle:
         return monomials @ self.weights
 
 
-def _bundle_from_term_sets(
-    n: int, term_sets: list[tuple[list[Monomial], list[float]]]
-) -> _TermBundle:
+# A term of a derivative: (exponents, index of the source coefficient,
+# exponents brought down so far).
+_Term = tuple[Monomial, int, tuple[int, ...]]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _partial(terms: list[_Term], i: int) -> list[_Term]:
+    return [
+        (exp[:i] + (exp[i] - 1,) + exp[i + 1 :], k, brought + (exp[i],))
+        for exp, k, brought in terms
+        if exp[i] > 0
+    ]
+
+
+def _bundle_plan(n: int, term_sets: list[list[_Term]]) -> _BundlePlan:
     index: dict[Monomial, int] = {}
-    monomials: list[Monomial] = []
-    for exps, _ in term_sets:
-        for exp in exps:
-            if exp not in index:
-                index[exp] = len(monomials)
-                monomials.append(exp)
-    weights = np.zeros((len(monomials), len(term_sets)))
-    for c, (exps, coefs) in enumerate(term_sets):
-        for exp, coef in zip(exps, coefs):
-            weights[index[exp], c] += coef
-    return _TermBundle(n, monomials, weights)
+    entries = []
+    for c, terms in enumerate(term_sets):
+        for exp, k, brought in terms:
+            a, b = (brought + (1, 1))[:2]
+            entries.append((index.setdefault(exp, len(index)), c, k, a, b))
+    exps = _frozen(np.array(list(index), dtype=np.intp).reshape(len(index), n))
+    rows, columns, source, a, b = _frozen(np.array(entries, dtype=np.intp).reshape(-1, 5).T)
+    return _BundlePlan(
+        exps=exps,
+        cols=np.broadcast_to(np.arange(n), exps.shape),
+        dmax=int(exps.max(initial=0)),
+        shape=(len(index), len(term_sets)),
+        rows=rows,
+        columns=columns,
+        source=source,
+        a=_frozen(a.astype(np.float64)),
+        b=_frozen(b.astype(np.float64)),
+    )
+
+
+class _DerivativePlan(NamedTuple):
+    exps: np.ndarray  # the support, one exponent row per coefficient
+    value: _BundlePlan
+    grad: _BundlePlan
+    hess: _BundlePlan
+    hess_rows: np.ndarray
+    hess_cols: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _derivative_plan(n: int, order: tuple[Monomial, ...]) -> _DerivativePlan:
+    """Bundle plans of the value, gradient and Hessian of every polynomial
+    whose support is ``order`` (graded lex), with its arrays read-only."""
+    base = [(exp, k, ()) for k, exp in enumerate(order)]
+    partials = [_partial(base, i) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    hess_rows, hess_cols = _frozen(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+    return _DerivativePlan(
+        exps=_frozen(np.array(order, dtype=np.int64).reshape(len(order), n)),
+        value=_bundle_plan(n, [base]),
+        grad=_bundle_plan(n, partials),
+        hess=_bundle_plan(n, [_partial(partials[i], j) for i, j in pairs]),
+        hess_rows=hess_rows,
+        hess_cols=hess_cols,
+    )
 
 
 class HomogeneousPolynomial:
     """Immutable homogeneous polynomial of degree ``d`` in ``n`` variables.
 
-    Instances precompute the term data of all first and second partial
-    derivatives at construction, never mutate afterwards, and are safe to
-    share read-only across concurrent workers.  All methods are pure.
+    Everything that depends only on the support (the sorted exponent rows,
+    the monomial pools of the value, gradient and Hessian bundles, and where
+    each coefficient lands in their weights) is a read-only derivative plan,
+    cached per ``(n, support)`` and shared by all polynomials with that
+    support.  Construction validates the terms and fills this instance's own
+    weight matrices from the plan.  Instances never mutate afterwards and
+    are safe to share read-only across concurrent workers.  All methods are
+    pure.
     """
 
     __slots__ = (
@@ -182,36 +260,24 @@ class HomogeneousPolynomial:
             if c != 0.0:
                 cleaned[key] = c
 
-        order = sorted(cleaned, reverse=True)  # graded lex; single grade here
+        order = tuple(sorted(cleaned, reverse=True))  # graded lex; single grade here
+        self._coefs = np.array([cleaned[e] for e in order], dtype=np.float64)
+        with np.errstate(over="ignore"):
+            self._norm = float(np.linalg.norm(self._coefs))
+        if not math.isfinite(self._norm):
+            raise ValueError(
+                f"coefficient norm overflows float64 (largest coefficient "
+                f"{np.max(np.abs(self._coefs)):.3g}); rescale the polynomial"
+            )
+        plan = _derivative_plan(n, order)
         self._n = n
         self._d = d
-        self._exps = np.array(order, dtype=np.int64).reshape(len(order), n)
-        self._coefs = np.array([cleaned[e] for e in order], dtype=np.float64)
-        self._norm = float(np.linalg.norm(self._coefs))
-
-        def differentiate(
-            term_set: tuple[list[Monomial], list[float]], i: int
-        ) -> tuple[list[Monomial], list[float]]:
-            exps_out: list[Monomial] = []
-            coefs_out: list[float] = []
-            for exp, coef in zip(*term_set):
-                if exp[i] > 0:
-                    lowered = list(exp)
-                    lowered[i] -= 1
-                    exps_out.append(tuple(lowered))
-                    coefs_out.append(coef * exp[i])
-            return exps_out, coefs_out
-
-        base = (list(order), [cleaned[e] for e in order])
-        self._value_bundle = _bundle_from_term_sets(n, [base])
-        partials = [differentiate(base, i) for i in range(n)]
-        self._grad_bundle = _bundle_from_term_sets(n, partials)
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        self._hess_bundle = _bundle_from_term_sets(
-            n, [differentiate(partials[i], j) for i, j in pairs]
-        )
-        self._hess_rows = np.array([i for i, _ in pairs], dtype=np.intp)
-        self._hess_cols = np.array([j for _, j in pairs], dtype=np.intp)
+        self._exps = plan.exps
+        self._value_bundle = _TermBundle(plan.value, self._coefs)
+        self._grad_bundle = _TermBundle(plan.grad, self._coefs)
+        self._hess_bundle = _TermBundle(plan.hess, self._coefs)
+        self._hess_rows = plan.hess_rows
+        self._hess_cols = plan.hess_cols
 
     @property
     def n(self) -> int:

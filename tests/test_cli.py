@@ -95,8 +95,9 @@ def test_classify_coefficient_beyond_float64_exit_2(tmp_path, capsys):
         '{"n":0,"d":2,"terms":[]}',
         '{"n":2,"d":0,"terms":[{"exp":[0,0],"coef":1.0}]}',
         '{"n":1,"d":1,"terms":[{"exp":[1],"coef":1e400}]}',
+        '{"n":2,"d":3,"terms":[{"exp":[3,0],"coef":1e155},{"exp":[0,3],"coef":1e155}]}',
     ],
-    ids=["n=0", "d=0", "coef=1e400"],
+    ids=["n=0", "d=0", "coef=1e400", "norm=1e155"],
 )
 def test_classify_constructor_rejection_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spherecrit import (
     find_critical_pairs,
     axis_monomial,
     random_polynomial,
+    read_polynomial,
     scaled_tolerance,
     weighted_axis_quadratic,
 )
@@ -549,3 +551,73 @@ def test_residual_calls_per_solve_bounded(monkeypatch):
     assert len(residual_rows) <= 40
     assert len(jacobian_rows) <= 14
     assert max(residual_rows) <= found.starts_used
+
+
+def _binary_product(*factors):
+    """Product of powers (a x1 + b x2)^k, given as (a, b, k) triples."""
+    coefs = np.array([1])
+    for a, b, k in factors:
+        for _ in range(k):
+            coefs = np.convolve(coefs, [b, a])  # index = power of x1
+    d = len(coefs) - 1
+    return HomogeneousPolynomial(2, d, {(i, d - i): float(c) for i, c in enumerate(coefs) if c})
+
+
+def _record_seeds(monkeypatch):
+    seeds = []
+    inner = critsolve._solve_from
+
+    def recorded(f, X0):
+        seeds.append(X0)
+        return inner(f, X0)
+
+    monkeypatch.setattr(critsolve, "_solve_from", recorded)
+    return seeds
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+def test_enumeration_polishes_only_candidate_roots(monkeypatch, d):
+    # Companion roots are accurate to rounding, so Newton has nothing left
+    # to do.  Seeding e1 on every form kept two rows in the loop for about
+    # five more iterations: 2-10 Jacobian calls per enumeration.
+    jacobian_rows = _count_rows(monkeypatch, "_system_jacobian")
+    seeds = _record_seeds(monkeypatch)
+    rng = np.random.default_rng(7100 + d)
+    for _ in range(25):
+        calls = len(jacobian_rows)
+        found = enumerate_critical_pairs_n2(random_polynomial(2, d, rng))
+        assert len(jacobian_rows) - calls <= 1
+        assert (seeds[-1][:, 1] != 0.0).all()  # e1 is no root here
+        assert found.converged_fraction == 1.0
+
+
+def _zero_at_infinity():
+    return read_polynomial(Path(__file__).parent / "data" / "zero_at_infinity_n2.json")
+
+
+@pytest.mark.parametrize(
+    "f",
+    [axis_monomial(2, 3), axis_monomial(2, 4), axis_monomial(2, 5), _zero_at_infinity()],
+    ids=["x1^3", "x1^4", "x1^5", "zero_at_infinity_n2"],
+)
+def test_enumeration_seeds_e1_at_root_at_infinity(monkeypatch, f):
+    # g's x1^d coefficient vanishes: x2 = 0 is a root of g at infinity,
+    # which the companion matrix of g(t, 1) cannot see.
+    seeds = _record_seeds(monkeypatch)
+    found = enumerate_critical_pairs_n2(f)
+    assert [1.0, 0.0] in seeds[0].tolist() and [-1.0, 0.0] in seeds[0].tolist()
+    lam = f.d * f.evaluate([1.0, 0.0])
+    assert _has_pair(found.pairs, [1.0, 0.0], lam)
+    assert _has_pair(found.pairs, [-1.0, 0.0], (-1) ** f.d * lam)
+
+
+@pytest.mark.parametrize(
+    "factors, points",
+    [(((1, 2, 6), (1, 1, 2)), 8), (((1, -1, 4), (2, 1, 1)), 6)],
+    ids=["(x1+2x2)^6(x1+x2)^2", "(x1-x2)^4(2x1+x2)"],
+)
+def test_enumeration_repeated_root_products(factors, points):
+    # Four and three critical directions.  Seeding e1 as well added a second
+    # polished copy of the multiple root (10 and 8 points).
+    found = enumerate_critical_pairs_n2(_binary_product(*factors))
+    assert len(found.pairs) == points

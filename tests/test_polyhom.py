@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spherecrit import polyhom
 from spherecrit import (
     HomogeneousPolynomial,
     PolynomialFormatError,
@@ -223,8 +224,9 @@ def test_parse_rejects_bad_json_and_structure():
         ('{"n":0,"d":2,"terms":[]}', "variable count must be a positive integer"),
         ('{"n":2,"d":0,"terms":[{"exp":[0,0],"coef":1.0}]}', "degree must be a positive integer"),
         ('{"n":1,"d":1,"terms":[{"exp":[1],"coef":1e400}]}', r"non-finite coefficient inf in term \[1\]"),
+        ('{"n":1,"d":1,"terms":[{"exp":[1],"coef":1e155}]}', "coefficient norm overflows float64"),
     ],
-    ids=["n=0", "d=0", "coef=1e400"],
+    ids=["n=0", "d=0", "coef=1e400", "norm=1e155"],
 )
 def test_parse_reraises_constructor_checks(text, message):
     with pytest.raises(PolynomialFormatError, match=message):
@@ -298,3 +300,96 @@ def test_terms_property_returns_copy():
     t = f.terms
     t[(0, 2)] = 5.0
     assert f.terms == {(2, 0): 1.0}
+
+
+def _reference_bundles(f):
+    """The term-set construction the derivative plan replaced: per-polynomial
+    term lists, merged into one monomial pool per bundle."""
+    n = f.n
+
+    def bundle(term_sets):
+        index = {}
+        for exps, _ in term_sets:
+            for exp in exps:
+                index.setdefault(exp, len(index))
+        weights = np.zeros((len(index), len(term_sets)))
+        for c, (exps, coefs) in enumerate(term_sets):
+            for exp, coef in zip(exps, coefs):
+                weights[index[exp], c] += coef
+        exps = np.array(list(index), dtype=np.intp).reshape(len(index), n)
+        return exps, int(exps.max(initial=0)), weights
+
+    def differentiate(term_set, i):
+        lowered = [
+            (exp[:i] + (exp[i] - 1,) + exp[i + 1 :], coef * exp[i])
+            for exp, coef in zip(*term_set)
+            if exp[i] > 0
+        ]
+        return [e for e, _ in lowered], [c for _, c in lowered]
+
+    order = sorted(f.terms, reverse=True)
+    base = (order, [f.terms[e] for e in order])
+    partials = [differentiate(base, i) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    hessian = [differentiate(partials[i], j) for i, j in pairs]
+    return [bundle([base]), bundle(partials), bundle(hessian)], pairs
+
+
+def _assert_matches_reference(f):
+    bundles, pairs = _reference_bundles(f)
+    for got, (exps, dmax, weights) in zip(
+        (f._value_bundle, f._grad_bundle, f._hess_bundle), bundles
+    ):
+        assert got.exps.dtype == exps.dtype and got.exps.shape == exps.shape
+        assert np.array_equal(got.exps, exps)
+        assert got.dmax == dmax
+        assert got.weights.shape == weights.shape
+        assert got.weights.tobytes() == weights.tobytes()
+    assert f._hess_rows.tolist() == [i for i, _ in pairs]
+    assert f._hess_cols.tolist() == [j for _, j in pairs]
+
+
+def test_derivative_plan_matches_term_set_construction():
+    # Same monomial order and multiplication order: every weight bitwise.
+    rng = np.random.default_rng(41)
+    for n in range(1, 6):
+        for d in range(1, 7):
+            values = rng.standard_normal(basis_size(n, d)) * 10.0 ** rng.integers(-8, 9, basis_size(n, d))
+            _assert_matches_reference(HomogeneousPolynomial.from_coefficient_vector(n, d, values))
+            values[rng.random(values.size) < 0.6] = 0.0
+            _assert_matches_reference(HomogeneousPolynomial.from_coefficient_vector(n, d, values))
+
+
+def test_derivative_plan_cache_hit_and_miss_agree():
+    polyhom._derivative_plan.cache_clear()
+    values = np.random.default_rng(42).standard_normal(basis_size(3, 4))
+    miss = HomogeneousPolynomial.from_coefficient_vector(3, 4, values)
+    hit = HomogeneousPolynomial.from_coefficient_vector(3, 4, values)
+    info = polyhom._derivative_plan.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for name in ("_value_bundle", "_grad_bundle", "_hess_bundle"):
+        a, b = getattr(miss, name), getattr(hit, name)
+        assert a.exps.tobytes() == b.exps.tobytes() and a.dmax == b.dmax
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+
+def test_polynomials_of_one_support_share_no_mutable_weights():
+    f = random_polynomial(2, 5, 1)
+    g = random_polynomial(2, 5, 2)
+    for name in ("_value_bundle", "_grad_bundle", "_hess_bundle"):
+        a, b = getattr(f, name), getattr(g, name)
+        assert not np.shares_memory(a.weights, b.weights)
+        assert a.exps is b.exps and not a.exps.flags.writeable
+    assert f._exps is g._exps and not f._exps.flags.writeable
+    before = f.gradient([0.6, 0.8])
+    g._grad_bundle.weights[:] = 0.0
+    assert f.gradient([0.6, 0.8]).tobytes() == before.tobytes()
+
+
+def test_coefficient_norm_overflow_rejected():
+    # Beyond about 1.34e154 the squared norm overflows and every threshold
+    # scaled by it would be inf.
+    with pytest.raises(ValueError, match="rescale"):
+        HomogeneousPolynomial(2, 3, {(3, 0): 1e155, (0, 3): 1e155})
+    f = HomogeneousPolynomial(2, 3, {(3, 0): 1e150, (0, 3): 1e150})
+    assert math.isfinite(f.coefficient_norm)
