@@ -195,6 +195,13 @@ def _lstsq_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return steps, usable
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, the one norm kernel of the Newton loop."""
+    return np.sqrt(np.einsum("...i,...i", A, A))
+
+
+# One error state per solve: wild rows overflow, and the isfinite tests drop them.
+@np.errstate(all="ignore")
 def _newton_polish(
     f: HomogeneousPolynomial,
     X0: np.ndarray,
@@ -217,18 +224,20 @@ def _newton_polish(
     without a Newton step (a singular Jacobian, as at a degenerate critical
     point) leave the loop for the multiple-root polish and count as
     converged only if the polish brings their residual to ``accept_tol``.
+    Converged rows whose last accepted step left more than 10 % of the
+    residual (linear convergence, or no step at all) are polished too.
     Returns the final points, multipliers, and the converged mask.
     """
     n = f.n
     stop_tol = scaled_tolerance(f, 1e-13)
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
     size = Z.shape[0]
-    with np.errstate(all="ignore"):
-        F = _system_residual(f, Z[:, :n], Z[:, n])
-    Fn = np.linalg.norm(F, axis=1)
+    F = _system_residual(f, Z[:, :n], Z[:, n])
+    Fn = _row_norms(F)
     active = np.isfinite(Fn)
     done = np.zeros(size, dtype=bool)
     singular = np.zeros(size, dtype=bool)
+    linear = np.ones(size, dtype=bool)  # last accepted step kept > 10 % of the residual
     stalls = np.zeros(size, dtype=np.int64)
 
     for _ in range(MAX_ITERATIONS):
@@ -238,10 +247,9 @@ def _newton_polish(
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        with np.errstate(all="ignore"):
-            J = _system_jacobian(f, Z[rows, :n], Z[rows, n])
-            J[~np.isfinite(J)] = 0.0
-            steps, usable = _solve_steps(J, -F[rows])
+        J = _system_jacobian(f, Z[rows, :n], Z[rows, n])
+        J[~np.isfinite(J)] = 0.0
+        steps, usable = _solve_steps(J, -F[rows])
         singular[rows[~usable]] = True
         before = Fn[rows].copy()
         improved = np.zeros(rows.size, dtype=bool)
@@ -253,9 +261,8 @@ def _newton_polish(
             sub = rows[trying]
             trial = Z[sub] + np.ldexp(1.0, -np.arange(k, k + m))[:, None, None] * steps[trying]
             flat = trial.reshape(-1, n + 1)
-            with np.errstate(all="ignore"):
-                Ft = _system_residual(f, flat[:, :n], flat[:, n]).reshape(trial.shape)
-            Ftn = np.linalg.norm(Ft, axis=2)
+            Ft = _system_residual(f, flat[:, :n], flat[:, n]).reshape(trial.shape)
+            Ftn = _row_norms(Ft)
             ok = np.isfinite(Ftn) & (Ftn < Fn[sub])
             hit = ok.any(axis=0)
             first = ok.argmax(axis=0)[hit], np.flatnonzero(hit)  # longest decreasing step
@@ -273,6 +280,7 @@ def _newton_polish(
         # oversampled ones.
         moved = rows[improved]
         slow = Fn[moved] > 0.9 * before[improved]
+        linear[moved] = Fn[moved] > 0.1 * before[improved]
         stalls[moved[slow]] += 1
         stalls[moved[~slow]] = 0
         # Abandon the rows that could not decrease the residual and the
@@ -290,24 +298,23 @@ def _newton_polish(
     # step at all where the Jacobian is exactly singular.  Truncated
     # least-squares steps ignore the null directions (e.g. a whole circle of
     # critical points) and overshooting by the root multiplicity restores
-    # fast convergence; simple roots are already converged and reject the
-    # overshoot.
+    # fast convergence.  At a simple root the last Newton step cut the
+    # residual more than tenfold, so only singular rows and converged rows
+    # whose last step did not are polished.
     floor = scaled_tolerance(f, 1e-14)
-    polish = np.flatnonzero((done | singular) & (Fn > floor))
+    polish = np.flatnonzero(((done & linear) | singular) & (Fn > floor))
     for _ in range(8):
         if polish.size == 0:
             break
-        with np.errstate(all="ignore"):
-            J = _system_jacobian(f, Z[polish, :n], Z[polish, n])
-            J[~np.isfinite(J)] = 0.0
-            steps, usable = _lstsq_steps(J, -F[polish])
+        J = _system_jacobian(f, Z[polish, :n], Z[polish, n])
+        J[~np.isfinite(J)] = 0.0
+        steps, usable = _lstsq_steps(J, -F[polish])
         Z0 = Z[polish]
         moved = np.zeros(polish.size, dtype=bool)
         for factor in (1.0, 2.0, 3.0):
             trial = Z0 + factor * steps
-            with np.errstate(all="ignore"):
-                Ft = _system_residual(f, trial[:, :n], trial[:, n])
-            Ftn = np.linalg.norm(Ft, axis=1)
+            Ft = _system_residual(f, trial[:, :n], trial[:, n])
+            Ftn = _row_norms(Ft)
             better = usable & np.isfinite(Ftn) & (Ftn < Fn[polish])
             acc = polish[better]
             Z[acc] = trial[better]
@@ -360,11 +367,13 @@ def _collect_pairs(
     Xo = X[order]
     by_p, lo, hi = _projection_windows(Xo, Xo, DEFAULT_DEDUP_RADIUS)
     covered = np.zeros(order.size, dtype=bool)
-    for i in np.flatnonzero(hi - lo > 1).tolist():
-        if not covered[i]:
-            near = by_p[lo[i] : hi[i]]
-            near = near[near > i]
-            covered[near[np.linalg.norm(Xo[near] - Xo[i], axis=1) <= DEFAULT_DEDUP_RADIUS]] = True
+    pending = np.flatnonzero(hi - lo > 1)
+    while pending.size:  # visits only uncovered rows: one per tight cluster
+        i = pending[0]
+        near = by_p[lo[i] : hi[i]]
+        near = near[near > i]
+        covered[near[np.linalg.norm(Xo[near] - Xo[i], axis=1) <= DEFAULT_DEDUP_RADIUS]] = True
+        pending = pending[1:][~covered[pending[1:]]]
     kept = order[~covered]
     X, lam, res = X[kept], lam[kept], res[kept]
 

@@ -18,6 +18,7 @@ from spherecrit import (
     axis_monomial,
     random_polynomial,
     read_polynomial,
+    run_degenerate_family,
     scaled_tolerance,
     weighted_axis_quadratic,
 )
@@ -275,7 +276,9 @@ def _sequential_halving_polish(
     """Reference damped Newton that tries one step length per residual call.
 
     Same iteration, acceptance, stall and multiple-root polish rules as
-    ``critsolve._newton_polish``; only the backtracking loop differs, halving
+    ``critsolve._newton_polish``, including its polish gate (singular rows,
+    and converged rows whose last accepted step left more than 10 % of the
+    residual); only the backtracking loop differs, halving
     the step of every row still looking after each call.  ``max_slow_steps``
     is the number of consecutive slow iterations that abandons a row.
     """
@@ -288,6 +291,7 @@ def _sequential_halving_polish(
     active = np.isfinite(Fn)
     done = np.zeros(Z.shape[0], dtype=bool)
     singular = np.zeros(Z.shape[0], dtype=bool)
+    linear = np.ones(Z.shape[0], dtype=bool)
     stalls = np.zeros(Z.shape[0], dtype=np.int64)
     for _ in range(critsolve.MAX_ITERATIONS):
         finished = active & (Fn <= stop_tol)
@@ -323,6 +327,7 @@ def _sequential_halving_polish(
             t[trying] *= 0.5
         moved = rows[improved]
         slow = Fn[moved] > 0.9 * before[improved]
+        linear[moved] = Fn[moved] > 0.1 * before[improved]
         stalls[moved[slow]] += 1
         stalls[moved[~slow]] = 0
         abandon = np.concatenate([rows[~improved], moved[stalls[moved] >= max_slow_steps]])
@@ -331,7 +336,7 @@ def _sequential_halving_polish(
     done |= active & (Fn <= accept_tol)
 
     floor = scaled_tolerance(f, 1e-14)
-    polish = np.flatnonzero((done | singular) & (Fn > floor))
+    polish = np.flatnonzero(((done & linear) | singular) & (Fn > floor))
     for _ in range(8):
         if polish.size == 0:
             break
@@ -402,32 +407,60 @@ def test_collect_pairs_without_usable_rows(X):
     assert critsolve._collect_pairs(f, X, np.ones(X.shape[0]), 1e-6) == []
 
 
+def _tangent_offsets(rng, X, scales):
+    """Rows of X moved by scales (times DEFAULT_DEDUP_RADIUS) in random tangent directions."""
+    u = rng.standard_normal(X.shape)
+    u -= np.einsum("ij,ij->i", u, X)[:, None] * X
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return X + np.reshape(scales, (-1, 1)) * DEFAULT_DEDUP_RADIUS * u
+
+
+def _scattered_cloud(rng):
+    # 40 points on one hemisphere, so every antipode is new, plus exact
+    # duplicates, neighbours and chains of neighbours.
+    base = rng.standard_normal((40, 3))
+    base[:, 0] = np.abs(base[:, 0]) + 1.0
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    cloud = [base, base[:10]]
+    cloud += [_tangent_offsets(rng, base, scale) for scale in (0.9, 1.1, 1.8, 2.2)]
+    X = np.concatenate(cloud)
+    return X, 2.0 + rng.permutation(X.shape[0]) * 1e-12
+
+
+def _clustered_cloud(rng):
+    # What a real solve hands over: hundreds of converged rows on a few
+    # points, nearly all within 1e-3 radii of their point, one cluster
+    # spread over about a radius, and every row's antipode.  The antipode
+    # ranks right after its row, so the kept set is closed already.
+    centres = rng.standard_normal((5, 3))
+    centres /= np.linalg.norm(centres, axis=1)[:, None]
+    which = rng.integers(0, centres.shape[0], 300)
+    spread = np.where(which == 0, 1.0, 1e-3) * rng.random(which.size)
+    X = _tangent_offsets(rng, centres[which], spread)
+    lam = 2.0 + rng.permutation(X.shape[0]) * 2e-12
+    return np.concatenate([X, -X]), np.concatenate([lam, lam + 1e-12])
+
+
 def test_collect_pairs_dedup_matches_greedy_reference():
     # Every unit vector is critical for x.x with lam = 2; a distinct offset
-    # of lam per row orders the rows by residual and identifies each kept one.
+    # of lam per row orders the rows by residual and identifies each kept
+    # one.  ``closure`` is the ratio of returned pairs to kept rows, and
+    # ``kept_range`` bounds the kept count: most clustered rows are covered.
     f = HomogeneousPolynomial(3, 2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-    radius = DEFAULT_DEDUP_RADIUS
-    rng = np.random.default_rng(11)
-    base = rng.standard_normal((40, 3))
-    base[:, 0] = np.abs(base[:, 0]) + 1.0  # one hemisphere: every antipode is new
-    base /= np.linalg.norm(base, axis=1)[:, None]
-    cloud = [base, base[:10]]  # exact duplicates
-    for scale in (0.9, 1.1, 1.8, 2.2):  # neighbours and chains of neighbours
-        u = rng.standard_normal(base.shape)
-        u -= np.einsum("ij,ij->i", u, base)[:, None] * base
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        cloud.append(base + scale * radius * u)
-    X = np.concatenate(cloud)
-    X /= np.linalg.norm(X, axis=1)[:, None]
-    lam = 2.0 + rng.permutation(X.shape[0]) * 1e-12
-    res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
+    cases = [(_scattered_cloud, 2, (41, 209)), (_clustered_cloud, 1, (10, 30))]
+    for cloud, closure, kept_range in cases:
+        X, lam = cloud(np.random.default_rng(11))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
 
-    pairs = critsolve._collect_pairs(f, X, lam, 1e-6)
-    kept = sorted(int(np.flatnonzero(lam == p.lam)[0]) for p in pairs if p.x[0] > 0)
-    expected = _greedy_dedup_reference(X, res, radius)
-    assert kept == expected
-    assert len(pairs) == 2 * len(expected)
-    assert 40 < len(expected) < X.shape[0]
+        pairs = critsolve._collect_pairs(f, X, lam, 1e-6)
+        kept = sorted(
+            i for p in pairs for i in np.flatnonzero(lam == p.lam).tolist() if p.x @ X[i] > 0
+        )
+        expected = _greedy_dedup_reference(X, res, DEFAULT_DEDUP_RADIUS)
+        assert kept == expected, cloud.__name__
+        assert len(pairs) == closure * len(expected), cloud.__name__
+        assert kept_range[0] <= len(expected) <= kept_range[1], cloud.__name__
 
 
 @pytest.mark.parametrize(
@@ -525,6 +558,47 @@ def test_singular_row_without_svd_is_not_converged(monkeypatch):
     np.testing.assert_array_equal(X, x)
 
 
+def _record_polish_rows(monkeypatch):
+    """Residual rows handed to the multiple-root polish, one array per call."""
+    seen = []
+    lstsq = critsolve._lstsq_steps
+
+    def recording(J, rhs):
+        seen.append(-rhs)
+        return lstsq(J, rhs)
+
+    monkeypatch.setattr(critsolve, "_lstsq_steps", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_polish_skips_quadratically_converged_rows(monkeypatch, n, d):
+    # Generic forms have simple roots only.  There Newton converges
+    # quadratically, so a converged row's last step cut its residual more
+    # than tenfold and the row has no use for the polish.  Without the gate
+    # every converged row above the polish floor went there (about 30 to 50
+    # rows per solve on these forms).
+    seen = _record_polish_rows(monkeypatch)
+    for s in range(10):
+        found = find_critical_pairs(random_polynomial(n, d, 700 + s), SolverConfig(seed=s))
+        assert found.pairs
+    assert seen == []
+
+
+@pytest.mark.parametrize(
+    "n, d, pairs", [(3, 3, 730), (2, 4, 6), (3, 4, 1044)], ids=["x1^3 S^2", "x1^4 S^1", "x1^4 S^2"]
+)
+def test_polish_still_sees_multiple_roots(monkeypatch, n, d, pairs):
+    # x1^3 leaves rows with exactly singular Jacobians; Newton converges to
+    # the roots of x1^4 only linearly.  Both kinds must reach the polish,
+    # and the family check of the constructed instance must still pass.
+    seen = _record_polish_rows(monkeypatch)
+    found = find_critical_pairs(axis_monomial(n, d), SolverConfig(seed=0))
+    assert seen
+    assert len(found.pairs) == pairs
+    assert run_degenerate_family("single_monomial", n, d, seed=0).passed
+
+
 def _count_rows(monkeypatch, name):
     rows = []
     inner = getattr(critsolve, name)
@@ -541,9 +615,10 @@ def test_residual_calls_per_solve_bounded(monkeypatch):
     # Backtracking tests a block of step lengths per residual call, and
     # starts that stay slow are dropped early.  On this solve sequential
     # halving made 526 residual calls; the block ladder made 75 residual and
-    # 21 Jacobian calls with an 8-slow-step cap, and 30 and 11 with
-    # MAX_SLOW_STEPS = 2.  The counts are deterministic, so the ceilings
-    # guard the work without timing.
+    # 21 Jacobian calls with an 8-slow-step cap, 30 and 11 with
+    # MAX_SLOW_STEPS = 2, and 27 and 10 once quadratically converged rows
+    # skip the multiple-root polish.  The counts are deterministic, so the
+    # ceilings guard the work without timing.
     residual_rows = _count_rows(monkeypatch, "_system_residual")
     jacobian_rows = _count_rows(monkeypatch, "_system_jacobian")
     found = find_critical_pairs(random_polynomial(3, 4, 5), SolverConfig(seed=1))
