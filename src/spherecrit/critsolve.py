@@ -48,7 +48,11 @@ DEFAULT_TOL_CRIT = 1e-9
 DEFAULT_DEDUP_RADIUS = 1e-6
 MAX_STARTS = 20000
 MAX_ITERATIONS = 100  # Newton iterations per start
-MAX_HALVINGS = 30  # step halvings per Newton iteration
+# Step halvings per Newton iteration.  Along a Newton step s,
+# F(z + t s) ~ (1 - t) F(z) for small t, so a step of length 2^-4 or less
+# keeps at least 94 % of the residual: a slow step by the MAX_SLOW_STEPS rule.
+# A row that finds no decrease by 2^-4 is abandoned one slow iteration early.
+MAX_HALVINGS = 4
 MAX_SLOW_STEPS = 2  # consecutive slow iterations before a start is abandoned
 LSTSQ_RCOND = 1e-10  # relative singular value cutoff of the multiple-root polish
 
@@ -213,13 +217,14 @@ def _newton_polish(
 
     A row stops once its residual passes ``scaled_tolerance(f, 1e-13)``, or
     after ``MAX_ITERATIONS`` iterations.
-    Each row takes the longest step 2^-k (k = 0 .. ``MAX_HALVINGS``) that
-    strictly decreases its residual norm, as sequential halving would.  One
-    residual call tests a block of step lengths for every row still looking,
-    as many as fit in the start count, so a sparse straggler set scans many
-    lengths per call.  Rows that cannot decrease the residual at any length,
-    and rows whose residual fell by less than 10 % in each of the last
-    ``MAX_SLOW_STEPS`` iterations, are abandoned; an abandoned row still
+    Each row takes the longest step 2^-k (k = 0 .. ``MAX_HALVINGS``, so down
+    to 1/16) that strictly decreases its residual norm, as sequential
+    halving would.  One residual call tests a block of step lengths for
+    every row still looking, as many as fit in the start count, so a sparse
+    straggler set scans all lengths in one call.  Rows that cannot decrease
+    the residual at any of these lengths (a shorter step would be slow
+    anyway), and rows whose residual fell by less than 10 % in each of the
+    last ``MAX_SLOW_STEPS`` iterations, are abandoned; an abandoned row still
     counts as converged when its residual passes ``accept_tol``.  Rows
     without a Newton step (a singular Jacobian, as at a degenerate critical
     point) leave the loop for the multiple-root polish and count as
@@ -263,7 +268,7 @@ def _newton_polish(
             flat = trial.reshape(-1, n + 1)
             Ft = _system_residual(f, flat[:, :n], flat[:, n]).reshape(trial.shape)
             Ftn = _row_norms(Ft)
-            ok = np.isfinite(Ftn) & (Ftn < Fn[sub])
+            ok = Ftn < Fn[sub]  # an active row's Fn is finite; NaN never compares below it
             hit = ok.any(axis=0)
             first = ok.argmax(axis=0)[hit], np.flatnonzero(hit)  # longest decreasing step
             acc = sub[hit]

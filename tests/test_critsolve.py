@@ -249,13 +249,14 @@ def test_collect_pairs_closure_on_critical_subsphere():
     # x1^4 in four variables: the whole subsphere x1 = 0 is critical, so the
     # solver returns about as many pairs as it has starts.  The set must be
     # closed under x -> -x (lam unchanged for even d), its points must stay
-    # more than DEFAULT_DEDUP_RADIUS apart, and its size is pinned to the 1512 pairs
-    # the solver returns for this seed (1518 with an 8-slow-step cap).
+    # more than DEFAULT_DEDUP_RADIUS apart, and its size is pinned to the 1506 pairs
+    # the solver returns for this seed (1518 with an 8-slow-step cap, 1512
+    # with 30 halvings per iteration).
     f = axis_monomial(4, 4)
     found = find_critical_pairs(f, SolverConfig(seed=0))
     X = np.array([p.x for p in found.pairs])
     lam = np.array([p.lam for p in found.pairs])
-    assert len(found.pairs) == 1512
+    assert len(found.pairs) == 1506
     for i, x in enumerate(X):
         dist = np.linalg.norm(X - x, axis=1)
         dist[i] = np.inf
@@ -271,6 +272,7 @@ def _sequential_halving_polish(
     lam0,
     *,
     accept_tol,
+    max_halvings=critsolve.MAX_HALVINGS,
     max_slow_steps=critsolve.MAX_SLOW_STEPS,
 ):
     """Reference damped Newton that tries one step length per residual call.
@@ -279,8 +281,10 @@ def _sequential_halving_polish(
     ``critsolve._newton_polish``, including its polish gate (singular rows,
     and converged rows whose last accepted step left more than 10 % of the
     residual); only the backtracking loop differs, halving
-    the step of every row still looking after each call.  ``max_slow_steps``
-    is the number of consecutive slow iterations that abandons a row.
+    the step of every row still looking after each call.  ``max_halvings``
+    is the number of halvings a row tries before it is abandoned, and
+    ``max_slow_steps`` the number of consecutive slow iterations that
+    abandons a row.
     """
     n = f.n
     stop_tol = scaled_tolerance(f, 1e-13)
@@ -309,7 +313,7 @@ def _sequential_halving_polish(
         improved = np.zeros(rows.size, dtype=bool)
         t = np.ones(rows.size)
         trying = np.flatnonzero(usable)
-        for _ in range(critsolve.MAX_HALVINGS + 1):
+        for _ in range(max_halvings + 1):
             if trying.size == 0:
                 break
             sub = rows[trying]
@@ -482,15 +486,18 @@ def test_collect_pairs_sorted_by_lambda_then_x(f):
         assert keys == sorted(keys)
 
 
+@pytest.mark.slow
 def test_early_abandon_keeps_every_critical_class(monkeypatch):
-    # Starts that stay slow for MAX_SLOW_STEPS iterations are abandoned.  The
-    # critical classes must be those found when such rows may wander for
-    # eight slow iterations.
-    cases = [(n, d, 300 + 10 * n + d + k) for n, d in ((3, 3), (3, 4), (4, 3)) for k in range(8)]
+    # Starts that stay slow for MAX_SLOW_STEPS iterations, or find no
+    # decrease within MAX_HALVINGS halvings, are abandoned.  The critical
+    # classes must be those found when such rows may wander for eight slow
+    # iterations and halve their step down to 2^-30.
+    shapes = ((2, 8), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3))
+    cases = [(n, d, 300 + 10 * n + d + k) for n, d in shapes for k in range(8)]
     fast = [
         find_critical_pairs(random_polynomial(n, d, s), SolverConfig(seed=s)) for n, d, s in cases
     ]
-    reference = functools.partial(_sequential_halving_polish, max_slow_steps=8)
+    reference = functools.partial(_sequential_halving_polish, max_halvings=30, max_slow_steps=8)
     monkeypatch.setattr(critsolve, "_newton_polish", reference)
     for (n, d, s), found in zip(cases, fast):
         slow = find_critical_pairs(random_polynomial(n, d, s), SolverConfig(seed=s))
@@ -586,12 +593,14 @@ def test_polish_skips_quadratically_converged_rows(monkeypatch, n, d):
 
 
 @pytest.mark.parametrize(
-    "n, d, pairs", [(3, 3, 730), (2, 4, 6), (3, 4, 1044)], ids=["x1^3 S^2", "x1^4 S^1", "x1^4 S^2"]
+    "n, d, pairs", [(3, 3, 724), (2, 4, 6), (3, 4, 1038)], ids=["x1^3 S^2", "x1^4 S^1", "x1^4 S^2"]
 )
 def test_polish_still_sees_multiple_roots(monkeypatch, n, d, pairs):
     # x1^3 leaves rows with exactly singular Jacobians; Newton converges to
     # the roots of x1^4 only linearly.  Both kinds must reach the polish,
     # and the family check of the constructed instance must still pass.
+    # The S^2 counts sample one critical set, so they move with how many
+    # wandering starts land on it, not with the points the paper counts.
     seen = _record_polish_rows(monkeypatch)
     found = find_critical_pairs(axis_monomial(n, d), SolverConfig(seed=0))
     assert seen
@@ -611,21 +620,35 @@ def _count_rows(monkeypatch, name):
     return rows
 
 
+def _tiny_form(n, d, seed, norm):
+    """random_polynomial(n, d, seed) rescaled to coefficient norm ``norm``."""
+    base = random_polynomial(n, d, seed).coefficient_vector()
+    return HomogeneousPolynomial.from_coefficient_vector(n, d, base * (norm / np.linalg.norm(base)))
+
+
 def test_residual_calls_per_solve_bounded(monkeypatch):
     # Backtracking tests a block of step lengths per residual call, and
-    # starts that stay slow are dropped early.  On this solve sequential
-    # halving made 526 residual calls; the block ladder made 75 residual and
-    # 21 Jacobian calls with an 8-slow-step cap, 30 and 11 with
-    # MAX_SLOW_STEPS = 2, and 27 and 10 once quadratically converged rows
-    # skip the multiple-root polish.  The counts are deterministic, so the
+    # starts that stay slow are dropped early.  On the first solve
+    # sequential halving made 526 residual calls; the block ladder made 75
+    # residual and 21 Jacobian calls with an 8-slow-step cap, 30 and 11 with
+    # MAX_SLOW_STEPS = 2, 27 and 10 (12564 residual rows) once quadratically
+    # converged rows skip the multiple-root polish, and 19 and 10 (7426
+    # rows) with MAX_HALVINGS = 4.  On the tiny-norm form, like the
+    # benchmark's, capping the halvings at 4 cut 68 residual calls and
+    # 35162 rows to 18 and 6166.  The counts are deterministic, so the
     # ceilings guard the work without timing.
     residual_rows = _count_rows(monkeypatch, "_system_residual")
     jacobian_rows = _count_rows(monkeypatch, "_system_jacobian")
-    found = find_critical_pairs(random_polynomial(3, 4, 5), SolverConfig(seed=1))
-    assert found.pairs
-    assert len(residual_rows) <= 40
-    assert len(jacobian_rows) <= 14
-    assert max(residual_rows) <= found.starts_used
+    cases = [(random_polynomial(3, 4, 5), 9000), (_tiny_form(3, 4, 5, 1e-12), 7500)]
+    for f, max_rows in cases:
+        residual_rows.clear()
+        jacobian_rows.clear()
+        found = find_critical_pairs(f, SolverConfig(seed=1))
+        assert found.pairs
+        assert len(residual_rows) <= 24, f.coefficient_norm
+        assert sum(residual_rows) <= max_rows, f.coefficient_norm
+        assert len(jacobian_rows) <= 14, f.coefficient_norm
+        assert max(residual_rows) <= found.starts_used
 
 
 def _binary_product(*factors):
