@@ -29,6 +29,7 @@ from .critsolve import (
     DEFAULT_TOL_CRIT,
     CriticalPair,
     SolverConfig,
+    _PairView,
     _reject_zero,
     find_critical_pairs,
     scaled_tolerance,
@@ -80,6 +81,9 @@ class ClassifiedPoint:
 class PointAnalysis:
     """First and second order data at k unit vectors, one row per point.
 
+    ``points`` (k, n), ``lam`` = d f(x), ``gradients``, ``residuals`` and
+    ``hessians`` are row-aligned with ``verdicts``; k = 0 keeps the trailing
+    shapes.  :meth:`classified` builds the per-point objects.
     ``bases`` (k, n, n-1) holds the tangent bases B; ``eigenvalues``
     (k, n-1, ascending) and ``eigenvectors`` (k, n, n-1, unit columns in
     ambient coordinates) are the eigenpairs of B^T hess f(x) B.  ``margins``
@@ -103,23 +107,9 @@ class PointAnalysis:
 
     def classified(self) -> list[ClassifiedPoint]:
         """One :class:`ClassifiedPoint` per row."""
-        rows = zip(
-            self.points,
-            self.lam.tolist(),
-            self.residuals.tolist(),
-            self.eigenvalues,
-            self.margins.tolist(),
-            self.verdicts,
-        )
-        return [
-            ClassifiedPoint(
-                pair=CriticalPair(x=x.copy(), lam=lam, residual=res),
-                tangent_eigenvalues=w,
-                sosc_margin=margin,
-                verdict=verdict,
-            )
-            for x, lam, res, w, margin, verdict in rows
-        ]
+        pairs = _PairView(self.points, self.lam, self.residuals)
+        rows = zip(pairs, self.eigenvalues, self.margins.tolist(), self.verdicts)
+        return [ClassifiedPoint(*row) for row in rows]
 
 
 def _tangent_bases(X: np.ndarray) -> np.ndarray:
@@ -170,7 +160,7 @@ def analyze_points(f: HomogeneousPolynomial, X) -> PointAnalysis:
         else Verdict.SOSC if m > class_tol
         else Verdict.SONC_DEGENERATE if m >= -class_tol
         else Verdict.FONC_ONLY
-        for r, m in zip(residuals, margins)
+        for r, m in zip(residuals.tolist(), margins.tolist())
     ]
     return PointAnalysis(
         points=X,
@@ -198,6 +188,4 @@ def classify_all(
     f: HomogeneousPolynomial, config: SolverConfig | None = None
 ) -> list[ClassifiedPoint]:
     """Find critical pairs by multistart Newton and classify each of them."""
-    found = find_critical_pairs(f, config)
-    X = np.array([p.x for p in found.pairs]).reshape(-1, f.n)
-    return analyze_points(f, X).classified()
+    return analyze_points(f, find_critical_pairs(f, config).X).classified()

@@ -27,6 +27,7 @@ independent per-start iterations would be scheduled.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,20 +77,52 @@ class CriticalPair:
     residual: float
 
 
+@dataclass(frozen=True, eq=False)
+class _PairView(Sequence):
+    """Read-only :class:`CriticalPair` view of row-aligned arrays: its length
+    reads them, and only indexing and iteration build pairs."""
+
+    X: np.ndarray
+    lam: np.ndarray
+    residual: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lam.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(_PairView(self.X[i], self.lam[i], self.residual[i]))
+        return CriticalPair(self.X[i].copy(), float(self.lam[i]), float(self.residual[i]))
+
+    def __iter__(self):
+        rows = zip(self.X.copy(), self.lam.tolist(), self.residual.tolist())
+        return (CriticalPair(x, lam, res) for x, lam, res in rows)
+
+
 @dataclass
 class CriticalSet:
-    """Deduplicated critical pairs plus solver bookkeeping.
+    """Deduplicated critical pairs as arrays, plus solver bookkeeping.
 
+    Row i of ``X`` (k, n) is a unit vector with multiplier ``lam[i]`` and
+    FONC residual ``residual[i]`` = ||grad f(x) - lam x||.  Rows ascend by
+    (lam, x1, ..., xn), lie more than ``DEFAULT_DEDUP_RADIUS`` apart, and
+    are closed under the antipodal map; an empty set keeps ``X`` at (0, n).
+    ``pairs`` views the rows as :class:`CriticalPair` objects.
     ``all_critical`` marks the radially symmetric n = 2 special case
-    f = c (x1^2 + x2^2)^(d/2), where the whole circle is critical; ``pairs``
-    then holds the two antipodal representatives at the first axis.  The
-    pairs lie more than ``DEFAULT_DEDUP_RADIUS`` apart.
+    f = c (x1^2 + x2^2)^(d/2), where the whole circle is critical; the rows
+    then hold the two antipodal representatives at the first axis.
     """
 
-    pairs: list[CriticalPair]
+    X: np.ndarray
+    lam: np.ndarray
+    residual: np.ndarray
     starts_used: int
     converged_fraction: float
     all_critical: bool = False
+
+    @property
+    def pairs(self) -> Sequence[CriticalPair]:
+        return _PairView(self.X, self.lam, self.residual)
 
 
 @dataclass(frozen=True)
@@ -354,9 +387,10 @@ def _projection_windows(
 
 def _collect_pairs(
     f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray, tol: float
-) -> list[CriticalPair]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize, filter by residual ``tol``, dedup at ``DEFAULT_DEDUP_RADIUS``,
-    and close under the antipodal map."""
+    and close under the antipodal map.  Returns the rows of X, lam and the
+    residual in :class:`CriticalSet` order."""
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0.5
     X, lam = X[keep] / norms[keep, None], lam[keep]
@@ -399,21 +433,15 @@ def _collect_pairs(
     res = np.concatenate([res, np.linalg.norm(f.gradient_many(Xm) - lm[:, None] * Xm, axis=1)])
     # Ascending by (lam, x1, ..., xn); lexsort's last key is the primary one.
     order = np.lexsort((*X.T[::-1], lam))
-    return [
-        CriticalPair(x=X[i].copy(), lam=lam_i, residual=res_i)
-        for i, lam_i, res_i in zip(order.tolist(), lam[order].tolist(), res[order].tolist())
-    ]
+    return X[order], lam[order], res[order]
 
 
 def _solve_from(f: HomogeneousPolynomial, X0: np.ndarray) -> CriticalSet:
     """Newton-polish the unit start rows X0 and collect the converged pairs."""
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     X, lam, ok = _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
-    return CriticalSet(
-        pairs=_collect_pairs(f, X[ok], lam[ok], tol),
-        starts_used=X0.shape[0],
-        converged_fraction=float(np.mean(ok)),
-    )
+    rows = _collect_pairs(f, X[ok], lam[ok], tol)
+    return CriticalSet(*rows, starts_used=X0.shape[0], converged_fraction=float(np.mean(ok)))
 
 
 def find_critical_pairs(
@@ -511,24 +539,22 @@ def certify_against_oracle(
     found = find_critical_pairs(f, config)
     lam_tol = scaled_tolerance(f, 1e-6)
 
-    used: set[int] = set()
-    only_oracle: list[CriticalPair] = []
-    for p in oracle.pairs:
-        for i, q in enumerate(found.pairs):
-            if (
-                i not in used
-                and np.linalg.norm(p.x - q.x) <= DEFAULT_DEDUP_RADIUS
-                and abs(p.lam - q.lam) <= lam_tol
-            ):
-                used.add(i)
-                break
-        else:
-            only_oracle.append(p)
-    only_multistart = [q for i, q in enumerate(found.pairs) if i not in used]
+    # Each oracle row takes the first unused found row near it, if any.
+    near = (np.linalg.norm(oracle.X[:, None] - found.X, axis=2) <= DEFAULT_DEDUP_RADIUS) & (
+        np.abs(oracle.lam[:, None] - found.lam) <= lam_tol
+    )
+    used = np.zeros(found.lam.shape[0], dtype=bool)
+    matched = np.zeros(oracle.lam.shape[0], dtype=bool)
+    for i, row in enumerate(near):
+        first = np.flatnonzero(row & ~used)[:1]
+        used[first] = matched[i] = first.size > 0
+    found_pairs, oracle_pairs = found.pairs, oracle.pairs  # each view read once
+    only_multistart = [found_pairs[i] for i in np.flatnonzero(~used).tolist()]
+    only_oracle = [oracle_pairs[i] for i in np.flatnonzero(~matched).tolist()]
     return CertificationReport(
         certified=not only_multistart and not only_oracle,
         all_critical=False,
-        matched=len(used),
+        matched=int(np.count_nonzero(matched)),
         only_multistart=only_multistart,
         only_oracle=only_oracle,
     )

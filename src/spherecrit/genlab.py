@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import Verdict, analyze_points, classify_all
+from .classify import Verdict, analyze_points
 from .critsolve import DEFAULT_TOL_CRIT, SolverConfig, find_critical_pairs, scaled_tolerance
 from .degeneracy import (
     DEFAULT_TOL_DET,
@@ -328,7 +328,7 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
         poly_seed = config.seed * SEED_STRIDE + trial
         f = random_polynomial(config.n, config.d, poly_seed)
         solver = SolverConfig(starts=config.starts, seed=poly_seed + 1)
-        X = np.array([p.x for p in find_critical_pairs(f, solver).pairs]).reshape(-1, config.n)
+        X = find_critical_pairs(f, solver).X
         analysis = analyze_points(f, X)
         # Any real witness at x is a tangent eigenvector (up to eigenvalue
         # multiplicity), so these k * (n - 1) directions cover every candidate.
@@ -407,57 +407,40 @@ def run_witness_d2(n: int) -> SuiteReport:
         raise ValueError("need n >= 2")
     p = weighted_axis_quadratic(n)
     report = SuiteReport(name=f"witness_d2(n={n})")
-    pairs = find_critical_pairs(p).pairs
+    found = find_critical_pairs(p)
+    X = found.X
 
-    report.add(
-        "critical_count",
-        len(pairs) == 2 * n,
-        f"found {len(pairs)}, expected {2 * n}",
+    report.add("critical_count", X.shape[0] == 2 * n, f"found {X.shape[0]}, expected {2 * n}")
+
+    # Row j of `hit` marks the found pairs at the signed axis targets[j].
+    targets = np.concatenate([np.eye(n), -np.eye(n)])
+    target_lam = np.tile(np.arange(1.0, n + 1.0), 2)
+    hit = (np.linalg.norm(X - targets[:, None, :], axis=2) <= CLOSED_FORM_TOL) & (
+        np.abs(found.lam - target_lam[:, None]) <= CLOSED_FORM_TOL
     )
+    report.add("pairs_are_signed_axes", hit.any(axis=1).all(), "each +-e_k present with lambda = k")
 
-    all_axes = True
-    for k in range(n):
-        for sgn in (1.0, -1.0):
-            target = sgn * _axis(n, k)
-            hit = any(
-                np.linalg.norm(q.x - target) <= CLOSED_FORM_TOL
-                and abs(q.lam - (k + 1)) <= CLOSED_FORM_TOL
-                for q in pairs
-            )
-            all_axes = all_axes and hit
-    report.add("pairs_are_signed_axes", all_axes, "each +-e_k present with lambda = k")
-
-    verdict_ok = True
-    sosc_count = 0
-    margin_detail = []
-    analysis = analyze_points(p, np.array([q.x for q in pairs]).reshape(-1, n))
-    for q, margin, verdict in zip(pairs, analysis.margins, analysis.verdicts):
-        sosc_count += verdict is Verdict.SOSC
-        k = int(np.argmax(np.abs(q.x)))
-        expected_margin = 1.0 if k == 0 else float(1 - (k + 1))
-        margin_detail.append(f"axis {k + 1}: margin {margin:.3e}")
-        if abs(margin - expected_margin) > CLOSED_FORM_TOL:
-            verdict_ok = False
-        expected_verdict = Verdict.SOSC if k == 0 else Verdict.FONC_ONLY
-        if verdict is not expected_verdict:
-            verdict_ok = False
+    analysis = analyze_points(p, X)
+    axes = np.argmax(np.abs(X), axis=1)
+    # Closed-form margins: 1 at +-e1, 1 - (k + 1) = -k at the other axes.
+    margins_off = np.abs(analysis.margins - np.where(axes == 0, 1.0, -axes)) > CLOSED_FORM_TOL
+    expected = [Verdict.SOSC if k == 0 else Verdict.FONC_ONLY for k in axes.tolist()]
+    margins = zip(axes.tolist(), analysis.margins.tolist())
     report.add(
         "sosc_only_at_first_axis",
-        verdict_ok and sosc_count == 2,
-        "; ".join(margin_detail),
+        not margins_off.any()
+        and analysis.verdicts == expected
+        and analysis.verdicts.count(Verdict.SOSC) == 2,
+        "; ".join(f"axis {k + 1}: margin {m:.3e}" for k, m in margins),
     )
 
-    det_ok = True
-    det_detail = []
     dets = bordered_determinants(p, np.eye(n), np.arange(1.0, n + 1.0))
-    for k, det in enumerate(dets):
-        expected = -float(np.prod([j - (k + 1) for j in range(1, n + 1) if j != k + 1]))
-        det_detail.append(f"axis {k + 1}: det {det:.6g}")
-        if abs(det - expected) > CLOSED_FORM_TOL * max(1.0, abs(expected)):
-            det_ok = False
-        if abs(det) <= scaled_tolerance(p, DEFAULT_TOL_DET):
-            det_ok = False
-    report.add("bordered_determinant_nonzero", det_ok, "; ".join(det_detail))
+    gaps = np.arange(n) - np.arange(n)[:, None] + np.eye(n)  # j - k in row k, 1 at j = k
+    closed_form = -gaps.prod(axis=1)
+    det_off = np.abs(dets - closed_form) > CLOSED_FORM_TOL * np.maximum(1.0, np.abs(closed_form))
+    det_off |= np.abs(dets) <= scaled_tolerance(p, DEFAULT_TOL_DET)
+    det_detail = "; ".join(f"axis {k + 1}: det {det:.6g}" for k, det in enumerate(dets.tolist()))
+    report.add("bordered_determinant_nonzero", not det_off.any(), det_detail)
 
     no_witness = {Verdict.SONC_DEGENERATE, Verdict.NOT_CRITICAL}.isdisjoint(analysis.verdicts)
     report.add("no_degeneracy_witness", no_witness, "detector returned None everywhere")
@@ -539,7 +522,7 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         A = np.diag(diag)
         f = quadratic_form_polynomial(A)
         anchor = _axis(n, 0)
-        locus = lambda x: float(np.linalg.norm(x[2:])) if n > 2 else 0.0
+        locus = lambda X: np.linalg.norm(X[:, 2:], axis=1)
     elif kind == "single_monomial":
         if d < 3:
             raise ValueError("single_monomial requires d >= 3")
@@ -547,21 +530,21 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
             raise ValueError("need n >= 2")
         f = axis_monomial(n, d)
         anchor = _axis(n, 1)
-        locus = lambda x: float(abs(x[0]))
+        locus = lambda X: np.abs(X[:, 0])
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    points = classify_all(f, SolverConfig(seed=seed))
-    degenerate = [pt for pt in points if pt.verdict is Verdict.SONC_DEGENERATE]
+    analysis = analyze_points(f, find_critical_pairs(f, SolverConfig(seed=seed)).X)
+    flagged = np.array([v is Verdict.SONC_DEGENERATE for v in analysis.verdicts], dtype=bool)
+    degenerate = int(np.count_nonzero(flagged))
     report.add(
         "pipeline_flags_degenerate",
-        len(degenerate) >= 1,
-        f"{len(degenerate)} SONC_DEGENERATE of {len(points)} critical points",
+        degenerate >= 1,
+        f"{degenerate} SONC_DEGENERATE of {flagged.size} critical points",
     )
-    on_locus = all(locus(pt.pair.x) <= LOCUS_TOL for pt in degenerate)
     report.add(
         "degenerate_points_on_expected_locus",
-        bool(degenerate) and on_locus,
+        degenerate > 0 and np.all(locus(analysis.points[flagged]) <= LOCUS_TOL),
         "all flagged points lie on the known degenerate set",
     )
 
@@ -619,8 +602,8 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
 
 def _pipeline_quadratic_degenerate(A: np.ndarray, seed: int) -> bool:
     f = quadratic_form_polynomial(A)
-    points = classify_all(f, SolverConfig(seed=seed))
-    return any(pt.verdict is Verdict.SONC_DEGENERATE for pt in points)
+    found = find_critical_pairs(f, SolverConfig(seed=seed))
+    return Verdict.SONC_DEGENERATE in analyze_points(f, found.X).verdicts
 
 
 def check_planted_quadratic(

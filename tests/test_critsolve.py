@@ -12,7 +12,9 @@ from spherecrit import (
     HomogeneousPolynomial,
     SolverConfig,
     ZeroPolynomialError,
+    analyze_points,
     certify_against_oracle,
+    classify_all,
     enumerate_critical_pairs_n2,
     find_critical_pairs,
     axis_monomial,
@@ -203,6 +205,43 @@ def test_deterministic_given_seed():
     for p, q in zip(a.pairs, b.pairs):
         assert np.array_equal(p.x, q.x)
         assert p.lam == q.lam
+
+
+@pytest.mark.parametrize(
+    "f",
+    [random_polynomial(3, 3, 77), axis_monomial(3, 3), HomogeneousPolynomial(1, 3, {(3,): 2.0})],
+    ids=["random(3,3)", "axis_monomial(3,3)", "n1"],
+)
+def test_pairs_view_matches_arrays_bitwise(f):
+    # The pairs view is built from X, lam and residual when read, row for row.
+    found = find_critical_pairs(f, SolverConfig(seed=5))
+    pairs = found.pairs
+    k = found.lam.shape[0]
+    assert k > 0 and len(pairs) == k
+    assert found.X.shape == (k, f.n) and found.residual.shape == (k,)
+    for i, p in enumerate(pairs):
+        assert p.x.tobytes() == found.X[i].tobytes()
+        assert type(p.lam) is float and p.lam == found.lam[i]
+        assert type(p.residual) is float and p.residual == found.residual[i]
+    assert [p.lam for p in pairs[1::2]] == found.lam[1::2].tolist()
+    assert pairs[-1].x.tobytes() == found.X[-1].tobytes()
+    pairs[0].x[:] = np.nan  # a pair's x is a copy: the set cannot be edited through it
+    assert np.isfinite(found.X).all()
+
+
+def test_empty_critical_set_keeps_its_shape():
+    # At coefficient norm 1e-4 the absolute tolerances reject every start
+    # (ROADMAP item 2), so the set is empty; its arrays keep (0, n) through
+    # the analysis and the classified list.
+    base = random_polynomial(3, 4, 0).coefficient_vector()
+    f = HomogeneousPolynomial.from_coefficient_vector(3, 4, base * (1e-4 / np.linalg.norm(base)))
+    found = find_critical_pairs(f)
+    assert found.X.shape == (0, 3) and found.lam.shape == found.residual.shape == (0,)
+    assert len(found.pairs) == 0 and list(found.pairs) == []
+    analysis = analyze_points(f, found.X)
+    assert analysis.points.shape == (0, 3) and analysis.eigenvalues.shape == (0, 2)
+    assert analysis.verdicts == []
+    assert classify_all(f) == []
 
 
 def test_starts_default_and_override():
@@ -406,9 +445,11 @@ def _greedy_dedup_reference(X, res, dedup_radius):
 
 @pytest.mark.parametrize("X", [np.zeros((0, 3)), np.full((4, 3), 0.25)], ids=["empty", "short"])
 def test_collect_pairs_without_usable_rows(X):
-    # No rows, or rows too short to normalize: nothing survives.
+    # No rows, or rows too short to normalize: nothing survives, and the
+    # empty arrays keep their row shapes.
     f = random_polynomial(3, 3, 4)
-    assert critsolve._collect_pairs(f, X, np.ones(X.shape[0]), 1e-6) == []
+    X, lam, res = critsolve._collect_pairs(f, X, np.ones(X.shape[0]), 1e-6)
+    assert X.shape == (0, 3) and lam.shape == (0,) and res.shape == (0,)
 
 
 def _tangent_offsets(rng, X, scales):
@@ -457,13 +498,16 @@ def test_collect_pairs_dedup_matches_greedy_reference():
         X /= np.linalg.norm(X, axis=1)[:, None]
         res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
 
-        pairs = critsolve._collect_pairs(f, X, lam, 1e-6)
-        kept = sorted(
-            i for p in pairs for i in np.flatnonzero(lam == p.lam).tolist() if p.x @ X[i] > 0
-        )
+        X_out, lam_out, _ = critsolve._collect_pairs(f, X, lam, 1e-6)
+        # Input row i is kept when the output holds its (x, lam) bitwise, x
+        # normalized as _collect_pairs does; an added antipode keeps its
+        # source's lam but not its x, so it matches no input row.
+        Xn = X / np.linalg.norm(X, axis=1)[:, None]
+        same = (X_out[:, None, :] == Xn).all(axis=2) & (lam_out[:, None] == lam)
+        kept = np.flatnonzero(same.any(axis=0)).tolist()
         expected = _greedy_dedup_reference(X, res, DEFAULT_DEDUP_RADIUS)
         assert kept == expected, cloud.__name__
-        assert len(pairs) == closure * len(expected), cloud.__name__
+        assert lam_out.shape[0] == closure * len(expected), cloud.__name__
         assert kept_range[0] <= len(expected) <= kept_range[1], cloud.__name__
 
 
@@ -475,14 +519,13 @@ def test_collect_pairs_dedup_matches_greedy_reference():
 def test_collect_pairs_sorted_by_lambda_then_x(f):
     # Ascending (lam, x1, ..., xn) whatever the input order; ties in lam
     # (the +-e_k pairs, the critical subsphere) are broken by x.
-    pairs = find_critical_pairs(f, SolverConfig(seed=1)).pairs
-    X = np.array([p.x for p in pairs])
-    lam = np.array([p.lam for p in pairs])
-    order = np.random.default_rng(5).permutation(len(pairs))
-    again = critsolve._collect_pairs(f, X[order], lam[order], scaled_tolerance(f, DEFAULT_TOL_CRIT))
-    assert len(again) == len(pairs)
-    for found in (pairs, again):
-        keys = [(p.lam, tuple(p.x)) for p in found]
+    found = find_critical_pairs(f, SolverConfig(seed=1))
+    order = np.random.default_rng(5).permutation(found.lam.shape[0])
+    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
+    again = critsolve._collect_pairs(f, found.X[order], found.lam[order], tol)
+    assert again[1].shape == found.lam.shape
+    for X, lam in ((found.X, found.lam), again[:2]):
+        keys = [(lam_i, tuple(x)) for x, lam_i in zip(X.tolist(), lam.tolist())]
         assert keys == sorted(keys)
 
 

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from spherecrit import (
+    ClassifiedPoint,
+    CriticalPair,
     ExperimentConfig,
     axis_monomial,
+    classify_all,
     check_planted_quadratic,
     enumerate_power_critical_points,
     geometric_power_polynomial,
@@ -255,6 +258,34 @@ def test_random_genericity_at_n1_has_no_rank_hits(tmp_path):
     for record in report.records:
         assert record.critical_count == 2
         assert record.rank_witness_hits == 0
+
+
+def _count_constructions(monkeypatch, cls) -> list:
+    """Record one entry per construction of ``cls`` while the test runs."""
+    built = []
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
+def test_suites_build_no_per_point_objects(monkeypatch, tmp_path):
+    # Between the solver and the suites critical sets stay arrays; only
+    # classify_all builds one ClassifiedPoint (and its pair) per point.
+    pairs = _count_constructions(monkeypatch, CriticalPair)
+    points = _count_constructions(monkeypatch, ClassifiedPoint)
+    assert run_degenerate_family("single_monomial", 3, 4).passed
+    config = ExperimentConfig(n=3, d=3, trials=2, seed=4, dump_dir=str(tmp_path))
+    assert run_random_genericity(config).total_degenerate == 0
+    assert run_witness_d2(3).passed
+    assert pairs == [] and points == []
+    classified = classify_all(axis_monomial(3, 3))
+    assert len(classified) > 100
+    assert len(points) == len(pairs) == len(classified)
 
 
 def test_experiment_config_validation():
