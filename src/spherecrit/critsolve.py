@@ -11,11 +11,14 @@ Two finders are provided:
 
 * :func:`enumerate_critical_pairs_n2` is exact for n = 2: critical
   directions are the real projective roots of the degree-d binary form
-  g = x2 * df/dx1 - x1 * df/dx2, found by companion-matrix root-finding of
-  the dehomogenization g(t, 1).  The x2 = 0 direction is a candidate only
-  when g's x1^d coefficient vanishes (a root at infinity, read off deg
-  g(t, 1) < d).  Only these root candidates are Newton-polished, so the
-  returned set is the real critical set up to root-finding tolerance.
+  g = x2 * df/dx1 - x1 * df/dx2.  g is built over the integers from the
+  exact coefficients of f, so three decisions take no tolerance: f is
+  radial exactly when g = 0, the x2 = 0 direction is a root exactly when
+  g's x1^d coefficient is zero (a root at infinity), and repeated roots
+  are divided out through the primitive-PRS gcd(g, g').  The companion
+  matrix of the square-free part of g(t, 1) gives the other candidates;
+  only these are Newton-polished, so the returned set is the real
+  critical set up to root-finding tolerance.
 
 :func:`certify_against_oracle` cross-checks the two finders on the same
 input, which is how multistart coverage is validated at n = 2.
@@ -27,6 +30,7 @@ independent per-start iterations would be scheduled.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -257,13 +261,13 @@ def _newton_polish(
     straggler set scans all lengths in one call.  Rows that cannot decrease
     the residual at any of these lengths (a shorter step would be slow
     anyway), and rows whose residual fell by less than 10 % in each of the
-    last ``MAX_SLOW_STEPS`` iterations, are abandoned; an abandoned row still
-    counts as converged when its residual passes ``accept_tol``.  Rows
-    without a Newton step (a singular Jacobian, as at a degenerate critical
-    point) leave the loop for the multiple-root polish and count as
-    converged only if the polish brings their residual to ``accept_tol``.
-    Converged rows whose last accepted step left more than 10 % of the
-    residual (linear convergence, or no step at all) are polished too.
+    last ``MAX_SLOW_STEPS`` iterations, are abandoned.  Rows without a
+    Newton step (a singular Jacobian, as at a degenerate critical point)
+    leave the loop for the multiple-root polish, as do converged rows whose
+    last accepted step left more than 10 % of the residual (linear
+    convergence, or no step at all).  A row is converged exactly when its
+    final residual is at most ``accept_tol``: no row's residual ever rises,
+    and the stop tolerance lies below ``accept_tol``.
     Returns the final points, multipliers, and the converged mask.
     """
     n = f.n
@@ -273,15 +277,12 @@ def _newton_polish(
     F = _system_residual(f, Z[:, :n], Z[:, n])
     Fn = _row_norms(F)
     active = np.isfinite(Fn)
-    done = np.zeros(size, dtype=bool)
     singular = np.zeros(size, dtype=bool)
     linear = np.ones(size, dtype=bool)  # last accepted step kept > 10 % of the residual
     stalls = np.zeros(size, dtype=np.int64)
 
     for _ in range(MAX_ITERATIONS):
-        finished = active & (Fn <= stop_tol)
-        done |= finished
-        active &= ~finished
+        active &= ~(Fn <= stop_tol)
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
@@ -322,12 +323,8 @@ def _newton_polish(
         stalls[moved[slow]] += 1
         stalls[moved[~slow]] = 0
         # Abandon the rows that could not decrease the residual and the
-        # hopeless stallers; keep those whose residual already passes.
-        abandon = np.concatenate([rows[~improved], moved[stalls[moved] >= MAX_SLOW_STEPS]])
-        done[abandon[Fn[abandon] <= accept_tol]] = True
-        active[abandon] = False
-
-    done |= active & (Fn <= accept_tol)
+        # hopeless stallers.
+        active[np.concatenate([rows[~improved], moved[stalls[moved] >= MAX_SLOW_STEPS]])] = False
 
     # Multiple-root polish.  Plain Newton converges only linearly to roots
     # with a singular Jacobian (critical points that are themselves
@@ -340,7 +337,7 @@ def _newton_polish(
     # residual more than tenfold, so only singular rows and converged rows
     # whose last step did not are polished.
     floor = scaled_tolerance(f, 1e-14)
-    polish = np.flatnonzero(((done & linear) | singular) & (Fn > floor))
+    polish = np.flatnonzero((((Fn <= accept_tol) & linear) | singular) & (Fn > floor))
     for _ in range(8):
         if polish.size == 0:
             break
@@ -360,9 +357,8 @@ def _newton_polish(
             Fn[acc] = Ftn[better]
             moved |= better
         polish = polish[moved & (Fn[polish] > floor)]
-    done |= singular & (Fn <= accept_tol)
 
-    return Z[:, :n], Z[:, n], done
+    return Z[:, :n], Z[:, n], Fn <= accept_tol
 
 
 def _projection_windows(
@@ -469,8 +465,16 @@ def find_critical_pairs(
     return _solve_from(f, X0)
 
 
+# ---------------------------------------------------------------------------
+# Binary forms over the integers, shared with the oracle of degeneracy.  A
+# form of degree k is a list of k + 1 coefficients, index i that of
+# x1^i x2^(k-i); read in t = x1 it is the dehomogenization at x2 = 1, which
+# the primitive remainder sequence runs on.
+# ---------------------------------------------------------------------------
+
+
 def _partials(a: list) -> tuple[list, list]:
-    """d/dx1 and d/dx2 of a binary form given by its coefficient list."""
+    """d/dx1 and d/dx2 of a binary form; the first is also d/dt of its dehomogenization."""
     k = len(a) - 1
     return [(i + 1) * a[i + 1] for i in range(k)], [(k - i) * a[i] for i in range(k)]
 
@@ -488,39 +492,79 @@ def _binary_form(a: list) -> tuple[list, list, list]:
     return [u - v for u, v in zip(f1 + [0], [0] + f2)], f1, f2
 
 
+def _strip(p: list[int]) -> list[int]:
+    k = len(p)
+    while k and p[k - 1] == 0:
+        k -= 1
+    return p[:k]
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p (stripped, nonzero) over its content, leading coefficient positive."""
+    c = math.gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return [a // c for a in p]
+
+
+def _prem(u: list[int], v: list[int]) -> list[int]:
+    """Primitive part of the pseudo-remainder of u by v, [] when it is zero.
+
+    Each step replaces u by lead(v) u - top(u) t^shift v, which cancels the
+    top coefficient, so the remainder is u mod v over the rationals times a
+    nonzero integer, which the primitive part drops.
+    """
+    lead = v[-1]
+    shift = len(u) - len(v)
+    while u and shift >= 0:
+        top = u[-1]
+        u = [lead * c for c in u[:-1]]
+        for i, c in enumerate(v[:-1]):
+            u[shift + i] -= top * c
+        u = _strip(u)
+        shift = len(u) - len(v)
+    return _primitive(u) if u else []
+
+
+def _prs_gcd(u: list[int], v: list[int]) -> list[int]:
+    """Primitive GCD of the primitive polynomials u and v ([] is zero)."""
+    while v:
+        u, v = v, _prem(u, v)
+    return u
+
+
+def _integer_coefficients(f: HomogeneousPolynomial) -> list[int]:
+    """Coefficients of the binary form f, index i that of x1^i x2^(d-i),
+    times their common power-of-two denominator: exact integers."""
+    ratios = [c.as_integer_ratio() for c in f.coefficient_vector()[::-1].tolist()]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios]
+
+
 def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
     """Exact enumeration of the critical set for n = 2 via binary-form roots."""
     _reject_zero(f)
     if f.n != 2:
         raise ValueError(f"exact enumeration needs n = 2, got n = {f.n}")
-    d = f.d
-    g = np.array(_binary_form(f.coefficient_vector()[::-1].tolist())[0])
-    # Radial case: the gradient is parallel to x everywhere, so the whole
-    # circle is critical and e1, the one candidate kept, represents it.
-    radial = bool(np.max(np.abs(g)) <= scaled_tolerance(f, 1e-10) * (d + 1))
-
-    # Only roots of g are seeded.  The x2 = 0 direction (e1) is a root iff
-    # the x1^d coefficient of g vanishes, which the leading-coefficient
-    # strip reads off as a root at infinity (k >= 1); the residual filter
-    # re-checks it.  In the radial case e1 is the one representative.
-    candidates = []
-    if radial:
-        candidates.append(np.array([1.0, 0.0]))
-    else:
-        coeffs = g[::-1]
-        lead_tol = 1e-12 * np.max(np.abs(g))
-        k = 0
-        while k < d and abs(coeffs[k]) <= lead_tol:
-            k += 1
-        if k >= 1:
-            candidates.append(np.array([1.0, 0.0]))
-        for z in np.roots(coeffs[k:]):
+    # g from the integer coefficients of f, so each test on it is exact.
+    # Only roots of g are seeded: e1 when g's x1^d coefficient is zero (a
+    # root at infinity), and when g = 0 (radial f), where the whole circle
+    # is critical and e1, the one candidate kept, represents it.
+    g = _strip(_binary_form(_integer_coefficients(f))[0])
+    candidates = [np.array([1.0, 0.0])] if len(g) <= f.d else []
+    if len(g) > 1:  # g(t, 1) has finite roots
+        top = max(map(abs, g))  # int / int rounds correctly and cannot overflow here
+        p = np.array([c / top for c in reversed(g)])
+        h = _prs_gcd(_primitive(g), _primitive(_partials(g)[0]))
+        if len(h) > 1:  # g has a repeated root: keep its square-free part
+            p = np.polydiv(p, [c / h[-1] for c in reversed(h)])[0]
+        for z in np.roots(p):
             if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
                 u = np.array([float(z.real), 1.0])
                 candidates.append(u / np.linalg.norm(u))
     U = np.array(candidates)
     found = _solve_from(f, np.vstack([U, -U]))
-    found.all_critical = radial
+    found.all_critical = not g
     return found
 
 

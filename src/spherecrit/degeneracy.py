@@ -35,7 +35,9 @@ kept deliberately separate:
    integers: every float coefficient is m 2^e, so scaling f by the common
    power-of-two denominator of its coefficients gives integer minors, and a
    primitive polynomial remainder sequence (pseudo-remainders with the
-   content divided out) computes the GCD of their dehomogenizations.  With
+   content divided out) computes the GCD of their dehomogenizations.  These
+   integer binary-form helpers live in :mod:`spherecrit.critsolve`, whose
+   n = 2 enumeration builds the same g from them.  With
    a common-root check in the x2 = 0 direction this is a tolerance-free
    membership test for the complex degeneracy locus.  A real degenerate
    point forces membership; the converse can fail (complex-only witnesses),
@@ -49,13 +51,13 @@ simple.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import PointAnalysis, Verdict, analyze_points
-from .critsolve import _binary_form, _bordered, _partials, _reject_zero
+from .critsolve import _binary_form, _bordered, _integer_coefficients, _partials
+from .critsolve import _primitive, _prs_gcd, _reject_zero, _strip
 from .polyhom import HomogeneousPolynomial
 
 __all__ = [
@@ -264,62 +266,9 @@ def witness_to_dict(f: HomogeneousPolynomial, witness: DegeneracyWitness) -> dic
 
 
 # ---------------------------------------------------------------------------
-# Exact n = 2 oracle: binary-form minors over the integers and their GCD.
-#
-# Binary forms of degree k are coefficient lists of length k + 1 over the
-# integers, index i holding the coefficient of x1^i x2^(k-i).  The same list
-# read as a univariate polynomial in t = x1 is the dehomogenization at
-# x2 = 1, which is what the primitive remainder sequence runs on.
+# Exact n = 2 oracle: binary-form minors over the integers and their GCD,
+# on the integer binary-form helpers of :mod:`spherecrit.critsolve`.
 # ---------------------------------------------------------------------------
-
-
-def _strip(p: list[int]) -> list[int]:
-    k = len(p)
-    while k and p[k - 1] == 0:
-        k -= 1
-    return p[:k]
-
-
-def _primitive(p: list[int]) -> list[int]:
-    """p (stripped, nonzero) over its content, leading coefficient positive."""
-    c = math.gcd(*p)
-    if p[-1] < 0:
-        c = -c
-    return [a // c for a in p]
-
-
-def _prem(u: list[int], v: list[int]) -> list[int]:
-    """Primitive part of the pseudo-remainder of u by v, [] when it is zero.
-
-    Each step replaces u by lead(v) u - top(u) t^shift v, which cancels the
-    top coefficient, so the remainder is u mod v over the rationals times a
-    nonzero integer, which the primitive part drops.
-    """
-    lead = v[-1]
-    shift = len(u) - len(v)
-    while u and shift >= 0:
-        top = u[-1]
-        u = [lead * c for c in u[:-1]]
-        for i, c in enumerate(v[:-1]):
-            u[shift + i] -= top * c
-        u = _strip(u)
-        shift = len(u) - len(v)
-    return _primitive(u) if u else []
-
-
-def _prs_gcd(u: list[int], v: list[int]) -> list[int]:
-    """Primitive GCD of the primitive polynomials u and v ([] is zero)."""
-    while v:
-        u, v = v, _prem(u, v)
-    return u
-
-
-def _integer_coefficients(f: HomogeneousPolynomial) -> list[int]:
-    """Coefficients of the binary form f, index i that of x1^i x2^(d-i),
-    times their common power-of-two denominator: exact integers."""
-    ratios = [c.as_integer_ratio() for c in f.coefficient_vector()[::-1].tolist()]
-    scale = max(den for _, den in ratios)
-    return [num * (scale // den) for num, den in ratios]
 
 
 def _witness_minor_forms(f: HomogeneousPolynomial) -> list[list[int]]:

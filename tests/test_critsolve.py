@@ -16,6 +16,7 @@ from spherecrit import (
     certify_against_oracle,
     classify_all,
     enumerate_critical_pairs_n2,
+    exact_oracle_n2,
     find_critical_pairs,
     axis_monomial,
     random_polynomial,
@@ -154,7 +155,9 @@ def test_enumeration_requires_n2(diag123):
 
 def test_direction_count_bounded_by_degree():
     # At most d projective critical directions (roots of a degree-d binary
-    # form), i.e. at most 2d points, unless the radial case triggers.
+    # form), i.e. at most 2d points, unless the radial case triggers.  The
+    # complex roots of a generic g come in conjugate pairs, so the number of
+    # real directions has the parity of d.
     rng = np.random.default_rng(31)
     for d in (2, 3, 4, 5):
         for _ in range(5):
@@ -162,6 +165,27 @@ def test_direction_count_bounded_by_degree():
             found = enumerate_critical_pairs_n2(f)
             assert not found.all_critical
             assert len(found.pairs) <= 2 * d
+            assert (len(found.pairs) // 2) % 2 == d % 2
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        HomogeneousPolynomial(2, 2, {(2, 0): 1 / 7, (0, 2): 1 / 7}),
+        HomogeneousPolynomial(2, 4, {(4, 0): 0.1, (2, 2): 0.2, (0, 4): 0.1}),
+        HomogeneousPolynomial(2, 4, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0}),
+        # fl(1/3) (x1^2 + x2^2)^3: 3 fl(1/3) rounds to 1, so f is radial only
+        # up to rounding and its g is not zero.
+        HomogeneousPolynomial(2, 6, {(6, 0): 1 / 3, (4, 2): 1.0, (2, 4): 1.0, (0, 6): 1 / 3}),
+        *(random_polynomial(2, d, 900 + d) for d in (2, 3, 4, 5, 8)),
+    ],
+    ids=["(x1^2+x2^2)/7", "0.1(x1^2+x2^2)^2", "(x1^2+x2^2)^2", "fl(1/3)(x1^2+x2^2)^3"]
+    + [f"random_d{d}" for d in (2, 3, 4, 5, 8)],
+)
+def test_enumeration_radial_exactly_when_oracle_minors_vanish(f):
+    # All four witness minors vanish exactly when g = 0, which is the
+    # enumeration's radial test.
+    assert enumerate_critical_pairs_n2(f).all_critical == exact_oracle_n2(f).minors_all_zero
 
 
 def test_certification_on_cubic(cubic_sum):
@@ -753,12 +777,21 @@ def test_enumeration_seeds_e1_at_root_at_infinity(monkeypatch, f):
 
 
 @pytest.mark.parametrize(
-    "factors, points",
-    [(((1, 2, 6), (1, 1, 2)), 8), (((1, -1, 4), (2, 1, 1)), 6)],
-    ids=["(x1+2x2)^6(x1+x2)^2", "(x1-x2)^4(2x1+x2)"],
+    "factors, points, roots",
+    [
+        (((1, 2, 6), (1, 1, 2)), 8, (-2, -1)),
+        (((1, -1, 4), (2, 1, 1)), 6, (1,)),
+        (((1, 0, 3), (1, 1, 3)), 8, (-1,)),
+    ],
+    ids=["(x1+2x2)^6(x1+x2)^2", "(x1-x2)^4(2x1+x2)", "x1^3(x1+x2)^3"],
 )
-def test_enumeration_repeated_root_products(factors, points):
-    # Four and three critical directions.  Seeding e1 as well added a second
-    # polished copy of the multiple root (10 and 8 points).
+def test_enumeration_repeated_root_products(factors, points, roots):
+    # Four, three and four critical directions.  Each multiple root t of f
+    # is a multiple root of g, whose companion roots scatter (or turn
+    # complex) unless g's square-free part is taken; then it is found to
+    # the last bits, and once.
     found = enumerate_critical_pairs_n2(_binary_product(*factors))
     assert len(found.pairs) == points
+    for t in roots:
+        u = np.array([t, 1.0]) / math.hypot(t, 1.0)
+        assert np.min(np.linalg.norm(found.X - u, axis=1)) <= 1e-12

@@ -31,11 +31,10 @@ from spherecrit import (
     weighted_axis_quadratic,
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
-from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form, _bordered
+from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form, _bordered, _strip
 from spherecrit.degeneracy import (
     DEFAULT_TOL_DET,
     OracleResult,
-    _strip,
     _witness_minor_forms,
 )
 from conftest import unit
