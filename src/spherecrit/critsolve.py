@@ -110,7 +110,8 @@ class CriticalSet:
     Row i of ``X`` (k, n) is a unit vector with multiplier ``lam[i]`` and
     FONC residual ``residual[i]`` = ||grad f(x) - lam x||.  Rows ascend by
     (lam, x1, ..., xn), lie more than ``DEFAULT_DEDUP_RADIUS`` apart, and
-    are closed under the antipodal map; an empty set keeps ``X`` at (0, n).
+    come in exact antipodal pairs: with row (x, lam, r) the set holds
+    (-x, (-1)^d lam, r) bitwise.  An empty set keeps ``X`` at (0, n).
     ``pairs`` views the rows as :class:`CriticalPair` objects.
     ``all_critical`` marks the radially symmetric n = 2 special case
     f = c (x1^2 + x2^2)^(d/2), where the whole circle is critical; the rows
@@ -361,32 +362,30 @@ def _newton_polish(
     return Z[:, :n], Z[:, n], Fn <= accept_tol
 
 
-def _projection_windows(
-    X: np.ndarray, centres: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate rows of X within ``radius`` of each centre, by projection.
+def _projection_windows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate rows of X within ``DEFAULT_DEDUP_RADIUS`` of each row, by projection.
 
-    |u.(a - b)| <= |a - b| for a unit vector u, so every such row of centre
-    c sits at positions lo[c] .. hi[c] - 1 of the returned order of X's
-    projections, which lie within ``radius`` (plus rounding slack) of u.c.
+    |u.(a - b)| <= |a - b| for a unit vector u, so every row that near row i
+    sits at positions lo[i] .. hi[i] - 1 of the returned order of X's
+    projections, which lie within the radius (plus rounding slack) of u.X[i].
     u has nonzero entries, distinct in absolute value: it is the normal of
     no subsphere x_i = 0 or x_i = +-x_j, where constructed critical sets lie.
     """
     u = np.cos(np.arange(1.0, X.shape[1] + 1.0))
     u /= np.linalg.norm(u)
-    p = X @ u
-    order = np.argsort(p, kind="stable")
-    p, c = p[order], centres @ u
-    width = radius + 1e-12
+    c = X @ u
+    order = np.argsort(c, kind="stable")
+    p = c[order]
+    width = DEFAULT_DEDUP_RADIUS + 1e-12
     return order, np.searchsorted(p, c - width, "left"), np.searchsorted(p, c + width, "right")
 
 
 def _collect_pairs(
     f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize, filter by residual ``tol``, dedup at ``DEFAULT_DEDUP_RADIUS``,
-    and close under the antipodal map.  Returns the rows of X, lam and the
-    residual in :class:`CriticalSet` order."""
+    """Normalize, filter by residual ``tol``, mirror, and dedup at
+    ``DEFAULT_DEDUP_RADIUS``.  Returns the rows of X, lam and the residual
+    in :class:`CriticalSet` order, closed under the antipodal map exactly."""
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0.5
     X, lam = X[keep] / norms[keep, None], lam[keep]
@@ -394,13 +393,21 @@ def _collect_pairs(
     keep = res <= tol
     X, lam, res = X[keep], lam[keep], res[keep]
 
+    # x critical implies -x critical with lam * (-1)^d and the same residual,
+    # so each row is followed by its mirror and the dedup runs once on both.
+    X = np.stack([X, -X], axis=1).reshape(-1, f.n)
+    lam = np.stack([lam, (-1.0) ** f.d * lam], axis=1).reshape(-1)
+    res = np.repeat(res, 2)
+
     # Greedy dedup, tightest residual first: a row is kept unless an earlier
     # kept row lies within DEFAULT_DEDUP_RADIUS, so each kept row covers its
     # later neighbours in one vector test over its window.  A row alone in
-    # its window has no neighbour: it is kept and covers nothing.
+    # its window has no neighbour: it is kept and covers nothing.  A row and
+    # its mirror are adjacent in the stable order, and -y covers -x exactly
+    # when y covers x (negation is exact), so both are kept or both covered.
     order = np.argsort(res, kind="stable")
     Xo = X[order]
-    by_p, lo, hi = _projection_windows(Xo, Xo, DEFAULT_DEDUP_RADIUS)
+    by_p, lo, hi = _projection_windows(Xo)
     covered = np.zeros(order.size, dtype=bool)
     pending = np.flatnonzero(hi - lo > 1)
     while pending.size:  # visits only uncovered rows: one per tight cluster
@@ -411,22 +418,6 @@ def _collect_pairs(
         pending = pending[1:][~covered[pending[1:]]]
     kept = order[~covered]
     X, lam, res = X[kept], lam[kept], res[kept]
-
-    # Antipodal closure: x critical implies -x critical with lam * (-1)^d.
-    # Kept points are more than DEFAULT_DEDUP_RADIUS apart, so -x can only
-    # coincide with a kept point, never with another added antipode.  Each
-    # (i, j) below pairs kept row i with a row j in the window of -X[i].
-    by_p, lo, hi = _projection_windows(X, -X, DEFAULT_DEDUP_RADIUS)
-    counts = hi - lo
-    i = np.repeat(np.arange(X.shape[0]), counts)
-    j = by_p[np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
-    lonely = np.ones(X.shape[0], dtype=bool)
-    lonely[i[np.linalg.norm(X[j] + X[i], axis=1) <= DEFAULT_DEDUP_RADIUS]] = False
-    Xm = -X[lonely]
-    lm = (1.0 if f.d % 2 == 0 else -1.0) * lam[lonely]
-    X = np.concatenate([X, Xm])
-    lam = np.concatenate([lam, lm])
-    res = np.concatenate([res, np.linalg.norm(f.gradient_many(Xm) - lm[:, None] * Xm, axis=1)])
     # Ascending by (lam, x1, ..., xn); lexsort's last key is the primary one.
     order = np.lexsort((*X.T[::-1], lam))
     return X[order], lam[order], res[order]
@@ -447,8 +438,8 @@ def find_critical_pairs(
 
     Non-converged starts are counted in ``converged_fraction``, not returned.
     Each returned pair has residual at most
-    ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, and the set is closed under
-    the antipodal map.
+    ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, and its bitwise mirror
+    (-x, (-1)^d lam, same residual) is returned too.
     """
     cfg = config or SolverConfig()
     _reject_zero(f)

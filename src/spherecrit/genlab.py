@@ -70,12 +70,7 @@ LOCUS_TOL = 1e-6  # distance of a flagged point from the known degenerate locus
 def weighted_axis_quadratic(n: int) -> HomogeneousPolynomial:
     """(x1^2 + 2 x2^2 + ... + n xn^2) / 2: critical points are the signed axes
     with multiplier k at the k-th axis, and only the first axis is SOSC."""
-    terms = {}
-    for k in range(n):
-        exp = [0] * n
-        exp[k] = 2
-        terms[tuple(exp)] = 0.5 * (k + 1)
-    return HomogeneousPolynomial(n, 2, terms)
+    return quadratic_form_polynomial(np.diag(np.arange(1.0, n + 1)))
 
 
 def geometric_power_polynomial(n: int, d: int) -> HomogeneousPolynomial:
@@ -512,12 +507,12 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
     ``single_monomial`` (d >= 3): f = x1^d is critical with multiplier zero
     on the whole subsphere x1 = 0, with vanishing tangent Hessian.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     report = SuiteReport(name=f"degenerate_family({kind}, n={n}, d={d})")
     if kind == "repeated_lambda1":
         if d != 2:
             raise ValueError("repeated_lambda1 requires d = 2")
-        if n < 2:
-            raise ValueError("need n >= 2")
         diag = [1.0, 1.0] + [float(k) for k in range(2, n)]
         A = np.diag(diag)
         f = quadratic_form_polynomial(A)
@@ -526,8 +521,6 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
     elif kind == "single_monomial":
         if d < 3:
             raise ValueError("single_monomial requires d >= 3")
-        if n < 2:
-            raise ValueError("need n >= 2")
         f = axis_monomial(n, d)
         anchor = _axis(n, 1)
         locus = lambda X: np.abs(X[:, 0])

@@ -80,6 +80,15 @@ def test_classify_malformed_exit_2(tmp_path, capsys):
     assert "exponent sum 1 != degree 2" in err
 
 
+def test_classify_malformed_term_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n":2,"d":2,"terms":[{"exp":[2,0],"coef":"1.0"}]}')
+    assert main(["classify", "--poly", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'coef' must be a number in term [2, 0]" in captured.err
+
+
 def test_classify_coefficient_beyond_float64_exit_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"n":1,"d":1,"terms":[{"exp":[1],"coef":%d}]}' % 10**400)
@@ -232,6 +241,13 @@ def test_witness_degenerate_suite(capsys):
     out = capsys.readouterr().out
     assert out == (DATA / "witness_degenerate_n2_d3.stdout.txt").read_text()
     assert "PASS" in out
+
+
+def test_witness_degenerate_needs_two_variables(capsys):
+    assert main(["witness", "--mode", "degenerate", "--n", "1", "--d", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need n >= 2" in captured.err
 
 
 def test_witness_general_needs_degree(capsys):

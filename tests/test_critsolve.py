@@ -85,20 +85,24 @@ def test_pair_invariants_on_random_instances():
             assert abs(p.lam - f.d * f.evaluate(p.x)) <= tol
 
 
+def _assert_exact_antipodal_pairs(X, lam, res, d):
+    """Row (x, lam, r) implies row (-x, (-1)^d lam, r), x and lam bitwise."""
+    rows = {np.append(x, l).tobytes(): r for x, l, r in zip(X, lam, res.tolist())}
+    for x, l, r in zip(X, lam, res.tolist()):
+        twin = np.append(-x, (-1.0) ** d * l).tobytes()
+        assert rows.get(twin) == r, f"no exact antipode for {x}"
+
+
 def test_antipodal_closure():
-    rng = np.random.default_rng(17)
-    for d in (2, 3, 4, 5):
-        f = random_polynomial(3, d, rng)
-        found = find_critical_pairs(f)
-        sign = 1.0 if d % 2 == 0 else -1.0
-        for p in found.pairs:
-            mirrored = [
-                q
-                for q in found.pairs
-                if np.linalg.norm(q.x + p.x) <= DEFAULT_DEDUP_RADIUS
-            ]
-            assert mirrored, f"antipode missing for {p.x}"
-            assert abs(mirrored[0].lam - sign * p.lam) <= 1e-8
+    # Every returned row's mirror is returned bitwise: the four criterion-4
+    # shapes and (4,4), critical subspheres, and the n = 2 enumeration.
+    shapes = ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4))
+    cases = [(find_critical_pairs, random_polynomial(n, d, 17 + d)) for n, d in shapes]
+    cases += [(find_critical_pairs, axis_monomial(n, d)) for n, d in ((3, 3), (4, 4))]
+    cases += [(enumerate_critical_pairs_n2, random_polynomial(2, d, 17)) for d in (3, 4, 5, 8)]
+    for solve, f in cases:
+        found = solve(f)
+        _assert_exact_antipodal_pairs(found.X, found.lam, found.residual, f.d)
 
 
 def test_pairwise_separation_respects_dedup_radius():
@@ -499,8 +503,9 @@ def _scattered_cloud(rng):
 def _clustered_cloud(rng):
     # What a real solve hands over: hundreds of converged rows on a few
     # points, nearly all within 1e-3 radii of their point, one cluster
-    # spread over about a radius, and every row's antipode.  The antipode
-    # ranks right after its row, so the kept set is closed already.
+    # spread over about a radius, and every row's antipode with lam 1e-12
+    # higher.  An antipode duplicates its row's mirror bitwise and ranks
+    # after it, so it is never kept.
     centres = rng.standard_normal((5, 3))
     centres /= np.linalg.norm(centres, axis=1)[:, None]
     which = rng.integers(0, centres.shape[0], 300)
@@ -513,26 +518,29 @@ def _clustered_cloud(rng):
 def test_collect_pairs_dedup_matches_greedy_reference():
     # Every unit vector is critical for x.x with lam = 2; a distinct offset
     # of lam per row orders the rows by residual and identifies each kept
-    # one.  ``closure`` is the ratio of returned pairs to kept rows, and
-    # ``kept_range`` bounds the kept count: most clustered rows are covered.
+    # one.  The reference dedups the mirrored set: each normalized row
+    # followed by (-x, lam) with its residual.  ``kept_range`` bounds the
+    # kept count: most clustered rows are covered.
     f = HomogeneousPolynomial(3, 2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-    cases = [(_scattered_cloud, 2, (41, 209)), (_clustered_cloud, 1, (10, 30))]
-    for cloud, closure, kept_range in cases:
+    cases = [(_scattered_cloud, (82, 418)), (_clustered_cloud, (10, 30))]
+    for cloud, kept_range in cases:
         X, lam = cloud(np.random.default_rng(11))
         X /= np.linalg.norm(X, axis=1)[:, None]
         res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
 
-        X_out, lam_out, _ = critsolve._collect_pairs(f, X, lam, 1e-6)
-        # Input row i is kept when the output holds its (x, lam) bitwise, x
-        # normalized as _collect_pairs does; an added antipode keeps its
-        # source's lam but not its x, so it matches no input row.
+        X_out, lam_out, res_out = critsolve._collect_pairs(f, X, lam, 1e-6)
+        # Mirrored row i is kept when the output holds its (x, lam) bitwise,
+        # x normalized as _collect_pairs does.
         Xn = X / np.linalg.norm(X, axis=1)[:, None]
-        same = (X_out[:, None, :] == Xn).all(axis=2) & (lam_out[:, None] == lam)
+        Xm = np.stack([Xn, -Xn], axis=1).reshape(-1, 3)
+        lam_m = np.repeat(lam, 2)
+        same = (X_out[:, None, :] == Xm).all(axis=2) & (lam_out[:, None] == lam_m)
         kept = np.flatnonzero(same.any(axis=0)).tolist()
-        expected = _greedy_dedup_reference(X, res, DEFAULT_DEDUP_RADIUS)
+        expected = _greedy_dedup_reference(Xm, np.repeat(res, 2), DEFAULT_DEDUP_RADIUS)
         assert kept == expected, cloud.__name__
-        assert lam_out.shape[0] == closure * len(expected), cloud.__name__
+        assert lam_out.shape[0] == len(expected), cloud.__name__
         assert kept_range[0] <= len(expected) <= kept_range[1], cloud.__name__
+        _assert_exact_antipodal_pairs(X_out, lam_out, res_out, f.d)
 
 
 @pytest.mark.parametrize(

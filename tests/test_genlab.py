@@ -187,6 +187,23 @@ def test_degenerate_family_validates_arguments():
         run_degenerate_family("nonsense", 3, 2)
 
 
+@pytest.mark.parametrize(
+    "kind,d", [("repeated_lambda1", 2), ("single_monomial", 3), ("repeated_lambda1", 3)]
+)
+def test_degenerate_family_needs_two_variables(kind, d):
+    # Checked once, before the kind dispatch, so an input that also fails
+    # the kind's degree check raises the same error.
+    with pytest.raises(ValueError, match="need n >= 2"):
+        run_degenerate_family(kind, 1, d)
+
+
+def test_witness_suites_need_two_variables():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        run_witness_d2(1)
+    with pytest.raises(ValueError, match="need n >= 2 and d >= 1"):
+        run_witness_general(1, 3)
+
+
 # ---------------------------------------------------------------------------
 # Randomized experiments
 # ---------------------------------------------------------------------------
@@ -362,6 +379,12 @@ def test_quadratic_sweep_planted_detection():
         result = check_planted_quadratic(5, k, seed=100 + k)
         assert result["quadratic_rule"] is True
         assert result["pipeline"] is True
+
+
+@pytest.mark.parametrize("n,multiplicity", [(3, 1), (2, 3)])
+def test_planted_quadratic_multiplicity_range(n, multiplicity):
+    with pytest.raises(ValueError, match="need 2 <= multiplicity <= n"):
+        check_planted_quadratic(n, multiplicity)
 
 
 def test_identity_matrix_fully_degenerate():

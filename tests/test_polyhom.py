@@ -28,6 +28,13 @@ def test_monomial_basis_order_and_size():
     assert basis_size(5, 6) == math.comb(10, 6)
 
 
+def test_monomial_basis_rejects_bad_shape():
+    with pytest.raises(ValueError, match="at least one variable, got n=0"):
+        monomial_basis(0, 2)
+    with pytest.raises(ValueError, match="nonnegative, got d=-1"):
+        monomial_basis(2, -1)
+
+
 def test_evaluate_pythagorean():
     f = HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
     assert f.evaluate([3.0, 4.0]) == 25.0
@@ -177,6 +184,13 @@ def test_random_polynomial_mean_near_zero():
     assert abs(total / count) <= 3.0 / math.sqrt(count)
 
 
+def test_from_coefficient_vector_rejects_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(5,\), expected \(6,\)"):
+        HomogeneousPolynomial.from_coefficient_vector(3, 2, np.ones(5))
+    with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(6,\)"):
+        HomogeneousPolynomial.from_coefficient_vector(3, 2, np.ones((2, 3)))
+
+
 def test_coefficient_vector_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -229,6 +243,26 @@ def test_parse_rejects_bad_json_and_structure():
     ids=["n=0", "d=0", "coef=1e400", "norm=1e155"],
 )
 def test_parse_reraises_constructor_checks(text, message):
+    with pytest.raises(PolynomialFormatError, match=message):
+        parse_polynomial(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[2, 2, []]", "top level must be a JSON object"),
+        ('{"n":2,"d":2,"terms":{"exp":[2,0],"coef":1}}', "'terms' must be a list"),
+        ('{"n":2,"d":2,"terms":[{"coef":1.0}]}', "each term needs 'exp' and 'coef'"),
+        ('{"n":2,"d":2,"terms":[{"exp":[2,0]}]}', "each term needs 'exp' and 'coef'"),
+        ('{"n":2,"d":2,"terms":[{"exp":[2,0,0],"coef":1}]}', "'exp' must be a list of 2 integers"),
+        ('{"n":2,"d":1,"terms":[{"exp":[true,0],"coef":1}]}', "'exp' must be a list of 2 integers"),
+        ('{"n":2,"d":2,"terms":[{"exp":[2,0],"coef":"1"}]}', "'coef' must be a number in term"),
+        ('{"n":2,"d":2,"terms":[{"exp":[2,0],"coef":true}]}', "'coef' must be a number in term"),
+    ],
+    ids=["top-level list", "terms object", "no exp", "no coef", "exp length", "exp bool"]
+    + ["coef string", "coef bool"],
+)
+def test_parse_rejects_malformed_terms(text, message):
     with pytest.raises(PolynomialFormatError, match=message):
         parse_polynomial(text)
 
