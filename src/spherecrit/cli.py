@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -74,9 +75,7 @@ def _cmd_classify(args) -> int:
             lines.append(",".join(row))
         text = "\n".join(lines) + "\n"
     else:
-        counts: dict[str, int] = {}
-        for p in points:
-            counts[p.verdict.value] = counts.get(p.verdict.value, 0) + 1
+        counts = Counter(p.verdict.value for p in points)
         lines = [f"critical points: {len(points)}"]
         for p in points:
             coords = ", ".join(_fmt(v) for v in p.pair.x)

@@ -88,8 +88,8 @@ def basis_size(n: int, d: int) -> int:
 def _powers_table(pts: np.ndarray, dmax: int) -> np.ndarray:
     """table[k, i, e] = pts[k, i]**e for e = 0..dmax, built by repeated multiply.
 
-    One table is shared by all term sets evaluated at the same points, which
-    replaces per-term float pow calls with gathers.
+    One table is shared by a bundle's columns evaluated at the same points,
+    which replaces per-term float pow calls with gathers.
     """
     table = np.empty((pts.shape[0], pts.shape[1], dmax + 1))
     table[:, :, 0] = 1.0
@@ -99,12 +99,13 @@ def _powers_table(pts: np.ndarray, dmax: int) -> np.ndarray:
 
 
 class _BundlePlan(NamedTuple):
-    """Support-only half of a :class:`_TermBundle`, shared by every polynomial
-    with one support.
+    """Support-only plan of one jet bundle, shared by every polynomial with
+    one support; each polynomial keeps only its weight matrix.
 
     ``exps`` is the monomial pool (rows in order of first appearance) and
-    ``cols`` / ``dmax`` index the powers table.  Entry t of the index arrays
-    puts ``(coefs[source[t]] * a[t]) * b[t]`` into weight cell
+    ``cols`` / ``dmax`` index the powers table, so that
+    value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c].  Entry t of the
+    index arrays puts ``(coefs[source[t]] * a[t]) * b[t]`` into weight cell
     ``(rows[t], columns[t])``, where ``a`` and ``b`` are the exponents
     brought down by the first and second derivative (1 where none was).
     """
@@ -120,107 +121,68 @@ class _BundlePlan(NamedTuple):
     b: np.ndarray
 
 
-class _TermBundle:
-    """Shared monomial list plus an output weight matrix.
-
-    Evaluates several polynomials (e.g. all partial derivatives) that share
-    a monomial pool in one gather + matmul: value[k, c] =
-    sum_j monomial_j(pts[k]) * weights[j, c].
-    """
-
-    __slots__ = ("exps", "cols", "weights", "dmax")
-
-    def __init__(self, plan: _BundlePlan, coefs: np.ndarray):
-        self.exps, self.cols, self.dmax = plan.exps, plan.cols, plan.dmax
-        # Each (row, column) cell occurs at most once, so assignment is the
-        # sum over terms.
-        self.weights = np.zeros(plan.shape)
-        self.weights[plan.rows, plan.columns] = coefs[plan.source] * plan.a * plan.b
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        table = _powers_table(pts, self.dmax)
-        monomials = table[:, self.cols, self.exps].prod(axis=2)
-        return monomials @ self.weights
-
-
-# A term of a derivative: (exponents, index of the source coefficient,
-# exponents brought down so far).
-_Term = tuple[Monomial, int, tuple[int, ...]]
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _partial(terms: list[_Term], i: int) -> list[_Term]:
-    return [
-        (exp[:i] + (exp[i] - 1,) + exp[i + 1 :], k, brought + (exp[i],))
-        for exp, k, brought in terms
-        if exp[i] > 0
-    ]
-
-
-def _bundle_plan(n: int, term_sets: list[list[_Term]]) -> _BundlePlan:
+def _bundle_plan(
+    n: int, order: tuple[Monomial, ...], columns: list[tuple[int, ...]]
+) -> _BundlePlan:
+    """Plan of the bundle whose column c differentiates the polynomial with
+    support ``order`` by the variables ``columns[c]`` (none, one or two)."""
     index: dict[Monomial, int] = {}
     entries = []
-    for c, terms in enumerate(term_sets):
-        for exp, k, brought in terms:
-            a, b = (brought + (1, 1))[:2]
-            entries.append((index.setdefault(exp, len(index)), c, k, a, b))
+    for c, variables in enumerate(columns):
+        for k, exp in enumerate(order):
+            lowered, brought = list(exp), [1, 1]
+            for t, i in enumerate(variables):
+                brought[t] = lowered[i]
+                lowered[i] -= 1
+            if min(lowered) >= 0:
+                entries.append((index.setdefault(tuple(lowered), len(index)), c, k, *brought))
     exps = _frozen(np.array(list(index), dtype=np.intp).reshape(len(index), n))
-    rows, columns, source, a, b = _frozen(np.array(entries, dtype=np.intp).reshape(-1, 5).T)
+    rows, weight_cols, source, a, b = _frozen(np.array(entries, dtype=np.intp).reshape(-1, 5).T)
     return _BundlePlan(
         exps=exps,
         cols=np.broadcast_to(np.arange(n), exps.shape),
         dmax=int(exps.max(initial=0)),
-        shape=(len(index), len(term_sets)),
+        shape=(len(index), len(columns)),
         rows=rows,
-        columns=columns,
+        columns=weight_cols,
         source=source,
         a=_frozen(a.astype(np.float64)),
         b=_frozen(b.astype(np.float64)),
     )
 
 
-class _DerivativePlan(NamedTuple):
-    exps: np.ndarray  # the support, one exponent row per coefficient
-    value: _BundlePlan
-    grad: _BundlePlan
-    hess: _BundlePlan
-    hess_rows: np.ndarray
-    hess_cols: np.ndarray
-
-
 @lru_cache(maxsize=256)
-def _derivative_plan(n: int, order: tuple[Monomial, ...]) -> _DerivativePlan:
+def _derivative_plan(
+    n: int, order: tuple[Monomial, ...]
+) -> tuple[tuple[_BundlePlan, ...], tuple[np.ndarray, np.ndarray]]:
     """Bundle plans of the value, gradient and Hessian of every polynomial
-    whose support is ``order`` (graded lex), with its arrays read-only."""
-    base = [(exp, k, ()) for k, exp in enumerate(order)]
-    partials = [_partial(base, i) for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    hess_rows, hess_cols = _frozen(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
-    return _DerivativePlan(
-        exps=_frozen(np.array(order, dtype=np.int64).reshape(len(order), n)),
-        value=_bundle_plan(n, [base]),
-        grad=_bundle_plan(n, partials),
-        hess=_bundle_plan(n, [_partial(partials[i], j) for i, j in pairs]),
-        hess_rows=hess_rows,
-        hess_cols=hess_cols,
+    whose support is ``order`` (graded lex), and the Hessian's upper
+    triangle in the order of the Hessian columns; all arrays read-only."""
+    triangle = tuple(_frozen(t) for t in np.triu_indices(n))
+    plans = (
+        _bundle_plan(n, order, [()]),
+        _bundle_plan(n, order, [(i,) for i in range(n)]),
+        _bundle_plan(n, order, list(zip(*triangle))),
     )
+    return plans, triangle
 
 
 class HomogeneousPolynomial:
     """Immutable homogeneous polynomial of degree ``d`` in ``n`` variables.
 
     Everything that depends only on the support (the sorted exponent rows,
-    the monomial pools of the value, gradient and Hessian bundles, and where
-    each coefficient lands in their weights) is a read-only derivative plan,
-    cached per ``(n, support)`` and shared by all polynomials with that
-    support.  Construction validates the terms and fills this instance's own
-    weight matrices from the plan.  Instances never mutate afterwards and
-    are safe to share read-only across concurrent workers.  All methods are
-    pure.
+    the monomial pools of the value, gradient and Hessian bundles, where
+    each coefficient lands in their weights, and the Hessian's triangle) is
+    a read-only derivative plan, cached per ``(n, support)`` and shared by
+    all polynomials with that support.  Construction validates the terms and
+    fills this instance's own three weight matrices from the plans.
+    Instances never mutate afterwards and are safe to share read-only across
+    concurrent workers.  All methods are pure.
     """
 
     __slots__ = (
@@ -229,11 +191,9 @@ class HomogeneousPolynomial:
         "_exps",
         "_coefs",
         "_norm",
-        "_value_bundle",
-        "_grad_bundle",
-        "_hess_bundle",
-        "_hess_rows",
-        "_hess_cols",
+        "_plans",
+        "_weights",
+        "_triangle",
     )
 
     def __init__(self, n: int, d: int, terms: Mapping[Monomial, float]):
@@ -269,15 +229,15 @@ class HomogeneousPolynomial:
                 f"coefficient norm overflows float64 (largest coefficient "
                 f"{np.max(np.abs(self._coefs)):.3g}); rescale the polynomial"
             )
-        plan = _derivative_plan(n, order)
         self._n = n
         self._d = d
-        self._exps = plan.exps
-        self._value_bundle = _TermBundle(plan.value, self._coefs)
-        self._grad_bundle = _TermBundle(plan.grad, self._coefs)
-        self._hess_bundle = _TermBundle(plan.hess, self._coefs)
-        self._hess_rows = plan.hess_rows
-        self._hess_cols = plan.hess_cols
+        self._plans, self._triangle = _derivative_plan(n, order)
+        self._weights = tuple(np.zeros(plan.shape) for plan in self._plans)
+        for plan, weights in zip(self._plans, self._weights):
+            # Each (row, column) cell occurs at most once, so assignment is
+            # the sum over terms.
+            weights[plan.rows, plan.columns] = self._coefs[plan.source] * plan.a * plan.b
+        self._exps = self._plans[0].exps  # the value pool is the support
 
     @property
     def n(self) -> int:
@@ -337,6 +297,13 @@ class HomogeneousPolynomial:
             raise ValueError(f"point has shape {x.shape}, expected ({self._n},)")
         return x
 
+    def _jet(self, k: int, pts: np.ndarray) -> np.ndarray:
+        """Bundle k (0 value, 1 gradient, 2 Hessian triangle) at the rows of
+        ``pts``: one powers table, one gather and product, one GEMM."""
+        plan = self._plans[k]
+        table = _powers_table(pts, plan.dmax)
+        return table[:, plan.cols, plan.exps].prod(axis=2) @ self._weights[k]
+
     def evaluate(self, x) -> float:
         """Value of the polynomial at a point of length ``n``."""
         x = self._as_point(x)
@@ -344,8 +311,7 @@ class HomogeneousPolynomial:
 
     def evaluate_many(self, pts) -> np.ndarray:
         """Values at many points; ``pts`` has one point per row."""
-        pts = self._as_matrix(pts)
-        return self._value_bundle.evaluate(pts)[:, 0]
+        return self._jet(0, self._as_matrix(pts))[:, 0]
 
     def gradient(self, x) -> np.ndarray:
         """Analytic gradient at a point; satisfies grad f(x).x = d f(x)."""
@@ -353,7 +319,8 @@ class HomogeneousPolynomial:
         return self.gradient_many(x[None, :])[0]
 
     def gradient_many(self, pts) -> np.ndarray:
-        return self._grad_bundle.evaluate(self._as_matrix(pts))
+        """Gradients at many points, shape (k, n) for ``pts`` of shape (k, n)."""
+        return self._jet(1, self._as_matrix(pts))
 
     def hessian(self, x) -> np.ndarray:
         """Symmetric Hessian at a point; satisfies hess f(x) x = (d-1) grad f(x)."""
@@ -361,11 +328,13 @@ class HomogeneousPolynomial:
         return self.hessian_many(x[None, :])[0]
 
     def hessian_many(self, pts) -> np.ndarray:
+        """Hessians at many points, shape (k, n, n), each one symmetric."""
         pts = self._as_matrix(pts)
-        vals = self._hess_bundle.evaluate(pts)
+        vals = self._jet(2, pts)
+        rows, cols = self._triangle
         H = np.zeros((pts.shape[0], self._n, self._n))
-        H[:, self._hess_rows, self._hess_cols] = vals
-        H[:, self._hess_cols, self._hess_rows] = vals
+        H[:, rows, cols] = vals
+        H[:, cols, rows] = vals
         return H
 
     def coefficient_vector(self) -> np.ndarray:

@@ -1,10 +1,15 @@
 """End-to-end runs of the command-line frontend."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import spherecrit
 from spherecrit import (
     HomogeneousPolynomial,
     axis_monomial,
@@ -339,6 +344,23 @@ def test_quad_writes_report(tmp_path, capsys):
     assert "disagreements: 0" in capsys.readouterr().out
 
 
+def test_quad_disagreement_fails_sweep_and_exit_1(tmp_path, monkeypatch, capsys):
+    real = genlab._pipeline_quadratic_degenerate
+    flipped = 2 * genlab.SEED_STRIDE + 1  # trial 1 of the sweep at seed 2
+
+    def pipeline(A, seed):
+        return real(A, seed) != (seed == flipped)
+
+    monkeypatch.setattr(genlab, "_pipeline_quadratic_degenerate", pipeline)
+    report = genlab.run_quadratic_sweep(3, 3, seed=2)
+    assert report.disagreements == [{"trial": 1, "quadratic_rule": False, "pipeline": True}]
+    assert report.passed is False
+    args = ["quad", "--n", "3", "--trials", "3", "--seed", "2", "--output", str(tmp_path / "q.json")]
+    assert main(args) == 1
+    assert "disagreements: 1" in capsys.readouterr().out
+    assert json.loads((tmp_path / "q.json").read_text())["passed"] is False
+
+
 def test_quad_empty_dimension_exit_2(tmp_path, capsys):
     report = tmp_path / "quad.json"
     assert main(["quad", "--n", "0", "--trials", "1", "--output", str(report)]) == 2
@@ -368,3 +390,21 @@ def test_sample_golden_stdout_and_report(tmp_path, monkeypatch, capsys):
     assert isinstance(doc.pop("runtime_seconds"), float)
     golden = (DATA / "sample_n2_d3_t3.report.json").read_text()
     assert json.dumps(doc, indent=2) + "\n" == golden
+
+
+def test_module_entry_point_missing_file_exit_2(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(spherecrit.__file__).parents[1])}
+    args = ["classify", "--poly", str(tmp_path / "nope.json")]
+    done = subprocess.run(
+        [sys.executable, "-m", "spherecrit.cli", *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert "file error" in done.stderr
+
+
+def test_console_script_resolves_to_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["spherecrit"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main

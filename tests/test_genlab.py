@@ -23,6 +23,7 @@ from spherecrit import (
     run_witness_general,
     weighted_axis_quadratic,
 )
+from spherecrit import genlab
 from spherecrit.genlab import _dump_polynomial
 from spherecrit import read_polynomial
 
@@ -195,6 +196,15 @@ def test_degenerate_family_needs_two_variables(kind, d):
     # the kind's degree check raises the same error.
     with pytest.raises(ValueError, match="need n >= 2"):
         run_degenerate_family(kind, 1, d)
+
+
+def test_degenerate_family_fails_without_witness_at_anchor(monkeypatch):
+    monkeypatch.setattr(genlab, "detect_sosc_failure", lambda f, x: None)
+    report = run_degenerate_family("repeated_lambda1", 3, 2)
+    assert not report.passed
+    failed = [(c.name, c.detail) for c in report.checks if not c.passed]
+    assert failed == [("witness_at_anchor", "no witness at the anchor point")]
+    assert "bordered_determinant_vanishes" not in [c.name for c in report.checks]
 
 
 def test_witness_suites_need_two_variables():

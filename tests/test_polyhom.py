@@ -201,6 +201,13 @@ def test_coefficient_vector_round_trip():
         assert f == g
 
 
+def test_equality_with_other_types_and_repr():
+    f = HomogeneousPolynomial(3, 2, {(2, 0, 0): 1.0, (0, 1, 1): -2.0})
+    assert f.__eq__(1) is NotImplemented
+    assert f != 1
+    assert repr(f) == "HomogeneousPolynomial(n=3, d=2, 2 terms)"
+
+
 def test_parse_example():
     text = '{"n":2,"d":2,"terms":[{"exp":[2,0],"coef":1.0},{"exp":[0,2],"coef":1.0}]}'
     f = parse_polynomial(text)
@@ -371,16 +378,14 @@ def _reference_bundles(f):
 
 def _assert_matches_reference(f):
     bundles, pairs = _reference_bundles(f)
-    for got, (exps, dmax, weights) in zip(
-        (f._value_bundle, f._grad_bundle, f._hess_bundle), bundles
-    ):
-        assert got.exps.dtype == exps.dtype and got.exps.shape == exps.shape
-        assert np.array_equal(got.exps, exps)
-        assert got.dmax == dmax
-        assert got.weights.shape == weights.shape
-        assert got.weights.tobytes() == weights.tobytes()
-    assert f._hess_rows.tolist() == [i for i, _ in pairs]
-    assert f._hess_cols.tolist() == [j for _, j in pairs]
+    for plan, got, (exps, dmax, weights) in zip(f._plans, f._weights, bundles):
+        assert plan.exps.dtype == exps.dtype and plan.exps.shape == exps.shape
+        assert np.array_equal(plan.exps, exps)
+        assert plan.dmax == dmax
+        assert got.shape == weights.shape
+        assert got.tobytes() == weights.tobytes()
+    assert f._triangle[0].tolist() == [i for i, _ in pairs]
+    assert f._triangle[1].tolist() == [j for _, j in pairs]
 
 
 def test_derivative_plan_matches_term_set_construction():
@@ -401,22 +406,22 @@ def test_derivative_plan_cache_hit_and_miss_agree():
     hit = HomogeneousPolynomial.from_coefficient_vector(3, 4, values)
     info = polyhom._derivative_plan.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    for name in ("_value_bundle", "_grad_bundle", "_hess_bundle"):
-        a, b = getattr(miss, name), getattr(hit, name)
+    for a, b in zip(miss._plans, hit._plans):
         assert a.exps.tobytes() == b.exps.tobytes() and a.dmax == b.dmax
-        assert a.weights.tobytes() == b.weights.tobytes()
+    for a, b in zip(miss._weights, hit._weights):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_polynomials_of_one_support_share_no_mutable_weights():
     f = random_polynomial(2, 5, 1)
     g = random_polynomial(2, 5, 2)
-    for name in ("_value_bundle", "_grad_bundle", "_hess_bundle"):
-        a, b = getattr(f, name), getattr(g, name)
-        assert not np.shares_memory(a.weights, b.weights)
+    for a, b in zip(f._weights, g._weights):
+        assert not np.shares_memory(a, b)
+    for a, b in zip(f._plans, g._plans):
         assert a.exps is b.exps and not a.exps.flags.writeable
     assert f._exps is g._exps and not f._exps.flags.writeable
     before = f.gradient([0.6, 0.8])
-    g._grad_bundle.weights[:] = 0.0
+    g._weights[1][:] = 0.0
     assert f.gradient([0.6, 0.8]).tobytes() == before.tobytes()
 
 
