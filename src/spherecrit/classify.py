@@ -66,16 +66,6 @@ class ClassifiedPoint:
     sosc_margin: float
     verdict: Verdict
 
-    def to_dict(self) -> dict:
-        return {
-            "x": [float(v) for v in self.pair.x],
-            "lambda": self.pair.lam,
-            "residual": self.pair.residual,
-            "tangent_eigenvalues": [float(v) for v in self.tangent_eigenvalues],
-            "margin": self.sosc_margin,
-            "verdict": self.verdict.value,
-        }
-
 
 @dataclass
 class PointAnalysis:

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
-from .classify import analyze_points, classify_all
-from .critsolve import SolverConfig, certify_against_oracle
+from .classify import analyze_points
+from .critsolve import SolverConfig, certify_against_oracle, find_critical_pairs
 from .degeneracy import (
     NotCriticalError,
     _witness_at,
@@ -64,26 +65,30 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_classify(args) -> int:
     f = read_polynomial(args.poly)
-    points = classify_all(f, SolverConfig(starts=args.starts, seed=args.seed))
+    found = find_critical_pairs(f, SolverConfig(starts=args.starts, seed=args.seed))
+    a = analyze_points(f, found.X)
+    verdicts = [v.value for v in a.verdicts]
+    rows = list(zip(verdicts, a.lam.tolist(), a.margins.tolist(), a.residuals.tolist(),
+                    a.points.tolist(), a.eigenvalues.tolist()))
     if args.json:
-        text = json.dumps([p.to_dict() for p in points], indent=2) + "\n"
+        # n = 1 has no tangent space: its margin is +inf, written as null.
+        doc = [
+            {"x": x, "lambda": lam, "residual": res, "tangent_eigenvalues": eig,
+             "margin": m if math.isfinite(m) else None, "verdict": v}
+            for v, lam, m, res, x, eig in rows
+        ]
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     elif args.csv:
         lines = ["verdict,lambda,margin,residual," + ",".join(f"x{i+1}" for i in range(f.n))]
-        for p in points:
-            row = [p.verdict.value, _fmt(p.pair.lam), _fmt(p.sosc_margin), _fmt(p.pair.residual)]
-            row.extend(_fmt(v) for v in p.pair.x)
-            lines.append(",".join(row))
+        for v, lam, m, res, x, _ in rows:
+            lines.append(",".join([v, _fmt(lam), _fmt(m), _fmt(res)] + [_fmt(c) for c in x]))
         text = "\n".join(lines) + "\n"
     else:
-        counts = Counter(p.verdict.value for p in points)
-        lines = [f"critical points: {len(points)}"]
-        for p in points:
-            coords = ", ".join(_fmt(v) for v in p.pair.x)
-            lines.append(
-                f"{p.verdict.value:<16} lambda={_fmt(p.pair.lam)} "
-                f"margin={_fmt(p.sosc_margin)} x=[{coords}]"
-            )
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        lines = [f"critical points: {len(rows)}"]
+        for v, lam, m, _, x, _ in rows:
+            coords = ", ".join(_fmt(c) for c in x)
+            lines.append(f"{v:<16} lambda={_fmt(lam)} margin={_fmt(m)} x=[{coords}]")
+        summary = ", ".join(f"{k}={c}" for k, c in sorted(Counter(verdicts).items()))
         lines.append(f"summary: {summary if summary else 'no critical points found'}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)

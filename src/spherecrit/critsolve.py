@@ -147,13 +147,18 @@ class SolverConfig:
 
 @dataclass
 class CertificationReport:
-    """Outcome of cross-checking multistart against the exact n = 2 oracle."""
+    """Outcome of cross-checking multistart against the exact n = 2 oracle.
+
+    ``only_multistart`` and ``only_oracle`` hold the unmatched unit vectors
+    of each finder, shape (k, 2), in :class:`CriticalSet` row order; the
+    multiplier of a row x is lam = d f(x).
+    """
 
     certified: bool
     all_critical: bool
     matched: int
-    only_multistart: list[CriticalPair] = field(default_factory=list)
-    only_oracle: list[CriticalPair] = field(default_factory=list)
+    only_multistart: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    only_oracle: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
 
 def _reject_zero(f: HomogeneousPolynomial) -> None:
@@ -583,13 +588,10 @@ def certify_against_oracle(
     for i, row in enumerate(near):
         first = np.flatnonzero(row & ~used)[:1]
         used[first] = matched[i] = first.size > 0
-    found_pairs, oracle_pairs = found.pairs, oracle.pairs  # each view read once
-    only_multistart = [found_pairs[i] for i in np.flatnonzero(~used).tolist()]
-    only_oracle = [oracle_pairs[i] for i in np.flatnonzero(~matched).tolist()]
     return CertificationReport(
-        certified=not only_multistart and not only_oracle,
+        certified=bool(used.all() and matched.all()),
         all_critical=False,
         matched=int(np.count_nonzero(matched)),
-        only_multistart=only_multistart,
-        only_oracle=only_oracle,
+        only_multistart=found.X[~used],
+        only_oracle=oracle.X[~matched],
     )

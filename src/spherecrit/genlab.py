@@ -112,21 +112,17 @@ def quadratic_form_polynomial(A) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(n, 2, terms)
 
 
-def _axis(n: int, k: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[k] = 1.0
-    return e
-
-
-def enumerate_power_critical_points(n: int, d: int) -> list[tuple[np.ndarray, float]]:
+def enumerate_power_critical_points(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form real critical points of the geometric power polynomial.
 
     Stationarity forces xk = 0 or xk^(d-2) = lam / (d alpha^k) on each
-    coordinate, so points are indexed by a nonempty support set plus sign
-    data: for odd d the sign of every coordinate matches the sign of lam and
-    both lam branches occur; for even d only lam > 0 is feasible and each
-    supported coordinate picks a sign freely.  That gives 2 (2^n - 1) points
-    for odd d and 3^n - 1 for even d; n is kept to at most 10 (59048 points).
+    coordinate, so points are indexed by a sign pattern s != 0: for even d
+    each sk is in {-1, 0, 1} and lam > 0; for odd d each sk is in {0, 1},
+    times the sign of lam, and both lam branches occur.  That gives
+    2 (2^n - 1) points for odd d and 3^n - 1 for even d; n is kept to at
+    most 10 (59048 points).  Returns ``(X, lam)``, X of shape (k, n) and
+    lam of shape (k,), rows ascending by (lam, x1, ..., xn) as in
+    :class:`~spherecrit.critsolve.CriticalSet`.
     """
     if d == 2:
         raise ValueError("d = 2 is the quadratic case; its enumeration is the eigenbasis")
@@ -134,32 +130,26 @@ def enumerate_power_critical_points(n: int, d: int) -> list[tuple[np.ndarray, fl
         raise ValueError(f"closed-form enumeration needs 1 <= n <= 10, d >= 1; got {n}, {d}")
     alpha = 2.0 ** (d - 2)
     if d == 1:
-        c = np.array([alpha ** (k + 1) for k in range(n)])
+        c = alpha ** np.arange(1.0, n + 1)
         nrm = float(np.linalg.norm(c))
-        u = c / nrm
-        return [(-u, -nrm), (u, nrm)]
+        return np.array([-c, c]) / nrm, np.array([-nrm, nrm])
 
-    points: list[tuple[np.ndarray, float]] = []
+    base = 3 if d % 2 == 0 else 2
+    S = np.arange(base**n)[:, None] // base ** np.arange(n) % base  # base-b digits
+    if base == 3:
+        S = np.delete(S - 1, (base**n - 1) // 2, axis=0)  # the middle row is 0
+        signs = 1
+    else:
+        S = np.concatenate([-S[1:], S[1:]])
+        signs = np.sign(S.sum(axis=1))
     exponent = 1.0 / (d - 2)
-    for mask in range(1, 2**n):
-        support = [k for k in range(n) if mask >> k & 1]
-        coef = np.array([(d * alpha ** (k + 1)) ** (-exponent) for k in support])
-        lam_mag = float(np.sum(coef**2) ** (-(d - 2) / 2.0))
-        radial = lam_mag**exponent * coef  # |xk| on the support
-        if d % 2 == 1:
-            for lam_sign in (-1.0, 1.0):
-                x = np.zeros(n)
-                x[support] = lam_sign * radial
-                points.append((x, lam_sign * lam_mag))
-        else:
-            for signs in range(2 ** len(support)):
-                x = np.zeros(n)
-                for pos, k in enumerate(support):
-                    s = 1.0 if signs >> pos & 1 else -1.0
-                    x[k] = s * radial[pos]
-                points.append((x, lam_mag))
-    points.sort(key=lambda item: (item[1], tuple(item[0])))
-    return points
+    # Scalar pow: numpy's vectorised pow may round the last bit differently.
+    coef = np.array([(d * alpha ** k) ** -exponent for k in range(1, n + 1)])
+    lam_mag = np.where(S != 0, coef**2, 0.0).sum(axis=1) ** (-(d - 2) / 2.0)
+    X = S * (lam_mag[:, None] ** exponent * coef)  # sk |xk|
+    lam = signs * lam_mag
+    order = np.lexsort(np.vstack([X.T[::-1], lam]))  # the last key sorts first
+    return X[order], lam[order]
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +447,14 @@ def run_witness_general(n: int, d: int) -> SuiteReport:
         raise ValueError("need n >= 2 and d >= 1")
     p = geometric_power_polynomial(n, d)
     report = SuiteReport(name=f"witness_general(n={n}, d={d})")
-    points = enumerate_power_critical_points(n, d)
+    X, lams = enumerate_power_critical_points(n, d)
     tol = scaled_tolerance(p, DEFAULT_TOL_CRIT)
-
-    X = np.array([x for x, _ in points])
-    lams = np.array([lam for _, lam in points])
     residuals = np.linalg.norm(p.gradient_many(X) - lams[:, None] * X, axis=1)
     residual_ok = bool(np.all(residuals <= tol))
     report.add(
         "enumeration_is_critical",
         residual_ok,
-        f"{len(points)} closed-form points, FONC residual <= {tol:.3e}",
+        f"{lams.size} closed-form points, FONC residual <= {tol:.3e}",
     )
 
     det_tol = scaled_tolerance(p, DEFAULT_TOL_DET)
@@ -516,13 +503,13 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         diag = [1.0, 1.0] + [float(k) for k in range(2, n)]
         A = np.diag(diag)
         f = quadratic_form_polynomial(A)
-        anchor = _axis(n, 0)
+        anchor = np.eye(n)[0]
         locus = lambda X: np.linalg.norm(X[:, 2:], axis=1)
     elif kind == "single_monomial":
         if d < 3:
             raise ValueError("single_monomial requires d >= 3")
         f = axis_monomial(n, d)
-        anchor = _axis(n, 1)
+        anchor = np.eye(n)[1]
         locus = lambda X: np.abs(X[:, 0])
     else:
         raise ValueError(f"unknown kind {kind!r}")

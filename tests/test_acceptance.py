@@ -257,7 +257,7 @@ def test_criterion_7_bidirectional_witness_consistency():
     for d in (1, 3, 4, 5):
         for n in (2, 3):
             p = geometric_power_polynomial(n, d)
-            for x, _lam in enumerate_power_critical_points(n, d):
+            for x in enumerate_power_critical_points(n, d)[0]:
                 if classify_point(p, unit(x)).verdict is Verdict.SOSC:
                     sosc_points.append((p, unit(x)))
     checked = 0

@@ -1,5 +1,6 @@
 """Tangent spectrum and FONC/SONC/SOSC classification."""
 
+import json
 import math
 from collections import Counter
 
@@ -18,7 +19,9 @@ from spherecrit import (
     random_polynomial,
     scaled_tolerance,
     weighted_axis_quadratic,
+    write_polynomial,
 )
+from spherecrit.cli import main
 from conftest import unit
 
 
@@ -176,9 +179,11 @@ def test_verdict_bands_partition():
         )
 
 
-def test_classified_point_serialization(diag123):
-    point = classify_point(diag123, [1.0, 0.0, 0.0])
-    doc = point.to_dict()
+def test_classified_point_serialization(diag123, tmp_path, capsys):
+    path = tmp_path / "diag123.json"
+    write_polynomial(diag123, path)
+    assert main(["classify", "--poly", str(path), "--json"]) == 0
+    doc = next(p for p in json.loads(capsys.readouterr().out) if p["x"][0] > 0.5)
     assert set(doc) == {
         "x",
         "lambda",
@@ -188,8 +193,8 @@ def test_classified_point_serialization(diag123):
         "verdict",
     }
     assert doc["verdict"] == "SOSC"
-    assert doc["lambda"] == 1.0
-    assert doc["tangent_eigenvalues"] == [2.0, 3.0]
+    assert doc["lambda"] == pytest.approx(1.0, abs=1e-12)
+    assert doc["tangent_eigenvalues"] == pytest.approx([2.0, 3.0], abs=1e-9)
 
 
 def test_classify_rejects_zero_polynomial():

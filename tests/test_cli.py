@@ -380,6 +380,26 @@ def test_classify_golden_stdout(capsys):
     assert capsys.readouterr().out == (DATA / "cubic_n3.classify.txt").read_text()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_classify_golden_csv_and_json(fmt, capsys):
+    assert main(["classify", "--poly", str(DATA / "cubic_n3.json"), f"--{fmt}"]) == 0
+    assert capsys.readouterr().out == (DATA / f"cubic_n3.classify.{fmt}").read_text()
+
+
+def test_classify_json_is_strict_for_one_variable(tmp_path, capsys):
+    # n = 1 has no tangent space, so the margin is +inf: JSON gets null.
+    path = tmp_path / "n1.json"
+    write_polynomial(HomogeneousPolynomial(1, 3, {(3,): 2.0}), path)
+    assert main(["classify", "--poly", str(path), "--json"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert [p["lambda"] for p in doc] == [-6.0, 6.0]
+    assert all(p["margin"] is None and p["verdict"] == "SOSC" for p in doc)
+
+
 def test_sample_golden_stdout_and_report(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = ["sample", "--n", "2", "--d", "3", "--trials", "3",

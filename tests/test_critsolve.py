@@ -196,7 +196,7 @@ def test_certification_on_cubic(cubic_sum):
     report = certify_against_oracle(cubic_sum)
     assert report.certified
     assert report.matched == 6
-    assert not report.only_multistart and not report.only_oracle
+    assert report.only_multistart.shape == report.only_oracle.shape == (0, 2)
 
 
 def test_certification_random_batch():
@@ -211,11 +211,17 @@ def test_certification_random_batch():
 
 
 def test_certification_reports_points_only_the_oracle_found():
-    report = certify_against_oracle(random_polynomial(2, 3, 4), SolverConfig(starts=1, seed=0))
+    f = random_polynomial(2, 3, 4)
+    report = certify_against_oracle(f, SolverConfig(starts=1, seed=0))
     assert not report.certified
     assert report.matched == 2
-    assert len(report.only_oracle) == 4
-    assert report.only_multistart == []
+    assert report.only_oracle.shape == (4, 2)
+    assert report.only_multistart.shape == (0, 2)
+    # Each unmatched row is an oracle point; lam = d f(x) recovers its multiplier.
+    oracle = enumerate_critical_pairs_n2(f)
+    for x in report.only_oracle:
+        i = np.flatnonzero((oracle.X == x).all(axis=1))
+        assert i.size == 1 and oracle.lam[i[0]] == pytest.approx(f.d * f.evaluate(x), abs=1e-12)
 
 
 def test_certification_flags_radial_case():

@@ -238,9 +238,9 @@ def test_bordered_determinant_at_power_polynomial_points():
     # n = 2, d = 3: supports {1}, {2}, {1,2} give |det| = 6, 12, 12/sqrt(5)
     # (diagonal closed form |d-2|^(|S|-1) |lam|^(n-1)).
     p = geometric_power_polynomial(2, 3)
-    points = enumerate_power_critical_points(2, 3)
-    assert len(points) == 6
-    dets = bordered_determinants(p, [x for x, _ in points], [lam for _, lam in points])
+    X, lam = enumerate_power_critical_points(2, 3)
+    assert lam.size == 6
+    dets = bordered_determinants(p, X, lam)
     magnitudes = sorted(np.abs(dets))
     expected = sorted([6.0, 6.0, 12.0, 12.0, 12.0 / math.sqrt(5.0), 12.0 / math.sqrt(5.0)])
     assert np.allclose(magnitudes, expected, rtol=1e-10)
@@ -252,8 +252,7 @@ def test_power_family_determinants_nonzero_under_the_one_rule(n, d):
     # The closed-form points the witness suite checks: none vanishes under
     # the zero rule run_degenerate_family also applies.
     p = geometric_power_polynomial(n, d)
-    points = enumerate_power_critical_points(n, d)
-    dets = bordered_determinants(p, [x for x, _ in points], [lam for _, lam in points])
+    dets = bordered_determinants(p, *enumerate_power_critical_points(n, d))
     assert np.all(np.abs(dets) > scaled_tolerance(p, DEFAULT_TOL_DET))
 
 

@@ -10,20 +10,25 @@ from spherecrit import (
     ClassifiedPoint,
     CriticalPair,
     ExperimentConfig,
+    SolverConfig,
     axis_monomial,
+    certify_against_oracle,
     classify_all,
     check_planted_quadratic,
     enumerate_power_critical_points,
     geometric_power_polynomial,
     quadratic_form_polynomial,
+    random_polynomial,
     run_degenerate_family,
     run_quadratic_sweep,
     run_random_genericity,
     run_witness_d2,
     run_witness_general,
     weighted_axis_quadratic,
+    write_polynomial,
 )
 from spherecrit import genlab
+from spherecrit.cli import main
 from spherecrit.genlab import _dump_polynomial
 from spherecrit import read_polynomial
 
@@ -79,22 +84,72 @@ def test_quadratic_form_polynomial_rejects_non_square(A):
         quadratic_form_polynomial(A)
 
 
+def _count(n, d):
+    X, lam = enumerate_power_critical_points(n, d)
+    assert X.shape == (lam.size, n)
+    return lam.size
+
+
 def test_power_point_enumeration_counts():
     # Odd d: two points per nonempty support; even d: 2^(|S|) per support.
-    assert len(enumerate_power_critical_points(2, 3)) == 2 * 3
-    assert len(enumerate_power_critical_points(3, 3)) == 2 * 7
-    assert len(enumerate_power_critical_points(2, 4)) == 8  # 2 + 2 + 4
-    assert len(enumerate_power_critical_points(3, 4)) == 26  # 3^3 - 1
-    assert len(enumerate_power_critical_points(2, 1)) == 2
+    assert _count(2, 3) == 2 * 3
+    assert _count(3, 3) == 2 * 7
+    assert _count(2, 4) == 8  # 2 + 2 + 4
+    assert _count(3, 4) == 26  # 3^3 - 1
+    assert _count(2, 1) == 2
     for n in (5, 6):
-        assert len(enumerate_power_critical_points(n, 3)) == 2 * (2**n - 1)  # 62, 126
-        assert len(enumerate_power_critical_points(n, 4)) == 3**n - 1  # 242, 728
+        assert _count(n, 3) == 2 * (2**n - 1)  # 62, 126
+        assert _count(n, 4) == 3**n - 1  # 242, 728
+
+
+def _power_points_by_loop(n, d):
+    """Reference enumeration: one Python iteration per support and sign choice."""
+    alpha = 2.0 ** (d - 2)
+    if d == 1:
+        c = np.array([alpha ** (k + 1) for k in range(n)])
+        nrm = float(np.linalg.norm(c))
+        return [(-c / nrm, -nrm), (c / nrm, nrm)]
+    points = []
+    exponent = 1.0 / (d - 2)
+    for mask in range(1, 2**n):
+        support = [k for k in range(n) if mask >> k & 1]
+        coef = np.array([(d * alpha ** (k + 1)) ** (-exponent) for k in support])
+        lam_mag = float(np.sum(coef**2) ** (-(d - 2) / 2.0))
+        radial = lam_mag**exponent * coef
+        if d % 2 == 1:
+            for lam_sign in (-1.0, 1.0):
+                x = np.zeros(n)
+                x[support] = lam_sign * radial
+                points.append((x, lam_sign * lam_mag))
+        else:
+            for signs in range(2 ** len(support)):
+                x = np.zeros(n)
+                for pos, k in enumerate(support):
+                    x[k] = (1.0 if signs >> pos & 1 else -1.0) * radial[pos]
+                points.append((x, lam_mag))
+    points.sort(key=lambda item: (item[1], tuple(item[0])))
+    return points
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 5, 6, 7])
+def test_power_point_enumeration_matches_reference_loop(d):
+    # Same count and row order; values agree to rounding (numpy's vectorised
+    # pow and row sums may differ from the scalar ones in the last bits).
+    for n in range(1, 9):
+        X, lam = enumerate_power_critical_points(n, d)
+        ref = _power_points_by_loop(n, d)
+        assert lam.size == len(ref), (n, d)
+        X_ref = np.array([x for x, _ in ref])
+        lam_ref = np.array([m for _, m in ref])
+        assert np.all(np.abs(X - X_ref) <= 1e-15), (n, d)
+        assert np.all(np.abs(lam - lam_ref) <= 1e-15 * np.abs(lam_ref)), (n, d)
+        assert np.array_equal(X == 0, X_ref == 0), (n, d)
 
 
 def test_power_point_enumeration_is_critical():
     for n, d in [(2, 3), (3, 4), (2, 5), (3, 1), (5, 3), (5, 4), (6, 3), (6, 4)]:
         p = geometric_power_polynomial(n, d)
-        for x, lam in enumerate_power_critical_points(n, d):
+        for x, lam in zip(*enumerate_power_critical_points(n, d)):
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(p.gradient(x) - lam * x) <= 1e-9 * max(
                 1.0, p.coefficient_norm
@@ -300,15 +355,24 @@ def _count_constructions(monkeypatch, cls) -> list:
     return built
 
 
-def test_suites_build_no_per_point_objects(monkeypatch, tmp_path):
-    # Between the solver and the suites critical sets stay arrays; only
-    # classify_all builds one ClassifiedPoint (and its pair) per point.
+def test_suites_build_no_per_point_objects(monkeypatch, tmp_path, capsys):
+    # Between the solver and the suites, the CLI and the certification
+    # report critical sets stay arrays; only classify_all builds one
+    # ClassifiedPoint (and its pair) per point.
     pairs = _count_constructions(monkeypatch, CriticalPair)
     points = _count_constructions(monkeypatch, ClassifiedPoint)
     assert run_degenerate_family("single_monomial", 3, 4).passed
     config = ExperimentConfig(n=3, d=3, trials=2, seed=4, dump_dir=str(tmp_path))
     assert run_random_genericity(config).total_degenerate == 0
     assert run_witness_d2(3).passed
+    assert run_witness_general(3, 4).passed
+    report = certify_against_oracle(random_polynomial(2, 3, 4), SolverConfig(starts=1, seed=0))
+    assert not report.certified and report.only_oracle.size
+    poly = tmp_path / "cubic.json"
+    write_polynomial(axis_monomial(3, 3), poly)
+    for fmt in ([], ["--csv"], ["--json"]):
+        assert main(["classify", "--poly", str(poly)] + fmt) == 0
+    assert capsys.readouterr().out
     assert pairs == [] and points == []
     classified = classify_all(axis_monomial(3, 3))
     assert len(classified) > 100
