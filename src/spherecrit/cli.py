@@ -55,14 +55,6 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_classify(args) -> int:
     f = read_polynomial(args.poly)
     found = find_critical_pairs(f, SolverConfig(starts=args.starts, seed=args.seed))
@@ -91,7 +83,11 @@ def _cmd_classify(args) -> int:
         summary = ", ".join(f"{k}={c}" for k, c in sorted(Counter(verdicts).items()))
         lines.append(f"summary: {summary if summary else 'no critical points found'}")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -153,15 +149,6 @@ def _cmd_oracle2(args) -> int:
     return EXIT_OK
 
 
-def _print_suite(report) -> int:
-    for check in report.checks:
-        mark = "ok  " if check.passed else "FAIL"
-        detail = f"  {check.detail}" if check.detail else ""
-        sys.stdout.write(f"[{mark}] {check.name}{detail}\n")
-    sys.stdout.write(f"suite {report.name}: {'PASS' if report.passed else 'FAIL'}\n")
-    return EXIT_OK if report.passed else EXIT_SUITE_FAILED
-
-
 def _cmd_witness(args) -> int:
     if args.mode != "d2" and args.d is None:
         print(f"--d is required for --mode {args.mode}", file=sys.stderr)
@@ -176,7 +163,12 @@ def _cmd_witness(args) -> int:
     else:
         kind = "repeated_lambda1" if args.d == 2 else "single_monomial"
         report = run_degenerate_family(kind, args.n, args.d)
-    return _print_suite(report)
+    for check in report.checks:
+        mark = "ok  " if check.passed else "FAIL"
+        detail = f"  {check.detail}" if check.detail else ""
+        sys.stdout.write(f"[{mark}] {check.name}{detail}\n")
+    sys.stdout.write(f"suite {report.name}: {'PASS' if report.passed else 'FAIL'}\n")
+    return EXIT_OK if report.passed else EXIT_SUITE_FAILED
 
 
 def _cmd_sample(args) -> int:
@@ -190,7 +182,7 @@ def _cmd_sample(args) -> int:
     )
     report = run_random_genericity(config)
     with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json(include_runtime=True))
+        handle.write(report.to_json())
     if args.csv:
         report.write_csv(args.csv)
     total_critical = sum(r.critical_count for r in report.records)
@@ -212,7 +204,7 @@ def _cmd_sample(args) -> int:
 def _cmd_quad(args) -> int:
     report = run_quadratic_sweep(args.n, args.trials, args.seed)
     with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json(include_runtime=True))
+        handle.write(report.to_json())
     sys.stdout.write(
         f"trials: {report.trials}, degenerate: {report.degenerate_count}, "
         f"disagreements: {len(report.disagreements)}, "

@@ -7,8 +7,8 @@ never occurs off the constructed instances, dumping any offending polynomial
 to disk for inspection.
 
 Reports are plain dataclasses with JSON and CSV views.  Everything is
-deterministic given the config seed; the only non-reproducible field is
-``runtime_seconds``, which the byte-stable serializations can omit.
+deterministic given the config seed except ``runtime_seconds``, which the
+JSON view writes last and the CSV view leaves out.
 """
 
 from __future__ import annotations
@@ -219,14 +219,8 @@ class ExperimentReport:
     records: list[TrialRecord]
     runtime_seconds: float
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
-        doc = asdict(self)
-        if not include_runtime:
-            del doc["runtime_seconds"]
-        return doc
-
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_dict(include_runtime), indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     def write_csv(self, path) -> None:
         """One row per trial: seed, counts per class, min SOSC margin."""
@@ -272,16 +266,10 @@ class QuadSweepReport:
             p["quadratic_rule"] and p["pipeline"] for p in self.planted
         )
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
-        doc = asdict(self)
-        runtime = doc.pop("runtime_seconds")
-        doc["passed"] = self.passed
-        if include_runtime:
-            doc["runtime_seconds"] = runtime
-        return doc
-
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_dict(include_runtime), indent=2) + "\n"
+    def to_json(self) -> str:
+        doc = {**asdict(self), "passed": self.passed}
+        doc["runtime_seconds"] = doc.pop("runtime_seconds")  # the runtime stays last
+        return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

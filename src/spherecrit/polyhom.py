@@ -23,11 +23,12 @@ lossless float64 round trip.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -68,16 +69,12 @@ def monomial_basis(n: int, d: int) -> tuple[Monomial, ...]:
         raise ValueError(f"need at least one variable, got n={n}")
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got d={d}")
-
-    def gen(vars_left: int, total: int) -> Iterator[Monomial]:
-        if vars_left == 1:
-            yield (total,)
-            return
-        for e in range(total, -1, -1):
-            for rest in gen(vars_left - 1, total - e):
-                yield (e,) + rest
-
-    return tuple(gen(n, d))
+    # Variable-index multisets map one-to-one onto exponent tuples.
+    exps = (
+        tuple(map(combo.count, range(n)))
+        for combo in itertools.combinations_with_replacement(range(n), d)
+    )
+    return tuple(sorted(exps, reverse=True))
 
 
 def basis_size(n: int, d: int) -> int:
@@ -372,17 +369,12 @@ def random_polynomial(n: int, d: int, seed) -> HomogeneousPolynomial:
     )
 
 
-def _format_coefficient(c: float) -> str:
-    # 17 significant digits: lossless float64 round trip.
-    return format(float(c), ".17g")
-
-
 def serialize_polynomial(f: HomogeneousPolynomial) -> str:
     """Render ``f`` in the JSON file format, terms in graded-lex order."""
     entries = []
     for exp, c in zip(f._exps.tolist(), f._coefs):
         exp_str = ", ".join(str(int(e)) for e in exp)
-        entries.append(f'{{"exp": [{exp_str}], "coef": {_format_coefficient(c)}}}')
+        entries.append(f'{{"exp": [{exp_str}], "coef": {float(c):.17g}}}')
     if entries:
         body = ",\n    ".join(entries)
         terms = f"[\n    {body}\n  ]"

@@ -264,18 +264,22 @@ def test_pairs_view_matches_arrays_bitwise(f):
 
 
 def test_empty_critical_set_keeps_its_shape():
-    # At coefficient norm 1e-4 the absolute tolerances reject every start
-    # (ROADMAP item 2), so the set is empty; its arrays keep (0, n) through
-    # the analysis and the classified list.
-    base = random_polynomial(3, 4, 0).coefficient_vector()
-    f = HomogeneousPolynomial.from_coefficient_vector(3, 4, base * (1e-4 / np.linalg.norm(base)))
-    found = find_critical_pairs(f)
+    # A unit-norm form whose single start does not converge (the default
+    # start count finds points), so the set is empty; its arrays keep
+    # (0, n) through the analysis and the classified list.
+    f = HomogeneousPolynomial(
+        3, 4, {(0, 4, 0): 0.5, (1, 1, 2): 0.5, (2, 1, 1): -0.5, (1, 2, 1): -0.5}
+    )
+    assert f.coefficient_norm == 1.0
+    config = SolverConfig(starts=1, seed=1)
+    found = find_critical_pairs(f, config)
+    assert found.converged_fraction == 0.0
     assert found.X.shape == (0, 3) and found.lam.shape == found.residual.shape == (0,)
     assert len(found.pairs) == 0 and list(found.pairs) == []
     analysis = analyze_points(f, found.X)
     assert analysis.points.shape == (0, 3) and analysis.eigenvalues.shape == (0, 2)
     assert analysis.verdicts == []
-    assert classify_all(f) == []
+    assert classify_all(f, config) == []
 
 
 def test_starts_default_and_override():

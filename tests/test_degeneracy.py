@@ -290,6 +290,22 @@ def test_bordered_determinants_batch_matches_rows():
             assert bordered_determinants(f, [x], [lm])[0] == pytest.approx(det, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("c", [1e-3, 10.0, 1e3])
+def test_bordered_determinants_homogeneous_of_degree_n_minus_1(n, c):
+    # Scaling f and lam by c scales the n x n block of the bordered matrix
+    # but not its border, so det picks up c^(n - 1).  The zero rule's
+    # threshold is linear in ||f||, so it tracks this scaling only at n = 2.
+    rng = np.random.default_rng([n, 41])
+    f = random_polynomial(n, 3, rng)
+    cf = HomogeneousPolynomial.from_coefficient_vector(n, 3, c * f.coefficient_vector())
+    X = rng.standard_normal((5, n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    lam = 3 * f.evaluate_many(X)
+    dets = bordered_determinants(f, X, lam)
+    assert np.allclose(bordered_determinants(cf, X, c * lam), c ** (n - 1) * dets, rtol=1e-10, atol=0)
+
+
 def test_bordered_determinants_input_checks(diag123):
     with pytest.raises(ValueError, match="shape"):
         bordered_determinants(diag123, np.eye(2), [1.0, 2.0])

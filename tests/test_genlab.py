@@ -329,7 +329,8 @@ def test_random_genericity_reproducible(tmp_path):
     )
     a = run_random_genericity(config)
     b = run_random_genericity(config)
-    assert a.to_json(include_runtime=False) == b.to_json(include_runtime=False)
+    a.runtime_seconds = b.runtime_seconds = 0.0  # the one field that varies
+    assert a.to_json() == b.to_json()
 
 
 def test_random_genericity_at_n1_has_no_rank_hits(tmp_path):
@@ -395,8 +396,7 @@ def test_report_json_round_trip(tmp_path):
     assert doc["trials"] == 4
     assert doc["total_degenerate"] == 0
     assert len(doc["records"]) == 4
-    assert "runtime_seconds" in doc
-    assert "runtime_seconds" not in json.loads(report.to_json(include_runtime=False))
+    assert list(doc)[-1] == "runtime_seconds"
 
 
 def test_report_csv_format(tmp_path):
@@ -478,3 +478,7 @@ def test_quadratic_sweep_report_json():
     doc = json.loads(report.to_json())
     assert doc["passed"] is True
     assert doc["trials"] == 5
+    assert list(doc) == [
+        "n", "trials", "seed", "degenerate_count", "disagreements", "planted",
+        "passed", "runtime_seconds",
+    ]

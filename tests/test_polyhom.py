@@ -1,5 +1,6 @@
 """Representation, calculus, serialization, and sampling of homogeneous polynomials."""
 
+import itertools
 import json
 import math
 
@@ -26,6 +27,15 @@ def test_monomial_basis_order_and_size():
     assert monomial_basis(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert len(monomial_basis(3, 4)) == basis_size(3, 4) == 15
     assert basis_size(5, 6) == math.comb(10, 6)
+
+
+def test_monomial_basis_matches_brute_force_definition():
+    # random_polynomial draws coefficients in basis order, so this also pins
+    # every seeded form.
+    for n in range(1, 7):
+        for d in range(7):
+            exps = (e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d)
+            assert monomial_basis(n, d) == tuple(sorted(exps, reverse=True)), (n, d)
 
 
 def test_monomial_basis_rejects_bad_shape():
