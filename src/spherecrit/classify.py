@@ -29,7 +29,6 @@ from .critsolve import (
     DEFAULT_TOL_CRIT,
     CriticalPair,
     SolverConfig,
-    _PairView,
     _reject_zero,
     find_critical_pairs,
     scaled_tolerance,
@@ -97,9 +96,9 @@ class PointAnalysis:
 
     def classified(self) -> list[ClassifiedPoint]:
         """One :class:`ClassifiedPoint` per row."""
-        pairs = _PairView(self.points, self.lam, self.residuals)
-        rows = zip(pairs, self.eigenvalues, self.margins.tolist(), self.verdicts)
-        return [ClassifiedPoint(*row) for row in rows]
+        pairs = zip(self.points.copy(), self.lam.tolist(), self.residuals.tolist())
+        rows = zip(self.eigenvalues, self.margins.tolist(), self.verdicts)
+        return [ClassifiedPoint(CriticalPair(*p), *row) for p, row in zip(pairs, rows)]
 
 
 def _tangent_bases(X: np.ndarray) -> np.ndarray:

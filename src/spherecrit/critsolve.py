@@ -31,7 +31,6 @@ independent per-start iterations would be scheduled.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,28 +80,6 @@ class CriticalPair:
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class _PairView(Sequence):
-    """Read-only :class:`CriticalPair` view of row-aligned arrays: its length
-    reads them, and only indexing and iteration build pairs."""
-
-    X: np.ndarray
-    lam: np.ndarray
-    residual: np.ndarray
-
-    def __len__(self) -> int:
-        return self.lam.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(_PairView(self.X[i], self.lam[i], self.residual[i]))
-        return CriticalPair(self.X[i].copy(), float(self.lam[i]), float(self.residual[i]))
-
-    def __iter__(self):
-        rows = zip(self.X.copy(), self.lam.tolist(), self.residual.tolist())
-        return (CriticalPair(x, lam, res) for x, lam, res in rows)
-
-
 @dataclass
 class CriticalSet:
     """Deduplicated critical pairs as arrays, plus solver bookkeeping.
@@ -112,7 +89,7 @@ class CriticalSet:
     (lam, x1, ..., xn), lie more than ``DEFAULT_DEDUP_RADIUS`` apart, and
     come in exact antipodal pairs: with row (x, lam, r) the set holds
     (-x, (-1)^d lam, r) bitwise.  An empty set keeps ``X`` at (0, n).
-    ``pairs`` views the rows as :class:`CriticalPair` objects.
+    ``pairs`` builds a list of one :class:`CriticalPair` per row when read.
     ``all_critical`` marks the radially symmetric n = 2 special case
     f = c (x1^2 + x2^2)^(d/2), where the whole circle is critical; the rows
     then hold the two antipodal representatives at the first axis.
@@ -126,8 +103,9 @@ class CriticalSet:
     all_critical: bool = False
 
     @property
-    def pairs(self) -> Sequence[CriticalPair]:
-        return _PairView(self.X, self.lam, self.residual)
+    def pairs(self) -> list[CriticalPair]:
+        rows = zip(self.X.copy(), self.lam.tolist(), self.residual.tolist())
+        return [CriticalPair(*row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -207,7 +185,7 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     The whole batch is solved first.  Only when LAPACK rejects it are rows
     with a zero or non-finite determinant flagged unusable and the rest
     solved again; ``_newton_polish`` hands the flagged rows to its
-    truncated-SVD polish.  ``det`` and ``solve`` factor the same matrices
+    pseudo-inverse polish.  ``det`` and ``solve`` factor the same matrices
     with the same LU, so the second solve meets no zero pivot.
     """
     bad = np.zeros(rhs.shape[0], dtype=bool)
@@ -223,23 +201,18 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _lstsq_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched truncated-SVD least-squares steps.
+    """Batched Moore-Penrose steps pinv(J) @ rhs, dropping singular values
+    at or below ``LSTSQ_RCOND`` times the largest of each J.
 
     Near-null Jacobian directions (manifolds of critical points, multiple
     roots) are dropped rather than amplified, so the step corrects only the
     well-determined components.
     """
     try:
-        U, s, Vt = np.linalg.svd(J)
+        steps = (np.linalg.pinv(J, rcond=LSTSQ_RCOND) @ rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         return np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
-    cutoff = LSTSQ_RCOND * s[:, :1]
-    safe = np.where(s > 0.0, s, 1.0)
-    sinv = np.where(s > cutoff, 1.0 / safe, 0.0)
-    z = np.einsum("kms,km->ks", U, rhs) * sinv
-    steps = np.einsum("ksm,ks->km", Vt, z)
-    usable = np.isfinite(steps).all(axis=1)
-    return steps, usable
+    return steps, np.isfinite(steps).all(axis=1)
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:

@@ -99,8 +99,8 @@ class _BundlePlan(NamedTuple):
     """Support-only plan of one jet bundle, shared by every polynomial with
     one support; each polynomial keeps only its weight matrix.
 
-    ``exps`` is the monomial pool (rows in order of first appearance) and
-    ``cols`` / ``dmax`` index the powers table, so that
+    ``exps`` is the monomial pool (rows in order of first appearance); with
+    ``dmax`` it indexes the powers table, so that
     value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c].  Entry t of the
     index arrays puts ``(coefs[source[t]] * a[t]) * b[t]`` into weight cell
     ``(rows[t], columns[t])``, where ``a`` and ``b`` are the exponents
@@ -108,7 +108,6 @@ class _BundlePlan(NamedTuple):
     """
 
     exps: np.ndarray
-    cols: np.ndarray
     dmax: int
     shape: tuple[int, int]
     rows: np.ndarray
@@ -142,7 +141,6 @@ def _bundle_plan(
     rows, weight_cols, source, a, b = _frozen(np.array(entries, dtype=np.intp).reshape(-1, 5).T)
     return _BundlePlan(
         exps=exps,
-        cols=np.broadcast_to(np.arange(n), exps.shape),
         dmax=int(exps.max(initial=0)),
         shape=(len(index), len(columns)),
         rows=rows,
@@ -299,7 +297,7 @@ class HomogeneousPolynomial:
         ``pts``: one powers table, one gather and product, one GEMM."""
         plan = self._plans[k]
         table = _powers_table(pts, plan.dmax)
-        return table[:, plan.cols, plan.exps].prod(axis=2) @ self._weights[k]
+        return table[:, np.arange(self._n), plan.exps].prod(axis=2) @ self._weights[k]
 
     def evaluate(self, x) -> float:
         """Value of the polynomial at a point of length ``n``."""

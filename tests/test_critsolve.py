@@ -11,6 +11,7 @@ from spherecrit import critsolve
 from spherecrit import (
     HomogeneousPolynomial,
     SolverConfig,
+    Verdict,
     ZeroPolynomialError,
     analyze_points,
     certify_against_oracle,
@@ -19,6 +20,7 @@ from spherecrit import (
     exact_oracle_n2,
     find_critical_pairs,
     axis_monomial,
+    geometric_power_polynomial,
     random_polynomial,
     read_polynomial,
     run_degenerate_family,
@@ -172,6 +174,34 @@ def test_direction_count_bounded_by_degree():
             assert (len(found.pairs) // 2) % 2 == d % 2
 
 
+def _eigenvector_classes(n, d):
+    """Complex eigenvector classes {x, -x} of a generic form (Cartwright and
+    Sturmfels): ((d-1)^n - 1) / (d-2)."""
+    return ((d - 1) ** n - 1) // (d - 2)
+
+
+@pytest.mark.parametrize(
+    "n, d, forms", [(3, 3, 40), (3, 4, 40), (4, 3, 40), (4, 4, 20), (5, 3, 20)]
+)
+def test_class_count_bounded_with_parity_above_n2(n, d, forms):
+    # A real critical class is a real eigenvector class of the form, and the
+    # non-real ones come in conjugate pairs, so a complete critical set of a
+    # generic form has at most B classes, with the parity of B.
+    bound = _eigenvector_classes(n, d)
+    for s in range(forms):
+        found = find_critical_pairs(random_polynomial(n, d, [15, n, d, s]), SolverConfig(seed=s))
+        k = len(found.X) // 2
+        assert k <= bound and (bound - k) % 2 == 0, (s, k, bound)
+
+
+@pytest.mark.xfail(strict=True, reason="multistart misses one class of 40 (ROADMAP item 6)")
+def test_class_count_parity_on_geometric_power_4_4():
+    # sum_k 4^k xk^4 has all 40 classes real; at seed 0 multistart returns
+    # 78 points, 39 classes, so the parity check fails.
+    found = find_critical_pairs(geometric_power_polynomial(4, 4), SolverConfig(seed=0))
+    assert (_eigenvector_classes(4, 4) - len(found.X) // 2) % 2 == 0
+
+
 @pytest.mark.parametrize(
     "f",
     [
@@ -247,7 +277,7 @@ def test_deterministic_given_seed():
     ids=["random(3,3)", "axis_monomial(3,3)", "n1"],
 )
 def test_pairs_view_matches_arrays_bitwise(f):
-    # The pairs view is built from X, lam and residual when read, row for row.
+    # The pairs list is built from X, lam and residual when read, row for row.
     found = find_critical_pairs(f, SolverConfig(seed=5))
     pairs = found.pairs
     k = found.lam.shape[0]
@@ -302,6 +332,36 @@ def test_weighted_quadratic_multistart_matches_oracle_n2():
     p = weighted_axis_quadratic(2)
     report = certify_against_oracle(p)
     assert report.certified and report.matched == 4
+
+
+def _ladder_form(d, eps):
+    """x1^d + (d/2 + eps) x1^(d-2) x2^2 + sum_{a<=d-3} c_a x1^a x2^(d-a):
+    e1 is critical with lam = d and tangent margin 2 eps."""
+    rng = np.random.default_rng([12, d, 0])
+    terms = {(d, 0): 1.0, (d - 2, 2): d / 2 + eps}
+    for a in range(d - 2):
+        terms[(a, d - a)] = rng.standard_normal()
+    return HomogeneousPolynomial(2, d, terms)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_resolution_ladder_near_degenerate_e1(d):
+    # As eps shrinks toward the locus from either side, the multistart
+    # solver, the exact enumeration and the classifier still resolve e1:
+    # same count, certified, off the locus, SOSC above and FONC_ONLY below.
+    # -e1 has margin -2 eps for odd d, the same for even d.
+    for eps in (1e-3, -1e-3, 1e-5, -1e-5):
+        f = _ladder_form(d, eps)
+        found = find_critical_pairs(f, SolverConfig(seed=0))
+        assert len(found.X) == len(enumerate_critical_pairs_n2(f).X) == 2 * d, eps
+        assert certify_against_oracle(f).certified, eps
+        assert not exact_oracle_n2(f).on_locus, eps
+        e1 = np.array([[1.0, 0.0]])
+        assert analyze_points(f, e1).margins[0] == pytest.approx(2 * eps, rel=1e-9)
+        for sign, flip in ((1, 1), (-1, (-1) ** d)):
+            near = np.linalg.norm(found.X - sign * e1, axis=1) <= DEFAULT_DEDUP_RADIUS
+            verdict = Verdict.SOSC if flip * eps > 0 else Verdict.FONC_ONLY
+            assert analyze_points(f, found.X[near]).verdicts == [verdict], (eps, sign)
 
 
 def test_degenerate_circle_points_land_on_locus():
@@ -635,12 +695,14 @@ def test_singular_row_converges_through_polish():
 
 
 def test_singular_row_without_svd_is_not_converged(monkeypatch):
+    # The polish step's pseudo-inverse comes from an SVD; when LAPACK cannot
+    # compute it the row gets no step and stays where Newton left it.
     f, x, lam, tol = _singular_start()
 
     def no_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "pinv", no_svd)
     rhs = np.ones((2, 4))
     steps, usable = critsolve._lstsq_steps(np.zeros((2, 4, 4)), rhs)
     assert not usable.any()
@@ -648,6 +710,34 @@ def test_singular_row_without_svd_is_not_converged(monkeypatch):
     X, _, done = critsolve._newton_polish(f, x, lam, accept_tol=tol)
     assert done.tolist() == [False]
     np.testing.assert_array_equal(X, x)
+
+
+def _truncated_svd_steps(J, rhs):
+    """The polish step written out: singular values at or below
+    LSTSQ_RCOND times the largest are dropped, the rest inverted."""
+    U, s, Vt = np.linalg.svd(J)
+    cutoff = critsolve.LSTSQ_RCOND * s[:, :1]
+    sinv = np.where(s > cutoff, 1.0 / np.where(s > 0.0, s, 1.0), 0.0)
+    return np.einsum("ksm,ks->km", Vt, np.einsum("kms,km->ks", U, rhs) * sinv)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_lstsq_steps_match_truncated_svd(m):
+    # Stacks of rank 1 .. m-1, spread over twelve orders of magnitude, plus
+    # an all-zero Jacobian, whose step is zero.
+    rng = np.random.default_rng([23, m])
+    rank = np.arange(60) % (m - 1) + 1
+    U = rng.standard_normal((60, m, m)) * (np.arange(m) < rank[:, None, None])
+    J = U @ rng.standard_normal((60, m, m)) * 10.0 ** rng.uniform(-6, 6, (60, 1, 1))
+    J[0] = 0.0
+    rhs = rng.standard_normal((60, m))
+    assert (np.linalg.matrix_rank(J[1:]) == rank[1:]).all()
+    steps, usable = critsolve._lstsq_steps(J, rhs)
+    ref = _truncated_svd_steps(J, rhs)
+    assert usable.all()
+    assert not steps[0].any() and not ref[0].any()
+    err = np.linalg.norm(steps - ref, axis=1)
+    assert (err[1:] <= 1e-12 * np.linalg.norm(ref[1:], axis=1)).all()
 
 
 def _record_polish_rows(monkeypatch):
