@@ -225,7 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="find and classify all critical points")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--starts", type=int, default=None, help="Newton starts (default 50*d*n)")
+    p.add_argument("--starts", type=int, default=None,
+                   help="Newton start budget, 1 to 20000 (default 50*d*n)")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable JSON output")

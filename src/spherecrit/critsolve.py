@@ -7,7 +7,8 @@ Two finders are provided:
 * :func:`find_critical_pairs` runs multistart damped Newton on the square
   system F(x, lam) = (grad f(x) - lam x, (x.x - 1)/2) with the full
   (n+1) x (n+1) Jacobian.  It works for any n but offers only stochastic
-  coverage for n >= 3.
+  coverage for n >= 3.  Half the start budget suffices when the result
+  passes a completeness check for generic forms; otherwise all of it runs.
 
 * :func:`enumerate_critical_pairs_n2` is exact for n = 2: critical
   directions are the real projective roots of the degree-d binary form
@@ -25,7 +26,8 @@ input, which is how multistart coverage is validated at n = 2.
 
 All Newton starts for one solve are drawn up front from the configured seed
 (row order fixed), so results are deterministic regardless of how the
-independent per-start iterations would be scheduled.
+independent per-start iterations would be scheduled, or whether the second
+half of the starts runs.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ MAX_ITERATIONS = 100  # Newton iterations per start
 # A row that finds no decrease by 2^-4 is abandoned one slow iteration early.
 MAX_HALVINGS = 4
 MAX_SLOW_STEPS = 2  # consecutive slow iterations before a start is abandoned
+# Converged starts each class {x, -x} needs before half the start budget is
+# trusted: a class seen only once or twice suggests unseen ones (Good, 1953).
+MIN_CLASS_HITS = 3
 LSTSQ_RCOND = 1e-10  # relative singular value cutoff of the multiple-root polish
 
 
@@ -93,6 +98,9 @@ class CriticalSet:
     ``all_critical`` marks the radially symmetric n = 2 special case
     f = c (x1^2 + x2^2)^(d/2), where the whole circle is critical; the rows
     then hold the two antipodal representatives at the first axis.
+    ``starts_used`` counts the starts that were Newton-polished, which for
+    :func:`find_critical_pairs` is half the start budget (rounded up) or
+    all of it; ``converged_fraction`` is the share of those that converged.
     """
 
     X: np.ndarray
@@ -110,13 +118,16 @@ class CriticalSet:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Multistart Newton knobs: start count and seed.
+    """Multistart Newton knobs: start budget and seed.
 
-    ``starts=None`` selects the default 50 * d * n, capped at 20000.
+    ``starts`` is a budget of unit starts, 1 to ``MAX_STARTS`` (20000);
+    ``None`` selects the default 50 * d * n, capped at 20000.  The solver
+    polishes the first half and spends the second half only when the first
+    does not look complete (see :func:`find_critical_pairs`).
     Everything else is fixed by the solver, not configured: acceptance at
     ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, merging at
-    ``DEFAULT_DEDUP_RADIUS``, and the iteration, step-halving and slow-step
-    caps.
+    ``DEFAULT_DEDUP_RADIUS``, the completeness check, and the iteration,
+    step-halving and slow-step caps.
     """
 
     starts: int | None = None
@@ -173,9 +184,15 @@ def _bordered(H: np.ndarray, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def _system_jacobian(f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Jacobian of the critical-pair system: the bordered matrix with its lam
-    column negated, so it is singular exactly where the bordered one is."""
-    J = _bordered(f.hessian_many(X), X, lam)
-    J[:, :-1, -1] = -X
+    column negated, so it is singular exactly where the bordered one is.
+    The Hessians are written straight into their blocks."""
+    k, n = X.shape
+    J = np.empty((k, n + 1, n + 1))
+    f.hessian_many(X, out=J[:, :n, :n])
+    J.reshape(k, (n + 1) ** 2)[:, : n * (n + 2) : n + 2] -= lam[:, None]  # H - lam I
+    J[:, :n, n] = -X
+    J[:, n, :n] = X
+    J[:, n, n] = 0.0
     return J
 
 
@@ -228,7 +245,7 @@ def _newton_polish(
     lam0: np.ndarray,
     *,
     accept_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the critical-pair system, batched over start rows.
 
     A row stops once its residual passes ``scaled_tolerance(f, 1e-13)``, or
@@ -236,21 +253,24 @@ def _newton_polish(
     Each row takes the longest step 2^-k (k = 0 .. ``MAX_HALVINGS``, so down
     to 1/16) that strictly decreases its residual norm, as sequential
     halving would.  One residual call tests a block of step lengths for
-    every row still looking, as many as fit in the start count, so a sparse
-    straggler set scans all lengths in one call.  Rows that cannot decrease
-    the residual at any of these lengths (a shorter step would be slow
-    anyway), and rows whose residual fell by less than 10 % in each of the
-    last ``MAX_SLOW_STEPS`` iterations, are abandoned.  Rows without a
-    Newton step (a singular Jacobian, as at a degenerate critical point)
-    leave the loop for the multiple-root polish, as do converged rows whose
-    last accepted step left more than 10 % of the residual (linear
-    convergence, or no step at all).  A row is converged exactly when its
-    final residual is at most ``accept_tol``: no row's residual ever rises,
-    and the stop tolerance lies below ``accept_tol``.
-    Returns the final points, multipliers, and the converged mask.
+    every row still looking, as many as fit in the row count of X0, so a
+    sparse straggler set scans all lengths in one call.  Rows that cannot
+    decrease the residual at any of these lengths (a shorter step would be
+    slow anyway), and rows whose residual fell by less than 10 % in each of
+    the last ``MAX_SLOW_STEPS`` iterations, are abandoned.  A row is
+    converged exactly when its final residual, after the multiple-root
+    polish, is at most ``accept_tol``: no row's residual ever rises, and the
+    stop tolerance lies below ``accept_tol``.
+    Returns Z = [X | lam] with one row per start, the residual rows F and
+    their norms Fn, and the mask of rows :func:`_polish_multiple_roots` must
+    see: rows without a Newton step (a singular Jacobian, as at a degenerate
+    critical point), and rows within ``accept_tol`` whose last accepted step
+    left more than 10 % of the residual (linear convergence, or no step at
+    all), unless they already lie below the polish floor.
     """
     n = f.n
     stop_tol = scaled_tolerance(f, 1e-13)
+    scales = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))[:, None, None]
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
     size = Z.shape[0]
     F = _system_residual(f, Z[:, :n], Z[:, n])
@@ -265,79 +285,90 @@ def _newton_polish(
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        J = _system_jacobian(f, Z[rows, :n], Z[rows, n])
+        # The rows' points and residual norms at the start of the iteration;
+        # a row still trying a step length keeps both.  Row gathers use take,
+        # which costs a fraction of fancy indexing on these small arrays.
+        z, before = Z.take(rows, axis=0), Fn[rows]
+        J = _system_jacobian(f, z[:, :n], z[:, n])
         J[~np.isfinite(J)] = 0.0
-        steps, usable = _solve_steps(J, -F[rows])
+        steps, usable = _solve_steps(J, -F.take(rows, axis=0))
         singular[rows[~usable]] = True
-        before = Fn[rows].copy()
-        improved = np.zeros(rows.size, dtype=bool)
         trying = np.flatnonzero(usable)
         k = 0  # halvings already tried by every row still trying
         while trying.size and k <= MAX_HALVINGS:
             # Steps 2^-k .. 2^-(k+m-1) in one call of at most `size` rows.
             m = min(MAX_HALVINGS + 1 - k, max(1, size // trying.size))
-            sub = rows[trying]
-            trial = Z[sub] + np.ldexp(1.0, -np.arange(k, k + m))[:, None, None] * steps[trying]
+            trial = z.take(trying, axis=0) + scales[k : k + m] * steps.take(trying, axis=0)
             flat = trial.reshape(-1, n + 1)
-            Ft = _system_residual(f, flat[:, :n], flat[:, n]).reshape(trial.shape)
-            Ftn = _row_norms(Ft)
-            ok = Ftn < Fn[sub]  # an active row's Fn is finite; NaN never compares below it
+            Ft = _system_residual(f, flat[:, :n], flat[:, n])
+            Ftn = _row_norms(Ft.reshape(trial.shape))
+            ok = Ftn < before[trying]  # before is finite; NaN never compares below it
             hit = ok.any(axis=0)
-            first = ok.argmax(axis=0)[hit], np.flatnonzero(hit)  # longest decreasing step
-            acc = sub[hit]
-            Z[acc] = trial[first]
-            F[acc] = Ft[first]
-            Fn[acc] = Ftn[first]
-            improved[trying[hit]] = True
+            cols = np.flatnonzero(hit)
+            first = ok.argmax(axis=0)[cols] * trying.size + cols  # longest decreasing step
+            acc = rows[trying[cols]]
+            Z[acc] = flat.take(first, axis=0)
+            F[acc] = Ft.take(first, axis=0)
+            Fn[acc] = Ftn.ravel()[first]
             trying = trying[~hit]
             k += m
+        # An accepted step strictly lowers the residual; other rows keep theirs.
+        after = Fn[rows]
+        improved = after < before
         # Wandering rows shave off a sliver of residual per iteration without
         # converging (deep damping).  Genuine roots contract by at least half
         # per step even at multiple roots, so MAX_SLOW_STEPS near-unit ratios
         # in a row mark a start worth abandoning in favor of the remaining
-        # oversampled ones.
-        moved = rows[improved]
-        slow = Fn[moved] > 0.9 * before[improved]
-        linear[moved] = Fn[moved] > 0.1 * before[improved]
-        stalls[moved[slow]] += 1
-        stalls[moved[~slow]] = 0
-        # Abandon the rows that could not decrease the residual and the
-        # hopeless stallers.
-        active[np.concatenate([rows[~improved], moved[stalls[moved] >= MAX_SLOW_STEPS]])] = False
+        # oversampled ones.  Rows that could not decrease the residual are
+        # abandoned too, so their stall counts do not matter.
+        linear[rows[improved]] = (after > 0.1 * before)[improved]
+        stalled = np.where(after > 0.9 * before, stalls[rows] + 1, 0)
+        stalls[rows] = stalled
+        active[rows] = improved & (stalled < MAX_SLOW_STEPS)
 
-    # Multiple-root polish.  Plain Newton converges only linearly to roots
-    # with a singular Jacobian (critical points that are themselves
-    # degenerate), stalling a few orders above machine precision, which is
-    # enough to throw off second-order margins downstream, and takes no
-    # step at all where the Jacobian is exactly singular.  Truncated
-    # least-squares steps ignore the null directions (e.g. a whole circle of
-    # critical points) and overshooting by the root multiplicity restores
-    # fast convergence.  At a simple root the last Newton step cut the
-    # residual more than tenfold, so only singular rows and converged rows
-    # whose last step did not are polished.
+    polish = (((Fn <= accept_tol) & linear) | singular) & (Fn > scaled_tolerance(f, 1e-14))
+    return Z, F, Fn, polish
+
+
+@np.errstate(all="ignore")
+def _polish_multiple_roots(
+    f: HomogeneousPolynomial, Z: np.ndarray, F: np.ndarray, Fn: np.ndarray, polish: np.ndarray
+) -> None:
+    """Multiple-root polish of the masked rows of Z, F and Fn, in place.
+
+    Plain Newton converges only linearly to roots with a singular Jacobian
+    (critical points that are themselves degenerate), stalling a few orders
+    above machine precision, which is enough to throw off second-order
+    margins downstream, and takes no step at all where the Jacobian is
+    exactly singular.  Truncated least-squares steps ignore the null
+    directions (e.g. a whole circle of critical points) and overshooting by
+    the root multiplicity restores fast convergence.  At a simple root the
+    last Newton step cut the residual more than tenfold, so
+    :func:`_newton_polish` masks only singular rows and converged rows whose
+    last step did not.
+    """
+    n = f.n
     floor = scaled_tolerance(f, 1e-14)
-    polish = np.flatnonzero((((Fn <= accept_tol) & linear) | singular) & (Fn > floor))
+    rows = np.flatnonzero(polish)
     for _ in range(8):
-        if polish.size == 0:
+        if rows.size == 0:
             break
-        J = _system_jacobian(f, Z[polish, :n], Z[polish, n])
+        Z0 = Z.take(rows, axis=0)
+        J = _system_jacobian(f, Z0[:, :n], Z0[:, n])
         J[~np.isfinite(J)] = 0.0
-        steps, usable = _lstsq_steps(J, -F[polish])
-        Z0 = Z[polish]
-        moved = np.zeros(polish.size, dtype=bool)
+        steps, usable = _lstsq_steps(J, -F.take(rows, axis=0))
+        moved = np.zeros(rows.size, dtype=bool)
         for factor in (1.0, 2.0, 3.0):
             trial = Z0 + factor * steps
             Ft = _system_residual(f, trial[:, :n], trial[:, n])
             Ftn = _row_norms(Ft)
-            better = usable & np.isfinite(Ftn) & (Ftn < Fn[polish])
-            acc = polish[better]
-            Z[acc] = trial[better]
-            F[acc] = Ft[better]
+            better = usable & np.isfinite(Ftn) & (Ftn < Fn[rows])
+            acc = rows[better]
+            Z[acc] = trial.compress(better, axis=0)
+            F[acc] = Ft.compress(better, axis=0)
             Fn[acc] = Ftn[better]
             moved |= better
-        polish = polish[moved & (Fn[polish] > floor)]
-
-    return Z[:, :n], Z[:, n], Fn <= accept_tol
+        rows = rows[moved & (Fn[rows] > floor)]
 
 
 def _projection_windows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,16 +391,18 @@ def _projection_windows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _collect_pairs(
     f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Normalize, filter by residual ``tol``, mirror, and dedup at
     ``DEFAULT_DEDUP_RADIUS``.  Returns the rows of X, lam and the residual
-    in :class:`CriticalSet` order, closed under the antipodal map exactly."""
+    in :class:`CriticalSet` order, closed under the antipodal map exactly,
+    and per row the number of input rows the merge assigned to its class
+    {x, -x}."""
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0.5
-    X, lam = X[keep] / norms[keep, None], lam[keep]
+    X, lam = X.compress(keep, axis=0) / norms[keep, None], lam[keep]
     res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
     keep = res <= tol
-    X, lam, res = X[keep], lam[keep], res[keep]
+    X, lam, res = X.compress(keep, axis=0), lam[keep], res[keep]
 
     # x critical implies -x critical with lam * (-1)^d and the same residual,
     # so each row is followed by its mirror and the dedup runs once on both.
@@ -379,34 +412,53 @@ def _collect_pairs(
 
     # Greedy dedup, tightest residual first: a row is kept unless an earlier
     # kept row lies within DEFAULT_DEDUP_RADIUS, so each kept row covers its
-    # later neighbours in one vector test over its window.  A row alone in
-    # its window has no neighbour: it is kept and covers nothing.  A row and
-    # its mirror are adjacent in the stable order, and -y covers -x exactly
-    # when y covers x (negation is exact), so both are kept or both covered.
+    # later uncovered neighbours in one vector test over its window, and
+    # counts them as its hits.  A row alone in its window has no neighbour:
+    # it is kept, covers nothing and has one hit.  A row and its mirror are
+    # adjacent in the stable order, and -y covers -x exactly when y covers x
+    # (negation is exact), so both are kept or both covered, with equal
+    # hits: the converged rows that reached their class from either side.
     order = np.argsort(res, kind="stable")
-    Xo = X[order]
+    Xo = X.take(order, axis=0)
     by_p, lo, hi = _projection_windows(Xo)
     covered = np.zeros(order.size, dtype=bool)
+    hits = np.ones(order.size, dtype=np.int64)
     pending = np.flatnonzero(hi - lo > 1)
     while pending.size:  # visits only uncovered rows: one per tight cluster
         i = pending[0]
         near = by_p[lo[i] : hi[i]]
-        near = near[near > i]
-        covered[near[np.linalg.norm(Xo[near] - Xo[i], axis=1) <= DEFAULT_DEDUP_RADIUS]] = True
+        near = near[(near > i) & ~covered[near]]
+        near = near[np.linalg.norm(Xo.take(near, axis=0) - Xo[i], axis=1) <= DEFAULT_DEDUP_RADIUS]
+        covered[near] = True
+        hits[i] += near.size
         pending = pending[1:][~covered[pending[1:]]]
     kept = order[~covered]
-    X, lam, res = X[kept], lam[kept], res[kept]
+    X, lam, res, hits = X.take(kept, axis=0), lam[kept], res[kept], hits[~covered]
     # Ascending by (lam, x1, ..., xn); lexsort's last key is the primary one.
     order = np.lexsort((*X.T[::-1], lam))
-    return X[order], lam[order], res[order]
+    return X.take(order, axis=0), lam[order], res[order], hits[order]
+
+
+def _class_bound(n: int, d: int) -> int:
+    """Complex eigenvector classes {x, -x} of a generic form of degree d in n
+    variables (Cartwright and Sturmfels): ((d-1)^n - 1) / (d-2), which is n
+    at d = 2 and 1 at d = 1."""
+    return n if d == 2 else ((d - 1) ** n - 1) // (d - 2)
+
+
+def _finish(f: HomogeneousPolynomial, passes: list[tuple], tol: float) -> CriticalSet:
+    """One multiple-root polish and one merge over the rows of every Newton pass."""
+    Z, F, Fn, polish = (np.concatenate(parts) for parts in zip(*passes))
+    _polish_multiple_roots(f, Z, F, Fn, polish)
+    ok = Fn <= tol
+    X, lam, res, _ = _collect_pairs(f, Z[ok, : f.n], Z[ok, f.n], tol)
+    return CriticalSet(X, lam, res, starts_used=ok.size, converged_fraction=float(np.mean(ok)))
 
 
 def _solve_from(f: HomogeneousPolynomial, X0: np.ndarray) -> CriticalSet:
     """Newton-polish the unit start rows X0 and collect the converged pairs."""
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    X, lam, ok = _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
-    rows = _collect_pairs(f, X[ok], lam[ok], tol)
-    return CriticalSet(*rows, starts_used=X0.shape[0], converged_fraction=float(np.mean(ok)))
+    return _finish(f, [_newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)], tol)
 
 
 def find_critical_pairs(
@@ -414,24 +466,45 @@ def find_critical_pairs(
 ) -> CriticalSet:
     """All critical pairs reachable by multistart Newton from uniform sphere starts.
 
-    Non-converged starts are counted in ``converged_fraction``, not returned.
-    Each returned pair has residual at most
-    ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, and its bitwise mirror
-    (-x, (-1)^d lam, same residual) is returned too.
+    The configured ``starts`` is a budget.  The first half of the starts
+    (rounded up) is Newton-polished, and the solve stops there when that
+    half looks like the complete critical set of a generic form: no row
+    needs the multiple-root polish, the class count k (pairs {x, -x})
+    satisfies 1 <= k <= B = :func:`_class_bound`, k has the parity of B,
+    and every class was reached by at least ``MIN_CLASS_HITS`` converged
+    starts.
+    Otherwise the second half is Newton-polished too, and the polish and
+    merge run over all the starts.  Non-converged starts are counted in
+    ``converged_fraction``, not returned.  Each returned pair has residual
+    at most ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, and its bitwise
+    mirror (-x, (-1)^d lam, same residual) is returned too.
     """
     cfg = config or SolverConfig()
     _reject_zero(f)
     n, d = f.n, f.d
     starts = cfg.starts if cfg.starts is not None else min(50 * d * n, MAX_STARTS)
-    if starts < 1:
-        raise ValueError(f"need at least one start, got {starts}")
+    if not 1 <= starts <= MAX_STARTS:
+        raise ValueError(f"need 1 to {MAX_STARTS} starts, got {starts}")
 
     rng = np.random.default_rng(cfg.seed)
     X0 = rng.standard_normal((starts, n))
     norms = np.linalg.norm(X0, axis=1)
     norms[norms == 0.0] = 1.0
     X0 /= norms[:, None]
-    return _solve_from(f, X0)
+    lam0 = d * f.evaluate_many(X0)
+    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
+    half = (starts + 1) // 2
+    first = _newton_polish(f, X0[:half], lam0[:half], accept_tol=tol)
+    Z, _, Fn, polish = first
+    ok = Fn <= tol
+    # One class reached MIN_CLASS_HITS times needs that many converged rows.
+    if np.count_nonzero(ok) >= MIN_CLASS_HITS and not polish.any():
+        X, lam, res, hits = _collect_pairs(f, Z[ok, :n], Z[ok, n], tol)
+        k, bound = lam.size // 2, _class_bound(n, d)
+        if 1 <= k <= bound and (bound - k) % 2 == 0 and hits.min() >= MIN_CLASS_HITS:
+            return CriticalSet(X, lam, res, starts_used=half, converged_fraction=float(np.mean(ok)))
+    second = _newton_polish(f, X0[half:], lam0[half:], accept_tol=tol)
+    return _finish(f, [first, second], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,7 @@ class ExperimentConfig:
 class TrialRecord:
     trial: int
     poly_seed: int
+    starts_used: int  # starts the solver Newton-polished, of its budget
     critical_count: int
     verdict_histogram: dict[str, int]
     min_sosc_margin: float | None
@@ -301,7 +302,8 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
         poly_seed = config.seed * SEED_STRIDE + trial
         f = random_polynomial(config.n, config.d, poly_seed)
         solver = SolverConfig(starts=config.starts, seed=poly_seed + 1)
-        X = find_critical_pairs(f, solver).X
+        found = find_critical_pairs(f, solver)
+        X = found.X
         analysis = analyze_points(f, X)
         # Any real witness at x is a tangent eigenvector (up to eigenvalue
         # multiplicity), so these k * (n - 1) directions cover every candidate.
@@ -329,6 +331,7 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
             TrialRecord(
                 trial=trial,
                 poly_seed=poly_seed,
+                starts_used=found.starts_used,
                 critical_count=len(analysis.verdicts),
                 verdict_histogram=histogram,
                 min_sosc_margin=min_margin,
@@ -568,10 +571,12 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_quadratic_degenerate(A: np.ndarray, seed: int) -> bool:
+def _pipeline_quadratic_degenerate(A: np.ndarray, seed: int) -> tuple[bool, int]:
+    """Whether the pipeline finds a degenerate point of x^T A x, and the
+    starts its solve Newton-polished."""
     f = quadratic_form_polynomial(A)
     found = find_critical_pairs(f, SolverConfig(seed=seed))
-    return Verdict.SONC_DEGENERATE in analyze_points(f, found.X).verdicts
+    return Verdict.SONC_DEGENERATE in analyze_points(f, found.X).verdicts, found.starts_used
 
 
 def check_planted_quadratic(
@@ -592,10 +597,12 @@ def check_planted_quadratic(
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     A = Q @ np.diag(eigenvalues) @ Q.T
     A = 0.5 * (A + A.T)
+    pipeline, starts_used = _pipeline_quadratic_degenerate(A, seed + 1)
     return {
         "multiplicity": multiplicity,
         "quadratic_rule": quadratic_degeneracy(A).degenerate,
-        "pipeline": _pipeline_quadratic_degenerate(A, seed + 1),
+        "pipeline": pipeline,
+        "starts_used": starts_used,
     }
 
 
@@ -617,12 +624,17 @@ def run_quadratic_sweep(n: int, trials: int, seed: int = 0) -> QuadSweepReport:
         G = rng.standard_normal((n, n))
         A = 0.5 * (G + G.T)
         rule = quadratic_degeneracy(A).degenerate
-        pipe = _pipeline_quadratic_degenerate(A, seed * SEED_STRIDE + trial)
+        pipe, starts_used = _pipeline_quadratic_degenerate(A, seed * SEED_STRIDE + trial)
         if rule or pipe:
             degenerate_count += 1
         if rule != pipe:
             disagreements.append(
-                {"trial": trial, "quadratic_rule": rule, "pipeline": pipe}
+                {
+                    "trial": trial,
+                    "quadratic_rule": rule,
+                    "pipeline": pipe,
+                    "starts_used": starts_used,
+                }
             )
     planted_results = [
         check_planted_quadratic(n, k, seed=seed + 1000 + k)

@@ -86,13 +86,15 @@ def _powers_table(pts: np.ndarray, dmax: int) -> np.ndarray:
     """table[k, i, e] = pts[k, i]**e for e = 0..dmax, built by repeated multiply.
 
     One table is shared by a bundle's columns evaluated at the same points,
-    which replaces per-term float pow calls with gathers.
+    which replaces per-term float pow calls with gathers.  It is a view of
+    one contiguous (k, n) plane per exponent, so each multiply runs over
+    contiguous memory.
     """
-    table = np.empty((pts.shape[0], pts.shape[1], dmax + 1))
-    table[:, :, 0] = 1.0
+    planes = np.empty((dmax + 1,) + pts.shape)
+    planes[0] = 1.0
     for e in range(1, dmax + 1):
-        table[:, :, e] = table[:, :, e - 1] * pts
-    return table
+        np.multiply(planes[e - 1], pts, out=planes[e])
+    return planes.transpose(1, 2, 0)
 
 
 class _BundlePlan(NamedTuple):
@@ -322,12 +324,16 @@ class HomogeneousPolynomial:
         x = self._as_point(x)
         return self.hessian_many(x[None, :])[0]
 
-    def hessian_many(self, pts) -> np.ndarray:
-        """Hessians at many points, shape (k, n, n), each one symmetric."""
+    def hessian_many(self, pts, out: np.ndarray | None = None) -> np.ndarray:
+        """Hessians at many points, shape (k, n, n), each one symmetric.
+
+        Every entry is written, into ``out`` when it is given: a (k, n, n)
+        array or view, such as the Hessian block of a bordered matrix.
+        """
         pts = self._as_matrix(pts)
         vals = self._jet(2, pts)
         rows, cols = self._triangle
-        H = np.zeros((pts.shape[0], self._n, self._n))
+        H = np.empty((pts.shape[0], self._n, self._n)) if out is None else out
         H[:, rows, cols] = vals
         H[:, cols, rows] = vals
         return H

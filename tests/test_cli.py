@@ -179,7 +179,13 @@ def test_detect_zero_point_exit_2(x1cubed_file, capsys):
 
 def test_classify_zero_starts_exit_2(diag123_file, capsys):
     assert main(["classify", "--poly", diag123_file, "--starts", "0"]) == 2
-    assert "need at least one start, got 0" in capsys.readouterr().err
+    assert "need 1 to 20000 starts, got 0" in capsys.readouterr().err
+
+
+def test_classify_starts_above_max_exit_2(diag123_file, capsys):
+    # Rejected before the (starts x n) start array is allocated.
+    assert main(["classify", "--poly", diag123_file, "--starts", "20001"]) == 2
+    assert "need 1 to 20000 starts, got 20001" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("point", ["nan,1", "inf,1"])
@@ -349,11 +355,15 @@ def test_quad_disagreement_fails_sweep_and_exit_1(tmp_path, monkeypatch, capsys)
     flipped = 2 * genlab.SEED_STRIDE + 1  # trial 1 of the sweep at seed 2
 
     def pipeline(A, seed):
-        return real(A, seed) != (seed == flipped)
+        degenerate, starts_used = real(A, seed)
+        return degenerate != (seed == flipped), starts_used
 
     monkeypatch.setattr(genlab, "_pipeline_quadratic_degenerate", pipeline)
     report = genlab.run_quadratic_sweep(3, 3, seed=2)
-    assert report.disagreements == [{"trial": 1, "quadratic_rule": False, "pipeline": True}]
+    # A generic quadratic form passes the solver's check on half its 300 starts.
+    assert report.disagreements == [
+        {"trial": 1, "quadratic_rule": False, "pipeline": True, "starts_used": 150}
+    ]
     assert report.passed is False
     args = ["quad", "--n", "3", "--trials", "3", "--seed", "2", "--output", str(tmp_path / "q.json")]
     assert main(args) == 1

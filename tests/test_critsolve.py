@@ -180,6 +180,17 @@ def _eigenvector_classes(n, d):
     return ((d - 1) ** n - 1) // (d - 2)
 
 
+def test_class_bound_counts_eigenvector_classes():
+    # The solver's bound: n classes for a quadratic form (its eigenvectors),
+    # one for a linear form (its gradient direction), d at n = 2.
+    assert [critsolve._class_bound(n, 2) for n in (1, 2, 5)] == [1, 2, 5]
+    assert [critsolve._class_bound(n, 1) for n in (1, 2, 5)] == [1, 1, 1]
+    assert [critsolve._class_bound(2, d) for d in (3, 4, 8)] == [3, 4, 8]
+    for n, d in ((3, 3), (3, 4), (4, 4), (5, 3), (5, 4), (10, 4)):
+        assert critsolve._class_bound(n, d) == _eigenvector_classes(n, d)
+    assert critsolve._class_bound(4, 4) == 40
+
+
 @pytest.mark.parametrize(
     "n, d, forms", [(3, 3, 40), (3, 4, 40), (4, 3, 40), (4, 4, 20), (5, 3, 20)]
 )
@@ -313,11 +324,104 @@ def test_empty_critical_set_keeps_its_shape():
 
 
 def test_starts_default_and_override():
+    # ``starts`` is a budget; ``starts_used`` counts the starts Newton
+    # polished: the first half, rounded up, when they pass the completeness
+    # check, and all of them when they do not (x1^3 needs the polish).
     f = random_polynomial(2, 3, 1)
-    found = find_critical_pairs(f)
-    assert found.starts_used == 50 * 3 * 2
-    found = find_critical_pairs(f, SolverConfig(starts=37))
-    assert found.starts_used == 37
+    assert find_critical_pairs(f).starts_used == 50 * 3 * 2 // 2
+    assert find_critical_pairs(f, SolverConfig(starts=37)).starts_used == 19
+    assert find_critical_pairs(axis_monomial(3, 3)).starts_used == 50 * 3 * 3
+    assert find_critical_pairs(axis_monomial(3, 3), SolverConfig(starts=37)).starts_used == 37
+
+
+def _tiny_form(n, d, seed, norm):
+    """random_polynomial(n, d, seed) rescaled to coefficient norm ``norm``."""
+    base = random_polynomial(n, d, seed).coefficient_vector()
+    return HomogeneousPolynomial.from_coefficient_vector(n, d, base * (norm / np.linalg.norm(base)))
+
+
+def _unit_starts(n, starts, seed):
+    """The start rows find_critical_pairs draws for ``SolverConfig(starts, seed)``."""
+    X0 = np.random.default_rng(seed).standard_normal((starts, n))
+    return X0 / np.linalg.norm(X0, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_half_budget_matches_full_budget_on_criterion_4_shapes(n, d):
+    # Generic forms pass the check on the first half of the default budget,
+    # with the answer of the full budget: the class count and the verdicts.
+    starts = 50 * d * n
+    for s in range(20):
+        f = random_polynomial(n, d, [24, n, d, s])
+        found = find_critical_pairs(f, SolverConfig(seed=s))
+        full = critsolve._solve_from(f, _unit_starts(n, starts, s))
+        assert found.starts_used == (starts + 1) // 2 and full.starts_used == starts, s
+        assert found.X.shape == full.X.shape, s
+        np.testing.assert_allclose(found.X, full.X, rtol=0.0, atol=1e-9)
+        assert analyze_points(f, found.X).verdicts == analyze_points(f, full.X).verdicts, s
+
+
+def _first_half(f, config):
+    """What the check sees on the first half of the starts: class count k,
+    bound B, rows needing the multiple-root polish, and the fewest hits."""
+    starts = config.starts or 50 * f.d * f.n
+    X0 = _unit_starts(f.n, starts, config.seed)[: (starts + 1) // 2]
+    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
+    Z, _, Fn, polish = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
+    ok = Fn <= tol
+    _, lam, _, hits = critsolve._collect_pairs(f, Z[ok, :-1], Z[ok, -1], tol)
+    k, bound = lam.size // 2, critsolve._class_bound(f.n, f.d)
+    return k, bound, int(np.count_nonzero(polish)), int(hits.min()) if hits.size else 0
+
+
+@pytest.mark.parametrize(
+    "f, seed, failing",
+    [
+        (axis_monomial(3, 4), 0, "k > B"),
+        (axis_monomial(3, 3), 0, "polish"),
+        (_tiny_form(3, 4, 5, 1e-4), 0, "k = 0"),
+        (geometric_power_polynomial(4, 4), 0, "hits"),
+    ],
+    ids=["axis_monomial(3,4)", "axis_monomial(3,3)", "tiny(3,4)", "geometric_power(4,4)"],
+)
+def test_failed_check_spends_the_full_budget(f, seed, failing):
+    # Each condition of the check, failing on the first half, sends the
+    # solve to all the starts.  x1^3 fails on the polish alone (one class of
+    # 43 hits), the geometric power form on the hits alone (38 classes of 40,
+    # parity holds).
+    config = SolverConfig(seed=seed)
+    k, bound, polish, hits = _first_half(f, config)
+    fails = {
+        "k > B": k > bound,
+        "polish": polish > 0,
+        "k = 0": k == 0,
+        "hits": hits < critsolve.MIN_CLASS_HITS,
+        "parity": (bound - k) % 2 == 1,
+    }
+    assert fails[failing], (k, bound, polish, hits)
+    if failing in ("polish", "hits"):
+        assert [c for c, v in fails.items() if v] == [failing], (k, bound, polish, hits)
+    found = find_critical_pairs(f, config)
+    assert found.starts_used == 50 * f.d * f.n
+    full = critsolve._solve_from(f, _unit_starts(f.n, 50 * f.d * f.n, seed))
+    assert found.X.shape == full.X.shape
+
+
+@pytest.mark.parametrize("starts", [1, 2, 37])
+def test_small_start_budgets(starts):
+    # One start has no second half; a class reached by one or two starts
+    # never passes the hit check.
+    f = random_polynomial(2, 3, 1)
+    found = find_critical_pairs(f, SolverConfig(starts=starts))
+    assert found.starts_used == (starts if starts < 3 else (starts + 1) // 2)
+    assert found.X.shape[0] > 0 and 0.0 < found.converged_fraction <= 1.0
+
+
+@pytest.mark.parametrize("starts", [0, -3, critsolve.MAX_STARTS + 1, 10**12])
+def test_start_budget_out_of_range_rejected(starts):
+    # Rejected before any start is drawn: 10^12 rows would not fit in memory.
+    with pytest.raises(ValueError, match=f"need 1 to {critsolve.MAX_STARTS} starts, got {starts}"):
+        find_critical_pairs(random_polynomial(2, 3, 1), SolverConfig(starts=starts))
 
 
 def test_n1_sphere_is_two_points():
@@ -412,14 +516,14 @@ def _sequential_halving_polish(
     max_halvings=critsolve.MAX_HALVINGS,
     max_slow_steps=critsolve.MAX_SLOW_STEPS,
 ):
-    """Reference damped Newton that tries one step length per residual call.
+    """Reference Newton pass that tries one step length per residual call.
 
-    Same iteration, acceptance, stall and multiple-root polish rules as
-    ``critsolve._newton_polish``, including its polish gate (singular rows,
-    and converged rows whose last accepted step left more than 10 % of the
-    residual); only the backtracking loop differs, halving
-    the step of every row still looking after each call.  ``max_halvings``
-    is the number of halvings a row tries before it is abandoned, and
+    Same iteration, acceptance and stall rules as ``critsolve._newton_polish``
+    and the same results: Z = [X | lam], F, Fn and the polish gate (singular
+    rows, and converged rows whose last accepted step left more than 10 %
+    of the residual); only the backtracking loop differs, halving the step
+    of every row still looking after each call.  ``max_halvings`` is the
+    number of halvings a row tries before it is abandoned, and
     ``max_slow_steps`` the number of consecutive slow iterations that
     abandons a row.
     """
@@ -430,14 +534,11 @@ def _sequential_halving_polish(
         F = critsolve._system_residual(f, Z[:, :n], Z[:, n])
     Fn = np.linalg.norm(F, axis=1)
     active = np.isfinite(Fn)
-    done = np.zeros(Z.shape[0], dtype=bool)
     singular = np.zeros(Z.shape[0], dtype=bool)
     linear = np.ones(Z.shape[0], dtype=bool)
     stalls = np.zeros(Z.shape[0], dtype=np.int64)
     for _ in range(critsolve.MAX_ITERATIONS):
-        finished = active & (Fn <= stop_tol)
-        done |= finished
-        active &= ~finished
+        active &= ~(Fn <= stop_tol)
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
@@ -471,13 +572,17 @@ def _sequential_halving_polish(
         linear[moved] = Fn[moved] > 0.1 * before[improved]
         stalls[moved[slow]] += 1
         stalls[moved[~slow]] = 0
-        abandon = np.concatenate([rows[~improved], moved[stalls[moved] >= max_slow_steps]])
-        done[abandon[Fn[abandon] <= accept_tol]] = True
-        active[abandon] = False
-    done |= active & (Fn <= accept_tol)
-
+        active[np.concatenate([rows[~improved], moved[stalls[moved] >= max_slow_steps]])] = False
     floor = scaled_tolerance(f, 1e-14)
-    polish = np.flatnonzero(((done & linear) | singular) & (Fn > floor))
+    return Z, F, Fn, (((Fn <= accept_tol) & linear) | singular) & (Fn > floor)
+
+
+def _reference_root_polish(f, Z, F, Fn, polish):
+    """Reference multiple-root polish, in place: each round moves a row to
+    the best of its three trial points, if that lowers its residual."""
+    n = f.n
+    floor = scaled_tolerance(f, 1e-14)
+    polish = np.flatnonzero(polish)
     for _ in range(8):
         if polish.size == 0:
             break
@@ -503,8 +608,6 @@ def _sequential_halving_polish(
         F[polish] = best_f
         Fn[polish] = best_norm
         polish = polish[moved & (best_norm > floor)]
-    done |= singular & (Fn <= accept_tol)
-    return Z[:, :n], Z[:, n], done
 
 
 @pytest.mark.parametrize(
@@ -526,19 +629,28 @@ def test_step_ladder_matches_sequential_halving(f):
     X0 /= np.linalg.norm(X0, axis=1)[:, None]
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     lam0 = f.d * f.evaluate_many(X0)
-    X, lam, done = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
-    X_ref, lam_ref, done_ref = _sequential_halving_polish(f, X0, lam0, accept_tol=tol)
-    np.testing.assert_array_equal(done, done_ref)
-    np.testing.assert_allclose(X[done], X_ref[done], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(lam[done], lam_ref[done], rtol=0.0, atol=1e-12)
+    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
+    Z_ref, F_ref, Fn_ref, polish_ref = _sequential_halving_polish(f, X0, lam0, accept_tol=tol)
+    np.testing.assert_array_equal(polish, polish_ref)
+    critsolve._polish_multiple_roots(f, Z, F, Fn, polish)
+    _reference_root_polish(f, Z_ref, F_ref, Fn_ref, polish_ref)
+    done = Fn <= tol
+    np.testing.assert_array_equal(done, Fn_ref <= tol)
+    np.testing.assert_allclose(Z[done], Z_ref[done], rtol=0.0, atol=1e-12)
 
 
 def _greedy_dedup_reference(X, res, dedup_radius):
-    kept = []
+    """Kept rows, ascending, and their hits: each row joins the first kept
+    row within the radius, tightest residual first, or is kept itself."""
+    hits = {}
     for i in np.argsort(res, kind="stable"):
-        if all(np.linalg.norm(X[j] - X[i]) > dedup_radius for j in kept):
-            kept.append(int(i))
-    return sorted(kept)
+        near = [j for j in hits if np.linalg.norm(X[j] - X[i]) <= dedup_radius]
+        if near:
+            hits[near[0]] += 1
+        else:
+            hits[int(i)] = 1
+    kept = sorted(hits)
+    return kept, [hits[i] for i in kept]
 
 
 @pytest.mark.parametrize("X", [np.zeros((0, 3)), np.full((4, 3), 0.25)], ids=["empty", "short"])
@@ -546,8 +658,8 @@ def test_collect_pairs_without_usable_rows(X):
     # No rows, or rows too short to normalize: nothing survives, and the
     # empty arrays keep their row shapes.
     f = random_polynomial(3, 3, 4)
-    X, lam, res = critsolve._collect_pairs(f, X, np.ones(X.shape[0]), 1e-6)
-    assert X.shape == (0, 3) and lam.shape == (0,) and res.shape == (0,)
+    X, lam, res, hits = critsolve._collect_pairs(f, X, np.ones(X.shape[0]), 1e-6)
+    assert X.shape == (0, 3) and lam.shape == res.shape == hits.shape == (0,)
 
 
 def _tangent_offsets(rng, X, scales):
@@ -590,7 +702,8 @@ def test_collect_pairs_dedup_matches_greedy_reference():
     # of lam per row orders the rows by residual and identifies each kept
     # one.  The reference dedups the mirrored set: each normalized row
     # followed by (-x, lam) with its residual.  ``kept_range`` bounds the
-    # kept count: most clustered rows are covered.
+    # kept count: most clustered rows are covered.  A kept row's hits are
+    # the rows merged into it, itself included, and its mirror's are equal.
     f = HomogeneousPolynomial(3, 2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
     cases = [(_scattered_cloud, (82, 418)), (_clustered_cloud, (10, 30))]
     for cloud, kept_range in cases:
@@ -598,7 +711,7 @@ def test_collect_pairs_dedup_matches_greedy_reference():
         X /= np.linalg.norm(X, axis=1)[:, None]
         res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
 
-        X_out, lam_out, res_out = critsolve._collect_pairs(f, X, lam, 1e-6)
+        X_out, lam_out, res_out, hits_out = critsolve._collect_pairs(f, X, lam, 1e-6)
         # Mirrored row i is kept when the output holds its (x, lam) bitwise,
         # x normalized as _collect_pairs does.
         Xn = X / np.linalg.norm(X, axis=1)[:, None]
@@ -606,8 +719,13 @@ def test_collect_pairs_dedup_matches_greedy_reference():
         lam_m = np.repeat(lam, 2)
         same = (X_out[:, None, :] == Xm).all(axis=2) & (lam_out[:, None] == lam_m)
         kept = np.flatnonzero(same.any(axis=0)).tolist()
-        expected = _greedy_dedup_reference(Xm, np.repeat(res, 2), DEFAULT_DEDUP_RADIUS)
+        expected, hits = _greedy_dedup_reference(Xm, np.repeat(res, 2), DEFAULT_DEDUP_RADIUS)
         assert kept == expected, cloud.__name__
+        assert hits_out.tolist() == [hits[expected.index(j)] for j in same.argmax(axis=1)]
+        assert hits_out.sum() == Xm.shape[0], cloud.__name__
+        by_x = {x.tobytes(): h for x, h in zip(X_out, hits_out.tolist())}
+        assert all(by_x[(-x).tobytes()] == h for x, h in zip(X_out, hits_out.tolist()))
+        assert max(hits) > 1, cloud.__name__
         assert lam_out.shape[0] == len(expected), cloud.__name__
         assert kept_range[0] <= len(expected) <= kept_range[1], cloud.__name__
         _assert_exact_antipodal_pairs(X_out, lam_out, res_out, f.d)
@@ -642,12 +760,25 @@ def test_early_abandon_keeps_every_critical_class(monkeypatch):
     fast = [
         find_critical_pairs(random_polynomial(n, d, s), SolverConfig(seed=s)) for n, d, s in cases
     ]
+    # The reference replaces every Newton pass: the rows it polishes are the
+    # starts the solve counts, and some solves run both passes.
     reference = functools.partial(_sequential_halving_polish, max_halvings=30, max_slow_steps=8)
-    monkeypatch.setattr(critsolve, "_newton_polish", reference)
+    polished = []
+
+    def counted(f, X0, lam0, **kwargs):
+        polished.append(X0.shape[0])
+        return reference(f, X0, lam0, **kwargs)
+
+    monkeypatch.setattr(critsolve, "_newton_polish", counted)
+    two_pass = 0
     for (n, d, s), found in zip(cases, fast):
+        polished.clear()
         slow = find_critical_pairs(random_polynomial(n, d, s), SolverConfig(seed=s))
+        assert sum(polished) == slow.starts_used, (n, d, s)
+        two_pass += len(polished) == 2
         assert len(found.pairs) == len(slow.pairs), (n, d, s)
         assert all(_has_pair(slow.pairs, p.x, p.lam) for p in found.pairs), (n, d, s)
+    assert two_pass > 0
 
 
 def test_solve_steps_skips_det_on_nonsingular_batch(monkeypatch):
@@ -684,11 +815,19 @@ def _singular_start():
     return f, x, np.zeros(1), scaled_tolerance(f, DEFAULT_TOL_CRIT)
 
 
+def _newton_then_polish(f, X0, lam0, tol):
+    """One Newton pass and the multiple-root polish of the rows it flags."""
+    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
+    assert polish.tolist() == [True]
+    critsolve._polish_multiple_roots(f, Z, F, Fn, polish)
+    return Z[:, :-1], Z[:, -1], Fn <= tol
+
+
 def test_singular_row_converges_through_polish():
     f, x, lam, tol = _singular_start()
     J = critsolve._system_jacobian(f, x, lam)
     assert not critsolve._solve_steps(J, np.ones((1, 4)))[1].any()
-    X, lam, done = critsolve._newton_polish(f, x, lam, accept_tol=tol)
+    X, lam, done = _newton_then_polish(f, x, lam, tol)
     assert done.tolist() == [True]
     assert abs(X[0, 0]) <= 1e-15 and abs(lam[0]) <= 1e-15
     np.testing.assert_allclose(X[0, 1:], x[0, 1:], rtol=1e-6)
@@ -707,7 +846,7 @@ def test_singular_row_without_svd_is_not_converged(monkeypatch):
     steps, usable = critsolve._lstsq_steps(np.zeros((2, 4, 4)), rhs)
     assert not usable.any()
     np.testing.assert_array_equal(steps, np.zeros_like(rhs))
-    X, _, done = critsolve._newton_polish(f, x, lam, accept_tol=tol)
+    X, _, done = _newton_then_polish(f, x, lam, tol)
     assert done.tolist() == [False]
     np.testing.assert_array_equal(X, x)
 
@@ -795,12 +934,6 @@ def _count_rows(monkeypatch, name):
     return rows
 
 
-def _tiny_form(n, d, seed, norm):
-    """random_polynomial(n, d, seed) rescaled to coefficient norm ``norm``."""
-    base = random_polynomial(n, d, seed).coefficient_vector()
-    return HomogeneousPolynomial.from_coefficient_vector(n, d, base * (norm / np.linalg.norm(base)))
-
-
 def test_residual_calls_per_solve_bounded(monkeypatch):
     # Backtracking tests a block of step lengths per residual call, and
     # starts that stay slow are dropped early.  On the first solve
@@ -810,8 +943,12 @@ def test_residual_calls_per_solve_bounded(monkeypatch):
     # converged rows skip the multiple-root polish, and 19 and 10 (7426
     # rows) with MAX_HALVINGS = 4.  On the tiny-norm form, like the
     # benchmark's, capping the halvings at 4 cut 68 residual calls and
-    # 35162 rows to 18 and 6166.  The counts are deterministic, so the
-    # ceilings guard the work without timing.
+    # 35162 rows to 18 and 6166.  With half the start budget, the first
+    # solve stops at 300 starts after 19 residual calls (3693 rows) and 10
+    # Jacobian calls; the tiny-norm form fails the check and pays a second
+    # Newton pass: 24 residual calls (6157 rows) and 6 Jacobian calls.  The
+    # counts are deterministic, so the ceilings guard the work without
+    # timing.
     residual_rows = _count_rows(monkeypatch, "_system_residual")
     jacobian_rows = _count_rows(monkeypatch, "_system_jacobian")
     cases = [(random_polynomial(3, 4, 5), 9000), (_tiny_form(3, 4, 5, 1e-12), 7500)]

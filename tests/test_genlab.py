@@ -397,6 +397,8 @@ def test_report_json_round_trip(tmp_path):
     assert doc["total_degenerate"] == 0
     assert len(doc["records"]) == 4
     assert list(doc)[-1] == "runtime_seconds"
+    # Generic binary cubics look complete on half the 300 starts.
+    assert [r["starts_used"] for r in doc["records"]] == [150] * 4
 
 
 def test_report_csv_format(tmp_path):
@@ -449,10 +451,13 @@ def test_quadratic_sweep_rejects_bad_sizes():
 
 
 def test_quadratic_sweep_planted_detection():
+    # A repeated least eigenvalue makes a critical subsphere, whose rows need
+    # the multiple-root polish, so the solve spends its whole start budget.
     for k in (2, 3):
         result = check_planted_quadratic(5, k, seed=100 + k)
         assert result["quadratic_rule"] is True
         assert result["pipeline"] is True
+        assert result["starts_used"] == 50 * 2 * 5
 
 
 @pytest.mark.parametrize("n,multiplicity", [(3, 1), (2, 3)])
