@@ -37,7 +37,6 @@ from .degeneracy import (
     exact_oracle_n2,
     quadratic_degeneracy,
     rank_deficient,
-    witness_to_dict,
 )
 from .genlab import (
     ExperimentConfig,

@@ -28,12 +28,7 @@ import numpy as np
 
 from .classify import analyze_points
 from .critsolve import SolverConfig, certify_against_oracle, find_critical_pairs
-from .degeneracy import (
-    NotCriticalError,
-    _witness_at,
-    exact_oracle_n2,
-    witness_to_dict,
-)
+from .degeneracy import NotCriticalError, detect_sosc_failure, exact_oracle_n2
 from .genlab import (
     ExperimentConfig,
     run_degenerate_family,
@@ -114,18 +109,20 @@ def _cmd_detect(args) -> int:
             file=sys.stderr,
         )
     x /= nrm
-    # One analysis serves both the witness search and the reported margin.
-    analysis = analyze_points(f, [x])
     try:
-        witness = _witness_at(analysis)
+        w = detect_sosc_failure(f, x)
     except NotCriticalError as exc:
         print(f"point is not critical: {exc}", file=sys.stderr)
         return EXIT_NOT_CRITICAL
-    if witness is None:
-        sys.stdout.write(f"no witness: SOSC margin = {_fmt(analysis.margins[0])}\n")
-    else:
-        payload = witness_to_dict(f, witness)
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    if w is None:
+        margin = analyze_points(f, [x]).margins[0]
+        sys.stdout.write(f"no witness: SOSC margin = {_fmt(margin)}\n")
+        return EXIT_OK
+    payload = {"x": w.x.tolist(), "y": w.y.tolist(), "mu": w.mu, "lambda": w.lam,
+               "third_singular_value": w.rank_defect_measure, "bordered_det": w.bordered_det}
+    if f.n == 2:
+        payload["oracle_on_locus"] = exact_oracle_n2(f).on_locus
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 

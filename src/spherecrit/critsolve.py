@@ -165,28 +165,12 @@ def _system_residual(f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray) -
     return F
 
 
-def _bordered(H: np.ndarray, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Bordered matrices [[H - lam I, x], [x^T, 0]], one per row x of X.
-
-    H has shape (k, n, n), X (k, n) and lam (k,); the result has shape
-    (k, n+1, n+1).  Its determinant is the bordered-determinant signal of
-    :mod:`spherecrit.degeneracy`.
-    """
-    k, n = X.shape
-    M = np.zeros((k, n + 1, n + 1))
-    M[:, :n, :n] = H
-    idx = np.arange(n)
-    M[:, idx, idx] -= lam[:, None]
-    M[:, :n, n] = X
-    M[:, n, :n] = X
-    return M
-
-
 def _system_jacobian(f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Jacobian of the critical-pair system: the bordered matrix with its lam
-    column negated, so it is singular exactly where the bordered one is.
-    The Hessians are written straight into their blocks."""
-    k, n = X.shape
+    """Jacobian of the critical-pair system at the rows x of X: the bordered
+    matrix [[hess f(x) - lam I, x], [x^T, 0]] with its lam column negated,
+    and the package's one bordered builder.  The Hessians are written
+    straight into their blocks; non-finite entries are left to the caller."""
+    k, n = X.shape[0], f.n
     J = np.empty((k, n + 1, n + 1))
     f.hessian_many(X, out=J[:, :n, :n])
     J.reshape(k, (n + 1) ** 2)[:, : n * (n + 2) : n + 2] -= lam[:, None]  # H - lam I

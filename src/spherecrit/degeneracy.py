@@ -19,10 +19,11 @@ kept deliberately separate:
 
 2. Bordered determinant.  A witness (y, mu) solves
    hess f(x) y - lam y - mu x = 0 with y.x = 0, which makes the symmetric
-   (n+1) x (n+1) bordered matrix [[hess f(x) - lam I, x], [x^T, 0]] singular.
-   det = 0 is necessary for degeneracy, not sufficient, and is reported as a
-   corroborating signal only (:func:`bordered_determinants`, and
-   ``bordered_det`` of a witness).  It counts as zero when
+   (n+1) x (n+1) bordered matrix [[hess f(x) - lam I, x], [x^T, 0]] singular:
+   the Newton Jacobian of :mod:`spherecrit.critsolve` with its lam column
+   negated.  det = 0 is necessary for degeneracy, not sufficient, and is
+   reported as a corroborating signal only (:func:`bordered_determinants`,
+   and ``bordered_det`` of a witness).  It counts as zero when
    |det| <= ``scaled_tolerance(f, DEFAULT_TOL_DET)``, and nowhere else.
 
 3. Exact n = 2 oracle.  For binary forms the constraint y.x = 0 pins
@@ -55,9 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import PointAnalysis, Verdict, analyze_points
-from .critsolve import _binary_form, _bordered, _integer_coefficients, _partials
-from .critsolve import _primitive, _prs_gcd, _reject_zero, _strip
+from .classify import Verdict, analyze_points
+from .critsolve import _binary_form, _integer_coefficients, _partials, _primitive
+from .critsolve import _prs_gcd, _reject_zero, _strip, _system_jacobian
 from .polyhom import HomogeneousPolynomial
 
 __all__ = [
@@ -71,7 +72,6 @@ __all__ = [
     "bordered_determinants",
     "quadratic_degeneracy",
     "exact_oracle_n2",
-    "witness_to_dict",
 ]
 
 DEFAULT_TOL_RANK = 1e-6
@@ -184,11 +184,7 @@ def detect_sosc_failure(f: HomogeneousPolynomial, x) -> DegeneracyWitness | None
     one-dimensional least squares mu = x . (hess f(x) y - lam y), exact when
     the bordered system holds.
     """
-    return _witness_at(analyze_points(f, [x]))
-
-
-def _witness_at(analysis: PointAnalysis) -> DegeneracyWitness | None:
-    """:func:`detect_sosc_failure` at the single row of ``analysis``."""
+    analysis = analyze_points(f, [x])
     verdict = analysis.verdicts[0]
     if verdict is Verdict.NOT_CRITICAL:
         raise NotCriticalError(
@@ -206,7 +202,6 @@ def _witness_at(analysis: PointAnalysis) -> DegeneracyWitness | None:
     mu = float(x @ (hy - lam * y))
     W = _witness_matrices(analysis.gradients[0], H, x, y[None, :])[0]
     bordered_vec = np.concatenate([hy - lam * y - mu * x, [x @ y]])
-    M = _bordered(analysis.hessians[:1], analysis.points[:1], analysis.lam[:1])
     return DegeneracyWitness(
         x=x,
         y=y,
@@ -214,7 +209,7 @@ def _witness_at(analysis: PointAnalysis) -> DegeneracyWitness | None:
         lam=lam,
         rank_defect_measure=float(np.linalg.svd(W, compute_uv=False)[2]),
         bordered_residual=float(np.linalg.norm(bordered_vec)),
-        bordered_det=float(np.linalg.det(M)[0]),
+        bordered_det=float(bordered_determinants(f, x[None], analysis.lam[:1])[0]),
     )
 
 
@@ -224,13 +219,13 @@ def bordered_determinants(f: HomogeneousPolynomial, X, lam) -> np.ndarray:
     A determinant vanishes when |det| <= ``scaled_tolerance(f,
     DEFAULT_TOL_DET)``.  Zero is necessary at degenerate points, not
     sufficient: a vanishing determinant does not by itself certify one.
+    It is 0.0 minus det of the Newton Jacobian, so an exact zero reads +0.0.
     """
     X = np.asarray(X, dtype=np.float64)
-    H = f.hessian_many(X)  # rejects X unless its shape is (k, n)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != X.shape[:1]:
-        raise ValueError(f"lam must have shape ({X.shape[0]},), got {lam.shape}")
-    return np.linalg.det(_bordered(H, X, lam))
+        raise ValueError(f"lam must have shape {X.shape[:1]}, got {lam.shape}")
+    return 0.0 - np.linalg.det(_system_jacobian(f, X, lam))
 
 
 def quadratic_degeneracy(A) -> QuadraticDegeneracy:
@@ -248,21 +243,6 @@ def quadratic_degeneracy(A) -> QuadraticDegeneracy:
     tol = DEFAULT_TOL_EIG * np.linalg.norm(A)
     multiplicity = int(np.count_nonzero(w - w[0] <= tol))
     return QuadraticDegeneracy(degenerate=multiplicity >= 2, lambda1_multiplicity=multiplicity)
-
-
-def witness_to_dict(f: HomogeneousPolynomial, witness: DegeneracyWitness) -> dict:
-    """JSON-ready view of a witness; adds the exact oracle verdict for n = 2."""
-    payload = {
-        "x": [float(v) for v in witness.x],
-        "y": [float(v) for v in witness.y],
-        "mu": witness.mu,
-        "lambda": witness.lam,
-        "third_singular_value": witness.rank_defect_measure,
-        "bordered_det": witness.bordered_det,
-    }
-    if f.n == 2:
-        payload["oracle_on_locus"] = exact_oracle_n2(f).on_locus
-    return payload
 
 
 # ---------------------------------------------------------------------------

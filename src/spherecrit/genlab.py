@@ -322,7 +322,7 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
                 _dump_polynomial(
                     f,
                     config.dump_dir,
-                    f"degenerate_n{config.n}_d{config.d}_trial{trial}.json",
+                    f"degenerate_n{config.n}_d{config.d}_seed{poly_seed}.json",
                 )
             )
         if min_margin is not None:

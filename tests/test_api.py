@@ -21,7 +21,7 @@ def test_package_exports_the_union_of_module_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == set().union(*(m.__all__ for m in MODULES))
-    assert len(exported) == 51
+    assert len(exported) == 50
 
 
 def test_every_all_entry_resolves():

@@ -14,6 +14,7 @@ from spherecrit import (
     HomogeneousPolynomial,
     axis_monomial,
     geometric_power_polynomial,
+    read_polynomial,
     scaled_tolerance,
     weighted_axis_quadratic,
     write_polynomial,
@@ -139,6 +140,21 @@ def test_detect_no_witness(diag123_file, capsys):
     assert main(["detect", "--poly", diag123_file, "--point", "1,0,0"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("no witness: SOSC margin = 1")
+
+
+@pytest.mark.parametrize(
+    "poly, point, golden",
+    [
+        ("x1cubed_n2", "0,1", "detect_x1cubed_n2_at_e2"),
+        ("x1cubed_n2", "1,0", "detect_x1cubed_n2_at_e1"),
+        ("x1cubed_n3", "0,0.6,0.8", "detect_x1cubed_n3"),
+    ],
+    ids=["witness n=2", "no witness", "witness n=3"],
+)
+def test_detect_golden_stdout(poly, point, golden, capsys):
+    # Byte goldens: a -0.0 determinant or a reordered payload key shows here.
+    assert main(["detect", "--poly", str(DATA / f"{poly}.json"), "--point", point]) == 0
+    assert capsys.readouterr().out == (DATA / f"{golden}.stdout.txt").read_text()
 
 
 def test_detect_not_critical_exit_4(diag123_file, capsys):
@@ -320,6 +336,30 @@ def test_sample_dump_exit_1(tmp_path, monkeypatch, capsys):
     ]
     assert dumped and all(Path(path).parent == dumps for path in dumped)
     assert all(Path(path).exists() for path in dumped)
+
+
+def test_sample_dumps_from_two_seeds_keep_their_polynomials(tmp_path, monkeypatch):
+    # A degenerate form per poly seed, each with its own coefficient: the
+    # dump of one seed's run must survive another seed's run into one dir.
+    def degenerate(n, d, seed):
+        return HomogeneousPolynomial(n, d, {(d,) + (0,) * (n - 1): 1.0 + seed % 5})
+
+    monkeypatch.setattr(genlab, "random_polynomial", degenerate)
+    dumps = tmp_path / "dumps"
+    reports = {}
+    for seed in (0, 1):
+        reports[seed] = tmp_path / f"r{seed}.json"
+        args = ["sample", "--n", "3", "--d", "4", "--trials", "1", "--seed", str(seed),
+                "--output", str(reports[seed]), "--dump-dir", str(dumps)]
+        assert main(args) == 1
+    for seed, report in reports.items():
+        doc = json.loads(report.read_text())
+        [path] = doc["dumped_files"]
+        expected = degenerate(3, 4, doc["records"][0]["poly_seed"])
+        assert read_polynomial(path).coefficient_vector().tolist() == (
+            expected.coefficient_vector().tolist()
+        )
+    assert len(list(dumps.iterdir())) == 2
 
 
 def test_sample_stdout_deterministic(tmp_path, capsys):

@@ -31,7 +31,7 @@ from spherecrit import (
     weighted_axis_quadratic,
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
-from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form, _bordered, _strip
+from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form, _strip, _system_jacobian
 from spherecrit.degeneracy import (
     DEFAULT_TOL_DET,
     OracleResult,
@@ -213,11 +213,13 @@ def test_witness_reconstruction_validates_converse():
 
 
 def test_bordered_matrix_weighted_quadratic(diag123):
+    # The one bordered builder is the Newton Jacobian: the bordered matrix
+    # [[H - lam I, x], [x^T, 0]] with its last (lam) column negated.
     X = np.array([[1.0, 0.0, 0.0]])
-    matrices = _bordered(diag123.hessian_many(X), X, np.array([1.0]))
+    matrices = _system_jacobian(diag123, X, np.array([1.0]))
     hand = np.array(
         [
-            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, -1.0],
             [0.0, 1.0, 0.0, 0.0],
             [0.0, 0.0, 2.0, 0.0],
             [1.0, 0.0, 0.0, 0.0],
@@ -226,6 +228,60 @@ def test_bordered_matrix_weighted_quadratic(diag123):
     assert matrices.shape == (1, 4, 4)
     assert np.array_equal(matrices[0], hand)
     assert bordered_determinants(diag123, X, [1.0])[0] == pytest.approx(-2.0, abs=1e-12)
+
+
+def _reference_bordered(H, X, lam):
+    """The bordered matrices [[H - lam I, x], [x^T, 0]] built directly: the
+    reference that bordered_determinants, taken from the Newton Jacobian,
+    must match bit for bit."""
+    k, n = X.shape
+    M = np.zeros((k, n + 1, n + 1))
+    M[:, :n, :n] = H
+    idx = np.arange(n)
+    M[:, idx, idx] -= lam[:, None]
+    M[:, :n, n] = X
+    M[:, n, :n] = X
+    return M
+
+
+def _assert_matches_reference(f, X, lam):
+    got = bordered_determinants(f, X, lam)
+    ref = np.linalg.det(_reference_bordered(f.hessian_many(X), X, lam))
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    return got
+
+
+def test_bordered_determinants_bitwise_equal_reference_on_random_forms():
+    # Negating one column negates the LU's last pivot exactly, so the
+    # determinant is the reference's bit for bit, at every batch size.
+    rng = np.random.default_rng(2025)
+    for n in range(1, 7):
+        for d in range(1, 7):
+            f = random_polynomial(n, d, rng)
+            for rows in (1, 2, 7, 64):
+                X = rng.standard_normal((rows, n))
+                X /= np.linalg.norm(X, axis=1, keepdims=True)
+                _assert_matches_reference(f, X, d * f.evaluate_many(X))
+
+
+def test_bordered_determinants_keep_the_sign_of_exact_zeros():
+    # The constructed degenerate families hold exact zeros.  The reference
+    # returns +0.0 there, and so must 0.0 - det(J): unary negation would
+    # give -0.0, which `detect` would print.
+    zeros = 0
+    for n in range(2, 6):
+        families = [axis_monomial(n, d) for d in (3, 4, 5)]
+        families.append(quadratic_form_polynomial(np.diag([1.0, 1.0] + list(range(2, n)))))
+        for f in families:
+            found = find_critical_pairs(f, SolverConfig(seed=n))
+            _assert_matches_reference(f, found.X, found.lam)
+            V = np.random.default_rng(n).standard_normal((20, n))
+            V[:, 0] = 0.0
+            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            got = _assert_matches_reference(f, V, f.d * f.evaluate_many(V))
+            zeros += np.count_nonzero(got == 0.0)
+    assert zeros > 0
 
 
 def test_bordered_determinant_degenerate_monomial():
@@ -311,6 +367,8 @@ def test_bordered_determinants_input_checks(diag123):
         bordered_determinants(diag123, np.eye(2), [1.0, 2.0])
     with pytest.raises(ValueError, match="lam must have shape"):
         bordered_determinants(diag123, np.eye(3), 1.0)
+    with pytest.raises(ValueError, match=r"points must have shape \(k, 3\)"):
+        bordered_determinants(diag123, [1.0, 0.0, 0.0], [1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
