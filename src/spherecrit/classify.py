@@ -73,10 +73,9 @@ class PointAnalysis:
     ``points`` (k, n), ``lam`` = d f(x), ``gradients``, ``residuals`` and
     ``hessians`` are row-aligned with ``verdicts``; k = 0 keeps the trailing
     shapes.  :meth:`classified` builds the per-point objects.
-    ``bases`` (k, n, n-1) holds the tangent bases B; ``eigenvalues``
-    (k, n-1, ascending) and ``eigenvectors`` (k, n, n-1, unit columns in
-    ambient coordinates) are the eigenpairs of B^T hess f(x) B.  ``margins``
-    is the smallest tangent eigenvalue minus lam, inf for n = 1.
+    ``eigenvalues`` (k, n-1, ascending) and ``eigenvectors`` (k, n, n-1, unit
+    columns in ambient coordinates) are the eigenpairs of B^T hess f(x) B.
+    ``margins`` is the smallest tangent eigenvalue minus lam, inf for n = 1.
     ``crit_tol`` and ``class_tol`` are the absolute residual and margin
     thresholds the verdicts applied.
     """
@@ -86,7 +85,6 @@ class PointAnalysis:
     gradients: np.ndarray
     residuals: np.ndarray
     hessians: np.ndarray
-    bases: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     margins: np.ndarray
@@ -157,7 +155,6 @@ def analyze_points(f: HomogeneousPolynomial, X) -> PointAnalysis:
         gradients=G,
         residuals=residuals,
         hessians=H,
-        bases=B,
         eigenvalues=eigenvalues,
         eigenvectors=Y,
         margins=margins,

@@ -128,9 +128,6 @@ def _cmd_detect(args) -> int:
 
 def _cmd_oracle2(args) -> int:
     f = read_polynomial(args.poly)
-    if f.n != 2:
-        print(f"oracle2 supports n = 2 only, got n = {f.n}", file=sys.stderr)
-        return EXIT_INPUT
     result = exact_oracle_n2(f)
     sys.stdout.write(f"on_locus: {'true' if result.on_locus else 'false'}\n")
     sys.stdout.write(f"certificate: {result.certificate}\n")

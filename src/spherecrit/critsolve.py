@@ -32,11 +32,11 @@ half of the starts runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._intpoly import _binary_form, _integer_coefficients, _partials, _primitive, _prs_gcd, _strip
 from .polyhom import HomogeneousPolynomial, ZeroPolynomialError
 
 __all__ = [
@@ -489,82 +489,6 @@ def find_critical_pairs(
             return CriticalSet(X, lam, res, starts_used=half, converged_fraction=float(np.mean(ok)))
     second = _newton_polish(f, X0[half:], lam0[half:], accept_tol=tol)
     return _finish(f, [first, second], tol)
-
-
-# ---------------------------------------------------------------------------
-# Binary forms over the integers, shared with the oracle of degeneracy.  A
-# form of degree k is a list of k + 1 coefficients, index i that of
-# x1^i x2^(k-i); read in t = x1 it is the dehomogenization at x2 = 1, which
-# the primitive remainder sequence runs on.
-# ---------------------------------------------------------------------------
-
-
-def _partials(a: list) -> tuple[list, list]:
-    """d/dx1 and d/dx2 of a binary form; the first is also d/dt of its dehomogenization."""
-    k = len(a) - 1
-    return [(i + 1) * a[i + 1] for i in range(k)], [(k - i) * a[i] for i in range(k)]
-
-
-def _binary_form(a: list) -> tuple[list, list, list]:
-    """g = x2 * df/dx1 - x1 * df/dx2 and the partials df/dx1, df/dx2 (n = 2).
-
-    ``a`` holds the coefficients of f, index i that of x1^i x2^(d-i), and the
-    returned lists are indexed the same way, in the number type of ``a``.
-    g vanishes exactly where the gradient is parallel to x, so its projective
-    roots are the critical directions.  deg g = d unless g is identically
-    zero (radially symmetric f).
-    """
-    f1, f2 = _partials(a)
-    return [u - v for u, v in zip(f1 + [0], [0] + f2)], f1, f2
-
-
-def _strip(p: list[int]) -> list[int]:
-    k = len(p)
-    while k and p[k - 1] == 0:
-        k -= 1
-    return p[:k]
-
-
-def _primitive(p: list[int]) -> list[int]:
-    """p (stripped, nonzero) over its content, leading coefficient positive."""
-    c = math.gcd(*p)
-    if p[-1] < 0:
-        c = -c
-    return [a // c for a in p]
-
-
-def _prem(u: list[int], v: list[int]) -> list[int]:
-    """Primitive part of the pseudo-remainder of u by v, [] when it is zero.
-
-    Each step replaces u by lead(v) u - top(u) t^shift v, which cancels the
-    top coefficient, so the remainder is u mod v over the rationals times a
-    nonzero integer, which the primitive part drops.
-    """
-    lead = v[-1]
-    shift = len(u) - len(v)
-    while u and shift >= 0:
-        top = u[-1]
-        u = [lead * c for c in u[:-1]]
-        for i, c in enumerate(v[:-1]):
-            u[shift + i] -= top * c
-        u = _strip(u)
-        shift = len(u) - len(v)
-    return _primitive(u) if u else []
-
-
-def _prs_gcd(u: list[int], v: list[int]) -> list[int]:
-    """Primitive GCD of the primitive polynomials u and v ([] is zero)."""
-    while v:
-        u, v = v, _prem(u, v)
-    return u
-
-
-def _integer_coefficients(f: HomogeneousPolynomial) -> list[int]:
-    """Coefficients of the binary form f, index i that of x1^i x2^(d-i),
-    times their common power-of-two denominator: exact integers."""
-    ratios = [c.as_integer_ratio() for c in f.coefficient_vector()[::-1].tolist()]
-    scale = max(den for _, den in ratios)
-    return [num * (scale // den) for num, den in ratios]
 
 
 def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:

@@ -36,14 +36,13 @@ kept deliberately separate:
    integers: every float coefficient is m 2^e, so scaling f by the common
    power-of-two denominator of its coefficients gives integer minors, and a
    primitive polynomial remainder sequence (pseudo-remainders with the
-   content divided out) computes the GCD of their dehomogenizations.  These
-   integer binary-form helpers live in :mod:`spherecrit.critsolve`, whose
-   n = 2 enumeration builds the same g from them.  With
-   a common-root check in the x2 = 0 direction this is a tolerance-free
-   membership test for the complex degeneracy locus.  A real degenerate
-   point forces membership; the converse can fail (complex-only witnesses),
-   so oracle verdict and numeric detection are always reported side by
-   side, never merged.
+   content divided out) computes the GCD of their dehomogenizations, in
+   :mod:`spherecrit._intpoly`, where the n = 2 enumeration of
+   :mod:`spherecrit.critsolve` builds the same g.  With a common-root check
+   in the x2 = 0 direction this is a tolerance-free membership test for the
+   complex degeneracy locus.  A real degenerate point forces membership; the
+   converse can fail (complex-only witnesses), so oracle verdict and numeric
+   detection are always reported side by side, never merged.
 
 The d = 2 specialization is :func:`quadratic_degeneracy`: for f = x^T A x / 2
 some SONC point is degenerate exactly when the least eigenvalue of A is not
@@ -57,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import Verdict, analyze_points
-from .critsolve import _binary_form, _integer_coefficients, _partials, _primitive
-from .critsolve import _prs_gcd, _reject_zero, _strip, _system_jacobian
+from ._intpoly import _primitive, _prs_gcd, _strip, _witness_minor_forms
+from .critsolve import _reject_zero, _system_jacobian
 from .polyhom import HomogeneousPolynomial
 
 __all__ = [
@@ -246,33 +245,8 @@ def quadratic_degeneracy(A) -> QuadraticDegeneracy:
 
 
 # ---------------------------------------------------------------------------
-# Exact n = 2 oracle: binary-form minors over the integers and their GCD,
-# on the integer binary-form helpers of :mod:`spherecrit.critsolve`.
+# Exact n = 2 oracle: the GCD of the integer minors of :mod:`spherecrit._intpoly`.
 # ---------------------------------------------------------------------------
-
-
-def _witness_minor_forms(f: HomogeneousPolynomial) -> list[list[int]]:
-    """The four 3x3 minors of the witness matrix with y = (x2, -x1).
-
-    With g = x2 f1 - x1 f2 and q = y^T hess f y = x2^2 f11 - 2 x1 x2 f12 +
-    x1^2 f22, expanding along the third column gives the minors of rows
-    (1,2,3) and (1,2,4) as x1 g and x2 g, and expanding along the first row
-    gives rows (1,3,4) and (2,3,4) as |x|^2 f1 - x1 q and |x|^2 f2 - x2 q.
-    Each is a binary form of degree d + 1, computed from the integer
-    coefficients of :func:`_integer_coefficients`, so exactly (the minors
-    are linear in f, hence scaled by the same power of two).
-    """
-    g, f1, f2 = _binary_form(_integer_coefficients(f))
-    f11, f12 = _partials(f1)
-    f22 = _partials(f2)[1]
-    z = [0]  # multiplying by x1 prepends a zero, by x2 appends one
-    q = [u - 2 * v + w for u, v, w in zip(f11 + z + z, z + f12 + z, z + z + f22)]
-    return [
-        z + g,
-        g + z,
-        [u + v - w for u, v, w in zip(z + z + f1, f1 + z + z, z + q)],
-        [u + v - w for u, v, w in zip(z + z + f2, f2 + z + z, q + z)],
-    ]
 
 
 def exact_oracle_n2(f: HomogeneousPolynomial) -> OracleResult:

@@ -1,17 +1,22 @@
 """The package namespace is exactly the union of the modules' public names,
-and no public entry point takes a tolerance."""
+no public entry point takes a tolerance, private modules stay private, and
+the README quick start runs."""
 
+import ast
 import dataclasses
 import inspect
+import re
 import types
+from pathlib import Path
 
 import pytest
 
 import spherecrit
-from spherecrit import classify, critsolve, degeneracy, genlab, polyhom
+from spherecrit import _intpoly, classify, cli, critsolve, degeneracy, genlab, polyhom
 from spherecrit.cli import main
 
 MODULES = (polyhom, critsolve, classify, degeneracy, genlab)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_exports_the_union_of_module_all():
@@ -66,3 +71,36 @@ def test_retired_tolerance_flags_exit_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
+
+
+def test_public_functions_are_defined_in_public_modules():
+    # bench/tracing.py wraps every public function of these modules and takes
+    # its layer from the defining module, which must be one of the six.
+    modules = (*MODULES, cli)
+    layers = {m.__name__ for m in modules}
+    for module in modules:
+        for name, value in vars(module).items():
+            if name.startswith("_") or not isinstance(value, types.FunctionType):
+                continue
+            if value.__module__.startswith("spherecrit."):
+                assert value.__module__ in layers, f"{module.__name__}.{name}"
+
+
+def test_intpoly_imports_only_polyhom_from_the_package():
+    tree = ast.parse(Path(_intpoly.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "spherecrit." * bool(node.level) + (node.module or "")
+            imported.update([base] if node.module else [base + a.name for a in node.names])
+    assert {m for m in imported if m.startswith("spherecrit")} <= {"spherecrit.polyhom"}
+
+
+def test_readme_quick_start_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(block, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("(6, 2)")
+    assert lines[-1] == "False"

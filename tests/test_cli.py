@@ -229,7 +229,11 @@ def test_oracle2_on_locus(x1cubed_file, capsys):
 
 
 def test_oracle2_rejects_n3(diag123_file, capsys):
-    assert main(["oracle2", "--poly", diag123_file]) == 2
+    for flags in ([], ["--certify"]):
+        assert main(["oracle2", "--poly", diag123_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exact oracle needs n = 2, got n = 3\n"
 
 
 def test_oracle2_certify_flag(tmp_path, capsys):

@@ -31,12 +31,9 @@ from spherecrit import (
     weighted_axis_quadratic,
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
-from spherecrit.critsolve import DEFAULT_TOL_CRIT, _binary_form, _strip, _system_jacobian
-from spherecrit.degeneracy import (
-    DEFAULT_TOL_DET,
-    OracleResult,
-    _witness_minor_forms,
-)
+from spherecrit._intpoly import _binary_form, _strip, _witness_minor_forms
+from spherecrit.critsolve import DEFAULT_TOL_CRIT, _system_jacobian
+from spherecrit.degeneracy import DEFAULT_TOL_DET, OracleResult
 from conftest import unit
 
 
