@@ -171,7 +171,6 @@ def _cmd_sample(args) -> int:
         d=args.d,
         trials=args.trials,
         seed=args.seed,
-        starts=args.starts,
         dump_dir=args.dump_dir,
     )
     report = run_random_genericity(config)
@@ -250,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=None)
     p.add_argument("--output", default="sample_report.json")
     p.add_argument("--csv", default=None, help="also write a per-trial CSV")
     p.add_argument("--dump-dir", dest="dump_dir", default="degenerate_dumps")

@@ -98,9 +98,10 @@ class CriticalSet:
     ``all_critical`` marks the radially symmetric n = 2 special case
     f = c (x1^2 + x2^2)^(d/2), where the whole circle is critical; the rows
     then hold the two antipodal representatives at the first axis.
-    ``starts_used`` counts the starts that were Newton-polished, which for
-    :func:`find_critical_pairs` is half the start budget (rounded up) or
-    all of it; ``converged_fraction`` is the share of those that converged.
+    ``starts_used`` counts the starts that were Newton-polished: for
+    :func:`find_critical_pairs` half the start budget (rounded up) or all of
+    it, for :func:`enumerate_critical_pairs_n2` its seeds, one per real root
+    of g; ``converged_fraction`` is the share of those that converged.
     """
 
     X: np.ndarray
@@ -168,11 +169,10 @@ def _system_residual(f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray) -
 def _system_jacobian(f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Jacobian of the critical-pair system at the rows x of X: the bordered
     matrix [[hess f(x) - lam I, x], [x^T, 0]] with its lam column negated,
-    and the package's one bordered builder.  The Hessians are written
-    straight into their blocks; non-finite entries are left to the caller."""
+    and the package's one bordered builder; callers handle non-finite entries."""
     k, n = X.shape[0], f.n
     J = np.empty((k, n + 1, n + 1))
-    f.hessian_many(X, out=J[:, :n, :n])
+    J[:, :n, :n] = f.hessian_many(X)
     J.reshape(k, (n + 1) ** 2)[:, : n * (n + 2) : n + 2] -= lam[:, None]  # H - lam I
     J[:, :n, n] = -X
     J[:, n, :n] = X
@@ -430,19 +430,24 @@ def _class_bound(n: int, d: int) -> int:
     return n if d == 2 else ((d - 1) ** n - 1) // (d - 2)
 
 
-def _finish(f: HomogeneousPolynomial, passes: list[tuple], tol: float) -> CriticalSet:
-    """One multiple-root polish and one merge over the rows of every Newton pass."""
+def _finish(
+    f: HomogeneousPolynomial, passes: list[tuple], tol: float
+) -> tuple[CriticalSet, np.ndarray]:
+    """The one assembly of a :class:`CriticalSet`: one multiple-root polish and
+    one merge over the rows of every Newton pass, each row counted in
+    ``starts_used``.  Also returns the merge's hits, per returned row."""
     Z, F, Fn, polish = (np.concatenate(parts) for parts in zip(*passes))
     _polish_multiple_roots(f, Z, F, Fn, polish)
     ok = Fn <= tol
-    X, lam, res, _ = _collect_pairs(f, Z[ok, : f.n], Z[ok, f.n], tol)
-    return CriticalSet(X, lam, res, starts_used=ok.size, converged_fraction=float(np.mean(ok)))
+    X, lam, res, hits = _collect_pairs(f, Z[ok, : f.n], Z[ok, f.n], tol)
+    found = CriticalSet(X, lam, res, starts_used=ok.size, converged_fraction=float(np.mean(ok)))
+    return found, hits
 
 
 def _solve_from(f: HomogeneousPolynomial, X0: np.ndarray) -> CriticalSet:
     """Newton-polish the unit start rows X0 and collect the converged pairs."""
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    return _finish(f, [_newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)], tol)
+    return _finish(f, [_newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)], tol)[0]
 
 
 def find_critical_pairs(
@@ -479,16 +484,15 @@ def find_critical_pairs(
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     half = (starts + 1) // 2
     first = _newton_polish(f, X0[:half], lam0[:half], accept_tol=tol)
-    Z, _, Fn, polish = first
-    ok = Fn <= tol
+    _, _, Fn, polish = first
     # One class reached MIN_CLASS_HITS times needs that many converged rows.
-    if np.count_nonzero(ok) >= MIN_CLASS_HITS and not polish.any():
-        X, lam, res, hits = _collect_pairs(f, Z[ok, :n], Z[ok, n], tol)
-        k, bound = lam.size // 2, _class_bound(n, d)
+    if np.count_nonzero(Fn <= tol) >= MIN_CLASS_HITS and not polish.any():
+        found, hits = _finish(f, [first], tol)
+        k, bound = found.lam.size // 2, _class_bound(n, d)
         if 1 <= k <= bound and (bound - k) % 2 == 0 and hits.min() >= MIN_CLASS_HITS:
-            return CriticalSet(X, lam, res, starts_used=half, converged_fraction=float(np.mean(ok)))
+            return found
     second = _newton_polish(f, X0[half:], lam0[half:], accept_tol=tol)
-    return _finish(f, [first, second], tol)
+    return _finish(f, [first, second], tol)[0]
 
 
 def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
@@ -497,9 +501,10 @@ def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
     if f.n != 2:
         raise ValueError(f"exact enumeration needs n = 2, got n = {f.n}")
     # g from the integer coefficients of f, so each test on it is exact.
-    # Only roots of g are seeded: e1 when g's x1^d coefficient is zero (a
-    # root at infinity), and when g = 0 (radial f), where the whole circle
-    # is critical and e1, the one candidate kept, represents it.
+    # Only roots of g are seeded, one direction each (the merge adds the
+    # mirrors): e1 when g's x1^d coefficient is zero (a root at infinity),
+    # and when g = 0 (radial f), where the whole circle is critical and e1,
+    # the one candidate kept, represents it.
     g = _strip(_binary_form(_integer_coefficients(f))[0])
     candidates = [np.array([1.0, 0.0])] if len(g) <= f.d else []
     if len(g) > 1:  # g(t, 1) has finite roots
@@ -512,8 +517,7 @@ def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
             if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
                 u = np.array([float(z.real), 1.0])
                 candidates.append(u / np.linalg.norm(u))
-    U = np.array(candidates)
-    found = _solve_from(f, np.vstack([U, -U]))
+    found = _solve_from(f, np.array(candidates))
     found.all_critical = not g
     return found
 

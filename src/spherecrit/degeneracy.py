@@ -128,26 +128,11 @@ class OracleResult:
     minors_all_zero: bool
 
 
-def _witness_matrices(g, H, x, Y) -> np.ndarray:
-    """Witness matrices at x, one per row y of Y: columns (g; H y), (x; y), (0; x).
-
-    g and x have shape (..., n), the symmetric H (..., n, n) and Y
-    (..., m, n); the result has shape (..., m, 2n, 3).
-    """
-    n = x.shape[-1]
-    W = np.zeros(Y.shape[:-1] + (2 * n, 3))
-    W[..., :n, 0] = g[..., None, :]
-    W[..., n:, 0] = Y @ H
-    W[..., :n, 1] = x[..., None, :]
-    W[..., n:, 1] = Y
-    W[..., n:, 2] = x[..., None, :]
-    return W
-
-
 def build_witness_matrix(f: HomogeneousPolynomial, X, Y) -> np.ndarray:
     """Witness matrices, shape (k, m, 2n, 3), at the rows x of X, shape
-    (k, n), each with its m directions y in Y, shape (k, m, n).  n = 1 has
-    no tangent directions, so there only m = 0 is accepted."""
+    (k, n), each with its m directions y in Y, shape (k, m, n): columns
+    (grad f(x); hess f(x) y), (x; y) and (0; x).  n = 1 has no tangent
+    directions, so there only m = 0 is accepted."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     G = f.gradient_many(X)  # rejects X unless its shape is (k, n)
@@ -158,7 +143,13 @@ def build_witness_matrix(f: HomogeneousPolynomial, X, Y) -> np.ndarray:
         raise ValueError("n = 1 has no tangent directions")
     if not np.all(np.any(X, axis=1)):
         raise ValueError("rows of X must be nonzero")
-    return _witness_matrices(G, f.hessian_many(X), X, Y)
+    W = np.zeros(Y.shape[:2] + (2 * n, 3))
+    W[..., :n, 0] = G[:, None, :]
+    W[..., n:, 0] = Y @ f.hessian_many(X)
+    W[..., :n, 1] = X[:, None, :]
+    W[..., n:, 1] = Y
+    W[..., n:, 2] = X[:, None, :]
+    return W
 
 
 def rank_deficient(W) -> np.ndarray:
@@ -199,7 +190,7 @@ def detect_sosc_failure(f: HomogeneousPolynomial, x) -> DegeneracyWitness | None
     y = analysis.eigenvectors[0, :, 0].copy()
     hy = H @ y
     mu = float(x @ (hy - lam * y))
-    W = _witness_matrices(analysis.gradients[0], H, x, y[None, :])[0]
+    W = build_witness_matrix(f, x[None], y[None, None])[0, 0]
     bordered_vec = np.concatenate([hy - lam * y - mu * x, [x @ y]])
     return DegeneracyWitness(
         x=x,

@@ -183,7 +183,6 @@ class ExperimentConfig:
     d: int
     trials: int
     seed: int = 0
-    starts: int | None = None
     dump_dir: str = "degenerate_dumps"
 
     def __post_init__(self) -> None:
@@ -301,8 +300,7 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
     for trial in range(config.trials):
         poly_seed = config.seed * SEED_STRIDE + trial
         f = random_polynomial(config.n, config.d, poly_seed)
-        solver = SolverConfig(starts=config.starts, seed=poly_seed + 1)
-        found = find_critical_pairs(f, solver)
+        found = find_critical_pairs(f, SolverConfig(seed=poly_seed + 1))
         X = found.X
         analysis = analyze_points(f, X)
         # Any real witness at x is a tangent eigenvector (up to eigenvalue

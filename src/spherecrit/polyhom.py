@@ -324,16 +324,12 @@ class HomogeneousPolynomial:
         x = self._as_point(x)
         return self.hessian_many(x[None, :])[0]
 
-    def hessian_many(self, pts, out: np.ndarray | None = None) -> np.ndarray:
-        """Hessians at many points, shape (k, n, n), each one symmetric.
-
-        Every entry is written, into ``out`` when it is given: a (k, n, n)
-        array or view, such as the Hessian block of a bordered matrix.
-        """
+    def hessian_many(self, pts) -> np.ndarray:
+        """Hessians at many points, shape (k, n, n), each one symmetric."""
         pts = self._as_matrix(pts)
         vals = self._jet(2, pts)
         rows, cols = self._triangle
-        H = np.empty((pts.shape[0], self._n, self._n)) if out is None else out
+        H = np.empty((pts.shape[0], self._n, self._n))
         H[:, rows, cols] = vals
         H[:, cols, rows] = vals
         return H

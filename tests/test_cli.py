@@ -383,6 +383,17 @@ def test_sample_stdout_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def test_sample_has_no_starts_option(tmp_path, capsys):
+    # sample solves with the default start budget; only classify takes one.
+    args = ["sample", "--n", "2", "--d", "3", "--trials", "1", "--starts", "5",
+            "--output", str(tmp_path / "r.json"), "--dump-dir", str(tmp_path / "dumps")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --starts 5" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_quad_writes_report(tmp_path, capsys):
     report = tmp_path / "quad.json"
     code = main(

@@ -21,6 +21,7 @@ from spherecrit import (
     find_critical_pairs,
     axis_monomial,
     geometric_power_polynomial,
+    monomial_basis,
     random_polynomial,
     read_polynomial,
     run_degenerate_family,
@@ -148,7 +149,7 @@ def test_enumeration_radial_special_case():
     # Newton leaves e1 untouched: the residual there is exactly zero.
     X = np.array([p.x for p in found.pairs])
     assert X.tobytes() == np.array([[-1.0, -0.0], [1.0, 0.0]]).tobytes()
-    assert found.starts_used == 2
+    assert found.starts_used == 1  # e1 alone is seeded; the merge adds -e1
     assert found.converged_fraction == 1.0
     for p in found.pairs:
         assert abs(p.lam - 4.0) <= 1e-9
@@ -375,21 +376,35 @@ def _first_half(f, config):
 
 
 @pytest.mark.parametrize(
-    "f, seed, failing",
+    "f, config, failing",
     [
-        (axis_monomial(3, 4), 0, "k > B"),
-        (axis_monomial(3, 3), 0, "polish"),
-        (_tiny_form(3, 4, 5, 1e-4), 0, "k = 0"),
-        (geometric_power_polynomial(4, 4), 0, "hits"),
+        (axis_monomial(3, 4), SolverConfig(seed=0), "k > B"),
+        (axis_monomial(3, 3), SolverConfig(seed=0), "polish"),
+        (_tiny_form(3, 4, 5, 1e-4), SolverConfig(seed=0), "k = 0"),
+        (
+            HomogeneousPolynomial(
+                3, 4, {(0, 4, 0): 0.5, (1, 1, 2): 0.5, (2, 1, 1): -0.5, (1, 2, 1): -0.5}
+            ),
+            SolverConfig(starts=2, seed=1),
+            "k = 0",
+        ),
+        (geometric_power_polynomial(4, 4), SolverConfig(seed=0), "hits"),
     ],
-    ids=["axis_monomial(3,4)", "axis_monomial(3,3)", "tiny(3,4)", "geometric_power(4,4)"],
+    ids=[
+        "axis_monomial(3,4)",
+        "axis_monomial(3,3)",
+        "tiny(3,4)",
+        "unit_norm(3,4)",
+        "geometric_power(4,4)",
+    ],
 )
-def test_failed_check_spends_the_full_budget(f, seed, failing):
+def test_failed_check_spends_the_full_budget(f, config, failing):
     # Each condition of the check, failing on the first half, sends the
     # solve to all the starts.  x1^3 fails on the polish alone (one class of
     # 43 hits), the geometric power form on the hits alone (38 classes of 40,
-    # parity holds).
-    config = SolverConfig(seed=seed)
+    # parity holds).  The unit-norm form of
+    # test_empty_critical_set_keeps_its_shape converges neither of its two
+    # starts, so its k = 0 does not rest on the tiny coefficient norm.
     k, bound, polish, hits = _first_half(f, config)
     fails = {
         "k > B": k > bound,
@@ -402,8 +417,9 @@ def test_failed_check_spends_the_full_budget(f, seed, failing):
     if failing in ("polish", "hits"):
         assert [c for c, v in fails.items() if v] == [failing], (k, bound, polish, hits)
     found = find_critical_pairs(f, config)
-    assert found.starts_used == 50 * f.d * f.n
-    full = critsolve._solve_from(f, _unit_starts(f.n, 50 * f.d * f.n, seed))
+    budget = config.starts or 50 * f.d * f.n
+    assert found.starts_used == budget
+    full = critsolve._solve_from(f, _unit_starts(f.n, budget, config.seed))
     assert found.X.shape == full.X.shape
 
 
@@ -466,6 +482,43 @@ def test_resolution_ladder_near_degenerate_e1(d):
             near = np.linalg.norm(found.X - sign * e1, axis=1) <= DEFAULT_DEDUP_RADIUS
             verdict = Verdict.SOSC if flip * eps > 0 else Verdict.FONC_ONLY
             assert analyze_points(f, found.X[near]).verdicts == [verdict], (eps, sign)
+
+
+def _ladder_form_n3(d, eps):
+    """x1^d + (d/2 + eps) x1^(d-2) x2^2 + d x1^(d-2) x3^2 plus seeded terms
+    of x1-degree at most d - 3: e1 is critical with lam = d and tangent
+    margins 2 eps and d."""
+    rng = np.random.default_rng([12, 3, d, 0])
+    terms = {(d, 0, 0): 1.0, (d - 2, 2, 0): d / 2 + eps, (d - 2, 0, 2): float(d)}
+    for a in range(d - 2):
+        for b in range(d - a + 1):
+            terms[(a, b, d - a - b)] = rng.standard_normal()
+    return HomogeneousPolynomial(3, d, terms)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_resolution_ladder_near_degenerate_e1_n3(d):
+    # The n = 3 ladder: multistart resolves e1 from either side of the
+    # locus, SOSC above and FONC_ONLY below.  -e1 has margins (-1)^d 2 eps
+    # and (-1)^d d, so it fails the SONC at odd d and follows eps at even d.
+    # The class count k passes the completeness check's bound and parity
+    # and does not change when eps changes sign.
+    bound = critsolve._class_bound(3, d)
+    counts = {}
+    for eps in (1e-3, -1e-3, 1e-5, -1e-5):
+        f = _ladder_form_n3(d, eps)
+        found = find_critical_pairs(f, SolverConfig(seed=0))
+        k = found.lam.size // 2
+        assert 1 <= k <= bound and (bound - k) % 2 == 0, (eps, k)
+        counts.setdefault(abs(eps), set()).add(k)
+        e1 = np.array([[1.0, 0.0, 0.0]])
+        assert analyze_points(f, e1).margins[0] == pytest.approx(2 * eps, rel=1e-9)
+        for sign in (1, -1):
+            near = np.linalg.norm(found.X - sign * e1, axis=1) <= DEFAULT_DEDUP_RADIUS
+            sosc = eps > 0 and (sign == 1 or d % 2 == 0)
+            verdict = Verdict.SOSC if sosc else Verdict.FONC_ONLY
+            assert analyze_points(f, found.X[near]).verdicts == [verdict], (eps, sign)
+    assert all(len(ks) == 1 for ks in counts.values()), counts
 
 
 def test_degenerate_circle_points_land_on_locus():
@@ -1015,7 +1068,8 @@ def test_enumeration_seeds_e1_at_root_at_infinity(monkeypatch, f):
     # which the companion matrix of g(t, 1) cannot see.
     seeds = _record_seeds(monkeypatch)
     found = enumerate_critical_pairs_n2(f)
-    assert [1.0, 0.0] in seeds[0].tolist() and [-1.0, 0.0] in seeds[0].tolist()
+    # One seed per direction: e1 is seeded, and the merge adds -e1.
+    assert [1.0, 0.0] in seeds[0].tolist() and len(seeds[0]) == len(found.pairs) // 2
     lam = f.d * f.evaluate([1.0, 0.0])
     assert _has_pair(found.pairs, [1.0, 0.0], lam)
     assert _has_pair(found.pairs, [-1.0, 0.0], (-1) ** f.d * lam)
@@ -1040,3 +1094,68 @@ def test_enumeration_repeated_root_products(factors, points, roots):
     for t in roots:
         u = np.array([t, 1.0]) / math.hypot(t, 1.0)
         assert np.min(np.linalg.norm(found.X - u, axis=1)) <= 1e-12
+
+
+def _kostlan_form(n, d, seed):
+    """A Kostlan form: the coefficient of x^alpha is drawn from N(0, d!/alpha!),
+    so E f(x) f(y) = (x.y)^d and the ensemble is orthogonally invariant."""
+    basis = monomial_basis(n, d)
+    var = [math.factorial(d) / math.prod(map(math.factorial, a)) for a in basis]
+    coefs = np.random.default_rng(seed).standard_normal(len(basis)) * np.sqrt(var)
+    return HomogeneousPolynomial.from_coefficient_vector(n, d, coefs)
+
+
+def _z_score(counts, expected, expected_se=0.0):
+    """(mean - expected) over the combined standard error."""
+    se = np.std(counts, ddof=1) / math.sqrt(len(counts))
+    return (np.mean(counts) - expected) / math.hypot(se, expected_se)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_kac_rice_count_n2(d):
+    # A Kostlan binary form has 2 sqrt(3d - 2) critical points on average
+    # (Draisma and Horobet, 2016).  A finder that loses a class {x, -x} in
+    # every second solve reads z from -5.2 to -6.5 on these 150 forms.
+    forms = [_kostlan_form(2, d, [18, 2, d, s]) for s in range(150)]
+    multistart = [len(find_critical_pairs(f, SolverConfig(seed=s)).X) for s, f in enumerate(forms)]
+    exact = [len(enumerate_critical_pairs_n2(f).X) for f in forms]
+    for counts in (multistart, exact):
+        z = _z_score(counts, 2.0 * math.sqrt(3 * d - 2))
+        assert abs(z) <= 3.5, (np.mean(counts), z)
+
+
+def _kac_rice_points(n, d, samples=400_000):
+    """Expected critical points of a Kostlan form on S^(n-1) (Breiding, 2017),
+    and its Monte Carlo standard error:
+    vol(S^(n-1)) (2 pi d)^(-(n-1)/2) E|det(sqrt(d(d-1)) M - d z I)|, with M
+    an (n-1) x (n-1) GOE matrix (diagonal variance 2, off-diagonal 1) and
+    z ~ N(0, 1)."""
+    m = n - 1
+    rng = np.random.default_rng([18, n, d])
+    dets = []
+    chunk = 100_000
+    for _ in range(samples // chunk):
+        A = rng.standard_normal((chunk, m, m))
+        M = (A + A.swapaxes(1, 2)) / math.sqrt(2.0)
+        z = rng.standard_normal(chunk)
+        hessians = math.sqrt(d * (d - 1)) * M - d * z[:, None, None] * np.eye(m)
+        dets.append(np.abs(np.linalg.det(hessians)))
+    dets = np.concatenate(dets)
+    scale = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2) * (2.0 * math.pi * d) ** (-m / 2)
+    return scale * dets.mean(), scale * dets.std() / math.sqrt(samples)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, d, forms", [(3, 3, 300), (3, 4, 200), (4, 3, 200)])
+def test_kac_rice_count_n3_and_up(n, d, forms):
+    # The multistart mean count against the Kac-Rice expectation, with the
+    # standard errors of both combined.  A solver that loses a class in
+    # every second solve reads z = -6.1 at (3, 3) and -4.0 at (3, 4), but
+    # only -3.0 at (4, 3), which passes.
+    found = [
+        len(find_critical_pairs(_kostlan_form(n, d, [18, n, d, s]), SolverConfig(seed=s)).X)
+        for s in range(forms)
+    ]
+    expected, expected_se = _kac_rice_points(n, d)
+    z = _z_score(found, expected, expected_se)
+    assert abs(z) <= 3.5, (np.mean(found), expected, z)
