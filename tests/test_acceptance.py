@@ -110,6 +110,7 @@ def test_criterion_4_randomized_genericity(tmp_path):
     rank_hits = 0
     min_margin = np.inf
     dumped = []
+    full_budget = 0  # trials whose first round failed the completeness check
     for n, d in ((2, 3), (3, 3), (2, 4), (3, 4)):
         config = ExperimentConfig(
             n=n, d=d, trials=1000, seed=0, dump_dir=str(tmp_path / "dumps")
@@ -120,6 +121,7 @@ def test_criterion_4_randomized_genericity(tmp_path):
         if report.min_sosc_margin is not None:
             min_margin = min(min_margin, report.min_sosc_margin)
         dumped.extend(report.dumped_files)
+        full_budget += sum(r.starts_used == 50 * d * n for r in report.records)
     elapsed = time.perf_counter() - t0
     ok = degenerate == 0 and rank_hits == 0 and min_margin > 0 and elapsed < 600.0
     _report(
@@ -127,7 +129,7 @@ def test_criterion_4_randomized_genericity(tmp_path):
         ok,
         elapsed,
         f"4000 trials: degenerate={degenerate}, rank witnesses={rank_hits}, "
-        f"min SOSC margin={min_margin:.3e}",
+        f"min SOSC margin={min_margin:.3e}, full start budget={full_budget}",
     )
     assert degenerate == 0, f"degenerate polynomials dumped: {dumped}"
     assert rank_hits == 0, f"rank witnesses found: {dumped}"

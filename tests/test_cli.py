@@ -415,9 +415,10 @@ def test_quad_disagreement_fails_sweep_and_exit_1(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(genlab, "_pipeline_quadratic_degenerate", pipeline)
     report = genlab.run_quadratic_sweep(3, 3, seed=2)
-    # A generic quadratic form passes the solver's check on half its 300 starts.
+    # A generic quadratic form passes the solver's check on a first round of
+    # 12 B = 36 of its 300 starts (B = n at d = 2).
     assert report.disagreements == [
-        {"trial": 1, "quadratic_rule": False, "pipeline": True, "starts_used": 150}
+        {"trial": 1, "quadratic_rule": False, "pipeline": True, "starts_used": 36}
     ]
     assert report.passed is False
     args = ["quad", "--n", "3", "--trials", "3", "--seed", "2", "--output", str(tmp_path / "q.json")]

@@ -326,10 +326,11 @@ def test_empty_critical_set_keeps_its_shape():
 
 def test_starts_default_and_override():
     # ``starts`` is a budget; ``starts_used`` counts the starts Newton
-    # polished: the first half, rounded up, when they pass the completeness
-    # check, and all of them when they do not (x1^3 needs the polish).
+    # polished: the first round, min(half rounded up, 12 B), when they pass
+    # the completeness check, and all of them when they do not (x1^3 needs
+    # the polish).  A binary cubic has B = 3 classes.
     f = random_polynomial(2, 3, 1)
-    assert find_critical_pairs(f).starts_used == 50 * 3 * 2 // 2
+    assert find_critical_pairs(f).starts_used == 36
     assert find_critical_pairs(f, SolverConfig(starts=37)).starts_used == 19
     assert find_critical_pairs(axis_monomial(3, 3)).starts_used == 50 * 3 * 3
     assert find_critical_pairs(axis_monomial(3, 3), SolverConfig(starts=37)).starts_used == 37
@@ -347,31 +348,40 @@ def _unit_starts(n, starts, seed):
     return X0 / np.linalg.norm(X0, axis=1)[:, None]
 
 
-@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4)])
-def test_half_budget_matches_full_budget_on_criterion_4_shapes(n, d):
-    # Generic forms pass the check on the first half of the default budget,
-    # with the answer of the full budget: the class count and the verdicts.
+@pytest.mark.parametrize(
+    "n, d, first_round, fallbacks",
+    [(2, 3, 36, ()), (3, 3, 84, ()), (2, 4, 48, (17,)), (3, 4, 156, ())],
+    ids=["2-3", "3-3", "2-4", "3-4"],
+)
+def test_half_budget_matches_full_budget_on_criterion_4_shapes(n, d, first_round, fallbacks):
+    # Generic forms pass the check on the first round of the default budget,
+    # 12 B starts here, with the answer of the full budget: the class count
+    # and the verdicts.  At (2, 4) seed 17 the round finds all 4 classes but
+    # reaches one of them twice, so the hit check sends it to the full budget.
     starts = 50 * d * n
     for s in range(20):
         f = random_polynomial(n, d, [24, n, d, s])
         found = find_critical_pairs(f, SolverConfig(seed=s))
         full = critsolve._solve_from(f, _unit_starts(n, starts, s))
-        assert found.starts_used == (starts + 1) // 2 and full.starts_used == starts, s
+        assert found.starts_used == (starts if s in fallbacks else first_round), s
+        assert full.starts_used == starts, s
         assert found.X.shape == full.X.shape, s
         np.testing.assert_allclose(found.X, full.X, rtol=0.0, atol=1e-9)
         assert analyze_points(f, found.X).verdicts == analyze_points(f, full.X).verdicts, s
 
 
-def _first_half(f, config):
-    """What the check sees on the first half of the starts: class count k,
+def _first_round(f, config):
+    """What the check sees on the first round of the starts: class count k,
     bound B, rows needing the multiple-root polish, and the fewest hits."""
     starts = config.starts or 50 * f.d * f.n
-    X0 = _unit_starts(f.n, starts, config.seed)[: (starts + 1) // 2]
+    bound = critsolve._class_bound(f.n, f.d)
+    first_round = min((starts + 1) // 2, critsolve.STARTS_PER_CLASS * bound)
+    X0 = _unit_starts(f.n, starts, config.seed)[:first_round]
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     Z, _, Fn, polish = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
     ok = Fn <= tol
     _, lam, _, hits = critsolve._collect_pairs(f, Z[ok, :-1], Z[ok, -1], tol)
-    k, bound = lam.size // 2, critsolve._class_bound(f.n, f.d)
+    k = lam.size // 2
     return k, bound, int(np.count_nonzero(polish)), int(hits.min()) if hits.size else 0
 
 
@@ -399,13 +409,13 @@ def _first_half(f, config):
     ],
 )
 def test_failed_check_spends_the_full_budget(f, config, failing):
-    # Each condition of the check, failing on the first half, sends the
+    # Each condition of the check, failing on the first round, sends the
     # solve to all the starts.  x1^3 fails on the polish alone (one class of
-    # 43 hits), the geometric power form on the hits alone (38 classes of 40,
+    # 19 hits), the geometric power form on the hits alone (38 classes of 40,
     # parity holds).  The unit-norm form of
     # test_empty_critical_set_keeps_its_shape converges neither of its two
     # starts, so its k = 0 does not rest on the tiny coefficient norm.
-    k, bound, polish, hits = _first_half(f, config)
+    k, bound, polish, hits = _first_round(f, config)
     fails = {
         "k > B": k > bound,
         "polish": polish > 0,
@@ -431,6 +441,23 @@ def test_small_start_budgets(starts):
     found = find_critical_pairs(f, SolverConfig(starts=starts))
     assert found.starts_used == (starts if starts < 3 else (starts + 1) // 2)
     assert found.X.shape[0] > 0 and 0.0 < found.converged_fraction <= 1.0
+
+
+@pytest.mark.parametrize(
+    "n, d, starts, first_round",
+    [
+        (2, 5, None, 60),  # 12 B = 12 * 5 below half of 500
+        (4, 4, None, 400),  # half of 800 below 12 B = 12 * 40
+        (2, 3, 1, 1),
+        (2, 3, 2, 2),  # a round of 1 row cannot show 3 hits, so both starts run
+        (2, 3, 37, 19),  # half of 37, rounded up, below 12 B = 36
+    ],
+)
+def test_first_round_size(n, d, starts, first_round):
+    # A generic form passes the check on its first round of
+    # min(ceil(S / 2), 12 B) starts, so that round is all it polishes.
+    f = random_polynomial(n, d, [28, n, d])
+    assert find_critical_pairs(f, SolverConfig(starts=starts)).starts_used == first_round
 
 
 @pytest.mark.parametrize("starts", [0, -3, critsolve.MAX_STARTS + 1, 10**12])
@@ -1146,12 +1173,12 @@ def _kac_rice_points(n, d, samples=400_000):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n, d, forms", [(3, 3, 300), (3, 4, 200), (4, 3, 200)])
+@pytest.mark.parametrize("n, d, forms", [(3, 3, 300), (3, 4, 200), (4, 3, 300)])
 def test_kac_rice_count_n3_and_up(n, d, forms):
     # The multistart mean count against the Kac-Rice expectation, with the
     # standard errors of both combined.  A solver that loses a class in
-    # every second solve reads z = -6.1 at (3, 3) and -4.0 at (3, 4), but
-    # only -3.0 at (4, 3), which passes.
+    # every second solve reads z = -6.1 at (3, 3), -4.0 at (3, 4) and -3.8
+    # at (4, 3), where 200 forms would read only -3.0 and pass.
     found = [
         len(find_critical_pairs(_kostlan_form(n, d, [18, n, d, s]), SolverConfig(seed=s)).X)
         for s in range(forms)
