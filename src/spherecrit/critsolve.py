@@ -60,6 +60,7 @@ MAX_ITERATIONS = 100  # Newton iterations per start
 # keeps at least 94 % of the residual: a slow step by the MAX_SLOW_STEPS rule.
 # A row that finds no decrease by 2^-4 is abandoned one slow iteration early.
 MAX_HALVINGS = 4
+STEP_LENGTHS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))  # 1, 1/2, ..., 2^-MAX_HALVINGS
 MAX_SLOW_STEPS = 2  # consecutive slow iterations before a start is abandoned
 # Converged starts each class {x, -x} needs before the first round is
 # trusted: a class seen only once or twice suggests unseen ones (Good, 1953).
@@ -68,6 +69,7 @@ MIN_CLASS_HITS = 3
 # at (4, 3) fall back to the full budget; at 16 most solves are 3-12 % slower.
 STARTS_PER_CLASS = 4 * MIN_CLASS_HITS
 LSTSQ_RCOND = 1e-10  # relative singular value cutoff of the multiple-root polish
+OVERSHOOT_FACTORS = np.array([1.0, 2.0, 3.0])  # step multiples the polish tries
 
 
 def scaled_tolerance(f: HomogeneousPolynomial, base: float) -> float:
@@ -225,6 +227,27 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i", A, A))
 
 
+def _trial_steps(
+    f: HomogeneousPolynomial, Z: np.ndarray, F: np.ndarray, rows: np.ndarray, solver, scales
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One Newton-type step from each given row of Z = [X | lam], by
+    ``solver`` on the Jacobian with non-finite entries zeroed, tried at every
+    scale in one residual call.  Returns the usable-step mask, the trial
+    rows and their residual rows, both (scales, rows, n + 1), and the
+    residual norms (scales, rows), inf where non-finite or unusable."""
+    n = f.n
+    z = Z.take(rows, axis=0)
+    J = _system_jacobian(f, z[:, :n], z[:, n])
+    J[~np.isfinite(J)] = 0.0
+    steps, usable = solver(J, -F.take(rows, axis=0))
+    trial = z + scales[:, None, None] * steps
+    flat = trial.reshape(-1, n + 1)
+    Ft = _system_residual(f, flat[:, :n], flat[:, n]).reshape(trial.shape)
+    Ftn = _row_norms(Ft)
+    Ftn[~(np.isfinite(Ftn) & usable)] = np.inf
+    return usable, trial, Ft, Ftn
+
+
 # One error state per solve: wild rows overflow, and the isfinite tests drop them.
 @np.errstate(all="ignore")
 def _newton_polish(
@@ -240,12 +263,11 @@ def _newton_polish(
     after ``MAX_ITERATIONS`` iterations.
     Each row takes the longest step 2^-k (k = 0 .. ``MAX_HALVINGS``, so down
     to 1/16) that strictly decreases its residual norm, as sequential
-    halving would.  One residual call tests a block of step lengths for
-    every row still looking, as many as fit in the row count of X0, so a
-    sparse straggler set scans all lengths in one call.  Rows that cannot
-    decrease the residual at any of these lengths (a shorter step would be
-    slow anyway), and rows whose residual fell by less than 10 % in each of
-    the last ``MAX_SLOW_STEPS`` iterations, are abandoned.  A row is
+    halving would.  One :func:`_trial_steps` call per iteration tests every
+    step length for every active row.  Rows that cannot decrease the
+    residual at any of these lengths (a shorter step would be slow anyway),
+    and rows whose residual fell by less than 10 % in each of the last
+    ``MAX_SLOW_STEPS`` iterations, are abandoned.  A row is
     converged exactly when its final residual, after the multiple-root
     polish, is at most ``accept_tol``: no row's residual ever rises, and the
     stop tolerance lies below ``accept_tol``.
@@ -258,7 +280,6 @@ def _newton_polish(
     """
     n = f.n
     stop_tol = scaled_tolerance(f, 1e-13)
-    scales = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))[:, None, None]
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
     size = Z.shape[0]
     F = _system_residual(f, Z[:, :n], Z[:, n])
@@ -273,33 +294,16 @@ def _newton_polish(
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        # The rows' points and residual norms at the start of the iteration;
-        # a row still trying a step length keeps both.  Row gathers use take,
-        # which costs a fraction of fancy indexing on these small arrays.
-        z, before = Z.take(rows, axis=0), Fn[rows]
-        J = _system_jacobian(f, z[:, :n], z[:, n])
-        J[~np.isfinite(J)] = 0.0
-        steps, usable = _solve_steps(J, -F.take(rows, axis=0))
+        before = Fn[rows]
+        usable, trial, Ft, Ftn = _trial_steps(f, Z, F, rows, _solve_steps, STEP_LENGTHS)
         singular[rows[~usable]] = True
-        trying = np.flatnonzero(usable)
-        k = 0  # halvings already tried by every row still trying
-        while trying.size and k <= MAX_HALVINGS:
-            # Steps 2^-k .. 2^-(k+m-1) in one call of at most `size` rows.
-            m = min(MAX_HALVINGS + 1 - k, max(1, size // trying.size))
-            trial = z.take(trying, axis=0) + scales[k : k + m] * steps.take(trying, axis=0)
-            flat = trial.reshape(-1, n + 1)
-            Ft = _system_residual(f, flat[:, :n], flat[:, n])
-            Ftn = _row_norms(Ft.reshape(trial.shape))
-            ok = Ftn < before[trying]  # before is finite; NaN never compares below it
-            hit = ok.any(axis=0)
-            cols = np.flatnonzero(hit)
-            first = ok.argmax(axis=0)[cols] * trying.size + cols  # longest decreasing step
-            acc = rows[trying[cols]]
-            Z[acc] = flat.take(first, axis=0)
-            F[acc] = Ft.take(first, axis=0)
-            Fn[acc] = Ftn.ravel()[first]
-            trying = trying[~hit]
-            k += m
+        ok = Ftn < before
+        cols = np.flatnonzero(ok.any(axis=0))
+        first = ok.argmax(axis=0)[cols]  # the longest decreasing step
+        acc = rows[cols]
+        Z[acc] = trial[first, cols]
+        F[acc] = Ft[first, cols]
+        Fn[acc] = Ftn[first, cols]
         # An accepted step strictly lowers the residual; other rows keep theirs.
         after = Fn[rows]
         improved = after < before
@@ -330,33 +334,25 @@ def _polish_multiple_roots(
     margins downstream, and takes no step at all where the Jacobian is
     exactly singular.  Truncated least-squares steps ignore the null
     directions (e.g. a whole circle of critical points) and overshooting by
-    the root multiplicity restores fast convergence.  At a simple root the
-    last Newton step cut the residual more than tenfold, so
-    :func:`_newton_polish` masks only singular rows and converged rows whose
-    last step did not.
+    the root multiplicity restores fast convergence: each of at most 8
+    rounds moves a row to its best trial at ``OVERSHOOT_FACTORS`` times the
+    step, if that lowers its residual.  At a simple root the last Newton
+    step cut the residual more than tenfold, so :func:`_newton_polish`
+    masks only singular rows and converged rows whose last step did not.
     """
-    n = f.n
     floor = scaled_tolerance(f, 1e-14)
     rows = np.flatnonzero(polish)
     for _ in range(8):
         if rows.size == 0:
             break
-        Z0 = Z.take(rows, axis=0)
-        J = _system_jacobian(f, Z0[:, :n], Z0[:, n])
-        J[~np.isfinite(J)] = 0.0
-        steps, usable = _lstsq_steps(J, -F.take(rows, axis=0))
-        moved = np.zeros(rows.size, dtype=bool)
-        for factor in (1.0, 2.0, 3.0):
-            trial = Z0 + factor * steps
-            Ft = _system_residual(f, trial[:, :n], trial[:, n])
-            Ftn = _row_norms(Ft)
-            better = usable & np.isfinite(Ftn) & (Ftn < Fn[rows])
-            acc = rows[better]
-            Z[acc] = trial.compress(better, axis=0)
-            F[acc] = Ft.compress(better, axis=0)
-            Fn[acc] = Ftn[better]
-            moved |= better
-        rows = rows[moved & (Fn[rows] > floor)]
+        _, trial, Ft, Ftn = _trial_steps(f, Z, F, rows, _lstsq_steps, OVERSHOOT_FACTORS)
+        cols = np.flatnonzero(Ftn.min(axis=0) < Fn[rows])
+        best = Ftn.argmin(axis=0)[cols]  # the earliest of equal trials
+        acc = rows[cols]
+        Z[acc] = trial[best, cols]
+        F[acc] = Ft[best, cols]
+        Fn[acc] = Ftn[best, cols]
+        rows = acc[Fn[acc] > floor]
 
 
 def _projection_windows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -464,8 +460,8 @@ def find_critical_pairs(
     B = :func:`_class_bound` complex classes {x, -x}, and the solve stops
     there when the round looks like the complete critical set of a generic
     form: no row needs the multiple-root polish, the class count k satisfies
-    1 <= k <= B, k has the parity of B, and every class was reached by at
-    least ``MIN_CLASS_HITS`` converged starts.
+    1 <= k <= B, k has the parity of B, and, when k < B, every class was
+    reached by at least ``MIN_CLASS_HITS`` converged starts.
     Otherwise the remaining starts are Newton-polished too, and the polish
     and merge run over all the starts.  Non-converged starts are counted in
     ``converged_fraction``, not returned.  Each returned pair has residual
@@ -494,7 +490,8 @@ def find_critical_pairs(
     if np.count_nonzero(Fn <= tol) >= MIN_CLASS_HITS and not polish.any():
         found, hits = _finish(f, [first], tol)
         k = found.lam.size // 2
-        if 1 <= k <= bound and (bound - k) % 2 == 0 and hits.min() >= MIN_CLASS_HITS:
+        # A generic form has at most B classes, so k = B leaves none unseen.
+        if k == bound or (1 <= k < bound and (bound - k) % 2 == 0 and hits.min() >= MIN_CLASS_HITS):
             return found
     second = _newton_polish(f, X0[first_round:], lam0[first_round:], accept_tol=tol)
     return _finish(f, [first, second], tol)[0]

@@ -350,14 +350,14 @@ def _unit_starts(n, starts, seed):
 
 @pytest.mark.parametrize(
     "n, d, first_round, fallbacks",
-    [(2, 3, 36, ()), (3, 3, 84, ()), (2, 4, 48, (17,)), (3, 4, 156, ())],
+    [(2, 3, 36, ()), (3, 3, 84, ()), (2, 4, 48, ()), (3, 4, 156, ())],
     ids=["2-3", "3-3", "2-4", "3-4"],
 )
 def test_half_budget_matches_full_budget_on_criterion_4_shapes(n, d, first_round, fallbacks):
     # Generic forms pass the check on the first round of the default budget,
     # 12 B starts here, with the answer of the full budget: the class count
-    # and the verdicts.  At (2, 4) seed 17 the round finds all 4 classes but
-    # reaches one of them twice, so the hit check sends it to the full budget.
+    # and the verdicts.  At (2, 4) seed 17 the round finds all 4 classes, one
+    # of them reached twice: k = B passes without the hit check.
     starts = 50 * d * n
     for s in range(20):
         f = random_polynomial(n, d, [24, n, d, s])
@@ -697,13 +697,24 @@ def _reference_root_polish(f, Z, F, Fn, polish):
         random_polynomial(3, 4, 102),
         random_polynomial(4, 3, 103),
         axis_monomial(3, 4),
+        axis_monomial(3, 3),
+        _tiny_form(3, 4, 5, 1e-12),
     ],
-    ids=["random(2,3)", "random(3,4)", "random(4,3)", "axis_monomial(3,4)"],
+    ids=[
+        "random(2,3)",
+        "random(3,4)",
+        "random(4,3)",
+        "axis_monomial(3,4)",
+        "axis_monomial(3,3)",
+        "tiny(3,4)",
+    ],
 )
 def test_step_ladder_matches_sequential_halving(f):
-    # The block ladder must pick the longest decreasing step, exactly as
-    # halving one step length per call does.  Batch shapes differ, so BLAS
-    # may round the residuals differently in the last bits.
+    # Trying all step lengths in one call must pick the longest decreasing
+    # step, exactly as halving one step length per call does; x1^3 adds
+    # exactly singular Jacobians, and every converged row of the tiny-norm
+    # form reaches the polish.  Batch shapes differ, so BLAS may round the
+    # residuals differently in the last bits.
     rng = np.random.default_rng(7)
     X0 = rng.standard_normal((50 * f.n * f.d, f.n))
     X0 /= np.linalg.norm(X0, axis=1)[:, None]
@@ -1015,20 +1026,22 @@ def _count_rows(monkeypatch, name):
 
 
 def test_residual_calls_per_solve_bounded(monkeypatch):
-    # Backtracking tests a block of step lengths per residual call, and
-    # starts that stay slow are dropped early.  On the first solve
+    # Backtracking tests every step length in one residual call per Newton
+    # iteration, and starts that stay slow are dropped early.  On the first solve
     # sequential halving made 526 residual calls; the block ladder made 75
     # residual and 21 Jacobian calls with an 8-slow-step cap, 30 and 11 with
     # MAX_SLOW_STEPS = 2, 27 and 10 (12564 residual rows) once quadratically
     # converged rows skip the multiple-root polish, and 19 and 10 (7426
     # rows) with MAX_HALVINGS = 4.  On the tiny-norm form, like the
     # benchmark's, capping the halvings at 4 cut 68 residual calls and
-    # 35162 rows to 18 and 6166.  With half the start budget, the first
-    # solve stops at 300 starts after 19 residual calls (3693 rows) and 10
-    # Jacobian calls; the tiny-norm form fails the check and pays a second
-    # Newton pass: 24 residual calls (6157 rows) and 6 Jacobian calls.  The
-    # counts are deterministic, so the ceilings guard the work without
-    # timing.
+    # 35162 rows to 18 and 6166.  With a first round of 12 B starts, the
+    # first solve stopped at 156 starts after 19 residual calls (1974 rows)
+    # and 10 Jacobian calls.  One call per Newton iteration (all five step
+    # lengths) and per polish round (all three factors) makes that 11 calls
+    # of up to 780 rows (4476 rows); the tiny-norm form fails the check and
+    # pays a second Newton pass: 24 → 8 residual calls, 6157 rows either
+    # way, up to 2115 rows a call, and 6 Jacobian calls.  The counts are
+    # deterministic, so the ceilings guard the work without timing.
     residual_rows = _count_rows(monkeypatch, "_system_residual")
     jacobian_rows = _count_rows(monkeypatch, "_system_jacobian")
     cases = [(random_polynomial(3, 4, 5), 9000), (_tiny_form(3, 4, 5, 1e-12), 7500)]
@@ -1037,10 +1050,10 @@ def test_residual_calls_per_solve_bounded(monkeypatch):
         jacobian_rows.clear()
         found = find_critical_pairs(f, SolverConfig(seed=1))
         assert found.pairs
-        assert len(residual_rows) <= 24, f.coefficient_norm
+        assert len(residual_rows) <= 12, f.coefficient_norm
         assert sum(residual_rows) <= max_rows, f.coefficient_norm
         assert len(jacobian_rows) <= 14, f.coefficient_norm
-        assert max(residual_rows) <= found.starts_used
+        assert max(residual_rows) <= critsolve.STEP_LENGTHS.size * found.starts_used
 
 
 def _binary_product(*factors):
