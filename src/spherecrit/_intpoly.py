@@ -2,7 +2,9 @@
 
 A form of degree k is a list of k + 1 ints, index i holding the coefficient
 of x1^i x2^(k-i); read in t = x1 it is the dehomogenization at x2 = 1, which
-the primitive polynomial remainder sequence runs on.
+the primitive polynomial remainder sequence runs on.  :func:`_critical_form`
+gives the n = 2 enumeration and the exact oracle the same g and the same
+repeated part gcd(g, g').
 """
 
 import math
@@ -16,17 +18,17 @@ def _partials(a: list) -> tuple[list, list]:
     return [(i + 1) * a[i + 1] for i in range(k)], [(k - i) * a[i] for i in range(k)]
 
 
-def _binary_form(a: list) -> tuple[list, list, list]:
-    """g = x2 * df/dx1 - x1 * df/dx2 and the partials df/dx1, df/dx2 (n = 2).
+def _binary_form(a: list) -> list:
+    """g = x2 * df/dx1 - x1 * df/dx2 of the binary form f (n = 2).
 
-    ``a`` holds the coefficients of f, index i that of x1^i x2^(d-i), and the
-    returned lists are indexed the same way, in the number type of ``a``.
-    g vanishes exactly where the gradient is parallel to x, so its projective
-    roots are the critical directions.  deg g = d unless g is identically
-    zero (radially symmetric f).
+    ``a`` holds the coefficients of f, index i that of x1^i x2^(d-i), and g
+    is indexed the same way, in the number type of ``a``.  g vanishes exactly
+    where the gradient is parallel to x, so its projective roots are the
+    critical directions.  deg g = d unless g is identically zero (radially
+    symmetric f).
     """
     f1, f2 = _partials(a)
-    return [u - v for u, v in zip(f1 + [0], [0] + f2)], f1, f2
+    return [u - v for u, v in zip(f1 + [0], [0] + f2)]
 
 
 def _strip(p: list[int]) -> list[int]:
@@ -78,26 +80,15 @@ def _integer_coefficients(f: HomogeneousPolynomial) -> list[int]:
     return [num * (scale // den) for num, den in ratios]
 
 
-def _witness_minor_forms(f: HomogeneousPolynomial) -> list[list[int]]:
-    """The four 3x3 minors of the witness matrix with y = (x2, -x1).
+def _critical_form(f: HomogeneousPolynomial) -> tuple[list[int], list[int]]:
+    """g of the binary form f, stripped, and its repeated part h.
 
-    With g = x2 f1 - x1 f2 and q = y^T hess f y = x2^2 f11 - 2 x1 x2 f12 +
-    x1^2 f22, expanding along the third column gives the minors of rows
-    (1,2,3) and (1,2,4) as x1 g and x2 g, and expanding along the first row
-    gives rows (1,3,4) and (2,3,4) as |x|^2 f1 - x1 q and |x|^2 f2 - x2 q.
-    Each is a binary form of degree d + 1, computed from the integer
-    coefficients of :func:`_integer_coefficients`, so exactly (the minors
-    are linear in f, hence scaled by the same power of two).
+    g is :func:`_binary_form` of the exact integer coefficients of f, and h
+    is the primitive gcd(g, dg/dt) of the dehomogenizations: its roots are
+    the repeated finite roots of g.  h is [] when g is zero and [1] when g
+    is a nonzero constant.
     """
-    g, f1, f2 = _binary_form(_integer_coefficients(f))
-    f11, f12 = _partials(f1)
-    f22 = _partials(f2)[1]
-    z = [0]  # multiplying by x1 prepends a zero, by x2 appends one
-    q = [u - 2 * v + w for u, v, w in zip(f11 + z + z, z + f12 + z, z + z + f22)]
-    return [
-        z + g,
-        g + z,
-        [u + v - w for u, v, w in zip(z + z + f1, f1 + z + z, z + q)],
-        [u + v - w for u, v, w in zip(z + z + f2, f2 + z + z, q + z)],
-    ]
-
+    g = _strip(_binary_form(_integer_coefficients(f)))
+    if len(g) <= 1:
+        return g, [1] * len(g)
+    return g, _prs_gcd(_primitive(g), _primitive(_partials(g)[0]))

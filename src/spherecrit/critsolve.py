@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._intpoly import _binary_form, _integer_coefficients, _partials, _primitive, _prs_gcd, _strip
+from ._intpoly import _critical_form
 from .polyhom import HomogeneousPolynomial, ZeroPolynomialError
 
 __all__ = [
@@ -502,17 +502,17 @@ def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
     _reject_zero(f)
     if f.n != 2:
         raise ValueError(f"exact enumeration needs n = 2, got n = {f.n}")
-    # g from the integer coefficients of f, so each test on it is exact.
+    # g and its repeated part h from the integer coefficients of f, so each
+    # test on them is exact.
     # Only roots of g are seeded, one direction each (the merge adds the
     # mirrors): e1 when g's x1^d coefficient is zero (a root at infinity),
     # and when g = 0 (radial f), where the whole circle is critical and e1,
     # the one candidate kept, represents it.
-    g = _strip(_binary_form(_integer_coefficients(f))[0])
+    g, h = _critical_form(f)
     candidates = [np.array([1.0, 0.0])] if len(g) <= f.d else []
     if len(g) > 1:  # g(t, 1) has finite roots
         top = max(map(abs, g))  # int / int rounds correctly and cannot overflow here
         p = np.array([c / top for c in reversed(g)])
-        h = _prs_gcd(_primitive(g), _primitive(_partials(g)[0]))
         if len(h) > 1:  # g has a repeated root: keep its square-free part
             p = np.polydiv(p, [c / h[-1] for c in reversed(h)])[0]
         for z in np.roots(p):

@@ -26,23 +26,22 @@ kept deliberately separate:
    and ``bordered_det`` of a witness).  It counts as zero when
    |det| <= ``scaled_tolerance(f, DEFAULT_TOL_DET)``, and nowhere else.
 
-3. Exact n = 2 oracle.  For binary forms the constraint y.x = 0 pins
-   y = (x2, -x1) up to scale (over the complex numbers too), so the rank
-   condition reduces to four binary forms of degree d + 1, the 3 x 3 minors,
-   sharing a common nonzero complex root.  The minors have the closed form
-   x1 g, x2 g, |x|^2 f1 - x1 q and |x|^2 f2 - x2 q, with g = x2 f1 - x1 f2
-   the binary form whose roots are the critical directions and
-   q = y^T hess f(x) y.  Common roots are decided exactly over the
-   integers: every float coefficient is m 2^e, so scaling f by the common
-   power-of-two denominator of its coefficients gives integer minors, and a
-   primitive polynomial remainder sequence (pseudo-remainders with the
-   content divided out) computes the GCD of their dehomogenizations, in
-   :mod:`spherecrit._intpoly`, where the n = 2 enumeration of
-   :mod:`spherecrit.critsolve` builds the same g.  With a common-root check
-   in the x2 = 0 direction this is a tolerance-free membership test for the
-   complex degeneracy locus.  A real degenerate point forces membership; the
-   converse can fail (complex-only witnesses), so oracle verdict and numeric
-   detection are always reported side by side, never merged.
+3. Exact n = 2 oracle.  On the circle f has derivative -g in the angle,
+   with g = x2 f1 - x1 f2 the binary form whose roots are the critical
+   directions, and the SOSC margin at a critical direction is the second
+   derivative.  So a critical direction is degenerate exactly when it is a
+   repeated projective root of g, real or complex: the n = 2
+   eigendiscriminant (Abo, Seigal & Sturmfels).  This is decided exactly
+   over the integers: every float coefficient is m 2^e, so scaling f by the
+   common power-of-two denominator of its coefficients gives an integer g,
+   and a primitive polynomial remainder sequence (pseudo-remainders with the
+   content divided out) computes gcd(g, dg/dt) of its dehomogenization, in
+   :mod:`spherecrit._intpoly`, which gives the n = 2 enumeration of
+   :mod:`spherecrit.critsolve` the same g.  With a double-root check in the
+   x2 = 0 direction this is a tolerance-free membership test for the complex
+   degeneracy locus.  A real degenerate point forces membership; the
+   converse can fail (complex-only repeated roots), so oracle verdict and
+   numeric detection are always reported side by side, never merged.
 
 The d = 2 specialization is :func:`quadratic_degeneracy`: for f = x^T A x / 2
 some SONC point is degenerate exactly when the least eigenvalue of A is not
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import Verdict, analyze_points
-from ._intpoly import _primitive, _prs_gcd, _strip, _witness_minor_forms
+from ._intpoly import _critical_form
 from .critsolve import _reject_zero, _system_jacobian
 from .polyhom import HomogeneousPolynomial
 
@@ -113,11 +112,13 @@ class QuadraticDegeneracy:
 class OracleResult:
     """Exact complex-locus membership for n = 2.
 
-    ``on_locus`` is True when a nonzero complex pair (x, y), y.x = 0, makes
-    the witness matrix rank deficient.  ``gcd`` holds the monic common
-    factor of the dehomogenized minors when its degree is at least one: the
-    primitive integer GCD h with each coefficient divided by the leading one,
-    correctly rounded to float.
+    ``on_locus`` is True when g = x2 f1 - x1 f2 has a repeated projective
+    root or vanishes identically.  ``gcd`` holds the monic repeated part of
+    g's dehomogenization when its degree is at least one: the primitive
+    integer gcd(g, dg/dt) with each coefficient divided by the leading one,
+    correctly rounded to float.  ``gcd_degree`` is -1 exactly when g = 0
+    (radial f), and ``vanishes_at_infinity`` marks a double root of g in
+    the x2 = 0 direction.
     """
 
     on_locus: bool
@@ -125,7 +126,6 @@ class OracleResult:
     gcd_degree: int
     gcd: tuple[float, ...] | None
     vanishes_at_infinity: bool
-    minors_all_zero: bool
 
 
 def build_witness_matrix(f: HomogeneousPolynomial, X, Y) -> np.ndarray:
@@ -236,69 +236,52 @@ def quadratic_degeneracy(A) -> QuadraticDegeneracy:
 
 
 # ---------------------------------------------------------------------------
-# Exact n = 2 oracle: the GCD of the integer minors of :mod:`spherecrit._intpoly`.
+# Exact n = 2 oracle: the repeated roots of the integer g of :mod:`spherecrit._intpoly`.
 # ---------------------------------------------------------------------------
 
 
 def exact_oracle_n2(f: HomogeneousPolynomial) -> OracleResult:
     """Exact membership test for the complex degeneracy locus at n = 2.
 
-    Over the complex numbers the solutions of y.x = 0 with x != 0 form the
-    single direction y = (x2, -x1) up to scale, so a nonzero witness pair
-    exists exactly when the four 3x3 minors of the witness matrix, binary
-    forms of degree d + 1, share a common projective root.  The decision is
-    a primitive-PRS GCD of the dehomogenized integer minors, plus a shared
-    root at infinity when every minor misses the x1^(d+1) monomial.
+    A critical direction is degenerate exactly when it is a repeated
+    projective root of g = x2 f1 - x1 f2.  The finite ones are the roots of
+    the primitive-PRS gcd(g, dg/dt) of the dehomogenized integer g; the
+    x2 = 0 direction is a double root when g misses both x1^d and x1^(d-1).
     """
     _reject_zero(f)
     if f.n != 2:
         raise ValueError(f"exact oracle needs n = 2, got n = {f.n}")
-    minors = _witness_minor_forms(f)
-    stripped = [_strip(m) for m in minors]
-
-    if not any(stripped):
+    g, h = _critical_form(f)
+    if not g:
         return OracleResult(
             on_locus=True,
-            certificate="all 3x3 minors vanish identically; every nonzero x admits a witness",
+            certificate="g vanishes identically; every direction is critical and degenerate",
             gcd_degree=-1,
             gcd=None,
             vanishes_at_infinity=True,
-            minors_all_zero=True,
         )
 
-    top = f.d + 1  # coefficient index of x1^(d+1)
-    vanishes_at_infinity = all(len(m) <= top for m in stripped)
-
-    # Minor 1 is t times minor 2, so the GCD starts from minor 2.
-    h: list[int] = []
-    for m in stripped[1:]:
-        if m:
-            h = _prs_gcd(h, _primitive(m))
-            if len(h) == 1:
-                break
     gcd_degree = len(h) - 1
-    on_locus = gcd_degree >= 1 or vanishes_at_infinity
-
+    vanishes_at_infinity = len(g) < f.d  # g misses x1^d and x1^(d-1)
     if gcd_degree >= 1 and vanishes_at_infinity:
         certificate = (
-            f"minors share a degree-{gcd_degree} factor and a common zero at infinity"
+            f"g has a repeated factor of degree {gcd_degree} and a double root at infinity"
         )
     elif gcd_degree >= 1:
         certificate = (
-            f"minors share a degree-{gcd_degree} factor; its roots are witness directions"
+            f"g has a repeated factor of degree {gcd_degree}; its roots are degenerate directions"
         )
     elif vanishes_at_infinity:
-        certificate = "minors share the zero (1, 0) at infinity (x2 = 0 direction)"
+        certificate = "g has a double root at infinity (x2 = 0 direction)"
     else:
         certificate = (
-            "minors are coprime and do not all vanish at x2 = 0; "
-            "no nonzero complex witness pair exists"
+            "g is square-free and has at most a simple root at infinity; "
+            "no degenerate direction, real or complex"
         )
     return OracleResult(
-        on_locus=on_locus,
+        on_locus=gcd_degree >= 1 or vanishes_at_infinity,
         certificate=certificate,
         gcd_degree=gcd_degree,
         gcd=tuple(c / h[-1] for c in h) if gcd_degree >= 1 else None,
         vanishes_at_infinity=vanishes_at_infinity,
-        minors_all_zero=False,
     )

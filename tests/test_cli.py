@@ -243,7 +243,7 @@ def test_oracle2_certify_flag(tmp_path, capsys):
     assert "certified" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["cubic_n2", "x1cubed_n2", "zero_at_infinity_n2"])
+@pytest.mark.parametrize("name", ["cubic_n2", "x1cubed_n2", "zero_at_infinity_n2", "isotropic_n2"])
 @pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
 def test_oracle2_golden_stdout(name, certify, capsys):
     argv = ["oracle2", "--poly", str(DATA / f"{name}.json")]

@@ -229,9 +229,9 @@ def test_class_count_parity_on_geometric_power_4_4():
     + [f"random_d{d}" for d in (2, 3, 4, 5, 8)],
 )
 def test_enumeration_radial_exactly_when_oracle_minors_vanish(f):
-    # All four witness minors vanish exactly when g = 0, which is the
-    # enumeration's radial test.
-    assert enumerate_critical_pairs_n2(f).all_critical == exact_oracle_n2(f).minors_all_zero
+    # The oracle reports g = 0 (where all four witness minors vanish) as
+    # gcd_degree -1, which is the enumeration's radial test.
+    assert enumerate_critical_pairs_n2(f).all_critical == (exact_oracle_n2(f).gcd_degree == -1)
 
 
 def test_certification_on_cubic(cubic_sum):

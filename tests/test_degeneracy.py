@@ -31,7 +31,7 @@ from spherecrit import (
     weighted_axis_quadratic,
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
-from spherecrit._intpoly import _binary_form, _strip, _witness_minor_forms
+from spherecrit._intpoly import _binary_form
 from spherecrit.critsolve import DEFAULT_TOL_CRIT, _system_jacobian
 from spherecrit.degeneracy import DEFAULT_TOL_DET, OracleResult
 from conftest import unit
@@ -452,7 +452,7 @@ def test_oracle_isotropic_quadratic_on_locus():
     f = HomogeneousPolynomial(2, 2, {(2, 0): 0.5, (0, 2): 0.5})
     result = exact_oracle_n2(f)
     assert result.on_locus
-    assert result.minors_all_zero
+    assert result.gcd_degree == -1  # g = 0: radial f
 
 
 def test_oracle_linear_generic_off_locus():
@@ -467,13 +467,13 @@ def test_oracle_distinct_diagonal_quadratic_off_locus():
 
 
 def test_oracle_zero_at_infinity_only():
-    # Every minor misses x1^4, so all vanish at (1, 0); their
-    # dehomogenizations at x2 = 1 are coprime.
+    # g = x2^2 (1.5 x2 - 2.1 x1) misses x1^3 and x1^2: a double root at
+    # (1, 0), and its dehomogenization at x2 = 1 is square-free.
     result = exact_oracle_n2(_ZERO_AT_INFINITY_FORMS[0])
     assert result.on_locus
     assert result.gcd_degree == 0
     assert result.vanishes_at_infinity
-    assert result.certificate == "minors share the zero (1, 0) at infinity (x2 = 0 direction)"
+    assert result.certificate == "g has a double root at infinity (x2 = 0 direction)"
 
 
 def test_oracle_common_factor_and_zero_at_infinity():
@@ -483,7 +483,7 @@ def test_oracle_common_factor_and_zero_at_infinity():
     assert result.gcd == (0.0, 1.0)
     assert result.vanishes_at_infinity
     assert result.certificate == (
-        "minors share a degree-1 factor and a common zero at infinity"
+        "g has a repeated factor of degree 1 and a double root at infinity"
     )
 
 
@@ -516,75 +516,17 @@ def test_oracle_flags_constructed_degenerate_cases():
 
 
 # ---------------------------------------------------------------------------
-# Closed-form minors against the general 3x3 determinant of polynomials
+# The integer pencil form g against a float reference
 # ---------------------------------------------------------------------------
 
 
-def _reference_add(a, b, sign=1):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += sign * v
-    return out
-
-
-def _reference_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _reference_det3(r0, r1, r2):
-    a, b, c = r0
-    d, e, g = r1
-    h, i, j = r2
-    m0 = _reference_add(_reference_mul(e, j), _reference_mul(g, i), -1)
-    m1 = _reference_add(_reference_mul(d, j), _reference_mul(g, h), -1)
-    m2 = _reference_add(_reference_mul(d, i), _reference_mul(e, h), -1)
-    return _reference_add(
-        _reference_add(_reference_mul(a, m0), _reference_mul(b, m1), -1),
-        _reference_mul(c, m2),
-    )
-
-
-def _reference_minor_forms(f):
-    """The four 3x3 minors of [f1, x1, 0; f2, x2, 0; (H y)_1, y1, x1;
-    (H y)_2, y2, x2] with y = (x2, -x1), each a general polynomial determinant
-    (lists indexed by the power of x1)."""
+def _reference_pencil_form(f, number=float):
+    """g = x2 df/dx1 - x1 df/dx2 in ``number``, one coefficient at a time."""
     d = f.d
-    a = [Fraction(0)] * (d + 1)
+    a = [number(0)] * (d + 1)
     for (e1, _), c in f.terms.items():
-        a[e1] = Fraction(c)
-    f1 = [(i + 1) * a[i + 1] for i in range(d)]
-    f2 = [(d - i) * a[i] for i in range(d)]
-    f11 = [(i + 1) * f1[i + 1] for i in range(d - 1)]
-    f12 = [(d - 1 - i) * f1[i] for i in range(d - 1)]
-    f22 = [(d - 1 - i) * f2[i] for i in range(d - 1)]
-    one, zero = Fraction(1), Fraction(0)
-    y1, y2 = [one, zero], [zero, -one]
-    x1, x2 = [zero, one], [one, zero]
-    hy1 = _reference_add(_reference_mul(f11 or [zero], y1), _reference_mul(f12 or [zero], y2))
-    hy2 = _reference_add(_reference_mul(f12 or [zero], y1), _reference_mul(f22 or [zero], y2))
-    r1, r2 = (f1, x1, [zero]), (f2, x2, [zero])
-    r3, r4 = (hy1, y1, x1), (hy2, y2, x2)
-    return [
-        _reference_det3(r1, r2, r3),
-        _reference_det3(r1, r2, r4),
-        _reference_det3(r1, r3, r4),
-        _reference_det3(r2, r3, r4),
-    ]
-
-
-def _reference_pencil_form(f):
-    """g = x2 df/dx1 - x1 df/dx2 in float64, one coefficient at a time."""
-    d = f.d
-    a = np.zeros(d + 1)
-    for (e1, _), c in f.terms.items():
-        a[e1] = c
-    g = np.zeros(d + 1)
+        a[e1] = number(c)
+    g = [number(0)] * (d + 1)
     for j in range(d + 1):
         if j + 1 <= d:
             g[j] += (j + 1) * a[j + 1]
@@ -616,16 +558,10 @@ _CONSTRUCTED_BINARY_FORMS = (
     + [_CONSTRUCTED_BINARY_FORMS],
     ids=[f"random_d{d}" for d in range(1, 9)] + ["constructed"],
 )
-def test_closed_form_minors_match_determinant_route(forms):
-    # The integer minors are the rational ones times the common power-of-two
-    # denominator of the coefficients: the minors are linear in f.
+def test_pencil_form_matches_reference(forms):
     for f in forms:
-        scale = max(Fraction(c).denominator for c in f.terms.values())
-        got = [_strip(m) for m in _witness_minor_forms(f)]
-        expected = [[scale * c for c in _strip(m)] for m in _reference_minor_forms(f)]
-        assert got == expected, f.terms
-        g = np.array(_binary_form(f.coefficient_vector()[::-1].tolist())[0])
-        assert g.tobytes() == _reference_pencil_form(f).tobytes(), f.terms
+        g = np.array(_binary_form(f.coefficient_vector()[::-1].tolist()))
+        assert g.tobytes() == np.array(_reference_pencil_form(f)).tobytes(), f.terms
 
 
 # ---------------------------------------------------------------------------
@@ -669,43 +605,36 @@ def _reference_poly_gcd(u, v):
 
 
 def _reference_oracle(f):
-    """exact_oracle_n2 over Fraction: rational minors, monic Euclid."""
-    stripped = [_reference_strip(m) for m in _reference_minor_forms(f)]
-    nonzero = [m for m in stripped if m]
-    if not nonzero:
+    """exact_oracle_n2 over Fraction: rational g, monic Euclid of g and g'."""
+    g = _reference_strip(_reference_pencil_form(f, Fraction))
+    if not g:
         return OracleResult(
             on_locus=True,
-            certificate="all 3x3 minors vanish identically; every nonzero x admits a witness",
+            certificate="g vanishes identically; every direction is critical and degenerate",
             gcd_degree=-1,
             gcd=None,
             vanishes_at_infinity=True,
-            minors_all_zero=True,
         )
-    vanishes_at_infinity = all(len(m) <= f.d + 1 for m in stripped)
-    g = nonzero[0]
-    for m in nonzero[1:]:
-        g = _reference_poly_gcd(g, m)
-        if len(g) == 1:
-            break
-    degree = len(g) - 1
+    h = _reference_poly_gcd(g, [j * c for j, c in enumerate(g)][1:])
+    degree = len(h) - 1
+    vanishes_at_infinity = len(g) < f.d
     if degree >= 1 and vanishes_at_infinity:
-        certificate = f"minors share a degree-{degree} factor and a common zero at infinity"
+        certificate = f"g has a repeated factor of degree {degree} and a double root at infinity"
     elif degree >= 1:
-        certificate = f"minors share a degree-{degree} factor; its roots are witness directions"
+        certificate = f"g has a repeated factor of degree {degree}; its roots are degenerate directions"
     elif vanishes_at_infinity:
-        certificate = "minors share the zero (1, 0) at infinity (x2 = 0 direction)"
+        certificate = "g has a double root at infinity (x2 = 0 direction)"
     else:
         certificate = (
-            "minors are coprime and do not all vanish at x2 = 0; "
-            "no nonzero complex witness pair exists"
+            "g is square-free and has at most a simple root at infinity; "
+            "no degenerate direction, real or complex"
         )
     return OracleResult(
         on_locus=degree >= 1 or vanishes_at_infinity,
         certificate=certificate,
         gcd_degree=degree,
-        gcd=tuple(float(c) for c in g) if degree >= 1 else None,
+        gcd=tuple(float(c) for c in h) if degree >= 1 else None,
         vanishes_at_infinity=vanishes_at_infinity,
-        minors_all_zero=False,
     )
 
 
@@ -719,14 +648,14 @@ def _product_form(*factors):
     return _binary(d, {i: float(c) for i, c in enumerate(coefs) if c})
 
 
-# Products of linear forms with repeated roots: their minors share a factor.
+# Products of linear forms with repeated roots: g has a repeated factor.
 _REPEATED_ROOT_PRODUCTS = (
     _product_form((1, 2, 6), (1, 1, 2)),  # (x1 + 2 x2)^6 (x1 + x2)^2
     _product_form((1, -1, 4), (2, 1, 1)),  # (x1 - x2)^4 (2 x1 + x2)
     _product_form((1, 0, 3), (1, 1, 3)),  # x1^3 (x1 + x2)^3
     _product_form((3, 1, 3), (1, -2, 2)),  # (3 x1 + x2)^3 (x1 - 2 x2)^2: gcd t + 1/3
 )
-# Every minor misses x1^(d+1): a common zero at infinity.
+# g misses x1^d and x1^(d-1): a double root at infinity.
 _ZERO_AT_INFINITY_FORMS = (
     _binary(3, {3: 1.0, 1: 1.5, 0: 0.7}),
     _binary(5, {5: 1.0, 3: 2.5, 2: 2.5, 0: 1.0}),
@@ -768,6 +697,47 @@ def test_oracle_exactness_under_scaling():
         for c in (1e-150, 1e-12, 3.0, 1e12, 1e150):
             g = HomogeneousPolynomial(2, 4, {e: c * v for e, v in f.terms.items()})
             assert not exact_oracle_n2(g).on_locus, (seed, c)
+
+
+def _isotropic_products():
+    """(x1^2 + x2^2) h for h = x1, 2 x2 - x1 and a seeded integer form of
+    each degree d - 2, d = 3..8: g is (x1^2 + x2^2) g_h, zero at (1, +-i)."""
+    hs = [[0, 1], [2, -1]]  # index = power of x1
+    hs += [np.random.default_rng(d).integers(-9, 10, size=d - 1) for d in range(3, 9)]
+    return [
+        _binary(len(h) + 1, {i: float(c) for i, c in enumerate(np.convolve([1, 0, 1], h)) if c})
+        for h in hs
+    ]
+
+
+def test_isotropic_roots_of_g_are_not_degenerate():
+    # x1 (x1^2 + x2^2) restricts to cos(theta) on the circle: no critical
+    # point is degenerate, though g = x2 (x1^2 + x2^2) vanishes at (1, +-i).
+    for f in _isotropic_products():
+        result = exact_oracle_n2(f)
+        assert not result.on_locus, f.terms
+        assert result.gcd_degree == 0, f.terms
+        verdicts = [p.verdict for p in classify_all(f)]
+        assert Verdict.SONC_DEGENERATE not in verdicts, f.terms
+
+
+def test_oracle_matches_rational_reference_on_small_integers():
+    rng = np.random.default_rng(31)
+    for d in range(1, 9):
+        checked = 0
+        while checked < 100:
+            coefs = rng.integers(-2, 3, size=d + 1)
+            if coefs.any():
+                f = _binary(d, {i: float(c) for i, c in enumerate(coefs) if c})
+                _assert_same_oracle_result(exact_oracle_n2(f), _reference_oracle(f), f.terms)
+                checked += 1
+
+
+def test_numeric_degenerate_point_implies_on_locus():
+    # A real degenerate point is a repeated real root of g.
+    for f in _CONSTRUCTED_BINARY_FORMS:
+        if any(p.verdict is Verdict.SONC_DEGENERATE for p in classify_all(f)):
+            assert exact_oracle_n2(f).on_locus, f.terms
 
 
 # ---------------------------------------------------------------------------
