@@ -70,8 +70,8 @@ class ClassifiedPoint:
 class PointAnalysis:
     """First and second order data at k unit vectors, one row per point.
 
-    ``points`` (k, n), ``lam`` = d f(x), ``gradients``, ``residuals`` and
-    ``hessians`` are row-aligned with ``verdicts``; k = 0 keeps the trailing
+    ``points`` (k, n), ``lam`` = d f(x), ``residuals`` = ||grad f(x) - lam x||
+    and ``hessians`` are row-aligned with ``verdicts``; k = 0 keeps the trailing
     shapes.  :meth:`classified` builds the per-point objects.
     ``eigenvalues`` (k, n-1, ascending) and ``eigenvectors`` (k, n, n-1, unit
     columns in ambient coordinates) are the eigenpairs of B^T hess f(x) B.
@@ -82,7 +82,6 @@ class PointAnalysis:
 
     points: np.ndarray
     lam: np.ndarray
-    gradients: np.ndarray
     residuals: np.ndarray
     hessians: np.ndarray
     eigenvalues: np.ndarray
@@ -94,7 +93,7 @@ class PointAnalysis:
 
     def classified(self) -> list[ClassifiedPoint]:
         """One :class:`ClassifiedPoint` per row."""
-        pairs = zip(self.points.copy(), self.lam.tolist(), self.residuals.tolist())
+        pairs = zip(self.points.copy(), self.lam.tolist())
         rows = zip(self.eigenvalues, self.margins.tolist(), self.verdicts)
         return [ClassifiedPoint(CriticalPair(*p), *row) for p, row in zip(pairs, rows)]
 
@@ -132,8 +131,7 @@ def analyze_points(f: HomogeneousPolynomial, X) -> PointAnalysis:
     crit_tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     class_tol = scaled_tolerance(f, DEFAULT_TOL_CLASS)
 
-    G = f.gradient_many(X)
-    residuals = np.linalg.norm(G - lam[:, None] * X, axis=1)
+    residuals = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
     H = f.hessian_many(X)
     B = _tangent_bases(X)
     M = B.swapaxes(1, 2) @ H @ B
@@ -152,7 +150,6 @@ def analyze_points(f: HomogeneousPolynomial, X) -> PointAnalysis:
     return PointAnalysis(
         points=X,
         lam=lam,
-        gradients=G,
         residuals=residuals,
         hessians=H,
         eigenvalues=eigenvalues,

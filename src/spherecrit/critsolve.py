@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL_CRIT = 1e-9
+DEFAULT_TOL_STOP = 1e-13  # Newton stops a row once its residual is this small, scaled
+DEFAULT_TOL_POLISH = 1e-14  # the multiple-root polish leaves rows this small, scaled
 DEFAULT_DEDUP_RADIUS = 1e-6
 MAX_STARTS = 20000
 MAX_ITERATIONS = 100  # Newton iterations per start
@@ -88,18 +90,17 @@ class CriticalPair:
 
     x: np.ndarray
     lam: float
-    residual: float
 
 
 @dataclass
 class CriticalSet:
     """Deduplicated critical pairs as arrays, plus solver bookkeeping.
 
-    Row i of ``X`` (k, n) is a unit vector with multiplier ``lam[i]`` and
-    FONC residual ``residual[i]`` = ||grad f(x) - lam x||.  Rows ascend by
+    Row i of ``X`` (k, n) is a unit vector with multiplier ``lam[i]``, whose
+    FONC residual ``analyze_points`` measures.  Rows ascend by
     (lam, x1, ..., xn), lie more than ``DEFAULT_DEDUP_RADIUS`` apart, and
-    come in exact antipodal pairs: with row (x, lam, r) the set holds
-    (-x, (-1)^d lam, r) bitwise.  An empty set keeps ``X`` at (0, n).
+    come in exact antipodal pairs: with row (x, lam) the set holds
+    (-x, (-1)^d lam) bitwise.  An empty set keeps ``X`` at (0, n).
     ``pairs`` builds a list of one :class:`CriticalPair` per row when read.
     ``all_critical`` marks the radially symmetric n = 2 special case
     f = c (x1^2 + x2^2)^(d/2), where the whole circle is critical; the rows
@@ -112,15 +113,13 @@ class CriticalSet:
 
     X: np.ndarray
     lam: np.ndarray
-    residual: np.ndarray
     starts_used: int
     converged_fraction: float
     all_critical: bool = False
 
     @property
     def pairs(self) -> list[CriticalPair]:
-        rows = zip(self.X.copy(), self.lam.tolist(), self.residual.tolist())
-        return [CriticalPair(*row) for row in rows]
+        return [CriticalPair(*row) for row in zip(self.X.copy(), self.lam.tolist())]
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,7 @@ def _newton_polish(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the critical-pair system, batched over start rows.
 
-    A row stops once its residual passes ``scaled_tolerance(f, 1e-13)``, or
+    A row stops once its residual passes the scaled ``DEFAULT_TOL_STOP``, or
     after ``MAX_ITERATIONS`` iterations.
     Each row takes the longest step 2^-k (k = 0 .. ``MAX_HALVINGS``, so down
     to 1/16) that strictly decreases its residual norm, as sequential
@@ -279,7 +278,7 @@ def _newton_polish(
     all), unless they already lie below the polish floor.
     """
     n = f.n
-    stop_tol = scaled_tolerance(f, 1e-13)
+    stop_tol = scaled_tolerance(f, DEFAULT_TOL_STOP)
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
     size = Z.shape[0]
     F = _system_residual(f, Z[:, :n], Z[:, n])
@@ -318,7 +317,8 @@ def _newton_polish(
         stalls[rows] = stalled
         active[rows] = improved & (stalled < MAX_SLOW_STEPS)
 
-    polish = (((Fn <= accept_tol) & linear) | singular) & (Fn > scaled_tolerance(f, 1e-14))
+    floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
+    polish = (((Fn <= accept_tol) & linear) | singular) & (Fn > floor)
     return Z, F, Fn, polish
 
 
@@ -340,7 +340,7 @@ def _polish_multiple_roots(
     step cut the residual more than tenfold, so :func:`_newton_polish`
     masks only singular rows and converged rows whose last step did not.
     """
-    floor = scaled_tolerance(f, 1e-14)
+    floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
     rows = np.flatnonzero(polish)
     for _ in range(8):
         if rows.size == 0:
@@ -374,22 +374,20 @@ def _projection_windows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _collect_pairs(
-    f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize, filter by residual ``tol``, mirror, and dedup at
-    ``DEFAULT_DEDUP_RADIUS``.  Returns the rows of X, lam and the residual
-    in :class:`CriticalSet` order, closed under the antipodal map exactly,
-    and per row the number of input rows the merge assigned to its class
-    {x, -x}."""
+    f: HomogeneousPolynomial, X: np.ndarray, lam: np.ndarray, res: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize, mirror, and dedup at ``DEFAULT_DEDUP_RADIUS``, tightest
+    Newton residual ``res`` first.  Returns the rows of X and lam in
+    :class:`CriticalSet` order, closed under the antipodal map exactly, and
+    per row the number of input rows the merge assigned to its class
+    {x, -x}.  Rows of norm 1/2 or less are dropped: once ||f|| > 5e8 the
+    acceptance tolerance no longer keeps a row off x = 0."""
     norms = np.linalg.norm(X, axis=1)
     keep = norms > 0.5
-    X, lam = X.compress(keep, axis=0) / norms[keep, None], lam[keep]
-    res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
-    keep = res <= tol
-    X, lam, res = X.compress(keep, axis=0), lam[keep], res[keep]
+    X, lam, res = X.compress(keep, axis=0) / norms[keep, None], lam[keep], res[keep]
 
-    # x critical implies -x critical with lam * (-1)^d and the same residual,
-    # so each row is followed by its mirror and the dedup runs once on both.
+    # x critical implies -x critical with lam * (-1)^d, so each row is
+    # followed by its mirror, with its residual, and the dedup runs once on both.
     X = np.stack([X, -X], axis=1).reshape(-1, f.n)
     lam = np.stack([lam, (-1.0) ** f.d * lam], axis=1).reshape(-1)
     res = np.repeat(res, 2)
@@ -417,10 +415,10 @@ def _collect_pairs(
         hits[i] += near.size
         pending = pending[1:][~covered[pending[1:]]]
     kept = order[~covered]
-    X, lam, res, hits = X.take(kept, axis=0), lam[kept], res[kept], hits[~covered]
+    X, lam, hits = X.take(kept, axis=0), lam[kept], hits[~covered]
     # Ascending by (lam, x1, ..., xn); lexsort's last key is the primary one.
     order = np.lexsort((*X.T[::-1], lam))
-    return X.take(order, axis=0), lam[order], res[order], hits[order]
+    return X.take(order, axis=0), lam[order], hits[order]
 
 
 def _class_bound(n: int, d: int) -> int:
@@ -439,8 +437,8 @@ def _finish(
     Z, F, Fn, polish = (np.concatenate(parts) for parts in zip(*passes))
     _polish_multiple_roots(f, Z, F, Fn, polish)
     ok = Fn <= tol
-    X, lam, res, hits = _collect_pairs(f, Z[ok, : f.n], Z[ok, f.n], tol)
-    found = CriticalSet(X, lam, res, starts_used=ok.size, converged_fraction=float(np.mean(ok)))
+    X, lam, hits = _collect_pairs(f, Z[ok, : f.n], Z[ok, f.n], Fn[ok])
+    found = CriticalSet(X, lam, starts_used=ok.size, converged_fraction=float(np.mean(ok)))
     return found, hits
 
 
@@ -464,9 +462,9 @@ def find_critical_pairs(
     reached by at least ``MIN_CLASS_HITS`` converged starts.
     Otherwise the remaining starts are Newton-polished too, and the polish
     and merge run over all the starts.  Non-converged starts are counted in
-    ``converged_fraction``, not returned.  Each returned pair has residual
-    at most ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, and its bitwise
-    mirror (-x, (-1)^d lam, same residual) is returned too.
+    ``converged_fraction``, not returned.  Each returned pair's Newton
+    residual was at most ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, and its
+    bitwise mirror (-x, (-1)^d lam) is returned too.
     """
     cfg = config or SolverConfig()
     _reject_zero(f)
@@ -537,12 +535,10 @@ def certify_against_oracle(
     if oracle.all_critical:
         return CertificationReport(certified=False, all_critical=True, matched=0)
     found = find_critical_pairs(f, config)
-    lam_tol = scaled_tolerance(f, 1e-6)
 
-    # Each oracle row takes the first unused found row near it, if any.
-    near = (np.linalg.norm(oracle.X[:, None] - found.X, axis=2) <= DEFAULT_DEDUP_RADIUS) & (
-        np.abs(oracle.lam[:, None] - found.lam) <= lam_tol
-    )
+    # Each oracle row takes the first unused found row within the merge
+    # radius, the merge's own test for "same point", if any.
+    near = np.linalg.norm(oracle.X[:, None] - found.X, axis=2) <= DEFAULT_DEDUP_RADIUS
     used = np.zeros(found.lam.shape[0], dtype=bool)
     matched = np.zeros(oracle.lam.shape[0], dtype=bool)
     for i, row in enumerate(near):

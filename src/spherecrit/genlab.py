@@ -22,8 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import Verdict, analyze_points
-from .critsolve import DEFAULT_TOL_CRIT, SolverConfig, find_critical_pairs, scaled_tolerance
+from .classify import UNIT_NORM_TOL, Verdict, analyze_points
+from .critsolve import (
+    DEFAULT_DEDUP_RADIUS,
+    DEFAULT_TOL_CRIT,
+    SolverConfig,
+    find_critical_pairs,
+    scaled_tolerance,
+)
 from .degeneracy import (
     DEFAULT_TOL_DET,
     bordered_determinants,
@@ -55,11 +61,8 @@ __all__ = [
 
 SEED_STRIDE = 1_000_003  # per-trial seeds: base * SEED_STRIDE + trial
 PLANTED_MULTIPLICITIES = (2, 3)  # least-eigenvalue multiplicities the quad sweep plants
-# Witness-suite thresholds, outside the scaled_tolerance rule unless noted.
+# The suites' own threshold, outside the scaled_tolerance rule.
 CLOSED_FORM_TOL = 1e-8  # computed axes, lambdas, margins, determinants vs their closed forms
-WITNESS_RESIDUAL_TOL = 1e-8  # bordered-system residual of an anchor witness, scaled
-WITNESS_TANGENCY_TOL = 1e-10  # |y.x| of an anchor witness
-LOCUS_TOL = 1e-6  # distance of a flagged point from the known degenerate locus
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +516,7 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
     )
     report.add(
         "degenerate_points_on_expected_locus",
-        degenerate > 0 and np.all(locus(analysis.points[flagged]) <= LOCUS_TOL),
+        degenerate > 0 and np.all(locus(analysis.points[flagged]) <= DEFAULT_DEDUP_RADIUS),
         "all flagged points lie on the known degenerate set",
     )
 
@@ -534,8 +537,8 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         )
         report.add(
             "witness_residuals_small",
-            witness.bordered_residual <= scaled_tolerance(f, WITNESS_RESIDUAL_TOL)
-            and abs(witness.y @ witness.x) <= WITNESS_TANGENCY_TOL,
+            witness.bordered_residual <= scaled_tolerance(f, DEFAULT_TOL_CRIT)
+            and abs(witness.y @ witness.x) <= UNIT_NORM_TOL,
             f"bordered residual {witness.bordered_residual:.3e}",
         )
 

@@ -98,6 +98,26 @@ def test_intpoly_imports_only_polyhom_from_the_package():
     assert {m for m in imported if m.startswith("spherecrit")} <= {"spherecrit.polyhom"}
 
 
+def test_readme_tolerance_table_lists_every_threshold_constant():
+    # Each threshold constant of the four deciding modules has a row with its
+    # value, and each constant row names one of them; "inline" rows are cuts
+    # written where they decide.
+    modules = {m.__name__.rpartition(".")[2]: m for m in (critsolve, classify, degeneracy, genlab)}
+    rows = re.findall(r"^\| (`(\w+)\.(\w+)`|inline) \| ([^|]+) \|", README.read_text(), re.M)
+    table = {(mod, name): float(value) for _, mod, name, value in rows if mod}
+    assert len(rows) > len(table) > 0
+    constants = {
+        name: value
+        for module in modules.values()
+        for name, value in vars(module).items()
+        if isinstance(value, float) and re.search(r"TOL|_RADIUS$|_RCOND$", name)
+    }
+    named = {name: value for (_, name), value in table.items()}
+    assert constants == named
+    for (mod, name), value in table.items():
+        assert getattr(modules[mod], name) == value, (mod, name)
+
+
 def test_readme_quick_start_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     exec(compile(block, str(README), "exec"), {})

@@ -28,7 +28,12 @@ from spherecrit import (
     scaled_tolerance,
     weighted_axis_quadratic,
 )
-from spherecrit.critsolve import DEFAULT_DEDUP_RADIUS, DEFAULT_TOL_CRIT
+from spherecrit.critsolve import (
+    DEFAULT_DEDUP_RADIUS,
+    DEFAULT_TOL_CRIT,
+    DEFAULT_TOL_POLISH,
+    DEFAULT_TOL_STOP,
+)
 def _has_pair(pairs, x, lam, xtol=1e-8, ltol=1e-8):
     return any(
         np.linalg.norm(p.x - np.asarray(x)) <= xtol and abs(p.lam - lam) <= ltol
@@ -72,28 +77,34 @@ def test_cubic_sum_six_pairs(cubic_sum):
 
 
 def test_pair_invariants_on_random_instances():
+    # Every returned row is a unit vector whose FONC residual, as the
+    # analysis measures it, passes the analysis's threshold: on random forms
+    # and on the same forms rescaled to tiny and huge coefficient norms.
     rng = np.random.default_rng(3)
     for _ in range(8):
         n = int(rng.integers(2, 4))
         d = int(rng.integers(2, 5))
-        f = random_polynomial(n, d, rng)
-        tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-        found = find_critical_pairs(f, SolverConfig(seed=int(rng.integers(1 << 30))))
-        assert found.pairs, "expected at least one critical pair"
-        for p in found.pairs:
-            assert p.residual <= tol
-            assert abs(p.x @ p.x - 1) <= 1e-12
-            assert abs(np.linalg.norm(p.x) - 1.0) <= 1e-12
-            # Euler identity under the FONC pins the multiplier.
-            assert abs(p.lam - f.d * f.evaluate(p.x)) <= tol
+        base = random_polynomial(n, d, rng)
+        config = SolverConfig(seed=int(rng.integers(1 << 30)))
+        for f in (base, _rescaled(base, 1e-12), _rescaled(base, 1e150)):
+            tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
+            found = find_critical_pairs(f, config)
+            assert found.pairs, "expected at least one critical pair"
+            analysis = analyze_points(f, found.X)
+            assert Verdict.NOT_CRITICAL not in analysis.verdicts
+            assert np.all(analysis.residuals <= analysis.crit_tol)
+            for p in found.pairs:
+                assert abs(p.x @ p.x - 1) <= 1e-12
+                assert abs(np.linalg.norm(p.x) - 1.0) <= 1e-12
+                # Euler identity under the FONC pins the multiplier.
+                assert abs(p.lam - f.d * f.evaluate(p.x)) <= tol
 
 
-def _assert_exact_antipodal_pairs(X, lam, res, d):
-    """Row (x, lam, r) implies row (-x, (-1)^d lam, r), x and lam bitwise."""
-    rows = {np.append(x, l).tobytes(): r for x, l, r in zip(X, lam, res.tolist())}
-    for x, l, r in zip(X, lam, res.tolist()):
-        twin = np.append(-x, (-1.0) ** d * l).tobytes()
-        assert rows.get(twin) == r, f"no exact antipode for {x}"
+def _assert_exact_antipodal_pairs(X, lam, d):
+    """Row (x, lam) implies row (-x, (-1)^d lam), x and lam bitwise."""
+    rows = {np.append(x, l).tobytes() for x, l in zip(X, lam)}
+    for x, l in zip(X, lam):
+        assert np.append(-x, (-1.0) ** d * l).tobytes() in rows, f"no exact antipode for {x}"
 
 
 def test_antipodal_closure():
@@ -105,7 +116,45 @@ def test_antipodal_closure():
     cases += [(enumerate_critical_pairs_n2, random_polynomial(2, d, 17)) for d in (3, 4, 5, 8)]
     for solve, f in cases:
         found = solve(f)
-        _assert_exact_antipodal_pairs(found.X, found.lam, found.residual, f.d)
+        _assert_exact_antipodal_pairs(found.X, found.lam, f.d)
+
+
+def _signed_permutation(f, perm, signs):
+    """f∘P for (P y)_i = signs[i] * y[perm[i]], built exactly from f's terms:
+    exponent i moves to position perm[i], the coefficient takes the sign
+    prod signs[i]^e_i."""
+    terms = {}
+    for exp, coef in f.terms.items():
+        moved = [0] * f.n
+        for i, e in enumerate(exp):
+            moved[perm[i]] = e
+        terms[tuple(moved)] = coef * math.prod(int(s) ** e for s, e in zip(signs, exp))
+    return HomogeneousPolynomial(f.n, f.d, terms)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (2, 5)])
+def test_answers_invariant_under_signed_permutation(n, d):
+    # A signed permutation P of the coordinates is an exact isometry, so f
+    # and f∘P have the same critical set up to P: the same point count,
+    # verdicts and multipliers, and P maps each point of f∘P onto a point
+    # of f.  At n = 2 the exact oracle and the enumeration agree too.
+    for i in range(20):
+        rng = np.random.default_rng([29, n, d, i])
+        f = random_polynomial(n, d, rng)
+        perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], n)
+        g = _signed_permutation(f, perm, signs)
+        a, b = (find_critical_pairs(h, SolverConfig(seed=i)) for h in (f, g))
+        assert a.X.shape == b.X.shape, i
+        verdicts = [sorted(analyze_points(h, s.X).verdicts) for h, s in ((f, a), (g, b))]
+        assert verdicts[0] == verdicts[1], i
+        la, lb = np.sort(a.lam), np.sort(b.lam)
+        assert np.all(np.abs(la - lb) <= 1e-9 * np.maximum(1.0, np.abs(la))), i
+        gap = np.linalg.norm(signs * b.X[:, perm][:, None] - a.X, axis=2).min(axis=1)
+        assert np.all(gap <= DEFAULT_DEDUP_RADIUS), i
+        if n == 2:
+            assert exact_oracle_n2(g).on_locus == exact_oracle_n2(f).on_locus, i
+            rows = [enumerate_critical_pairs_n2(h).X.shape for h in (f, g)]
+            assert rows[0] == rows[1], i
 
 
 def test_pairwise_separation_respects_dedup_radius():
@@ -289,16 +338,15 @@ def test_deterministic_given_seed():
     ids=["random(3,3)", "axis_monomial(3,3)", "n1"],
 )
 def test_pairs_view_matches_arrays_bitwise(f):
-    # The pairs list is built from X, lam and residual when read, row for row.
+    # The pairs list is built from X and lam when read, row for row.
     found = find_critical_pairs(f, SolverConfig(seed=5))
     pairs = found.pairs
     k = found.lam.shape[0]
     assert k > 0 and len(pairs) == k
-    assert found.X.shape == (k, f.n) and found.residual.shape == (k,)
+    assert found.X.shape == (k, f.n)
     for i, p in enumerate(pairs):
         assert p.x.tobytes() == found.X[i].tobytes()
         assert type(p.lam) is float and p.lam == found.lam[i]
-        assert type(p.residual) is float and p.residual == found.residual[i]
     assert [p.lam for p in pairs[1::2]] == found.lam[1::2].tolist()
     assert pairs[-1].x.tobytes() == found.X[-1].tobytes()
     pairs[0].x[:] = np.nan  # a pair's x is a copy: the set cannot be edited through it
@@ -316,7 +364,7 @@ def test_empty_critical_set_keeps_its_shape():
     config = SolverConfig(starts=1, seed=1)
     found = find_critical_pairs(f, config)
     assert found.converged_fraction == 0.0
-    assert found.X.shape == (0, 3) and found.lam.shape == found.residual.shape == (0,)
+    assert found.X.shape == (0, 3) and found.lam.shape == (0,)
     assert len(found.pairs) == 0 and list(found.pairs) == []
     analysis = analyze_points(f, found.X)
     assert analysis.points.shape == (0, 3) and analysis.eigenvalues.shape == (0, 2)
@@ -336,10 +384,10 @@ def test_starts_default_and_override():
     assert find_critical_pairs(axis_monomial(3, 3), SolverConfig(starts=37)).starts_used == 37
 
 
-def _tiny_form(n, d, seed, norm):
-    """random_polynomial(n, d, seed) rescaled to coefficient norm ``norm``."""
-    base = random_polynomial(n, d, seed).coefficient_vector()
-    return HomogeneousPolynomial.from_coefficient_vector(n, d, base * (norm / np.linalg.norm(base)))
+def _rescaled(f, norm):
+    """f rescaled to coefficient norm ``norm``."""
+    v = f.coefficient_vector()
+    return HomogeneousPolynomial.from_coefficient_vector(f.n, f.d, v * (norm / np.linalg.norm(v)))
 
 
 def _unit_starts(n, starts, seed):
@@ -380,7 +428,7 @@ def _first_round(f, config):
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     Z, _, Fn, polish = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
     ok = Fn <= tol
-    _, lam, _, hits = critsolve._collect_pairs(f, Z[ok, :-1], Z[ok, -1], tol)
+    _, lam, hits = critsolve._collect_pairs(f, Z[ok, :-1], Z[ok, -1], Fn[ok])
     k = lam.size // 2
     return k, bound, int(np.count_nonzero(polish)), int(hits.min()) if hits.size else 0
 
@@ -390,7 +438,7 @@ def _first_round(f, config):
     [
         (axis_monomial(3, 4), SolverConfig(seed=0), "k > B"),
         (axis_monomial(3, 3), SolverConfig(seed=0), "polish"),
-        (_tiny_form(3, 4, 5, 1e-4), SolverConfig(seed=0), "k = 0"),
+        (_rescaled(random_polynomial(3, 4, 5), 1e-4), SolverConfig(seed=0), "k = 0"),
         (
             HomogeneousPolynomial(
                 3, 4, {(0, 4, 0): 0.5, (1, 1, 2): 0.5, (2, 1, 1): -0.5, (1, 2, 1): -0.5}
@@ -608,7 +656,7 @@ def _sequential_halving_polish(
     abandons a row.
     """
     n = f.n
-    stop_tol = scaled_tolerance(f, 1e-13)
+    stop_tol = scaled_tolerance(f, DEFAULT_TOL_STOP)
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
     with np.errstate(all="ignore"):
         F = critsolve._system_residual(f, Z[:, :n], Z[:, n])
@@ -653,7 +701,7 @@ def _sequential_halving_polish(
         stalls[moved[slow]] += 1
         stalls[moved[~slow]] = 0
         active[np.concatenate([rows[~improved], moved[stalls[moved] >= max_slow_steps]])] = False
-    floor = scaled_tolerance(f, 1e-14)
+    floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
     return Z, F, Fn, (((Fn <= accept_tol) & linear) | singular) & (Fn > floor)
 
 
@@ -661,7 +709,7 @@ def _reference_root_polish(f, Z, F, Fn, polish):
     """Reference multiple-root polish, in place: each round moves a row to
     the best of its three trial points, if that lowers its residual."""
     n = f.n
-    floor = scaled_tolerance(f, 1e-14)
+    floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
     polish = np.flatnonzero(polish)
     for _ in range(8):
         if polish.size == 0:
@@ -698,7 +746,7 @@ def _reference_root_polish(f, Z, F, Fn, polish):
         random_polynomial(4, 3, 103),
         axis_monomial(3, 4),
         axis_monomial(3, 3),
-        _tiny_form(3, 4, 5, 1e-12),
+        _rescaled(random_polynomial(3, 4, 5), 1e-12),
     ],
     ids=[
         "random(2,3)",
@@ -749,8 +797,8 @@ def test_collect_pairs_without_usable_rows(X):
     # No rows, or rows too short to normalize: nothing survives, and the
     # empty arrays keep their row shapes.
     f = random_polynomial(3, 3, 4)
-    X, lam, res, hits = critsolve._collect_pairs(f, X, np.ones(X.shape[0]), 1e-6)
-    assert X.shape == (0, 3) and lam.shape == res.shape == hits.shape == (0,)
+    X, lam, hits = critsolve._collect_pairs(f, X, np.ones(X.shape[0]), np.zeros(X.shape[0]))
+    assert X.shape == (0, 3) and lam.shape == hits.shape == (0,)
 
 
 def _tangent_offsets(rng, X, scales):
@@ -802,7 +850,7 @@ def test_collect_pairs_dedup_matches_greedy_reference():
         X /= np.linalg.norm(X, axis=1)[:, None]
         res = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
 
-        X_out, lam_out, res_out, hits_out = critsolve._collect_pairs(f, X, lam, 1e-6)
+        X_out, lam_out, hits_out = critsolve._collect_pairs(f, X, lam, res)
         # Mirrored row i is kept when the output holds its (x, lam) bitwise,
         # x normalized as _collect_pairs does.
         Xn = X / np.linalg.norm(X, axis=1)[:, None]
@@ -819,7 +867,7 @@ def test_collect_pairs_dedup_matches_greedy_reference():
         assert max(hits) > 1, cloud.__name__
         assert lam_out.shape[0] == len(expected), cloud.__name__
         assert kept_range[0] <= len(expected) <= kept_range[1], cloud.__name__
-        _assert_exact_antipodal_pairs(X_out, lam_out, res_out, f.d)
+        _assert_exact_antipodal_pairs(X_out, lam_out, f.d)
 
 
 @pytest.mark.parametrize(
@@ -832,8 +880,8 @@ def test_collect_pairs_sorted_by_lambda_then_x(f):
     # (the +-e_k pairs, the critical subsphere) are broken by x.
     found = find_critical_pairs(f, SolverConfig(seed=1))
     order = np.random.default_rng(5).permutation(found.lam.shape[0])
-    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    again = critsolve._collect_pairs(f, found.X[order], found.lam[order], tol)
+    res = analyze_points(f, found.X).residuals
+    again = critsolve._collect_pairs(f, found.X[order], found.lam[order], res[order])
     assert again[1].shape == found.lam.shape
     for X, lam in ((found.X, found.lam), again[:2]):
         keys = [(lam_i, tuple(x)) for x, lam_i in zip(X.tolist(), lam.tolist())]
@@ -1044,7 +1092,8 @@ def test_residual_calls_per_solve_bounded(monkeypatch):
     # deterministic, so the ceilings guard the work without timing.
     residual_rows = _count_rows(monkeypatch, "_system_residual")
     jacobian_rows = _count_rows(monkeypatch, "_system_jacobian")
-    cases = [(random_polynomial(3, 4, 5), 9000), (_tiny_form(3, 4, 5, 1e-12), 7500)]
+    f = random_polynomial(3, 4, 5)
+    cases = [(f, 9000), (_rescaled(f, 1e-12), 7500)]
     for f, max_rows in cases:
         residual_rows.clear()
         jacobian_rows.clear()
