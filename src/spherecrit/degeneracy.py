@@ -11,11 +11,11 @@ kept deliberately separate:
        [ grad f(x)       x   0 ]
        [ hess f(x) y     y   x ]
 
-   rank deficient (rank <= 2), which :func:`rank_deficient` decides for the
-   batches of :func:`build_witness_matrix`.  :func:`detect_sosc_failure`
-   takes y from the bottom tangent eigenvector.  Conversely, any pair (x, y)
-   satisfying the rank condition forces the FONC to hold at x while the SOSC
-   fails, so a returned witness can be re-validated from (x, y) alone.
+   rank deficient (rank <= 2), which :func:`rank_deficient` decides in the
+   margin band for the batches of :func:`build_witness_matrix`.  The witness
+   of :func:`detect_sosc_failure` is the bottom tangent eigenvector.  Any
+   (x, y) satisfying the rank condition forces the FONC to hold at x while
+   the SOSC fails, so a witness can be re-validated from (x, y) alone.
 
 2. Bordered determinant.  A witness (y, mu) solves
    hess f(x) y - lam y - mu x = 0 with y.x = 0, which makes the symmetric
@@ -23,8 +23,8 @@ kept deliberately separate:
    the Newton Jacobian of :mod:`spherecrit.critsolve` with its lam column
    negated.  det = 0 is necessary for degeneracy, not sufficient, and is
    reported as a corroborating signal only (:func:`bordered_determinants`,
-   and ``bordered_det`` of a witness).  It counts as zero when
-   |det| <= ``scaled_tolerance(f, DEFAULT_TOL_DET)``, and nowhere else.
+   and ``bordered_det`` of a witness).  At a unit x it is -prod_i (mu_i - lam),
+   zero when |det| over its n - 2 largest factors is in the margin band.
 
 3. Exact n = 2 oracle.  On the circle f has derivative -g in the angle,
    with g = x2 f1 - x1 f2 the binary form whose roots are the critical
@@ -54,9 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import Verdict, analyze_points
+from .classify import DEFAULT_TOL_CLASS, Verdict, analyze_points
 from ._intpoly import _critical_form
-from .critsolve import _reject_zero, _system_jacobian
+from .critsolve import _reject_zero, _system_jacobian, scaled_tolerance
 from .polyhom import HomogeneousPolynomial
 
 __all__ = [
@@ -72,8 +72,6 @@ __all__ = [
     "exact_oracle_n2",
 ]
 
-DEFAULT_TOL_RANK = 1e-6
-DEFAULT_TOL_DET = 1e-6
 DEFAULT_TOL_EIG = 1e-8
 
 
@@ -87,10 +85,8 @@ class DegeneracyWitness:
 
     ``mu`` is the multiplier with hess f(x) y - lam y = mu x;
     ``rank_defect_measure`` is the third singular value of the witness
-    matrix; ``bordered_residual`` is the norm of
-    (hess f(x) y - lam y - mu x, y.x); ``bordered_det`` is the determinant
-    of the bordered matrix, which vanishes when it is at most
-    ``scaled_tolerance(f, DEFAULT_TOL_DET)`` in magnitude.
+    matrix; ``bordered_residual`` is the norm of (hess f(x) y - lam y - mu x,
+    y.x) and ``bordered_det`` the determinant of the bordered matrix.
     """
 
     x: np.ndarray
@@ -152,11 +148,12 @@ def build_witness_matrix(f: HomogeneousPolynomial, X, Y) -> np.ndarray:
     return W
 
 
-def rank_deficient(W) -> np.ndarray:
-    """Numerical rank <= 2 of each witness matrix in W, shape (..., 2n, 3):
-    third (last) singular value at most ``DEFAULT_TOL_RANK`` times the first."""
+def rank_deficient(f: HomogeneousPolynomial, W) -> np.ndarray:
+    """Rank <= 2 of each witness matrix of f in W, shape (..., 2n, 3), at a unit
+    critical point and unit tangent y: the singular values' product, |mu - lam|
+    for an eigenvector y, is within ``scaled_tolerance(f, DEFAULT_TOL_CLASS)``."""
     sv = np.linalg.svd(np.asarray(W, dtype=np.float64), compute_uv=False)
-    return sv[..., -1] <= DEFAULT_TOL_RANK * sv[..., 0]
+    return sv.prod(axis=-1) <= scaled_tolerance(f, DEFAULT_TOL_CLASS)
 
 
 def detect_sosc_failure(f: HomogeneousPolynomial, x) -> DegeneracyWitness | None:
@@ -206,16 +203,22 @@ def detect_sosc_failure(f: HomogeneousPolynomial, x) -> DegeneracyWitness | None
 def bordered_determinants(f: HomogeneousPolynomial, X, lam) -> np.ndarray:
     """det of the bordered matrix at each row of X with multiplier lam[i].
 
-    A determinant vanishes when |det| <= ``scaled_tolerance(f,
-    DEFAULT_TOL_DET)``.  Zero is necessary at degenerate points, not
-    sufficient: a vanishing determinant does not by itself certify one.
-    It is 0.0 minus det of the Newton Jacobian, so an exact zero reads +0.0.
+    Zero is necessary at degenerate points, not sufficient: a vanishing
+    determinant does not by itself certify one.  It is 0.0 minus det of the
+    Newton Jacobian, so an exact zero reads +0.0.
     """
     X = np.asarray(X, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != X.shape[:1]:
         raise ValueError(f"lam must have shape {X.shape[:1]}, got {lam.shape}")
     return 0.0 - np.linalg.det(_system_jacobian(f, X, lam))
+
+
+def _determinant_zero_bound(gaps, tol) -> np.ndarray:
+    """Largest |det| that vanishes for bordered determinants with factors
+    mu_i - lam in ``gaps``, shape (..., n - 1): tol times the n - 2 largest
+    |factors|, each at least tol, so the factor det leaves is within +-tol."""
+    return tol * np.sort(np.maximum(np.abs(gaps), tol), axis=-1)[..., 1:].prod(axis=-1)
 
 
 def quadratic_degeneracy(A) -> QuadraticDegeneracy:

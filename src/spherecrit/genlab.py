@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import UNIT_NORM_TOL, Verdict, analyze_points
+from .classify import DEFAULT_TOL_CLASS, UNIT_NORM_TOL, Verdict, analyze_points
 from .critsolve import (
     DEFAULT_DEDUP_RADIUS,
     DEFAULT_TOL_CRIT,
@@ -31,7 +31,7 @@ from .critsolve import (
     scaled_tolerance,
 )
 from .degeneracy import (
-    DEFAULT_TOL_DET,
+    _determinant_zero_bound,
     bordered_determinants,
     build_witness_matrix,
     detect_sosc_failure,
@@ -309,7 +309,7 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
         # Any real witness at x is a tangent eigenvector (up to eigenvalue
         # multiplicity), so these k * (n - 1) directions cover every candidate.
         Y = analysis.eigenvectors.swapaxes(1, 2)
-        rank_hits = int(np.count_nonzero(rank_deficient(build_witness_matrix(f, X, Y))))
+        rank_hits = int(np.count_nonzero(rank_deficient(f, build_witness_matrix(f, X, Y))))
 
         histogram = dict(Counter(verdict.value for verdict in analysis.verdicts))
         degenerate = histogram.get(Verdict.SONC_DEGENERATE.value, 0)
@@ -414,8 +414,8 @@ def run_witness_d2(n: int) -> SuiteReport:
     dets = bordered_determinants(p, np.eye(n), np.arange(1.0, n + 1.0))
     gaps = np.arange(n) - np.arange(n)[:, None] + np.eye(n)  # j - k in row k, 1 at j = k
     closed_form = -gaps.prod(axis=1)
+    # The closed forms are nonzero integers, so matching them keeps det off zero.
     det_off = np.abs(dets - closed_form) > CLOSED_FORM_TOL * np.maximum(1.0, np.abs(closed_form))
-    det_off |= np.abs(dets) <= scaled_tolerance(p, DEFAULT_TOL_DET)
     det_detail = "; ".join(f"axis {k + 1}: det {det:.6g}" for k, det in enumerate(dets.tolist()))
     report.add("bordered_determinant_nonzero", not det_off.any(), det_detail)
 
@@ -427,10 +427,10 @@ def run_witness_d2(n: int) -> SuiteReport:
 def run_witness_general(n: int, d: int) -> SuiteReport:
     """Witness suite on the geometric power polynomial for d != 2.
 
-    Every real critical point must keep |det H(x, lam)| strictly positive
-    (above ``scaled_tolerance(f, DEFAULT_TOL_DET)``, and equal to the
-    closed-form magnitude |d - 2|^(|support| - 1) |lam|^(n - 1) available
-    because the Hessian is diagonal), and no SONC point may be degenerate.
+    Every real critical point must pass the FONC with its closed-form lam and
+    keep |det H(x, lam)| above the margin band times its n - 2 largest factors
+    |mu_i - lam| and at the closed form |d - 2|^(|support| - 1) |lam|^(n - 1)
+    (the Hessian is diagonal), and no SONC point may be degenerate.
     For n = 2 the exact oracle must place the polynomial off the locus.
     """
     if d == 2:
@@ -440,23 +440,24 @@ def run_witness_general(n: int, d: int) -> SuiteReport:
     p = geometric_power_polynomial(n, d)
     report = SuiteReport(name=f"witness_general(n={n}, d={d})")
     X, lams = enumerate_power_critical_points(n, d)
-    tol = scaled_tolerance(p, DEFAULT_TOL_CRIT)
-    residuals = np.linalg.norm(p.gradient_many(X) - lams[:, None] * X, axis=1)
-    residual_ok = bool(np.all(residuals <= tol))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    analysis = analyze_points(p, X)
+    lam_off = np.abs(analysis.lam - lams) > CLOSED_FORM_TOL * np.maximum(1.0, np.abs(lams))
     report.add(
         "enumeration_is_critical",
-        residual_ok,
-        f"{lams.size} closed-form points, FONC residual <= {tol:.3e}",
+        np.all(analysis.residuals <= analysis.crit_tol) and not lam_off.any(),
+        f"{lams.size} closed-form points, FONC residual <= {analysis.crit_tol:.3e}",
     )
 
-    det_tol = scaled_tolerance(p, DEFAULT_TOL_DET)
     dets = np.abs(bordered_determinants(p, X, lams))
+    gaps = analysis.eigenvalues - analysis.lam[:, None]
+    vanishing = int(np.count_nonzero(dets <= _determinant_zero_bound(gaps, analysis.class_tol)))
     support = np.count_nonzero(X, axis=1)  # the closed form writes exact zeros
     expected = abs(d - 2.0) ** (support - 1) * np.abs(lams) ** (n - 1)
     report.add(
         "bordered_determinant_positive",
-        np.all(dets > det_tol),
-        f"min |det| = {dets.min():.3e} > {det_tol:.3e}",
+        vanishing == 0,
+        f"min |det| = {dets.min():.3e}; {vanishing} vanish at +-{analysis.class_tol:.3e}",
     )
     report.add(
         "bordered_determinant_matches_diag_formula",
@@ -464,17 +465,12 @@ def run_witness_general(n: int, d: int) -> SuiteReport:
         "|det| = |d-2|^(|S|-1) |lam|^(n-1) at every point",
     )
 
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    degenerate = analyze_points(p, X).verdicts.count(Verdict.SONC_DEGENERATE)
+    degenerate = analysis.verdicts.count(Verdict.SONC_DEGENERATE)
     report.add("no_sonc_degenerate", degenerate == 0, f"{degenerate} degenerate verdicts")
 
     if n == 2:
         oracle = exact_oracle_n2(p)
-        report.add(
-            "oracle_off_locus",
-            not oracle.on_locus,
-            oracle.certificate,
-        )
+        report.add("oracle_off_locus", not oracle.on_locus, oracle.certificate)
     return report
 
 
@@ -496,12 +492,14 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         A = np.diag(diag)
         f = quadratic_form_polynomial(A)
         anchor = np.eye(n)[0]
+        anchor_gaps = np.array(diag[1:]) - diag[0]  # mu_i - lam at the anchor
         locus = lambda X: np.linalg.norm(X[:, 2:], axis=1)
     elif kind == "single_monomial":
         if d < 3:
             raise ValueError("single_monomial requires d >= 3")
         f = axis_monomial(n, d)
         anchor = np.eye(n)[1]
+        anchor_gaps = np.zeros(n - 1)  # hess f and lam vanish at the anchor
         locus = lambda X: np.abs(X[:, 0])
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -526,14 +524,14 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
     else:
         report.add(
             "witness_at_anchor",
-            rank_deficient(build_witness_matrix(f, [witness.x], [[witness.y]]))[0, 0],
+            rank_deficient(f, build_witness_matrix(f, [witness.x], [[witness.y]]))[0, 0],
             f"third singular value {witness.rank_defect_measure:.3e}",
         )
-        det_tol = scaled_tolerance(f, DEFAULT_TOL_DET)
+        bound = _determinant_zero_bound(anchor_gaps, scaled_tolerance(f, DEFAULT_TOL_CLASS))
         report.add(
             "bordered_determinant_vanishes",
-            abs(witness.bordered_det) <= det_tol,
-            f"|det H| = {abs(witness.bordered_det):.3e} <= {det_tol:.3e}",
+            abs(witness.bordered_det) <= bound,
+            f"|det H| = {abs(witness.bordered_det):.3e} <= {bound:.3e}",
         )
         report.add(
             "witness_residuals_small",
@@ -580,9 +578,7 @@ def _pipeline_quadratic_degenerate(A: np.ndarray, seed: int) -> tuple[bool, int]
     return Verdict.SONC_DEGENERATE in analyze_points(f, found.X).verdicts, found.starts_used
 
 
-def check_planted_quadratic(
-    n: int, multiplicity: int, seed: int = 0
-) -> dict:
+def check_planted_quadratic(n: int, multiplicity: int, seed: int = 0) -> dict:
     """Detectability of a planted least-eigenvalue multiplicity.
 
     Builds A = Q D Q^T with the bottom eigenvalue repeated ``multiplicity``

@@ -266,7 +266,7 @@ def test_criterion_7_bidirectional_witness_consistency():
     for f, x in sosc_points:
         # The unit tangent eigenvector directions B @ V[:, k].
         Y = analyze_points(f, [x]).eigenvectors.swapaxes(1, 2)
-        hits = rank_deficient(build_witness_matrix(f, [x], Y))
+        hits = rank_deficient(f, build_witness_matrix(f, [x], Y))
         checked += hits.size
         if hits.any():
             forward_ok = False

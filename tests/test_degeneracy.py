@@ -1,6 +1,7 @@
 """Rank witness, bordered determinant, quadratic rule, and the exact n = 2 oracle."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from spherecrit import (
 from spherecrit.classify import DEFAULT_TOL_CLASS
 from spherecrit._intpoly import _binary_form
 from spherecrit.critsolve import DEFAULT_TOL_CRIT, _system_jacobian
-from spherecrit.degeneracy import DEFAULT_TOL_DET, OracleResult
+from spherecrit.degeneracy import OracleResult, _determinant_zero_bound
 from conftest import unit
 
 
@@ -55,7 +56,7 @@ def test_witness_matrix_zero_gradient_case():
     sv = np.linalg.svd(W[0, 0], compute_uv=False)
     assert sv[2] == pytest.approx(0.0, abs=1e-14)
     assert sv[1] > 0.5
-    assert rank_deficient(W)[0, 0]
+    assert rank_deficient(f, W)[0, 0]
 
 
 def test_witness_matrix_weighted_quadratic_full_rank(diag123):
@@ -72,7 +73,7 @@ def test_witness_matrix_weighted_quadratic_full_rank(diag123):
     sv = np.linalg.svd(hand, compute_uv=False)
     assert np.allclose(np.linalg.svd(W[0, 0], compute_uv=False), sv, atol=1e-14)
     assert sv[2] > 0.3
-    assert not rank_deficient(W)[0, 0]
+    assert not rank_deficient(diag123, W)[0, 0]
 
 
 def test_witness_matrix_repeated_eigenvalue_rank_two():
@@ -101,8 +102,8 @@ def test_witness_matrix_batch_shapes(diag123):
     X = rng.standard_normal((4, 3))
     W = build_witness_matrix(diag123, X, rng.standard_normal((4, 2, 3)))
     assert W.shape == (4, 2, 6, 3)
-    assert rank_deficient(W).shape == (4, 2)
-    assert rank_deficient(W[1, 0]).shape == ()
+    assert rank_deficient(diag123, W).shape == (4, 2)
+    assert rank_deficient(diag123, W[1, 0]).shape == ()
     assert build_witness_matrix(diag123, X, np.zeros((4, 0, 3))).shape == (4, 0, 6, 3)
     assert build_witness_matrix(diag123, np.zeros((0, 3)), np.zeros((0, 2, 3))).shape == (
         0, 2, 6, 3)
@@ -115,7 +116,7 @@ def test_witness_matrix_at_n1():
     f = random_polynomial(1, 3, 4)
     W = build_witness_matrix(f, [[1.0], [-1.0]], np.zeros((2, 0, 1)))
     assert W.shape == (2, 0, 2, 3)
-    hits = rank_deficient(W)
+    hits = rank_deficient(f, W)
     assert hits.shape == (2, 0) and hits.dtype == bool
     with pytest.raises(ValueError, match="n = 1 has no tangent directions"):
         build_witness_matrix(f, [[1.0]], [[[0.0]]])
@@ -297,7 +298,21 @@ def test_bordered_determinant_at_power_polynomial_points():
     magnitudes = sorted(np.abs(dets))
     expected = sorted([6.0, 6.0, 12.0, 12.0, 12.0 / math.sqrt(5.0), 12.0 / math.sqrt(5.0)])
     assert np.allclose(magnitudes, expected, rtol=1e-10)
-    assert np.all(np.abs(dets) > scaled_tolerance(p, DEFAULT_TOL_DET))
+    assert np.all(np.abs(dets) > _zero_bound(p, X))
+
+
+def _zero_bound(f, X):
+    # The largest |det| that vanishes at each unit point of X, its factors
+    # mu_i - lam read from the tangent spectrum.
+    analysis = analyze_points(f, X)
+    return _determinant_zero_bound(analysis.eigenvalues - analysis.lam[:, None], analysis.class_tol)
+
+
+def test_determinant_zero_bound_leaves_the_smallest_factor():
+    # tol times the n - 2 largest |factors|, each at least tol; n = 2 leaves tol.
+    bound = _determinant_zero_bound([[1e-8, -10.0, 20.0], [0.0, 0.0, 3.0], [5.0, 5.0, 5.0]], 1e-7)
+    np.testing.assert_allclose(bound, [1e-7 * 200.0, 1e-7 * 1e-7 * 3.0, 1e-7 * 25.0], rtol=1e-15)
+    assert _determinant_zero_bound([[-4.0]], 1e-7).tolist() == [1e-7]
 
 
 @pytest.mark.parametrize("n, d", [(4, 4), (5, 4), (3, 5)])
@@ -305,8 +320,8 @@ def test_power_family_determinants_nonzero_under_the_one_rule(n, d):
     # The closed-form points the witness suite checks: none vanishes under
     # the zero rule run_degenerate_family also applies.
     p = geometric_power_polynomial(n, d)
-    dets = bordered_determinants(p, *enumerate_power_critical_points(n, d))
-    assert np.all(np.abs(dets) > scaled_tolerance(p, DEFAULT_TOL_DET))
+    X, lam = enumerate_power_critical_points(n, d)
+    assert np.all(np.abs(bordered_determinants(p, X, lam)) > _zero_bound(p, X))
 
 
 def _family_anchors():
@@ -325,7 +340,7 @@ def test_family_anchor_determinants_vanish_under_the_one_rule():
     for f, x in anchors:
         w = detect_sosc_failure(f, x)
         assert w is not None
-        assert abs(w.bordered_det) <= scaled_tolerance(f, DEFAULT_TOL_DET)
+        assert abs(w.bordered_det) <= _zero_bound(f, [x])[0]
 
 
 def test_bordered_determinants_batch_matches_rows():
@@ -347,8 +362,8 @@ def test_bordered_determinants_batch_matches_rows():
 @pytest.mark.parametrize("c", [1e-3, 10.0, 1e3])
 def test_bordered_determinants_homogeneous_of_degree_n_minus_1(n, c):
     # Scaling f and lam by c scales the n x n block of the bordered matrix
-    # but not its border, so det picks up c^(n - 1).  The zero rule's
-    # threshold is linear in ||f||, so it tracks this scaling only at n = 2.
+    # but not its border, so det picks up c^(n - 1).  The zero rule reads
+    # its n - 1 factors mu_i - lam, each linear in c like the margin band.
     rng = np.random.default_rng([n, 41])
     f = random_polynomial(n, 3, rng)
     cf = HomogeneousPolynomial.from_coefficient_vector(n, 3, c * f.coefficient_vector())
@@ -759,15 +774,15 @@ def test_witness_iff_degenerate_verdict():
         assert (witness is not None) == expected
         assert (verdict is Verdict.SONC_DEGENERATE) == expected
         if witness is not None:
-            assert rank_deficient(build_witness_matrix(f, [witness.x], [[witness.y]]))[0, 0]
-            assert abs(witness.bordered_det) <= scaled_tolerance(f, DEFAULT_TOL_DET)
+            assert rank_deficient(f, build_witness_matrix(f, [witness.x], [[witness.y]]))[0, 0]
+            assert abs(witness.bordered_det) <= _zero_bound(f, [witness.x])[0]
 
 
 def test_sosc_eigenvectors_keep_full_rank(diag123):
     # At a strict minimizer no tangent eigenvector produces a rank drop.
     x = np.array([1.0, 0.0, 0.0])
     Y = analyze_points(diag123, [x]).eigenvectors.swapaxes(1, 2)
-    assert not np.any(rank_deficient(build_witness_matrix(diag123, [x], Y)))
+    assert not np.any(rank_deficient(diag123, build_witness_matrix(diag123, [x], Y)))
 
 
 @pytest.mark.parametrize("n, d, seed", [(2, 3, 1), (3, 4, 2), (4, 3, 3)])
@@ -787,3 +802,97 @@ def test_batched_witness_matches_build_witness_matrix(n, d, seed):
             scale = max(1.0, single_sv[0])
             assert np.max(np.abs(W[i, k] - single)) <= 1e-12 * scale
             assert abs(sv[i, k, 2] - single_sv[2]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3)])
+def test_witness_and_determinant_measure_the_tangent_gaps(n, d):
+    # At a unit critical point with tangent eigenvalues mu_i, the witness
+    # matrix of a unit eigenvector has singular-value product |mu_i - lam|
+    # and the bordered determinant is -prod_i (mu_i - lam).  For any unit
+    # tangent y the product is sqrt((y.Hy - lam)^2 + 2 ||r||^2), r the part
+    # of Hy off x and y.  Each signal computes its number by its own route.
+    rng = np.random.default_rng([n, d, 22])
+    for seed in range(4):
+        f = random_polynomial(n, d, rng)
+        X = find_critical_pairs(f, SolverConfig(seed=seed)).X
+        analysis = analyze_points(f, X)
+        gaps = analysis.eigenvalues - analysis.lam[:, None]
+        W = build_witness_matrix(f, X, analysis.eigenvectors.swapaxes(1, 2))
+        products = np.linalg.svd(W, compute_uv=False).prod(axis=-1)
+        np.testing.assert_allclose(products, np.abs(gaps), rtol=1e-12, atol=0)
+        dets = bordered_determinants(f, X, analysis.lam)
+        np.testing.assert_allclose(dets, -gaps.prod(axis=1), rtol=1e-12, atol=0)
+
+        Y = rng.standard_normal(X.shape)
+        Y -= np.einsum("ij,ij->i", Y, X)[:, None] * X
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        HY = np.einsum("kij,kj->ki", analysis.hessians, Y)
+        rayleigh = np.einsum("ij,ij->i", Y, HY)
+        r = HY - rayleigh[:, None] * Y - np.einsum("ij,ij->i", X, HY)[:, None] * X
+        expected = np.hypot(rayleigh - analysis.lam, np.sqrt(2.0) * np.linalg.norm(r, axis=1))
+        W = build_witness_matrix(f, X, Y[:, None, :])[:, 0]
+        products = np.linalg.svd(W, compute_uv=False).prod(axis=-1)
+        np.testing.assert_allclose(products, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "diag, verdict, vanishes",
+    [
+        # Every factor is 1e-3, far outside the band; det is -1e-9 and -1e-15.
+        ([0.0, 1e-3, 1e-3, 1e-3], Verdict.SOSC, False),
+        ([0.0] + [1e-3] * 5, Verdict.SOSC, False),
+        # One factor 1e-8 inside the band; det is -1e-4.
+        ([0.0, 1e-8, 10.0, 10.0, 10.0, 10.0], Verdict.SONC_DEGENERATE, True),
+    ],
+    ids=["sosc_n4", "sosc_n6", "degenerate_n6"],
+)
+def test_determinant_vanishes_exactly_with_a_factor_in_the_band(diag, verdict, vanishes):
+    # The size of a product says nothing about its smallest factor at n >= 3.
+    f = quadratic_form_polynomial(np.diag(diag))
+    x = np.eye(len(diag))[0]
+    analysis = analyze_points(f, [x])
+    assert analysis.verdicts == [verdict]
+    det = bordered_determinants(f, [x], analysis.lam)[0]
+    assert (abs(det) <= _zero_bound(f, [x])[0]) == vanishes
+
+
+@pytest.mark.parametrize(
+    "diag, margin",
+    [([0.0, 1e-6, 1.0], 1e-6), ([1e4, 1e4 + 50.0, 3e4], 50.0)],
+    ids=["margin_1e-6", "margin_50"],
+)
+def test_rank_witness_keeps_full_rank_outside_the_band(diag, margin):
+    # SOSC points whose smallest gap is far outside the band at any scale of f.
+    f = quadratic_form_polynomial(np.diag(diag))
+    x = np.eye(len(diag))[0]
+    analysis = analyze_points(f, [x])
+    assert analysis.verdicts == [Verdict.SOSC]
+    assert analysis.margins[0] == pytest.approx(margin, rel=1e-9)
+    W = build_witness_matrix(f, [x], analysis.eigenvectors.swapaxes(1, 2))
+    assert not np.any(rank_deficient(f, W))
+
+
+def test_verdict_rank_witness_and_determinant_agree_on_a_gap_sweep():
+    # x^T A x / 2 at e1 with A diagonal: lam = c, bottom gap +-c rho, the
+    # other gaps above c / 3, over c in [1e-3, 1e6] and rho in
+    # [1e-12, 1e-1].  Away from the band edge, where rounding may split a
+    # tie, the three decisions agree.
+    rng = np.random.default_rng(2233)
+    decided = Counter()
+    for trial in range(450):
+        n = (3, 4, 6)[trial % 3]
+        c = 10.0 ** rng.uniform(-3.0, 6.0)
+        bottom = c * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.0))
+        rest = bottom + c * np.sort(rng.uniform(0.5, 3.0, n - 2))
+        f = quadratic_form_polynomial(np.diag(np.concatenate([[c, bottom], rest])))
+        x = np.eye(n)[0]
+        analysis = analyze_points(f, [x])
+        if abs(abs(analysis.margins[0]) - analysis.class_tol) <= 1e-9 * analysis.class_tol:
+            continue
+        degenerate = analysis.verdicts[0] is Verdict.SONC_DEGENERATE
+        W = build_witness_matrix(f, [x], analysis.eigenvectors.swapaxes(1, 2))
+        assert rank_deficient(f, W).any() == degenerate, (n, c, bottom)
+        det = bordered_determinants(f, [x], analysis.lam)[0]
+        assert (abs(det) <= _zero_bound(f, [x])[0]) == degenerate, (n, c, bottom)
+        decided[analysis.verdicts[0]] += 1
+    assert min(decided.values()) >= 50 and len(decided) == 3, decided
