@@ -70,9 +70,10 @@ class ClassifiedPoint:
 class PointAnalysis:
     """First and second order data at k unit vectors, one row per point.
 
-    ``points`` (k, n), ``lam`` = d f(x), ``residuals`` = ||grad f(x) - lam x||
-    and ``hessians`` are row-aligned with ``verdicts``; k = 0 keeps the trailing
-    shapes.  :meth:`classified` builds the per-point objects.
+    ``points`` (k, n), ``lam`` = d f(x), ``gradients`` (k, n), ``residuals``
+    = ||grad f(x) - lam x|| and ``hessians`` are row-aligned with
+    ``verdicts``; k = 0 keeps the trailing shapes.  :meth:`classified` builds
+    the per-point objects.
     ``eigenvalues`` (k, n-1, ascending) and ``eigenvectors`` (k, n, n-1, unit
     columns in ambient coordinates) are the eigenpairs of B^T hess f(x) B.
     ``margins`` is the smallest tangent eigenvalue minus lam, inf for n = 1.
@@ -82,6 +83,7 @@ class PointAnalysis:
 
     points: np.ndarray
     lam: np.ndarray
+    gradients: np.ndarray
     residuals: np.ndarray
     hessians: np.ndarray
     eigenvalues: np.ndarray
@@ -131,7 +133,8 @@ def analyze_points(f: HomogeneousPolynomial, X) -> PointAnalysis:
     crit_tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     class_tol = scaled_tolerance(f, DEFAULT_TOL_CLASS)
 
-    residuals = np.linalg.norm(f.gradient_many(X) - lam[:, None] * X, axis=1)
+    G = f.gradient_many(X)
+    residuals = np.linalg.norm(G - lam[:, None] * X, axis=1)
     H = f.hessian_many(X)
     B = _tangent_bases(X)
     M = B.swapaxes(1, 2) @ H @ B
@@ -150,6 +153,7 @@ def analyze_points(f: HomogeneousPolynomial, X) -> PointAnalysis:
     return PointAnalysis(
         points=X,
         lam=lam,
+        gradients=G,
         residuals=residuals,
         hessians=H,
         eigenvalues=eigenvalues,

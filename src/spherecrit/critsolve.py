@@ -403,9 +403,24 @@ def _collect_pairs(
     order = np.argsort(res, kind="stable")
     Xo = X.take(order, axis=0)
     by_p, lo, hi = _projection_windows(Xo)
-    covered = np.zeros(order.size, dtype=bool)
+    # A row whose window starts at its own projection position starts a
+    # group: every row before it lies farther away than the radius, so
+    # groups dedup independently.  A group whose rows all lie within the
+    # radius of its tightest row is settled in one pass: that row is kept
+    # and covers the rest, as the greedy loop would.  Only the other groups'
+    # rows go through the loop.
+    first = lo.take(by_p) == np.arange(order.size)
+    group = np.empty(order.size, dtype=np.intp)
+    group[by_p] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    lead = np.minimum.reduceat(by_p, starts)  # the tightest row of each group
+    far = np.linalg.norm(Xo - Xo.take(lead[group], axis=0), axis=1) > DEFAULT_DEDUP_RADIUS
+    settled = ~np.logical_or.reduceat(far[by_p], starts)
+    covered = settled[group]
+    covered[lead[settled]] = False
     hits = np.ones(order.size, dtype=np.int64)
-    pending = np.flatnonzero(hi - lo > 1)
+    hits[lead[settled]] = np.bincount(group)[settled]
+    pending = np.flatnonzero((hi - lo > 1) & ~settled[group])
     while pending.size:  # visits only uncovered rows: one per tight cluster
         i = pending[0]
         near = by_p[lo[i] : hi[i]]

@@ -85,8 +85,10 @@ class DegeneracyWitness:
 
     ``mu`` is the multiplier with hess f(x) y - lam y = mu x;
     ``rank_defect_measure`` is the third singular value of the witness
-    matrix; ``bordered_residual`` is the norm of (hess f(x) y - lam y - mu x,
-    y.x) and ``bordered_det`` the determinant of the bordered matrix.
+    matrix, for display only: :func:`rank_deficient` decides on the product
+    of all three singular values.  ``bordered_residual`` is the norm of
+    (hess f(x) y - lam y - mu x, y.x) and ``bordered_det`` the determinant
+    of the bordered matrix.
     """
 
     x: np.ndarray
@@ -139,9 +141,17 @@ def build_witness_matrix(f: HomogeneousPolynomial, X, Y) -> np.ndarray:
         raise ValueError("n = 1 has no tangent directions")
     if not np.all(np.any(X, axis=1)):
         raise ValueError("rows of X must be nonzero")
+    return _witness_matrices(X, G, f.hessian_many(X), Y)
+
+
+def _witness_matrices(X: np.ndarray, G: np.ndarray, H: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The one assembly of :func:`build_witness_matrix`'s matrices from the
+    points X, their gradients G and Hessians H, and the directions Y; an
+    analysis's ``gradients`` and ``hessians`` give the same bits as its jets."""
+    n = X.shape[1]
     W = np.zeros(Y.shape[:2] + (2 * n, 3))
     W[..., :n, 0] = G[:, None, :]
-    W[..., n:, 0] = Y @ f.hessian_many(X)
+    W[..., n:, 0] = Y @ H
     W[..., :n, 1] = X[:, None, :]
     W[..., n:, 1] = Y
     W[..., n:, 2] = X[:, None, :]
@@ -187,7 +197,7 @@ def detect_sosc_failure(f: HomogeneousPolynomial, x) -> DegeneracyWitness | None
     y = analysis.eigenvectors[0, :, 0].copy()
     hy = H @ y
     mu = float(x @ (hy - lam * y))
-    W = build_witness_matrix(f, x[None], y[None, None])[0, 0]
+    W = _witness_matrices(analysis.points, analysis.gradients, analysis.hessians, y[None, None])[0, 0]
     bordered_vec = np.concatenate([hy - lam * y - mu * x, [x @ y]])
     return DegeneracyWitness(
         x=x,

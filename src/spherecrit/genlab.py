@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -32,6 +33,7 @@ from .critsolve import (
 )
 from .degeneracy import (
     _determinant_zero_bound,
+    _witness_matrices,
     bordered_determinants,
     build_witness_matrix,
     detect_sosc_failure,
@@ -288,6 +290,27 @@ def _dump_polynomial(f: HomogeneousPolynomial, dump_dir: str, name: str) -> str:
     return str(path)
 
 
+def _quantiles(values: list[float], probs) -> list[float]:
+    """``np.quantile(values, probs)`` bit for bit, in Python floats.
+
+    numpy's default linear rule: the virtual index (k - 1) q sits between
+    order statistics a = s[i] and b = s[i + 1] at weight t, and the value is
+    a + (b - a) t for t < 1/2, else b - (b - a) (1 - t).  An index at or
+    past the last one reads s[-1] on both sides, at t measured from -1.
+    The numpy call's set-up costs more than the sort of a short list.
+    """
+    s = sorted(values)
+    last = len(s) - 1
+    out = []
+    for q in probs:
+        v = last * q
+        i = -1 if v >= last else math.floor(v)
+        a, b = s[i], s[i + 1 if i >= 0 else -1]
+        t = v - i
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
     """Sample random objectives and verify that no SONC point is degenerate.
 
@@ -304,12 +327,16 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
         poly_seed = config.seed * SEED_STRIDE + trial
         f = random_polynomial(config.n, config.d, poly_seed)
         found = find_critical_pairs(f, SolverConfig(seed=poly_seed + 1))
-        X = found.X
-        analysis = analyze_points(f, X)
+        analysis = analyze_points(f, found.X)
         # Any real witness at x is a tangent eigenvector (up to eigenvalue
         # multiplicity), so these k * (n - 1) directions cover every candidate.
-        Y = analysis.eigenvectors.swapaxes(1, 2)
-        rank_hits = int(np.count_nonzero(rank_deficient(f, build_witness_matrix(f, X, Y))))
+        W = _witness_matrices(
+            analysis.points,
+            analysis.gradients,
+            analysis.hessians,
+            analysis.eigenvectors.swapaxes(1, 2),
+        )
+        rank_hits = int(np.count_nonzero(rank_deficient(f, W)))
 
         histogram = dict(Counter(verdict.value for verdict in analysis.verdicts))
         degenerate = histogram.get(Verdict.SONC_DEGENERATE.value, 0)
@@ -344,14 +371,8 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
 
     quantiles = None
     if margins:
-        qs = np.quantile(margins, [0.0, 0.25, 0.5, 0.75, 1.0])
-        quantiles = {
-            "min": float(qs[0]),
-            "q25": float(qs[1]),
-            "median": float(qs[2]),
-            "q75": float(qs[3]),
-            "max": float(qs[4]),
-        }
+        qs = _quantiles(margins, (0.0, 0.25, 0.5, 0.75, 1.0))
+        quantiles = dict(zip(("min", "q25", "median", "q75", "max"), qs))
     return ExperimentReport(
         n=config.n,
         d=config.d,

@@ -169,6 +169,13 @@ def _derivative_plan(
     return plans, triangle
 
 
+def _check_shape(n, d) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"variable count must be a positive integer, got {n!r}")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValueError(f"degree must be a positive integer, got {d!r}")
+
+
 class HomogeneousPolynomial:
     """Immutable homogeneous polynomial of degree ``d`` in ``n`` variables.
 
@@ -194,10 +201,7 @@ class HomogeneousPolynomial:
     )
 
     def __init__(self, n: int, d: int, terms: Mapping[Monomial, float]):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"variable count must be a positive integer, got {n!r}")
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise ValueError(f"degree must be a positive integer, got {d!r}")
+        _check_shape(n, d)
         cleaned: dict[Monomial, float] = {}
         for exp, coef in terms.items():
             key = tuple(int(e) for e in exp)
@@ -218,22 +222,27 @@ class HomogeneousPolynomial:
                 cleaned[key] = c
 
         order = tuple(sorted(cleaned, reverse=True))  # graded lex; single grade here
-        self._coefs = np.array([cleaned[e] for e in order], dtype=np.float64)
+        self._set_terms(n, d, order, np.array([cleaned[e] for e in order], dtype=np.float64))
+
+    def _set_terms(self, n: int, d: int, order: tuple[Monomial, ...], coefs: np.ndarray) -> None:
+        """Fill the instance from its validated support ``order`` (graded lex)
+        and the nonzero finite coefficients ``coefs`` in that order."""
         with np.errstate(over="ignore"):
-            self._norm = float(np.linalg.norm(self._coefs))
+            self._norm = float(np.linalg.norm(coefs))
         if not math.isfinite(self._norm):
             raise ValueError(
                 f"coefficient norm overflows float64 (largest coefficient "
-                f"{np.max(np.abs(self._coefs)):.3g}); rescale the polynomial"
+                f"{np.max(np.abs(coefs)):.3g}); rescale the polynomial"
             )
         self._n = n
         self._d = d
+        self._coefs = coefs
         self._plans, self._triangle = _derivative_plan(n, order)
         self._weights = tuple(np.zeros(plan.shape) for plan in self._plans)
         for plan, weights in zip(self._plans, self._weights):
             # Each (row, column) cell occurs at most once, so assignment is
             # the sum over terms.
-            weights[plan.rows, plan.columns] = self._coefs[plan.source] * plan.a * plan.b
+            weights[plan.rows, plan.columns] = coefs[plan.source] * plan.a * plan.b
         self._exps = self._plans[0].exps  # the value pool is the support
 
     @property
@@ -345,7 +354,12 @@ class HomogeneousPolynomial:
 
     @classmethod
     def from_coefficient_vector(cls, n: int, d: int, values) -> "HomogeneousPolynomial":
-        """Inverse of :meth:`coefficient_vector`; lossless round trip."""
+        """Inverse of :meth:`coefficient_vector`; lossless round trip.
+
+        Equal to the term-map constructor on ``dict(zip(monomial_basis(n, d),
+        values))``, errors included, without its per-term checks: the basis
+        exponents are valid by construction.
+        """
         values = np.asarray(values, dtype=np.float64)
         expected = basis_size(n, d)
         if values.shape != (expected,):
@@ -353,7 +367,15 @@ class HomogeneousPolynomial:
                 f"coefficient vector has shape {values.shape}, expected ({expected},)"
             )
         basis = monomial_basis(n, d)
-        return cls(n, d, {exp: v for exp, v in zip(basis, values) if v != 0.0})
+        _check_shape(n, d)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"non-finite coefficient {values[i]!r} in term {list(basis[i])}")
+        support = np.flatnonzero(values)
+        f = cls.__new__(cls)
+        f._set_terms(n, d, tuple(map(basis.__getitem__, support.tolist())), values[support])
+        return f
 
 
 def random_polynomial(n: int, d: int, seed) -> HomogeneousPolynomial:

@@ -467,15 +467,19 @@ def test_classify_json_is_strict_for_one_variable(tmp_path, capsys):
 
 
 def test_sample_golden_stdout_and_report(tmp_path, monkeypatch, capsys):
+    # n = 2 runs the exact oracle on every trial; n = 3 pins the trial path
+    # without it (solve, analysis, witness scan, quantiles) bit for bit.
     monkeypatch.chdir(tmp_path)
-    args = ["sample", "--n", "2", "--d", "3", "--trials", "3",
-            "--output", "report.json", "--dump-dir", "dumps"]
-    assert main(args) == 0
-    assert capsys.readouterr().out == (DATA / "sample_n2_d3_t3.stdout.txt").read_text()
-    doc = json.loads((tmp_path / "report.json").read_text())
-    assert isinstance(doc.pop("runtime_seconds"), float)
-    golden = (DATA / "sample_n2_d3_t3.report.json").read_text()
-    assert json.dumps(doc, indent=2) + "\n" == golden
+    for n, d in ((2, 3), (3, 4)):
+        stem = f"sample_n{n}_d{d}_t3"
+        args = ["sample", "--n", str(n), "--d", str(d), "--trials", "3",
+                "--output", "report.json", "--dump-dir", "dumps"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (DATA / f"{stem}.stdout.txt").read_text()
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert isinstance(doc.pop("runtime_seconds"), float)
+        golden = (DATA / f"{stem}.report.json").read_text()
+        assert json.dumps(doc, indent=2) + "\n" == golden
 
 
 def test_module_entry_point_missing_file_exit_2(tmp_path):

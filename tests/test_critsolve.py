@@ -836,6 +836,25 @@ def _clustered_cloud(rng):
     return np.concatenate([X, -X]), np.concatenate([lam, lam + 1e-12])
 
 
+def _straddling_cloud(rng):
+    # Tight clusters, which the merge settles in one pass, and one cluster
+    # whose rows straddle the radius around its tightest row, which takes
+    # the greedy loop; one call runs both.
+    centres = rng.standard_normal((6, 3))
+    centres /= np.linalg.norm(centres, axis=1)[:, None]
+    which = rng.integers(0, centres.shape[0], 240)
+    spread = np.where(which == 0, 1.5, 1e-3) * rng.random(which.size)
+    X = _tangent_offsets(rng, centres[which], spread)
+    lam = 2.0 + rng.permutation(X.shape[0]) * 1e-12
+    Xn = X / np.linalg.norm(X, axis=1)[:, None]
+    reach = [
+        np.linalg.norm(Xn[which == c] - Xn[which == c][np.argmin(lam[which == c])], axis=1).max()
+        for c in range(centres.shape[0])
+    ]
+    assert reach[0] > DEFAULT_DEDUP_RADIUS and max(reach[1:]) <= 0.01 * DEFAULT_DEDUP_RADIUS
+    return X, lam
+
+
 def test_collect_pairs_dedup_matches_greedy_reference():
     # Every unit vector is critical for x.x with lam = 2; a distinct offset
     # of lam per row orders the rows by residual and identifies each kept
@@ -844,7 +863,7 @@ def test_collect_pairs_dedup_matches_greedy_reference():
     # kept count: most clustered rows are covered.  A kept row's hits are
     # the rows merged into it, itself included, and its mirror's are equal.
     f = HomogeneousPolynomial(3, 2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-    cases = [(_scattered_cloud, (82, 418)), (_clustered_cloud, (10, 30))]
+    cases = [(_scattered_cloud, (82, 418)), (_clustered_cloud, (10, 30)), (_straddling_cloud, (12, 40))]
     for cloud, kept_range in cases:
         X, lam = cloud(np.random.default_rng(11))
         X /= np.linalg.norm(X, axis=1)[:, None]

@@ -804,6 +804,16 @@ def test_batched_witness_matches_build_witness_matrix(n, d, seed):
             assert abs(sv[i, k, 2] - single_sv[2]) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_witness_third_singular_value_matches_build_witness_matrix(n, d):
+    # detect_sosc_failure assembles its witness matrix from its analysis's
+    # gradient and Hessian: the same bits as build_witness_matrix's jets.
+    f = axis_monomial(n, d)
+    w = detect_sosc_failure(f, np.eye(n)[1])
+    W = build_witness_matrix(f, [w.x], [[w.y]])[0, 0]
+    assert w.rank_defect_measure == float(np.linalg.svd(W, compute_uv=False)[2])
+
+
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3)])
 def test_witness_and_determinant_measure_the_tangent_gaps(n, d):
     # At a unit critical point with tangent eigenvalues mu_i, the witness

@@ -12,6 +12,7 @@ from spherecrit import (
     ExperimentConfig,
     SolverConfig,
     axis_monomial,
+    build_witness_matrix,
     certify_against_oracle,
     classify_all,
     check_planted_quadratic,
@@ -284,6 +285,52 @@ def test_random_genericity_no_degenerate_hits(tmp_path):
     assert report.dumped_files == []
     assert report.min_sosc_margin is not None and report.min_sosc_margin > 0
     assert report.margin_quantiles["min"] == pytest.approx(report.min_sosc_margin)
+
+
+def test_quantiles_match_numpy_bitwise():
+    # Seeded lists of every length 1-50, with ties and mixed signs; the
+    # report's quantile rule must be numpy's default bit for bit.
+    rng = np.random.default_rng(17)
+    probs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for length in range(1, 51):
+        for _ in range(4):
+            values = rng.standard_normal(length) * 10.0 ** rng.integers(-3, 4, length)
+            values[rng.random(length) < 0.3] = rng.choice(values)  # ties
+            values = values.tolist()
+            got = genlab._quantiles(values, probs)
+            want = np.quantile(values, list(probs))
+            assert np.array(got).tobytes() == want.tobytes(), values
+            assert all(type(q) is float for q in got)
+    # A largest value of -0.0: the last-index rule keeps numpy's signed zeros.
+    for values in ([-0.0], [-2.0, -0.0], [-3.5, -1.0, -0.0, -0.0, -7.0]):
+        got = genlab._quantiles(values, probs)
+        assert np.array(got).tobytes() == np.quantile(values, list(probs)).tobytes(), values
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_genericity_scan_reuses_the_analysis_jets(n, d, tmp_path, monkeypatch):
+    # The rank-witness scan builds its matrices from the analysis's gradients
+    # and Hessians: the same bits as build_witness_matrix's fresh jets.
+    seen = []
+    analyze, rank = genlab.analyze_points, genlab.rank_deficient
+
+    def analyze_and_keep(f, X):
+        seen.append([f, analyze(f, X)])
+        return seen[-1][1]
+
+    def rank_and_keep(f, W):
+        seen[-1].append(W)
+        return rank(f, W)
+
+    monkeypatch.setattr(genlab, "analyze_points", analyze_and_keep)
+    monkeypatch.setattr(genlab, "rank_deficient", rank_and_keep)
+    run_random_genericity(ExperimentConfig(n=n, d=d, trials=5, seed=3, dump_dir=str(tmp_path)))
+    assert len(seen) == 5
+    for f, analysis, W in seen:
+        X = analysis.points
+        assert analysis.gradients.tobytes() == f.gradient_many(X).tobytes()
+        Y = analysis.eigenvectors.swapaxes(1, 2)
+        assert W.tobytes() == build_witness_matrix(f, X, Y).tobytes()
 
 
 def test_random_genericity_records_are_conserved(tmp_path):

@@ -199,6 +199,43 @@ def test_from_coefficient_vector_rejects_wrong_shape():
         HomogeneousPolynomial.from_coefficient_vector(3, 2, np.ones(5))
     with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(6,\)"):
         HomogeneousPolynomial.from_coefficient_vector(3, 2, np.ones((2, 3)))
+    for n, d in ((2, 0), (True, 2)):  # shapes with a basis but no polynomial
+        with pytest.raises(ValueError) as mapped:
+            HomogeneousPolynomial(n, d, {})
+        with pytest.raises(ValueError) as dense:
+            HomogeneousPolynomial.from_coefficient_vector(n, d, np.ones(basis_size(n, d)))
+        assert str(dense.value) == str(mapped.value)
+
+
+def test_from_coefficient_vector_equals_term_map_constructor():
+    # The direct dense build and the term-map constructor give the same
+    # instance bit for bit, exact zeros dropped, at every (n, d) shape.
+    rng = np.random.default_rng(43)
+    for n in range(1, 6):
+        for d in range(1, 7):
+            values = rng.standard_normal(basis_size(n, d))
+            values[rng.random(values.size) < 0.4] = 0.0
+            values[rng.random(values.size) < 0.1] = -0.0
+            dense = HomogeneousPolynomial.from_coefficient_vector(n, d, values)
+            mapped = HomogeneousPolynomial(n, d, dict(zip(monomial_basis(n, d), values)))
+            assert dense == mapped
+            assert dense.terms == mapped.terms
+            assert dense.coefficient_norm == mapped.coefficient_norm
+            for a, b in zip(dense._weights, mapped._weights):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e155])
+def test_from_coefficient_vector_errors_match_term_map_constructor(bad):
+    # A non-finite entry names its first term; an overflowing norm names the
+    # largest coefficient.  Both read as the term-map constructor's errors.
+    values = np.zeros(basis_size(3, 2))
+    values[[1, 4]] = [2.0, bad]
+    with pytest.raises(ValueError) as mapped:
+        HomogeneousPolynomial(3, 2, dict(zip(monomial_basis(3, 2), values)))
+    with pytest.raises(ValueError) as dense:
+        HomogeneousPolynomial.from_coefficient_vector(3, 2, values)
+    assert str(dense.value) == str(mapped.value)
 
 
 def test_coefficient_vector_round_trip():
