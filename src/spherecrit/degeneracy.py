@@ -19,11 +19,12 @@ kept deliberately separate:
 
 2. Bordered determinant.  A witness (y, mu) solves
    hess f(x) y - lam y - mu x = 0 with y.x = 0, which makes the symmetric
-   (n+1) x (n+1) bordered matrix [[hess f(x) - lam I, x], [x^T, 0]] singular:
-   the Newton Jacobian of :mod:`spherecrit.critsolve` with its lam column
-   negated.  det = 0 is necessary for degeneracy, not sufficient, and is
-   reported as a corroborating signal only (:func:`bordered_determinants`,
-   and ``bordered_det`` of a witness).  At a unit x it is -prod_i (mu_i - lam),
+   (n+1) x (n+1) bordered matrix [[hess f(x) - lam I, x], [x^T, 0]] singular
+   (the Newton Jacobian of :mod:`spherecrit.critsolve` with its lam column
+   negated, built here from the Hessian on its own).  det = 0 is necessary
+   for degeneracy, not sufficient, and is reported as a corroborating
+   signal only (:func:`bordered_determinants`, and ``bordered_det`` of a
+   witness).  At a unit x it is -prod_i (mu_i - lam),
    zero when |det| over its n - 2 largest factors is in the margin band.
 
 3. Exact n = 2 oracle.  On the circle f has derivative -g in the angle,
@@ -56,7 +57,7 @@ import numpy as np
 
 from .classify import DEFAULT_TOL_CLASS, Verdict, analyze_points
 from ._intpoly import _critical_form
-from .critsolve import _reject_zero, _system_jacobian, scaled_tolerance
+from .critsolve import _reject_zero, scaled_tolerance
 from .polyhom import HomogeneousPolynomial
 
 __all__ = [
@@ -214,14 +215,22 @@ def bordered_determinants(f: HomogeneousPolynomial, X, lam) -> np.ndarray:
     """det of the bordered matrix at each row of X with multiplier lam[i].
 
     Zero is necessary at degenerate points, not sufficient: a vanishing
-    determinant does not by itself certify one.  It is 0.0 minus det of the
-    Newton Jacobian, so an exact zero reads +0.0.
+    determinant does not by itself certify one.  The matrix is built from
+    one ``hessian_many`` call, its diagonal H_ii - lam rounded once, so the
+    determinant does not depend on how a GEMM sums the Newton Jacobian.
     """
     X = np.asarray(X, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != X.shape[:1]:
         raise ValueError(f"lam must have shape {X.shape[:1]}, got {lam.shape}")
-    return 0.0 - np.linalg.det(_system_jacobian(f, X, lam))
+    H = f.hessian_many(X)  # rejects X unless its shape is (k, n)
+    k, n = X.shape
+    M = np.zeros((k, n + 1, n + 1))
+    M[:, :n, :n] = H
+    M.reshape(k, (n + 1) ** 2)[:, : n * (n + 2) : n + 2] -= lam[:, None]
+    M[:, :n, n] = X
+    M[:, n, :n] = X
+    return np.linalg.det(M)
 
 
 def _determinant_zero_bound(gaps, tol) -> np.ndarray:

@@ -97,6 +97,16 @@ def _powers_table(pts: np.ndarray, dmax: int) -> np.ndarray:
     return planes.transpose(1, 2, 0)
 
 
+def _polynomial_map(
+    pts: np.ndarray, exps: np.ndarray, dmax: int, weights: np.ndarray
+) -> np.ndarray:
+    """value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c], for the pool of
+    monomials with exponent rows ``exps`` (powers up to ``dmax``): one powers
+    table, one gather and product, one GEMM."""
+    table = _powers_table(pts, dmax)
+    return table[:, np.arange(pts.shape[1]), exps].prod(axis=2) @ weights
+
+
 class _BundlePlan(NamedTuple):
     """Support-only plan of one jet bundle, shared by every polynomial with
     one support; each polynomial keeps only its weight matrix.
@@ -304,11 +314,9 @@ class HomogeneousPolynomial:
         return x
 
     def _jet(self, k: int, pts: np.ndarray) -> np.ndarray:
-        """Bundle k (0 value, 1 gradient, 2 Hessian triangle) at the rows of
-        ``pts``: one powers table, one gather and product, one GEMM."""
+        """Bundle k (0 value, 1 gradient, 2 Hessian triangle) at the rows of ``pts``."""
         plan = self._plans[k]
-        table = _powers_table(pts, plan.dmax)
-        return table[:, np.arange(self._n), plan.exps].prod(axis=2) @ self._weights[k]
+        return _polynomial_map(pts, plan.exps, plan.dmax, self._weights[k])
 
     def evaluate(self, x) -> float:
         """Value of the polynomial at a point of length ``n``."""

@@ -418,6 +418,48 @@ def test_half_budget_matches_full_budget_on_criterion_4_shapes(n, d, first_round
         assert analyze_points(f, found.X).verdicts == analyze_points(f, full.X).verdicts, s
 
 
+@pytest.mark.parametrize(
+    "f, seed",
+    [
+        (axis_monomial(3, 3), 0),
+        (_rescaled(random_polynomial(3, 4, 5), 1e-12), 1),
+        (geometric_power_polynomial(4, 4), 0),
+    ],
+    ids=["x1^3(n=3)", "tiny(3,4)", "geometric_power(4,4)"],
+)
+def test_lazy_second_round_matches_up_front_draw(monkeypatch, f, seed):
+    # The second round's starts are drawn only when the first round fails
+    # the check, from the same generator.  They and their multipliers are
+    # the rows of a draw of the whole budget up front, and so is the result.
+    starts = 50 * f.n * f.d
+    bound = critsolve._class_bound(f.n, f.d)
+    first_round = min((starts + 1) // 2, critsolve.STARTS_PER_CLASS * bound)
+    X0 = _unit_starts(f.n, starts, seed)
+    lam0 = f.d * f.evaluate_many(X0)
+    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
+    system = critsolve._newton_system(f)
+    rounds = (slice(None, first_round), slice(first_round, None))
+    passes = [critsolve._newton_polish(system, X0[r], lam0[r], accept_tol=tol) for r in rounds]
+    reference = critsolve._finish(system, passes, tol)[0]
+
+    drawn = []
+    inner = critsolve._newton_polish
+
+    def recorded(system, X0, lam0, **kwargs):
+        drawn.append((X0, lam0))
+        return inner(system, X0, lam0, **kwargs)
+
+    monkeypatch.setattr(critsolve, "_newton_polish", recorded)
+    found = find_critical_pairs(f, SolverConfig(seed=seed))
+    assert [x.shape[0] for x, _ in drawn] == [first_round, starts - first_round]
+    assert np.concatenate([x for x, _ in drawn]).tobytes() == X0.tobytes()
+    assert np.concatenate([lam for _, lam in drawn]).tobytes() == lam0.tobytes()
+    assert found.starts_used == reference.starts_used == starts
+    assert found.converged_fraction == reference.converged_fraction
+    assert found.X.tobytes() == reference.X.tobytes()
+    assert found.lam.tobytes() == reference.lam.tobytes()
+
+
 def _first_round(f, config):
     """What the check sees on the first round of the starts: class count k,
     bound B, rows needing the multiple-root polish, and the fewest hits."""
@@ -426,7 +468,9 @@ def _first_round(f, config):
     first_round = min((starts + 1) // 2, critsolve.STARTS_PER_CLASS * bound)
     X0 = _unit_starts(f.n, starts, config.seed)[:first_round]
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    Z, _, Fn, polish = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
+    system = critsolve._newton_system(f)
+    lam0 = f.d * f.evaluate_many(X0)
+    Z, _, Fn, polish = critsolve._newton_polish(system, X0, lam0, accept_tol=tol)
     ok = Fn <= tol
     _, lam, hits = critsolve._collect_pairs(f, Z[ok, :-1], Z[ok, -1], Fn[ok])
     k = lam.size // 2
@@ -636,7 +680,7 @@ def test_collect_pairs_closure_on_critical_subsphere():
 
 
 def _sequential_halving_polish(
-    f,
+    system,
     X0,
     lam0,
     *,
@@ -655,11 +699,11 @@ def _sequential_halving_polish(
     ``max_slow_steps`` the number of consecutive slow iterations that
     abandons a row.
     """
-    n = f.n
+    f = system.f
     stop_tol = scaled_tolerance(f, DEFAULT_TOL_STOP)
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
     with np.errstate(all="ignore"):
-        F = critsolve._system_residual(f, Z[:, :n], Z[:, n])
+        F = critsolve._system_residual(system, Z)
     Fn = np.linalg.norm(F, axis=1)
     active = np.isfinite(Fn)
     singular = np.zeros(Z.shape[0], dtype=bool)
@@ -671,7 +715,7 @@ def _sequential_halving_polish(
         if rows.size == 0:
             break
         with np.errstate(all="ignore"):
-            J = critsolve._system_jacobian(f, Z[rows, :n], Z[rows, n])
+            J = critsolve._system_jacobian(system, Z[rows])
             J[~np.isfinite(J)] = 0.0
             steps, usable = critsolve._solve_steps(J, -F[rows])
         singular[rows[~usable]] = True
@@ -685,7 +729,7 @@ def _sequential_halving_polish(
             sub = rows[trying]
             trial = Z[sub] + t[trying, None] * steps[trying]
             with np.errstate(all="ignore"):
-                Ft = critsolve._system_residual(f, trial[:, :n], trial[:, n])
+                Ft = critsolve._system_residual(system, trial)
             Ftn = np.linalg.norm(Ft, axis=1)
             ok = np.isfinite(Ftn) & (Ftn < Fn[sub])
             acc = sub[ok]
@@ -705,17 +749,16 @@ def _sequential_halving_polish(
     return Z, F, Fn, (((Fn <= accept_tol) & linear) | singular) & (Fn > floor)
 
 
-def _reference_root_polish(f, Z, F, Fn, polish):
+def _reference_root_polish(system, Z, F, Fn, polish):
     """Reference multiple-root polish, in place: each round moves a row to
     the best of its three trial points, if that lowers its residual."""
-    n = f.n
-    floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
+    floor = scaled_tolerance(system.f, DEFAULT_TOL_POLISH)
     polish = np.flatnonzero(polish)
     for _ in range(8):
         if polish.size == 0:
             break
         with np.errstate(all="ignore"):
-            J = critsolve._system_jacobian(f, Z[polish, :n], Z[polish, n])
+            J = critsolve._system_jacobian(system, Z[polish])
             J[~np.isfinite(J)] = 0.0
             steps, usable = critsolve._lstsq_steps(J, -F[polish])
         best_norm = Fn[polish].copy()
@@ -725,7 +768,7 @@ def _reference_root_polish(f, Z, F, Fn, polish):
         for factor in (1.0, 2.0, 3.0):
             trial = Z[polish] + factor * steps
             with np.errstate(all="ignore"):
-                Ft = critsolve._system_residual(f, trial[:, :n], trial[:, n])
+                Ft = critsolve._system_residual(system, trial)
             Ftn = np.linalg.norm(Ft, axis=1)
             better = usable & np.isfinite(Ftn) & (Ftn < best_norm)
             best_z[better] = trial[better]
@@ -768,11 +811,12 @@ def test_step_ladder_matches_sequential_halving(f):
     X0 /= np.linalg.norm(X0, axis=1)[:, None]
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     lam0 = f.d * f.evaluate_many(X0)
-    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
-    Z_ref, F_ref, Fn_ref, polish_ref = _sequential_halving_polish(f, X0, lam0, accept_tol=tol)
+    system = critsolve._newton_system(f)
+    Z, F, Fn, polish = critsolve._newton_polish(system, X0, lam0, accept_tol=tol)
+    Z_ref, F_ref, Fn_ref, polish_ref = _sequential_halving_polish(system, X0, lam0, accept_tol=tol)
     np.testing.assert_array_equal(polish, polish_ref)
-    critsolve._polish_multiple_roots(f, Z, F, Fn, polish)
-    _reference_root_polish(f, Z_ref, F_ref, Fn_ref, polish_ref)
+    critsolve._polish_multiple_roots(system, Z, F, Fn, polish)
+    _reference_root_polish(system, Z_ref, F_ref, Fn_ref, polish_ref)
     done = Fn <= tol
     np.testing.assert_array_equal(done, Fn_ref <= tol)
     np.testing.assert_allclose(Z[done], Z_ref[done], rtol=0.0, atol=1e-12)
@@ -923,9 +967,9 @@ def test_early_abandon_keeps_every_critical_class(monkeypatch):
     reference = functools.partial(_sequential_halving_polish, max_halvings=30, max_slow_steps=8)
     polished = []
 
-    def counted(f, X0, lam0, **kwargs):
+    def counted(system, X0, lam0, **kwargs):
         polished.append(X0.shape[0])
-        return reference(f, X0, lam0, **kwargs)
+        return reference(system, X0, lam0, **kwargs)
 
     monkeypatch.setattr(critsolve, "_newton_polish", counted)
     two_pass = 0
@@ -964,6 +1008,83 @@ def test_solve_steps_flags_singular_row():
         np.testing.assert_array_equal(steps[i], np.linalg.solve(J[i], rhs[i]))
 
 
+def _explicit_system(f, Z):
+    """The residual's gradient rows and the Jacobian assembled around the
+    jets at the rows z = (x, lam) of Z, and the sums of the absolute terms
+    of each entry of both."""
+    k, n = Z.shape[0], f.n
+    X, lam = Z[:, :n], Z[:, n]
+    G = f.gradient_many(X) - lam[:, None] * X
+    J = np.empty((k, n + 1, n + 1))
+    J[:, :n, :n] = f.hessian_many(X)
+    idx = np.arange(n)
+    J[:, idx, idx] -= lam[:, None]
+    J[:, :n, n] = -X
+    J[:, n, :n] = X
+    J[:, n, n] = 0.0
+    f_abs = HomogeneousPolynomial(n, f.d, {e: abs(c) for e, c in f.terms.items()})
+    G_abs = f_abs.gradient_many(abs(X)) + abs(lam[:, None] * X)
+    H_abs = f_abs.hessian_many(abs(X)) + abs(lam)[:, None, None] * np.eye(n)
+    return G, J, G_abs, H_abs
+
+
+@np.errstate(all="ignore")
+def test_system_map_matches_explicit_assembly():
+    # The kernel's two entry points evaluate the system as one polynomial
+    # map of z = (x, lam) each.  The sphere row, the border -x, x and the
+    # corner are written apart, so they keep their bits and signs of zeros,
+    # and non-finite entries stay where the explicit assembly has them.  A
+    # GEMM over two rows or more sums each entry in pool order, lam's term
+    # last, so the gradient rows are the explicit ones bit for bit and the
+    # Hessian block lies within 4 ulp of max(|H_ij|, |lam|).  numpy hands a
+    # one-row batch to gemv, which may group the terms of a dot product
+    # otherwise, so there each entry lies within the error bound of a dot
+    # product of its terms, 2 (terms + 1) eps times their absolute sum.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(35)
+    for n in range(1, 6):
+        for d in range(1, 7):
+            base = random_polynomial(n, d, rng)
+            for f in (base, _rescaled(base, 1e-12), _rescaled(base, 1e150)):
+                system = critsolve._newton_system(f)
+                for rows in (1, 2, 7, 64):
+                    X = rng.standard_normal((rows, n))
+                    X /= np.linalg.norm(X, axis=1, keepdims=True)
+                    lam = d * f.evaluate_many(X)
+                    X[0, 0], lam[0] = 0.0, -0.0
+                    if rows > 1:
+                        X[1, -1], lam[1] = -0.0, 0.0
+                        X[-1] *= 1e200  # overflows from d = 2 on
+                    Z = np.column_stack([X, lam])
+                    F = critsolve._system_residual(system, Z)
+                    J = critsolve._system_jacobian(system, Z)
+                    G, ref, G_abs, H_abs = _explicit_system(f, Z)
+                    label = (n, d, f.coefficient_norm, rows)
+
+                    sphere = 0.5 * (np.einsum("ij,ij->i", X, X) - 1.0)
+                    assert F[:, n].tobytes() == sphere.tobytes(), label
+                    assert J[:, :n, n].tobytes() == ref[:, :n, n].tobytes(), label
+                    assert J[:, n, :].tobytes() == ref[:, n, :].tobytes(), label
+                    finite = np.isfinite(ref)
+                    np.testing.assert_array_equal(np.isfinite(J), finite, err_msg=str(label))
+                    np.testing.assert_array_equal(
+                        np.isfinite(F[:, :n]).all(axis=1), np.isfinite(G).all(axis=1), str(label)
+                    )
+
+                    ok = np.isfinite(G).all(axis=1)
+                    H, H_ref = J[:, :n, :n], ref[:, :n, :n]
+                    if rows > 1:
+                        assert F[ok, :n].tobytes() == G[ok].tobytes(), label
+                        scale = np.maximum(abs(H_ref), abs(lam)[:, None, None])
+                        slack = 4 * np.spacing(scale)
+                    else:
+                        terms = f.num_terms + 1
+                        slack = 2 * terms * eps * H_abs
+                        gap = abs(F[ok, :n] - G[ok])
+                        assert (gap <= 2 * terms * eps * G_abs[ok]).all(), label
+                    assert (abs(H - H_ref)[finite[:, :n, :n]] <= slack[finite[:, :n, :n]]).all(), label
+
+
 def _singular_start():
     # On x1^3 with lam = 0 the Jacobian rows of x2 and x3 are proportional,
     # so LAPACK rejects the Newton step at this start off the circle x1 = 0.
@@ -975,15 +1096,16 @@ def _singular_start():
 
 def _newton_then_polish(f, X0, lam0, tol):
     """One Newton pass and the multiple-root polish of the rows it flags."""
-    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
+    system = critsolve._newton_system(f)
+    Z, F, Fn, polish = critsolve._newton_polish(system, X0, lam0, accept_tol=tol)
     assert polish.tolist() == [True]
-    critsolve._polish_multiple_roots(f, Z, F, Fn, polish)
+    critsolve._polish_multiple_roots(system, Z, F, Fn, polish)
     return Z[:, :-1], Z[:, -1], Fn <= tol
 
 
 def test_singular_row_converges_through_polish():
     f, x, lam, tol = _singular_start()
-    J = critsolve._system_jacobian(f, x, lam)
+    J = critsolve._system_jacobian(critsolve._newton_system(f), np.column_stack([x, lam]))
     assert not critsolve._solve_steps(J, np.ones((1, 4)))[1].any()
     X, lam, done = _newton_then_polish(f, x, lam, tol)
     assert done.tolist() == [True]
@@ -1084,9 +1206,9 @@ def _count_rows(monkeypatch, name):
     rows = []
     inner = getattr(critsolve, name)
 
-    def counted(f, X, lam):
-        rows.append(X.shape[0])
-        return inner(f, X, lam)
+    def counted(system, Z):
+        rows.append(Z.shape[0])
+        return inner(system, Z)
 
     monkeypatch.setattr(critsolve, name, counted)
     return rows

@@ -33,7 +33,7 @@ from spherecrit import (
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
 from spherecrit._intpoly import _binary_form
-from spherecrit.critsolve import DEFAULT_TOL_CRIT, _system_jacobian
+from spherecrit.critsolve import DEFAULT_TOL_CRIT, _newton_system, _system_jacobian
 from spherecrit.degeneracy import OracleResult, _determinant_zero_bound
 from conftest import unit
 
@@ -211,10 +211,10 @@ def test_witness_reconstruction_validates_converse():
 
 
 def test_bordered_matrix_weighted_quadratic(diag123):
-    # The one bordered builder is the Newton Jacobian: the bordered matrix
-    # [[H - lam I, x], [x^T, 0]] with its last (lam) column negated.
+    # The Newton Jacobian is the bordered matrix [[H - lam I, x], [x^T, 0]]
+    # with its last (lam) column negated.
     X = np.array([[1.0, 0.0, 0.0]])
-    matrices = _system_jacobian(diag123, X, np.array([1.0]))
+    matrices = _system_jacobian(_newton_system(diag123), np.array([[1.0, 0.0, 0.0, 1.0]]))
     hand = np.array(
         [
             [0.0, 0.0, 0.0, -1.0],
@@ -230,8 +230,7 @@ def test_bordered_matrix_weighted_quadratic(diag123):
 
 def _reference_bordered(H, X, lam):
     """The bordered matrices [[H - lam I, x], [x^T, 0]] built directly: the
-    reference that bordered_determinants, taken from the Newton Jacobian,
-    must match bit for bit."""
+    reference that bordered_determinants must match bit for bit."""
     k, n = X.shape
     M = np.zeros((k, n + 1, n + 1))
     M[:, :n, :n] = H
@@ -265,8 +264,8 @@ def test_bordered_determinants_bitwise_equal_reference_on_random_forms():
 
 def test_bordered_determinants_keep_the_sign_of_exact_zeros():
     # The constructed degenerate families hold exact zeros.  The reference
-    # returns +0.0 there, and so must 0.0 - det(J): unary negation would
-    # give -0.0, which `detect` would print.
+    # returns +0.0 there, and so must bordered_determinants: a -0.0 would
+    # be printed by `detect`.
     zeros = 0
     for n in range(2, 6):
         families = [axis_monomial(n, d) for d in (3, 4, 5)]
