@@ -82,18 +82,21 @@ def basis_size(n: int, d: int) -> int:
     return math.comb(n + d - 1, d)
 
 
-def _powers_table(pts: np.ndarray, dmax: int) -> np.ndarray:
-    """table[k, i, e] = pts[k, i]**e for e = 0..dmax, built by repeated multiply.
+def _powers_table(pts: np.ndarray, rows: int, dmax: int) -> np.ndarray:
+    """table[r, i, e] = pts[r, i]**e for e = 0..dmax, built by repeated
+    multiply, with zero rows after the points up to ``rows``.
 
     One table is shared by a bundle's columns evaluated at the same points,
     which replaces per-term float pow calls with gathers.  It is a view of
-    one contiguous (k, n) plane per exponent, so each multiply runs over
+    one contiguous (rows, n) plane per exponent, so each multiply runs over
     contiguous memory.
     """
-    planes = np.empty((dmax + 1,) + pts.shape)
+    planes = np.zeros((dmax + 1, rows, pts.shape[1]))
     planes[0] = 1.0
-    for e in range(1, dmax + 1):
-        np.multiply(planes[e - 1], pts, out=planes[e])
+    if dmax:
+        planes[1, : pts.shape[0]] = pts
+    for e in range(2, dmax + 1):
+        np.multiply(planes[e - 1], planes[1], out=planes[e])
     return planes.transpose(1, 2, 0)
 
 
@@ -102,9 +105,16 @@ def _polynomial_map(
 ) -> np.ndarray:
     """value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c], for the pool of
     monomials with exponent rows ``exps`` (powers up to ``dmax``): one powers
-    table, one gather and product, one GEMM."""
-    table = _powers_table(pts, dmax)
-    return table[:, np.arange(pts.shape[1]), exps].prod(axis=2) @ weights
+    table, one gather and product, one GEMM.
+
+    numpy hands a one-row batch, and every one-column map, to BLAS gemv,
+    which groups a dot product's terms by the row count modulo 4.  So the
+    points are padded with zero rows to a multiple of 4, at least 4: a
+    row's bits then do not depend on the rows evaluated with it.
+    """
+    k = pts.shape[0]
+    table = _powers_table(pts, max(4, -(-k // 4) * 4), dmax)
+    return (table[:, np.arange(pts.shape[1]), exps].prod(axis=2) @ weights)[:k]
 
 
 class _BundlePlan(NamedTuple):

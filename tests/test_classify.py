@@ -16,6 +16,7 @@ from spherecrit import (
     axis_monomial,
     classify_all,
     classify_point,
+    find_critical_pairs,
     random_polynomial,
     scaled_tolerance,
     weighted_axis_quadratic,
@@ -302,3 +303,20 @@ def test_verdicts_invariant_under_scaling_above_unit_norm(n, d):
             )
         ]
         assert summaries == summaries[:1] * 6, (n, d, seed)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (3, 5)])
+def test_analysis_is_exact_under_the_antipodal_map(n, d):
+    # f(-x) = (-1)^d f(x) exactly in floating point, and the solver returns
+    # every row's mirror bitwise, so the analysis of the mirror rows gives
+    # lam(-x) = (-1)^d lam(x), the same residual and, for even d, the same
+    # Hessian and margin, bit for bit, whatever their positions in the batch.
+    for seed in range(10):
+        f = random_polynomial(n, d, [24, n, d, seed])
+        X = find_critical_pairs(f, SolverConfig(seed=seed)).X
+        mirror = [np.flatnonzero((X == -x).all(axis=1))[0] for x in X]
+        a = analyze_points(f, X)
+        assert a.lam[mirror].tobytes() == ((-1.0) ** d * a.lam).tobytes(), seed
+        assert a.residuals[mirror].tobytes() == a.residuals.tobytes(), seed
+        if d % 2 == 0:
+            assert a.margins[mirror].tobytes() == a.margins.tobytes(), seed

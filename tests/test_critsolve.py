@@ -1010,8 +1010,7 @@ def test_solve_steps_flags_singular_row():
 
 def _explicit_system(f, Z):
     """The residual's gradient rows and the Jacobian assembled around the
-    jets at the rows z = (x, lam) of Z, and the sums of the absolute terms
-    of each entry of both."""
+    jets at the rows z = (x, lam) of Z."""
     k, n = Z.shape[0], f.n
     X, lam = Z[:, :n], Z[:, n]
     G = f.gradient_many(X) - lam[:, None] * X
@@ -1022,10 +1021,7 @@ def _explicit_system(f, Z):
     J[:, :n, n] = -X
     J[:, n, :n] = X
     J[:, n, n] = 0.0
-    f_abs = HomogeneousPolynomial(n, f.d, {e: abs(c) for e, c in f.terms.items()})
-    G_abs = f_abs.gradient_many(abs(X)) + abs(lam[:, None] * X)
-    H_abs = f_abs.hessian_many(abs(X)) + abs(lam)[:, None, None] * np.eye(n)
-    return G, J, G_abs, H_abs
+    return G, J
 
 
 @np.errstate(all="ignore")
@@ -1033,14 +1029,11 @@ def test_system_map_matches_explicit_assembly():
     # The kernel's two entry points evaluate the system as one polynomial
     # map of z = (x, lam) each.  The sphere row, the border -x, x and the
     # corner are written apart, so they keep their bits and signs of zeros,
-    # and non-finite entries stay where the explicit assembly has them.  A
-    # GEMM over two rows or more sums each entry in pool order, lam's term
-    # last, so the gradient rows are the explicit ones bit for bit and the
-    # Hessian block lies within 4 ulp of max(|H_ij|, |lam|).  numpy hands a
-    # one-row batch to gemv, which may group the terms of a dot product
-    # otherwise, so there each entry lies within the error bound of a dot
-    # product of its terms, 2 (terms + 1) eps times their absolute sum.
-    eps = np.finfo(float).eps
+    # and non-finite entries stay where the explicit assembly has them.  The
+    # kernel pads every batch to four rows or more, so its GEMM sums each
+    # entry in pool order, lam's term last, one row as any other: the
+    # gradient rows are the explicit ones bit for bit and the Hessian block
+    # lies within 4 ulp of max(|H_ij|, |lam|).
     rng = np.random.default_rng(35)
     for n in range(1, 6):
         for d in range(1, 7):
@@ -1058,7 +1051,7 @@ def test_system_map_matches_explicit_assembly():
                     Z = np.column_stack([X, lam])
                     F = critsolve._system_residual(system, Z)
                     J = critsolve._system_jacobian(system, Z)
-                    G, ref, G_abs, H_abs = _explicit_system(f, Z)
+                    G, ref = _explicit_system(f, Z)
                     label = (n, d, f.coefficient_norm, rows)
 
                     sphere = 0.5 * (np.einsum("ij,ij->i", X, X) - 1.0)
@@ -1073,16 +1066,34 @@ def test_system_map_matches_explicit_assembly():
 
                     ok = np.isfinite(G).all(axis=1)
                     H, H_ref = J[:, :n, :n], ref[:, :n, :n]
-                    if rows > 1:
-                        assert F[ok, :n].tobytes() == G[ok].tobytes(), label
-                        scale = np.maximum(abs(H_ref), abs(lam)[:, None, None])
-                        slack = 4 * np.spacing(scale)
-                    else:
-                        terms = f.num_terms + 1
-                        slack = 2 * terms * eps * H_abs
-                        gap = abs(F[ok, :n] - G[ok])
-                        assert (gap <= 2 * terms * eps * G_abs[ok]).all(), label
+                    assert F[ok, :n].tobytes() == G[ok].tobytes(), label
+                    slack = 4 * np.spacing(np.maximum(abs(H_ref), abs(lam)[:, None, None]))
                     assert (abs(H - H_ref)[finite[:, :n, :n]] <= slack[finite[:, :n, :n]]).all(), label
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (3, 4), (4, 3), (3, 5), (2, 6)])
+def test_kernel_rows_do_not_depend_on_the_batch(n, d):
+    # Every kernel gives a row the same bits in a batch of any size at any
+    # offset: slices of one seeded batch equal the rows of the full batch.
+    rng = np.random.default_rng([25, n, d])
+    f = random_polynomial(n, d, rng)
+    system = critsolve._newton_system(f)
+    X = rng.standard_normal((155, n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    Z = np.column_stack([X, d * f.evaluate_many(X)])
+    kernels = [
+        lambda rows: f.evaluate_many(X[rows]),
+        lambda rows: f.gradient_many(X[rows]),
+        lambda rows: f.hessian_many(X[rows]),
+        lambda rows: critsolve._system_residual(system, Z[rows]),
+        lambda rows: critsolve._system_jacobian(system, Z[rows]),
+    ]
+    for k, kernel in enumerate(kernels):
+        full = kernel(slice(None))
+        for length in (*range(1, 14), 37, 64):
+            for offset in (0, 5, 155 - length):
+                rows = slice(offset, offset + length)
+                assert kernel(rows).tobytes() == full[rows].tobytes(), (k, length, offset)
 
 
 def _singular_start():
