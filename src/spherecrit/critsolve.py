@@ -36,19 +36,11 @@ whether or not the later starts run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from ._intpoly import _critical_form
-from .polyhom import (
-    HomogeneousPolynomial,
-    ZeroPolynomialError,
-    _derivative_plan,
-    _frozen,
-    _polynomial_map,
-)
+from .polyhom import HomogeneousPolynomial, ZeroPolynomialError
 
 __all__ = [
     "CriticalPair",
@@ -173,102 +165,28 @@ def _reject_zero(f: HomogeneousPolynomial) -> None:
         )
 
 
-class _SystemPlan(NamedTuple):
-    """Support-only plan of the critical-pair system as two polynomial maps of
-    z = (x, lam), shared by every polynomial with one support.
-
-    The residual pool is f's gradient pool (lam-exponent 0) followed by the
-    n products lam x_i; the Jacobian pool is f's Hessian pool followed by
-    lam.  The two weight templates hold the -1 of each lam term (in column
-    i of the residual, on the diagonal of the flattened (n+1) x (n+1)
-    Jacobian) and zeros where f's weights go: the residual's first rows,
-    and the Hessian pool's rows at the Jacobian columns ``upper`` and
-    ``lower`` of each cell of the Hessian's upper triangle.  The residual's
-    last column and the Jacobian's border stay zero: the callers write them.
-    """
-
-    residual_exps: np.ndarray
-    residual_dmax: int
-    residual_template: np.ndarray
-    jacobian_exps: np.ndarray
-    jacobian_dmax: int
-    jacobian_template: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-
-
-@lru_cache(maxsize=256)
-def _system_plan(n: int, support: bytes) -> _SystemPlan:
-    """The plan of every polynomial whose support, as bytes of its (m, n)
-    exponent rows in graded lex order, is ``support``."""
-    order = tuple(map(tuple, np.frombuffer(support, dtype=np.intp).reshape(-1, n).tolist()))
-    (_, gradient, hessian), (rows, cols) = _derivative_plan(n, order)
-    lam_x = np.hstack([np.eye(n, dtype=np.intp), np.ones((n, 1), dtype=np.intp)])
-    residual_exps = np.concatenate([np.pad(gradient.exps, ((0, 0), (0, 1))), lam_x])
-    jacobian_exps = np.pad(hessian.exps, ((0, 1), (0, 1)))
-    jacobian_exps[-1, n] = 1
-    residual_template = np.zeros((residual_exps.shape[0], n + 1))
-    residual_template[-n:, :n] = -np.eye(n)
-    jacobian_template = np.zeros((jacobian_exps.shape[0], (n + 1) ** 2))
-    jacobian_template[-1, : n * (n + 2) : n + 2] = -1.0
-    return _SystemPlan(
-        residual_exps=_frozen(residual_exps),
-        residual_dmax=int(residual_exps.max()),
-        residual_template=_frozen(residual_template),
-        jacobian_exps=_frozen(jacobian_exps),
-        jacobian_dmax=int(jacobian_exps.max()),
-        jacobian_template=_frozen(jacobian_template),
-        upper=_frozen(rows * (n + 1) + cols),
-        lower=_frozen(cols * (n + 1) + rows),
-    )
-
-
-class _NewtonSystem(NamedTuple):
-    """The critical-pair system of one polynomial: its support's plan and the
-    two weight matrices, filled from f's gradient and Hessian weights once
-    per solve."""
-
-    f: HomogeneousPolynomial
-    plan: _SystemPlan
-    residual_weights: np.ndarray
-    jacobian_weights: np.ndarray
-
-
-def _newton_system(f: HomogeneousPolynomial) -> _NewtonSystem:
-    plan = _system_plan(f.n, f._exps.tobytes())
-    _, gradient, hessian = f._weights
-    residual = plan.residual_template.copy()
-    residual[: -f.n, : f.n] = gradient
-    jacobian = plan.jacobian_template.copy()
-    jacobian[:-1, plan.upper] = hessian
-    jacobian[:-1, plan.lower] = hessian
-    return _NewtonSystem(f, plan, residual, jacobian)
-
-
-def _system_residual(system: _NewtonSystem, Z: np.ndarray) -> np.ndarray:
+def _system_residual(f: HomogeneousPolynomial, Z: np.ndarray) -> np.ndarray:
     """F(z) = (grad f(x) - lam x, (x.x - 1)/2) at the rows z = (x, lam) of Z.
 
-    The gradient rows are one polynomial map of z; the sphere row is
-    computed apart, as a GEMM would move its last bit."""
-    plan, n = system.plan, system.f.n
-    F = _polynomial_map(Z, plan.residual_exps, plan.residual_dmax, system.residual_weights)
-    X = Z[:, :n]
-    F[:, n] = 0.5 * (np.einsum("ij,ij->i", X, X) - 1.0)
+    The gradient rows are f's residual bundle, one polynomial map of z; the
+    sphere row is computed apart, as a GEMM would move its last bit."""
+    F = f._jet(1, Z)
+    X = Z[:, : f.n]
+    F[:, f.n] = 0.5 * (np.einsum("ij,ij->i", X, X) - 1.0)
     return F
 
 
-def _system_jacobian(system: _NewtonSystem, Z: np.ndarray) -> np.ndarray:
+def _system_jacobian(f: HomogeneousPolynomial, Z: np.ndarray) -> np.ndarray:
     """Jacobian of the critical-pair system at the rows z = (x, lam) of Z:
     [[hess f(x) - lam I, -x], [x^T, 0]], the bordered matrix with its lam
     column negated; callers handle non-finite entries.
 
-    The Hessian block is one polynomial map of z whose GEMM also subtracts
-    lam, so H_ii - lam is rounded as BLAS sums it.  The border and the
-    corner are written apart: -x and an exact +0.0, signs of zeros kept."""
-    k, n = Z.shape[0], system.f.n
-    plan = system.plan
-    J = _polynomial_map(Z, plan.jacobian_exps, plan.jacobian_dmax, system.jacobian_weights)
-    J = J.reshape(k, n + 1, n + 1)
+    The Hessian block is f's Jacobian bundle, one polynomial map of z whose
+    GEMM also subtracts lam, so H_ii - lam is rounded as BLAS sums it.  The
+    border and the corner are written apart: -x and an exact +0.0, signs of
+    zeros kept."""
+    k, n = Z.shape[0], f.n
+    J = f._jet(2, Z).reshape(k, n + 1, n + 1)
     X = Z[:, :n]
     J[:, :n, n] = -X
     J[:, n, :n] = X
@@ -318,7 +236,7 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
 
 
 def _trial_steps(
-    system: _NewtonSystem, z: np.ndarray, Fz: np.ndarray, solver, scales: np.ndarray
+    f: HomogeneousPolynomial, z: np.ndarray, Fz: np.ndarray, solver, scales: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One Newton-type step from each row (x, lam) of z, whose residual rows
     are Fz, by ``solver`` on the Jacobian with non-finite entries zeroed,
@@ -326,11 +244,11 @@ def _trial_steps(
     mask, the trial rows and their residual rows, both (scales * rows,
     n + 1) with row s * rows + i the step of row i at ``scales[s]``, and the
     residual norms (scales, rows), inf where non-finite or unusable."""
-    J = _system_jacobian(system, z)
+    J = _system_jacobian(f, z)
     J[~np.isfinite(J)] = 0.0
     steps, usable = solver(J, -Fz)
     trial = (z + scales[:, None, None] * steps).reshape(-1, z.shape[1])
-    Ft = _system_residual(system, trial)
+    Ft = _system_residual(f, trial)
     Ftn = _row_norms(Ft).reshape(scales.size, -1)
     Ftn[~(np.isfinite(Ftn) & usable)] = np.inf
     return usable, trial, Ft, Ftn
@@ -339,14 +257,14 @@ def _trial_steps(
 # One error state per solve: wild rows overflow, and the isfinite tests drop them.
 @np.errstate(all="ignore")
 def _newton_polish(
-    system: _NewtonSystem,
+    f: HomogeneousPolynomial,
     X0: np.ndarray,
     lam0: np.ndarray,
     *,
     accept_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton on the critical-pair system of ``system.f``, batched
-    over start rows.
+    """Damped Newton on the critical-pair system of ``f``, batched over
+    start rows.
 
     A row stops once its residual passes the scaled ``DEFAULT_TOL_STOP``, or
     after ``MAX_ITERATIONS`` iterations.
@@ -370,10 +288,9 @@ def _newton_polish(
     left more than 10 % of the residual (linear convergence, or no step at
     all), unless they already lie below the polish floor.
     """
-    f = system.f
     stop_tol = scaled_tolerance(f, DEFAULT_TOL_STOP)
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
-    F = _system_residual(system, Z)
+    F = _system_residual(f, Z)
     Fn = _row_norms(F)
     singular = np.zeros(Fn.size, dtype=bool)
     linear = np.ones(Fn.size, dtype=bool)  # last accepted step kept > 10 % of the residual
@@ -385,7 +302,7 @@ def _newton_polish(
     for _ in range(MAX_ITERATIONS):
         if rows.size == 0:
             break
-        usable, trial, Ft, Ftn = _trial_steps(system, z, Fz, _solve_steps, STEP_LENGTHS)
+        usable, trial, Ft, Ftn = _trial_steps(f, z, Fz, _solve_steps, STEP_LENGTHS)
         if not usable.all():
             singular[rows[~usable]] = True
         ok = Ftn < Fnz
@@ -421,7 +338,7 @@ def _newton_polish(
 
 @np.errstate(all="ignore")
 def _polish_multiple_roots(
-    system: _NewtonSystem, Z: np.ndarray, F: np.ndarray, Fn: np.ndarray, polish: np.ndarray
+    f: HomogeneousPolynomial, Z: np.ndarray, F: np.ndarray, Fn: np.ndarray, polish: np.ndarray
 ) -> None:
     """Multiple-root polish of the masked rows of Z, F and Fn, in place.
 
@@ -437,13 +354,13 @@ def _polish_multiple_roots(
     step cut the residual more than tenfold, so :func:`_newton_polish`
     masks only singular rows and converged rows whose last step did not.
     """
-    floor = scaled_tolerance(system.f, DEFAULT_TOL_POLISH)
+    floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
     rows = np.flatnonzero(polish)
     for _ in range(8):
         if rows.size == 0:
             break
         z, Fz = Z.take(rows, axis=0), F.take(rows, axis=0)
-        _, trial, Ft, Ftn = _trial_steps(system, z, Fz, _lstsq_steps, OVERSHOOT_FACTORS)
+        _, trial, Ft, Ftn = _trial_steps(f, z, Fz, _lstsq_steps, OVERSHOOT_FACTORS)
         cols = np.flatnonzero(Ftn.min(axis=0) < Fn.take(rows))
         pick = Ftn.argmin(axis=0).take(cols) * rows.size + cols  # the earliest of equal trials
         acc = rows.take(cols)
@@ -540,14 +457,13 @@ def _class_bound(n: int, d: int) -> int:
 
 
 def _finish(
-    system: _NewtonSystem, passes: list[tuple], tol: float
+    f: HomogeneousPolynomial, passes: list[tuple], tol: float
 ) -> tuple[CriticalSet, np.ndarray]:
     """The one assembly of a :class:`CriticalSet`: one multiple-root polish and
     one merge over the rows of every Newton pass, each row counted in
     ``starts_used``.  Also returns the merge's hits, per returned row."""
-    f = system.f
     Z, F, Fn, polish = (np.concatenate(parts) for parts in zip(*passes))
-    _polish_multiple_roots(system, Z, F, Fn, polish)
+    _polish_multiple_roots(f, Z, F, Fn, polish)
     ok = Fn <= tol
     X, lam, hits = _collect_pairs(f, Z[ok, : f.n], Z[ok, f.n], Fn[ok])
     found = CriticalSet(X, lam, starts_used=ok.size, converged_fraction=float(np.mean(ok)))
@@ -557,9 +473,8 @@ def _finish(
 def _solve_from(f: HomogeneousPolynomial, X0: np.ndarray) -> CriticalSet:
     """Newton-polish the unit start rows X0 and collect the converged pairs."""
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    system = _newton_system(f)
-    newton = _newton_polish(system, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
-    return _finish(system, [newton], tol)[0]
+    newton = _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
+    return _finish(f, [newton], tol)[0]
 
 
 def _draw_starts(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
@@ -596,23 +511,22 @@ def find_critical_pairs(
         raise ValueError(f"need 1 to {MAX_STARTS} starts, got {starts}")
 
     rng = np.random.default_rng(cfg.seed)
-    system = _newton_system(f)
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     bound = _class_bound(n, d)
     first_round = min((starts + 1) // 2, STARTS_PER_CLASS * bound)
     X0 = _draw_starts(rng, first_round, n)
-    first = _newton_polish(system, X0, d * f.evaluate_many(X0), accept_tol=tol)
+    first = _newton_polish(f, X0, d * f.evaluate_many(X0), accept_tol=tol)
     _, _, Fn, polish = first
     # One class reached MIN_CLASS_HITS times needs that many converged rows.
     if np.count_nonzero(Fn <= tol) >= MIN_CLASS_HITS and not polish.any():
-        found, hits = _finish(system, [first], tol)
+        found, hits = _finish(f, [first], tol)
         k = found.lam.size // 2
         # A generic form has at most B classes, so k = B leaves none unseen.
         if k == bound or (1 <= k < bound and (bound - k) % 2 == 0 and hits.min() >= MIN_CLASS_HITS):
             return found
     X0 = _draw_starts(rng, starts - first_round, n)
-    second = _newton_polish(system, X0, d * f.evaluate_many(X0), accept_tol=tol)
-    return _finish(system, [first, second], tol)[0]
+    second = _newton_polish(f, X0, d * f.evaluate_many(X0), accept_tol=tol)
+    return _finish(f, [first, second], tol)[0]
 
 
 def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:

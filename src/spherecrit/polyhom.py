@@ -82,61 +82,52 @@ def basis_size(n: int, d: int) -> int:
     return math.comb(n + d - 1, d)
 
 
-def _powers_table(pts: np.ndarray, rows: int, dmax: int) -> np.ndarray:
-    """table[r, i, e] = pts[r, i]**e for e = 0..dmax, built by repeated
-    multiply, with zero rows after the points up to ``rows``.
-
-    One table is shared by a bundle's columns evaluated at the same points,
-    which replaces per-term float pow calls with gathers.  It is a view of
-    one contiguous (rows, n) plane per exponent, so each multiply runs over
-    contiguous memory.
-    """
-    planes = np.zeros((dmax + 1, rows, pts.shape[1]))
-    planes[0] = 1.0
-    if dmax:
-        planes[1, : pts.shape[0]] = pts
-    for e in range(2, dmax + 1):
-        np.multiply(planes[e - 1], planes[1], out=planes[e])
-    return planes.transpose(1, 2, 0)
-
-
-def _polynomial_map(
-    pts: np.ndarray, exps: np.ndarray, dmax: int, weights: np.ndarray
-) -> np.ndarray:
-    """value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c], for the pool of
-    monomials with exponent rows ``exps`` (powers up to ``dmax``): one powers
-    table, one gather and product, one GEMM.
-
-    numpy hands a one-row batch, and every one-column map, to BLAS gemv,
-    which groups a dot product's terms by the row count modulo 4.  So the
-    points are padded with zero rows to a multiple of 4, at least 4: a
-    row's bits then do not depend on the rows evaluated with it.
-    """
-    k = pts.shape[0]
-    table = _powers_table(pts, max(4, -(-k // 4) * 4), dmax)
-    return (table[:, np.arange(pts.shape[1]), exps].prod(axis=2) @ weights)[:k]
-
-
 class _BundlePlan(NamedTuple):
     """Support-only plan of one jet bundle, shared by every polynomial with
     one support; each polynomial keeps only its weight matrix.
 
     ``exps`` is the monomial pool (rows in order of first appearance); with
     ``dmax`` it indexes the powers table, so that
-    value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c].  Entry t of the
-    index arrays puts ``(coefs[source[t]] * a[t]) * b[t]`` into weight cell
+    value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c].  ``template``
+    holds the weights no coefficient sets, and zeros where the
+    coefficients go: entry t of the index arrays puts
+    ``(coefs[source[t]] * a[t]) * b[t]`` into weight cell
     ``(rows[t], columns[t])``, where ``a`` and ``b`` are the exponents
     brought down by the first and second derivative (1 where none was).
     """
 
     exps: np.ndarray
     dmax: int
-    shape: tuple[int, int]
+    template: np.ndarray
     rows: np.ndarray
     columns: np.ndarray
     source: np.ndarray
     a: np.ndarray
     b: np.ndarray
+
+
+def _polynomial_map(pts: np.ndarray, plan: _BundlePlan, weights: np.ndarray) -> np.ndarray:
+    """value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c] over the pool
+    of ``plan``: one powers table, one gather and product, one GEMM.  Points
+    with fewer coordinates than the pool's variables take 0 for the rest.
+
+    The table, table[r, i, e] = pts[r, i]**e for e = 0..dmax, is built by
+    repeated multiply over one contiguous plane per exponent, which
+    replaces per-term float pow calls with gathers.  numpy hands a one-row
+    batch, and every one-column map, to BLAS gemv, which groups a dot
+    product's terms by the row count modulo 4.  So the points are padded
+    with zero rows to a multiple of 4, at least 4: a row's bits then do not
+    depend on the rows evaluated with it.
+    """
+    (k, n), width = pts.shape, plan.exps.shape[1]
+    planes = np.zeros((plan.dmax + 1, max(4, -(-k // 4) * 4), width))
+    planes[0] = 1.0
+    if plan.dmax:
+        planes[1, :k, :n] = pts
+    for e in range(2, plan.dmax + 1):
+        np.multiply(planes[e - 1], planes[1], out=planes[e])
+    table = planes.transpose(1, 2, 0)
+    return (table[:, np.arange(width), plan.exps].prod(axis=2) @ weights)[:k]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -145,13 +136,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _bundle_plan(
-    n: int, order: tuple[Monomial, ...], columns: list[tuple[int, ...]]
+    width: int,
+    order: tuple[Monomial, ...],
+    columns: list[tuple[int, ...] | None],
+    lam_terms: list[tuple[Monomial, list[int]]],
 ) -> _BundlePlan:
     """Plan of the bundle whose column c differentiates the polynomial with
-    support ``order`` by the variables ``columns[c]`` (none, one or two)."""
+    support ``order`` by the variables ``columns[c]`` (none, one or two, in
+    ascending order), or is zero where that is None.  The pool ends with
+    the monomials ``lam_terms``, each with weight -1 in its columns."""
     index: dict[Monomial, int] = {}
     entries = []
     for c, variables in enumerate(columns):
+        if variables is None:
+            continue
         for k, exp in enumerate(order):
             lowered, brought = list(exp), [1, 1]
             for t, i in enumerate(variables):
@@ -159,12 +157,15 @@ def _bundle_plan(
                 lowered[i] -= 1
             if min(lowered) >= 0:
                 entries.append((index.setdefault(tuple(lowered), len(index)), c, k, *brought))
-    exps = _frozen(np.array(list(index), dtype=np.intp).reshape(len(index), n))
+    template = np.zeros((len(index) + len(lam_terms), len(columns)))
+    for exp, cells in lam_terms:
+        template[index.setdefault(exp, len(index)), cells] = -1.0
+    exps = _frozen(np.array(list(index), dtype=np.intp).reshape(len(index), width))
     rows, weight_cols, source, a, b = _frozen(np.array(entries, dtype=np.intp).reshape(-1, 5).T)
     return _BundlePlan(
         exps=exps,
         dmax=int(exps.max(initial=0)),
-        shape=(len(index), len(columns)),
+        template=_frozen(template),
         rows=rows,
         columns=weight_cols,
         source=source,
@@ -174,19 +175,23 @@ def _bundle_plan(
 
 
 @lru_cache(maxsize=256)
-def _derivative_plan(
-    n: int, order: tuple[Monomial, ...]
-) -> tuple[tuple[_BundlePlan, ...], tuple[np.ndarray, np.ndarray]]:
-    """Bundle plans of the value, gradient and Hessian of every polynomial
-    whose support is ``order`` (graded lex), and the Hessian's upper
-    triangle in the order of the Hessian columns; all arrays read-only."""
-    triangle = tuple(_frozen(t) for t in np.triu_indices(n))
-    plans = (
-        _bundle_plan(n, order, [()]),
-        _bundle_plan(n, order, [(i,) for i in range(n)]),
-        _bundle_plan(n, order, list(zip(*triangle))),
+def _derivative_plan(n: int, order: tuple[Monomial, ...]) -> tuple[_BundlePlan, ...]:
+    """Bundle plans of every polynomial f whose support is ``order`` (graded
+    lex), all arrays read-only: f's value at x, and the critical-pair
+    system's residual rows grad f(x) - lam x (last column zero) and Jacobian
+    block hess f(x) - lam I (row-major (n+1) x (n+1), border zero) at
+    z = (x, lam).  Both cells (i, j) and (j, i) of the Jacobian take the
+    variables in ascending order, so their weights are rounded alike."""
+    z_order = tuple(exp + (0,) for exp in order)
+    lam = (0,) * n + (1,)
+    lam_x = [(lam[:i] + (1,) + lam[i + 1 :], [i]) for i in range(n)]  # lam x_i in column i
+    diagonal = list(range(0, n * (n + 2), n + 2))  # the cells (i, i), i < n
+    cells = [None if n in ij else tuple(sorted(ij)) for ij in itertools.product(range(n + 1), repeat=2)]
+    return (
+        _bundle_plan(n, order, [()], []),
+        _bundle_plan(n + 1, z_order, [(i,) for i in range(n)] + [None], lam_x),
+        _bundle_plan(n + 1, z_order, cells, [(lam, diagonal)]),
     )
-    return plans, triangle
 
 
 def _check_shape(n, d) -> None:
@@ -200,11 +205,13 @@ class HomogeneousPolynomial:
     """Immutable homogeneous polynomial of degree ``d`` in ``n`` variables.
 
     Everything that depends only on the support (the sorted exponent rows,
-    the monomial pools of the value, gradient and Hessian bundles, where
-    each coefficient lands in their weights, and the Hessian's triangle) is
-    a read-only derivative plan, cached per ``(n, support)`` and shared by
-    all polynomials with that support.  Construction validates the terms and
-    fills this instance's own three weight matrices from the plans.
+    the monomial pools of the value bundle and of the critical-pair system
+    grad f(x) - lam x, hess f(x) - lam I in z = (x, lam), and where each
+    coefficient lands in their weights) is a read-only derivative plan,
+    cached per ``(n, support)`` and shared by all polynomials with that
+    support.  The gradient and the Hessian are the system at lam = 0.
+    Construction validates the terms and fills this instance's own three
+    weight matrices from the plans.
     Instances never mutate afterwards and are safe to share read-only across
     concurrent workers.  All methods are pure.
     """
@@ -217,7 +224,6 @@ class HomogeneousPolynomial:
         "_norm",
         "_plans",
         "_weights",
-        "_triangle",
     )
 
     def __init__(self, n: int, d: int, terms: Mapping[Monomial, float]):
@@ -257,8 +263,8 @@ class HomogeneousPolynomial:
         self._n = n
         self._d = d
         self._coefs = coefs
-        self._plans, self._triangle = _derivative_plan(n, order)
-        self._weights = tuple(np.zeros(plan.shape) for plan in self._plans)
+        self._plans = _derivative_plan(n, order)
+        self._weights = tuple(plan.template.copy() for plan in self._plans)
         for plan, weights in zip(self._plans, self._weights):
             # Each (row, column) cell occurs at most once, so assignment is
             # the sum over terms.
@@ -324,9 +330,11 @@ class HomogeneousPolynomial:
         return x
 
     def _jet(self, k: int, pts: np.ndarray) -> np.ndarray:
-        """Bundle k (0 value, 1 gradient, 2 Hessian triangle) at the rows of ``pts``."""
-        plan = self._plans[k]
-        return _polynomial_map(pts, plan.exps, plan.dmax, self._weights[k])
+        """Bundle k at the rows of ``pts``: 0 the value at x; 1 the residual
+        rows grad f(x) - lam x, last column 0, and 2 the flattened Jacobian
+        block hess f(x) - lam I, border 0, at z = (x, lam), or at (x, 0)
+        for rows x."""
+        return _polynomial_map(pts, self._plans[k], self._weights[k])
 
     def evaluate(self, x) -> float:
         """Value of the polynomial at a point of length ``n``."""
@@ -344,7 +352,7 @@ class HomogeneousPolynomial:
 
     def gradient_many(self, pts) -> np.ndarray:
         """Gradients at many points, shape (k, n) for ``pts`` of shape (k, n)."""
-        return self._jet(1, self._as_matrix(pts))
+        return self._jet(1, self._as_matrix(pts))[:, : self._n]
 
     def hessian(self, x) -> np.ndarray:
         """Symmetric Hessian at a point; satisfies hess f(x) x = (d-1) grad f(x)."""
@@ -353,13 +361,8 @@ class HomogeneousPolynomial:
 
     def hessian_many(self, pts) -> np.ndarray:
         """Hessians at many points, shape (k, n, n), each one symmetric."""
-        pts = self._as_matrix(pts)
-        vals = self._jet(2, pts)
-        rows, cols = self._triangle
-        H = np.empty((pts.shape[0], self._n, self._n))
-        H[:, rows, cols] = vals
-        H[:, cols, rows] = vals
-        return H
+        pts, n = self._as_matrix(pts), self._n
+        return self._jet(2, pts).reshape(pts.shape[0], n + 1, n + 1)[:, :n, :n]
 
     def coefficient_vector(self) -> np.ndarray:
         """Dense coefficient vector in the fixed graded-lex monomial order."""

@@ -437,17 +437,16 @@ def test_lazy_second_round_matches_up_front_draw(monkeypatch, f, seed):
     X0 = _unit_starts(f.n, starts, seed)
     lam0 = f.d * f.evaluate_many(X0)
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    system = critsolve._newton_system(f)
     rounds = (slice(None, first_round), slice(first_round, None))
-    passes = [critsolve._newton_polish(system, X0[r], lam0[r], accept_tol=tol) for r in rounds]
-    reference = critsolve._finish(system, passes, tol)[0]
+    passes = [critsolve._newton_polish(f, X0[r], lam0[r], accept_tol=tol) for r in rounds]
+    reference = critsolve._finish(f, passes, tol)[0]
 
     drawn = []
     inner = critsolve._newton_polish
 
-    def recorded(system, X0, lam0, **kwargs):
+    def recorded(f, X0, lam0, **kwargs):
         drawn.append((X0, lam0))
-        return inner(system, X0, lam0, **kwargs)
+        return inner(f, X0, lam0, **kwargs)
 
     monkeypatch.setattr(critsolve, "_newton_polish", recorded)
     found = find_critical_pairs(f, SolverConfig(seed=seed))
@@ -468,9 +467,8 @@ def _first_round(f, config):
     first_round = min((starts + 1) // 2, critsolve.STARTS_PER_CLASS * bound)
     X0 = _unit_starts(f.n, starts, config.seed)[:first_round]
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    system = critsolve._newton_system(f)
     lam0 = f.d * f.evaluate_many(X0)
-    Z, _, Fn, polish = critsolve._newton_polish(system, X0, lam0, accept_tol=tol)
+    Z, _, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
     ok = Fn <= tol
     _, lam, hits = critsolve._collect_pairs(f, Z[ok, :-1], Z[ok, -1], Fn[ok])
     k = lam.size // 2
@@ -680,7 +678,7 @@ def test_collect_pairs_closure_on_critical_subsphere():
 
 
 def _sequential_halving_polish(
-    system,
+    f,
     X0,
     lam0,
     *,
@@ -699,11 +697,10 @@ def _sequential_halving_polish(
     ``max_slow_steps`` the number of consecutive slow iterations that
     abandons a row.
     """
-    f = system.f
     stop_tol = scaled_tolerance(f, DEFAULT_TOL_STOP)
     Z = np.concatenate([np.asarray(X0, float), np.asarray(lam0, float)[:, None]], axis=1)
     with np.errstate(all="ignore"):
-        F = critsolve._system_residual(system, Z)
+        F = critsolve._system_residual(f, Z)
     Fn = np.linalg.norm(F, axis=1)
     active = np.isfinite(Fn)
     singular = np.zeros(Z.shape[0], dtype=bool)
@@ -715,7 +712,7 @@ def _sequential_halving_polish(
         if rows.size == 0:
             break
         with np.errstate(all="ignore"):
-            J = critsolve._system_jacobian(system, Z[rows])
+            J = critsolve._system_jacobian(f, Z[rows])
             J[~np.isfinite(J)] = 0.0
             steps, usable = critsolve._solve_steps(J, -F[rows])
         singular[rows[~usable]] = True
@@ -729,7 +726,7 @@ def _sequential_halving_polish(
             sub = rows[trying]
             trial = Z[sub] + t[trying, None] * steps[trying]
             with np.errstate(all="ignore"):
-                Ft = critsolve._system_residual(system, trial)
+                Ft = critsolve._system_residual(f, trial)
             Ftn = np.linalg.norm(Ft, axis=1)
             ok = np.isfinite(Ftn) & (Ftn < Fn[sub])
             acc = sub[ok]
@@ -749,16 +746,16 @@ def _sequential_halving_polish(
     return Z, F, Fn, (((Fn <= accept_tol) & linear) | singular) & (Fn > floor)
 
 
-def _reference_root_polish(system, Z, F, Fn, polish):
+def _reference_root_polish(f, Z, F, Fn, polish):
     """Reference multiple-root polish, in place: each round moves a row to
     the best of its three trial points, if that lowers its residual."""
-    floor = scaled_tolerance(system.f, DEFAULT_TOL_POLISH)
+    floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
     polish = np.flatnonzero(polish)
     for _ in range(8):
         if polish.size == 0:
             break
         with np.errstate(all="ignore"):
-            J = critsolve._system_jacobian(system, Z[polish])
+            J = critsolve._system_jacobian(f, Z[polish])
             J[~np.isfinite(J)] = 0.0
             steps, usable = critsolve._lstsq_steps(J, -F[polish])
         best_norm = Fn[polish].copy()
@@ -768,7 +765,7 @@ def _reference_root_polish(system, Z, F, Fn, polish):
         for factor in (1.0, 2.0, 3.0):
             trial = Z[polish] + factor * steps
             with np.errstate(all="ignore"):
-                Ft = critsolve._system_residual(system, trial)
+                Ft = critsolve._system_residual(f, trial)
             Ftn = np.linalg.norm(Ft, axis=1)
             better = usable & np.isfinite(Ftn) & (Ftn < best_norm)
             best_z[better] = trial[better]
@@ -811,12 +808,11 @@ def test_step_ladder_matches_sequential_halving(f):
     X0 /= np.linalg.norm(X0, axis=1)[:, None]
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     lam0 = f.d * f.evaluate_many(X0)
-    system = critsolve._newton_system(f)
-    Z, F, Fn, polish = critsolve._newton_polish(system, X0, lam0, accept_tol=tol)
-    Z_ref, F_ref, Fn_ref, polish_ref = _sequential_halving_polish(system, X0, lam0, accept_tol=tol)
+    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
+    Z_ref, F_ref, Fn_ref, polish_ref = _sequential_halving_polish(f, X0, lam0, accept_tol=tol)
     np.testing.assert_array_equal(polish, polish_ref)
-    critsolve._polish_multiple_roots(system, Z, F, Fn, polish)
-    _reference_root_polish(system, Z_ref, F_ref, Fn_ref, polish_ref)
+    critsolve._polish_multiple_roots(f, Z, F, Fn, polish)
+    _reference_root_polish(f, Z_ref, F_ref, Fn_ref, polish_ref)
     done = Fn <= tol
     np.testing.assert_array_equal(done, Fn_ref <= tol)
     np.testing.assert_allclose(Z[done], Z_ref[done], rtol=0.0, atol=1e-12)
@@ -967,9 +963,9 @@ def test_early_abandon_keeps_every_critical_class(monkeypatch):
     reference = functools.partial(_sequential_halving_polish, max_halvings=30, max_slow_steps=8)
     polished = []
 
-    def counted(system, X0, lam0, **kwargs):
+    def counted(f, X0, lam0, **kwargs):
         polished.append(X0.shape[0])
-        return reference(system, X0, lam0, **kwargs)
+        return reference(f, X0, lam0, **kwargs)
 
     monkeypatch.setattr(critsolve, "_newton_polish", counted)
     two_pass = 0
@@ -1039,7 +1035,6 @@ def test_system_map_matches_explicit_assembly():
         for d in range(1, 7):
             base = random_polynomial(n, d, rng)
             for f in (base, _rescaled(base, 1e-12), _rescaled(base, 1e150)):
-                system = critsolve._newton_system(f)
                 for rows in (1, 2, 7, 64):
                     X = rng.standard_normal((rows, n))
                     X /= np.linalg.norm(X, axis=1, keepdims=True)
@@ -1049,8 +1044,8 @@ def test_system_map_matches_explicit_assembly():
                         X[1, -1], lam[1] = -0.0, 0.0
                         X[-1] *= 1e200  # overflows from d = 2 on
                     Z = np.column_stack([X, lam])
-                    F = critsolve._system_residual(system, Z)
-                    J = critsolve._system_jacobian(system, Z)
+                    F = critsolve._system_residual(f, Z)
+                    J = critsolve._system_jacobian(f, Z)
                     G, ref = _explicit_system(f, Z)
                     label = (n, d, f.coefficient_norm, rows)
 
@@ -1077,7 +1072,6 @@ def test_kernel_rows_do_not_depend_on_the_batch(n, d):
     # offset: slices of one seeded batch equal the rows of the full batch.
     rng = np.random.default_rng([25, n, d])
     f = random_polynomial(n, d, rng)
-    system = critsolve._newton_system(f)
     X = rng.standard_normal((155, n))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     Z = np.column_stack([X, d * f.evaluate_many(X)])
@@ -1085,8 +1079,8 @@ def test_kernel_rows_do_not_depend_on_the_batch(n, d):
         lambda rows: f.evaluate_many(X[rows]),
         lambda rows: f.gradient_many(X[rows]),
         lambda rows: f.hessian_many(X[rows]),
-        lambda rows: critsolve._system_residual(system, Z[rows]),
-        lambda rows: critsolve._system_jacobian(system, Z[rows]),
+        lambda rows: critsolve._system_residual(f, Z[rows]),
+        lambda rows: critsolve._system_jacobian(f, Z[rows]),
     ]
     for k, kernel in enumerate(kernels):
         full = kernel(slice(None))
@@ -1107,16 +1101,15 @@ def _singular_start():
 
 def _newton_then_polish(f, X0, lam0, tol):
     """One Newton pass and the multiple-root polish of the rows it flags."""
-    system = critsolve._newton_system(f)
-    Z, F, Fn, polish = critsolve._newton_polish(system, X0, lam0, accept_tol=tol)
+    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
     assert polish.tolist() == [True]
-    critsolve._polish_multiple_roots(system, Z, F, Fn, polish)
+    critsolve._polish_multiple_roots(f, Z, F, Fn, polish)
     return Z[:, :-1], Z[:, -1], Fn <= tol
 
 
 def test_singular_row_converges_through_polish():
     f, x, lam, tol = _singular_start()
-    J = critsolve._system_jacobian(critsolve._newton_system(f), np.column_stack([x, lam]))
+    J = critsolve._system_jacobian(f, np.column_stack([x, lam]))
     assert not critsolve._solve_steps(J, np.ones((1, 4)))[1].any()
     X, lam, done = _newton_then_polish(f, x, lam, tol)
     assert done.tolist() == [True]
@@ -1217,9 +1210,9 @@ def _count_rows(monkeypatch, name):
     rows = []
     inner = getattr(critsolve, name)
 
-    def counted(system, Z):
+    def counted(f, Z):
         rows.append(Z.shape[0])
-        return inner(system, Z)
+        return inner(f, Z)
 
     monkeypatch.setattr(critsolve, name, counted)
     return rows

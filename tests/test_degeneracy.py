@@ -33,7 +33,7 @@ from spherecrit import (
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
 from spherecrit._intpoly import _binary_form
-from spherecrit.critsolve import DEFAULT_TOL_CRIT, _newton_system, _system_jacobian
+from spherecrit.critsolve import DEFAULT_TOL_CRIT, _system_jacobian
 from spherecrit.degeneracy import OracleResult, _determinant_zero_bound
 from conftest import unit
 
@@ -214,7 +214,7 @@ def test_bordered_matrix_weighted_quadratic(diag123):
     # The Newton Jacobian is the bordered matrix [[H - lam I, x], [x^T, 0]]
     # with its last (lam) column negated.
     X = np.array([[1.0, 0.0, 0.0]])
-    matrices = _system_jacobian(_newton_system(diag123), np.array([[1.0, 0.0, 0.0, 1.0]]))
+    matrices = _system_jacobian(diag123, np.array([[1.0, 0.0, 0.0, 1.0]]))
     hand = np.array(
         [
             [0.0, 0.0, 0.0, -1.0],

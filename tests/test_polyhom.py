@@ -392,20 +392,29 @@ def test_terms_property_returns_copy():
 
 def _reference_bundles(f):
     """The term-set construction the derivative plan replaced: per-polynomial
-    term lists, merged into one monomial pool per bundle."""
+    term lists, merged into one monomial pool per bundle.  The residual and
+    Jacobian bundles are in z = (x, lam), their columns f's partials and the
+    Hessian's (n+1) x (n+1) cells, row-major with a zero border, and their
+    pools end with the lam terms.  Returns (exps, dmax, weights, template)
+    per bundle, the template holding only the lam terms' -1 weights."""
     n = f.n
 
-    def bundle(term_sets):
+    def bundle(term_sets, width, lam_terms):
         index = {}
         for exps, _ in term_sets:
             for exp in exps:
                 index.setdefault(exp, len(index))
-        weights = np.zeros((len(index), len(term_sets)))
+        for exp, _ in lam_terms:
+            index[exp] = len(index)
+        template = np.zeros((len(index), len(term_sets)))
+        for exp, cols in lam_terms:
+            template[index[exp], cols] = -1.0
+        weights = template.copy()
         for c, (exps, coefs) in enumerate(term_sets):
             for exp, coef in zip(exps, coefs):
                 weights[index[exp], c] += coef
-        exps = np.array(list(index), dtype=np.intp).reshape(len(index), n)
-        return exps, int(exps.max(initial=0)), weights
+        exps = np.array(list(index), dtype=np.intp).reshape(len(index), width)
+        return exps, int(exps.max(initial=0)), weights, template
 
     def differentiate(term_set, i):
         lowered = [
@@ -416,23 +425,35 @@ def _reference_bundles(f):
         return [e for e, _ in lowered], [c for _, c in lowered]
 
     order = sorted(f.terms, reverse=True)
-    base = (order, [f.terms[e] for e in order])
-    partials = [differentiate(base, i) for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    hessian = [differentiate(partials[i], j) for i, j in pairs]
-    return [bundle([base]), bundle(partials), bundle(hessian)], pairs
+    coefs = [f.terms[e] for e in order]
+    partials = [differentiate(([e + (0,) for e in order], coefs), i) for i in range(n)]
+    zero = ([], [])
+    cells = [
+        differentiate(partials[min(i, j)], max(i, j)) if max(i, j) < n else zero
+        for i in range(n + 1)
+        for j in range(n + 1)
+    ]
+    lam = (0,) * n + (1,)
+    lam_x = [(lam[:i] + (1,) + lam[i + 1 :], [i]) for i in range(n)]
+    diagonal = [(lam, [i * (n + 2) for i in range(n)])]
+    return [
+        bundle([(order, coefs)], n, []),
+        bundle(partials + [zero], n + 1, lam_x),
+        bundle(cells, n + 1, diagonal),
+    ]
 
 
 def _assert_matches_reference(f):
-    bundles, pairs = _reference_bundles(f)
-    for plan, got, (exps, dmax, weights) in zip(f._plans, f._weights, bundles):
+    for plan, got, (exps, dmax, weights, template) in zip(f._plans, f._weights, _reference_bundles(f)):
         assert plan.exps.dtype == exps.dtype and plan.exps.shape == exps.shape
         assert np.array_equal(plan.exps, exps)
         assert plan.dmax == dmax
+        assert plan.template.tobytes() == template.tobytes()
         assert got.shape == weights.shape
         assert got.tobytes() == weights.tobytes()
-    assert f._triangle[0].tolist() == [i for i, _ in pairs]
-    assert f._triangle[1].tolist() == [j for _, j in pairs]
+    # Mirrored Hessian cells (i, j) and (j, i) hold the same weights, bit for bit.
+    cells = f._weights[2].reshape(-1, f.n + 1, f.n + 1)
+    assert cells.tobytes() == cells.transpose(0, 2, 1).copy().tobytes()
 
 
 def test_derivative_plan_matches_term_set_construction():
@@ -444,6 +465,12 @@ def test_derivative_plan_matches_term_set_construction():
             _assert_matches_reference(HomogeneousPolynomial.from_coefficient_vector(n, d, values))
             values[rng.random(values.size) < 0.6] = 0.0
             _assert_matches_reference(HomogeneousPolynomial.from_coefficient_vector(n, d, values))
+    # (c a) b and (c b) a can differ only when neither exponent is a power
+    # of two, first at d = 8 (x1^3 x2^5): there the mirrored cells must
+    # still agree bit for bit.
+    for n, d in ((2, 8), (3, 8), (2, 11)):
+        for seed in range(3):
+            _assert_matches_reference(random_polynomial(n, d, [41, n, d, seed]))
 
 
 def test_derivative_plan_cache_hit_and_miss_agree():
