@@ -36,6 +36,7 @@ whether or not the later starts run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,7 +204,6 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     pseudo-inverse polish.  ``det`` and ``solve`` factor the same matrices
     with the same LU, so the second solve meets no zero pivot.
     """
-    bad = np.zeros(rhs.shape[0], dtype=bool)
     try:
         steps = np.linalg.solve(J, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -211,8 +211,8 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         bad = ~np.isfinite(det) | (det == 0.0)
         J = np.where(bad[:, None, None], np.eye(rhs.shape[1]), J)
         steps = np.linalg.solve(J, rhs[..., None])[..., 0]
-    usable = ~bad & np.isfinite(steps).all(axis=1)
-    return steps, usable
+        return steps, ~bad & np.isfinite(steps).all(axis=1)
+    return steps, np.isfinite(steps).all(axis=1)
 
 
 def _lstsq_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,15 +243,13 @@ def _trial_steps(
     tried at every scale in one residual call.  Returns the usable-step
     mask, the trial rows and their residual rows, both (scales * rows,
     n + 1) with row s * rows + i the step of row i at ``scales[s]``, and the
-    residual norms (scales, rows), inf where non-finite or unusable."""
+    residual norms (scales, rows); each caller masks the unusable rows."""
     J = _system_jacobian(f, z)
     J[~np.isfinite(J)] = 0.0
     steps, usable = solver(J, -Fz)
     trial = (z + scales[:, None, None] * steps).reshape(-1, z.shape[1])
     Ft = _system_residual(f, trial)
-    Ftn = _row_norms(Ft).reshape(scales.size, -1)
-    Ftn[~(np.isfinite(Ftn) & usable)] = np.inf
-    return usable, trial, Ft, Ftn
+    return usable, trial, Ft, _row_norms(Ft).reshape(scales.size, -1)
 
 
 # One error state per solve: wild rows overflow, and the isfinite tests drop them.
@@ -294,43 +292,45 @@ def _newton_polish(
     Fn = _row_norms(F)
     singular = np.zeros(Fn.size, dtype=bool)
     linear = np.ones(Fn.size, dtype=bool)  # last accepted step kept > 10 % of the residual
-    rows = np.flatnonzero(np.isfinite(Fn) & (Fn > stop_tol))
-    z, Fz, Fnz = Z.take(rows, axis=0), F.take(rows, axis=0), Fn.take(rows)
-    stalls = np.zeros(rows.size, dtype=np.int64)
-    stopped = []  # (rows, z, Fz, Fnz) of the rows each iteration stops
+    rows = (np.isfinite(Fn) & (Fn > stop_tol)).nonzero()[0]
+    if rows.size:  # the enumeration's seeds start below the stop tolerance
+        z, Fz, Fnz = Z.take(rows, axis=0), F.take(rows, axis=0), Fn.take(rows)
+        stalls = np.zeros(rows.size, dtype=np.int64)
+        stopped = []  # (rows, z, Fz, Fnz) of the rows each iteration stops
 
-    for _ in range(MAX_ITERATIONS):
-        if rows.size == 0:
-            break
-        usable, trial, Ft, Ftn = _trial_steps(f, z, Fz, _solve_steps, STEP_LENGTHS)
-        if not usable.all():
-            singular[rows[~usable]] = True
-        ok = Ftn < Fnz
-        moved = ok.any(axis=0)
-        pick = ok.argmax(axis=0) * rows.size + np.arange(rows.size)  # the longest decreasing step
-        before = Fnz
-        if not moved.all():  # no step length lowers these rows' residuals
-            idle, cols = (~moved).nonzero()[0], moved.nonzero()[0]
-            stopped.append((rows[idle], z.take(idle, axis=0), Fz.take(idle, axis=0), Fnz[idle]))
-            pick, before, rows, stalls = pick[cols], Fnz[cols], rows[cols], stalls[cols]
-        z, Fz, Fnz = trial.take(pick, axis=0), Ft.take(pick, axis=0), Ftn.take(pick)
-        # Wandering rows shave off a sliver of residual per iteration without
-        # converging (deep damping).  Genuine roots contract by at least half
-        # per step even at multiple roots, so MAX_SLOW_STEPS near-unit ratios
-        # in a row mark a start worth abandoning in favor of the remaining
-        # oversampled ones.
-        linear[rows] = Fnz > 0.1 * before
-        stalls = np.where(Fnz > 0.9 * before, stalls + 1, 0)
-        going = (stalls < MAX_SLOW_STEPS) & (Fnz > stop_tol)
-        if not going.all():
-            done, keep = (~going).nonzero()[0], going.nonzero()[0]
-            stopped.append((rows[done], z.take(done, axis=0), Fz.take(done, axis=0), Fnz[done]))
-            rows, stalls, Fnz = rows[keep], stalls[keep], Fnz[keep]
-            z, Fz = z.take(keep, axis=0), Fz.take(keep, axis=0)
+        for _ in range(MAX_ITERATIONS):
+            if rows.size == 0:
+                break
+            usable, trial, Ft, Ftn = _trial_steps(f, z, Fz, _solve_steps, STEP_LENGTHS)
+            if not usable.all():  # NaN and inf never compare below a residual
+                singular[rows[~usable]] = True
+                Ftn[:, ~usable] = np.inf
+            ok = Ftn < Fnz
+            moved = ok.any(axis=0)
+            pick = ok.argmax(axis=0) * rows.size + np.arange(rows.size)  # the longest decreasing step
+            before = Fnz
+            if not moved.all():  # no step length lowers these rows' residuals
+                idle, cols = (~moved).nonzero()[0], moved.nonzero()[0]
+                stopped.append((rows[idle], z.take(idle, axis=0), Fz.take(idle, axis=0), Fnz[idle]))
+                pick, before, rows, stalls = pick[cols], Fnz[cols], rows[cols], stalls[cols]
+            z, Fz, Fnz = trial.take(pick, axis=0), Ft.take(pick, axis=0), Ftn.take(pick)
+            # Wandering rows shave off a sliver of residual per iteration without
+            # converging (deep damping).  Genuine roots contract by at least half
+            # per step even at multiple roots, so MAX_SLOW_STEPS near-unit ratios
+            # in a row mark a start worth abandoning in favor of the remaining
+            # oversampled ones.
+            linear[rows] = Fnz > 0.1 * before
+            stalls = np.where(Fnz > 0.9 * before, stalls + 1, 0)
+            going = (stalls < MAX_SLOW_STEPS) & (Fnz > stop_tol)
+            if not going.all():
+                done, keep = (~going).nonzero()[0], going.nonzero()[0]
+                stopped.append((rows[done], z.take(done, axis=0), Fz.take(done, axis=0), Fnz[done]))
+                rows, stalls, Fnz = rows[keep], stalls[keep], Fnz[keep]
+                z, Fz = z.take(keep, axis=0), Fz.take(keep, axis=0)
 
-    stopped.append((rows, z, Fz, Fnz))  # rows still active after MAX_ITERATIONS
-    rows, z, Fz, Fnz = (np.concatenate(parts) for parts in zip(*stopped))
-    Z[rows], F[rows], Fn[rows] = z, Fz, Fnz
+        stopped.append((rows, z, Fz, Fnz))  # rows still active after MAX_ITERATIONS
+        rows, z, Fz, Fnz = (np.concatenate(parts) for parts in zip(*stopped))
+        Z[rows], F[rows], Fn[rows] = z, Fz, Fnz
     floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
     polish = (((Fn <= accept_tol) & linear) | singular) & (Fn > floor)
     return Z, F, Fn, polish
@@ -355,17 +355,27 @@ def _polish_multiple_roots(
     masks only singular rows and converged rows whose last step did not.
     """
     floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
-    rows = np.flatnonzero(polish)
+    rows = polish.nonzero()[0]
     for _ in range(8):
         if rows.size == 0:
             break
         z, Fz = Z.take(rows, axis=0), F.take(rows, axis=0)
-        _, trial, Ft, Ftn = _trial_steps(f, z, Fz, _lstsq_steps, OVERSHOOT_FACTORS)
-        cols = np.flatnonzero(Ftn.min(axis=0) < Fn.take(rows))
+        usable, trial, Ft, Ftn = _trial_steps(f, z, Fz, _lstsq_steps, OVERSHOOT_FACTORS)
+        Ftn[~(np.isfinite(Ftn) & usable)] = np.inf  # for the min over trials
+        cols = (Ftn.min(axis=0) < Fn.take(rows)).nonzero()[0]
         pick = Ftn.argmin(axis=0).take(cols) * rows.size + cols  # the earliest of equal trials
         acc = rows.take(cols)
         Z[acc], F[acc], Fn[acc] = trial.take(pick, axis=0), Ft.take(pick, axis=0), Ftn.take(pick)
         rows = acc[Fn[acc] > floor]
+
+
+@lru_cache(maxsize=None)
+def _unit_direction(n: int) -> np.ndarray:
+    """The read-only projection direction of :func:`_projection_windows` in R^n."""
+    u = np.cos(np.arange(1.0, n + 1.0))
+    u /= np.linalg.norm(u)
+    u.flags.writeable = False
+    return u
 
 
 def _projection_windows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,13 +387,11 @@ def _projection_windows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     u has nonzero entries, distinct in absolute value: it is the normal of
     no subsphere x_i = 0 or x_i = +-x_j, where constructed critical sets lie.
     """
-    u = np.cos(np.arange(1.0, X.shape[1] + 1.0))
-    u /= np.linalg.norm(u)
-    c = X @ u
-    order = np.argsort(c, kind="stable")
+    c = X @ _unit_direction(X.shape[1])
+    order = c.argsort(kind="stable")
     p = c[order]
     width = DEFAULT_DEDUP_RADIUS + 1e-12
-    return order, np.searchsorted(p, c - width, "left"), np.searchsorted(p, c + width, "right")
+    return order, p.searchsorted(c - width, "left"), p.searchsorted(c + width, "right")
 
 
 def _collect_pairs(
@@ -401,9 +409,11 @@ def _collect_pairs(
 
     # x critical implies -x critical with lam * (-1)^d, so each row is
     # followed by its mirror, with its residual, and the dedup runs once on both.
-    X = np.stack([X, -X], axis=1).reshape(-1, f.n)
-    lam = np.stack([lam, (-1.0) ** f.d * lam], axis=1).reshape(-1)
-    res = np.repeat(res, 2)
+    both, lams = np.empty((2 * lam.size, f.n)), np.empty(2 * lam.size)
+    both[0::2], lams[0::2] = X, lam
+    np.negative(X, out=both[1::2])
+    np.multiply(lam, (-1.0) ** f.d, out=lams[1::2])
+    X, lam, res = both, lams, res.repeat(2)
 
     # Greedy dedup, tightest residual first: a row is kept unless an earlier
     # kept row lies within DEFAULT_DEDUP_RADIUS, so each kept row covers its
@@ -413,7 +423,7 @@ def _collect_pairs(
     # adjacent in the stable order, and -y covers -x exactly when y covers x
     # (negation is exact), so both are kept or both covered, with equal
     # hits: the converged rows that reached their class from either side.
-    order = np.argsort(res, kind="stable")
+    order = res.argsort(kind="stable")
     Xo = X.take(order, axis=0)
     by_p, lo, hi = _projection_windows(Xo)
     # A row whose window starts at its own projection position starts a
@@ -424,8 +434,8 @@ def _collect_pairs(
     # rows go through the loop.
     first = lo.take(by_p) == np.arange(order.size)
     group = np.empty(order.size, dtype=np.intp)
-    group[by_p] = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
+    group[by_p] = first.cumsum() - 1
+    starts = first.nonzero()[0]
     lead = np.minimum.reduceat(by_p, starts)  # the tightest row of each group
     far = np.linalg.norm(Xo - Xo.take(lead[group], axis=0), axis=1) > DEFAULT_DEDUP_RADIUS
     settled = ~np.logical_or.reduceat(far[by_p], starts)
@@ -433,7 +443,7 @@ def _collect_pairs(
     covered[lead[settled]] = False
     hits = np.ones(order.size, dtype=np.int64)
     hits[lead[settled]] = np.bincount(group)[settled]
-    pending = np.flatnonzero((hi - lo > 1) & ~settled[group])
+    pending = ((hi - lo > 1) & ~settled[group]).nonzero()[0]
     while pending.size:  # visits only uncovered rows: one per tight cluster
         i = pending[0]
         near = by_p[lo[i] : hi[i]]
@@ -461,12 +471,20 @@ def _finish(
 ) -> tuple[CriticalSet, np.ndarray]:
     """The one assembly of a :class:`CriticalSet`: one multiple-root polish and
     one merge over the rows of every Newton pass, each row counted in
-    ``starts_used``.  Also returns the merge's hits, per returned row."""
-    Z, F, Fn, polish = (np.concatenate(parts) for parts in zip(*passes))
-    _polish_multiple_roots(f, Z, F, Fn, polish)
+    ``starts_used``.  Also returns the merge's hits, per returned row.
+    A single pass is used as it is, so the polish writes into its arrays;
+    :func:`find_critical_pairs` reuses its first pass only when that pass
+    has no row to polish."""
+    if len(passes) == 1:
+        Z, F, Fn, polish = passes[0]
+    else:
+        Z, F, Fn, polish = (np.concatenate(parts) for parts in zip(*passes))
+    if polish.any():
+        _polish_multiple_roots(f, Z, F, Fn, polish)
     ok = Fn <= tol
     X, lam, hits = _collect_pairs(f, Z[ok, : f.n], Z[ok, f.n], Fn[ok])
-    found = CriticalSet(X, lam, starts_used=ok.size, converged_fraction=float(np.mean(ok)))
+    fraction = float(np.count_nonzero(ok) / ok.size)  # a Python float: np.float64 prints otherwise
+    found = CriticalSet(X, lam, starts_used=ok.size, converged_fraction=fraction)
     return found, hits
 
 
@@ -576,7 +594,7 @@ def certify_against_oracle(
     used = np.zeros(found.lam.shape[0], dtype=bool)
     matched = np.zeros(oracle.lam.shape[0], dtype=bool)
     for i, row in enumerate(near):
-        first = np.flatnonzero(row & ~used)[:1]
+        first = (row & ~used).nonzero()[0][:1]
         used[first] = matched[i] = first.size > 0
     return CertificationReport(
         certified=bool(used.all() and matched.all()),

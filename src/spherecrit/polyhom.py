@@ -87,7 +87,8 @@ class _BundlePlan(NamedTuple):
     one support; each polynomial keeps only its weight matrix.
 
     ``exps`` is the monomial pool (rows in order of first appearance); with
-    ``dmax`` it indexes the powers table, so that
+    ``dmax`` and ``variables`` (0 .. width - 1, the gather's column index)
+    it indexes the powers table, so that
     value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c].  ``template``
     holds the weights no coefficient sets, and zeros where the
     coefficients go: entry t of the index arrays puts
@@ -98,6 +99,7 @@ class _BundlePlan(NamedTuple):
 
     exps: np.ndarray
     dmax: int
+    variables: np.ndarray
     template: np.ndarray
     rows: np.ndarray
     columns: np.ndarray
@@ -127,7 +129,7 @@ def _polynomial_map(pts: np.ndarray, plan: _BundlePlan, weights: np.ndarray) -> 
     for e in range(2, plan.dmax + 1):
         np.multiply(planes[e - 1], planes[1], out=planes[e])
     table = planes.transpose(1, 2, 0)
-    return (table[:, np.arange(width), plan.exps].prod(axis=2) @ weights)[:k]
+    return (np.multiply.reduce(table[:, plan.variables, plan.exps], axis=2) @ weights)[:k]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -165,6 +167,7 @@ def _bundle_plan(
     return _BundlePlan(
         exps=exps,
         dmax=int(exps.max(initial=0)),
+        variables=_frozen(np.arange(width)),
         template=_frozen(template),
         rows=rows,
         columns=weight_cols,

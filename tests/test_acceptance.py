@@ -4,9 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 Criteria 1-3 exercise the deterministic witness suites, 4-5 the randomized
 experiments at full size, 6 the calculus invariants, 7 the two directions of
 the rank-witness characterization, and 8 the quadratic specialization.
+Criteria 4 and 5 also compare their discrete answers with a committed digest.
 """
 
+import hashlib
+import json
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,9 +45,34 @@ from spherecrit.critsolve import DEFAULT_TOL_CRIT
 from conftest import central_difference_gradient, central_difference_hessian, unit
 
 
+DIGEST = Path(__file__).parent / "data" / "acceptance_digest.json"
+
+
 def _report(criterion: int, ok: bool, elapsed: float, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"\n[criterion {criterion}] {status} ({elapsed:.2f}s) {detail}")
+
+
+def _check_digest(criterion: str, answers: dict[str, list], totals: dict[str, dict]) -> None:
+    """Compare each shape's answers with its entry in ``DIGEST``: the SHA-256
+    of the answers as compact JSON, and their totals, which a failure sets
+    beside the new ones.  Answers hold counts and flags only, as the last
+    bits of a margin depend on the BLAS library.  After a change that moves
+    answers on purpose, copy the new entries from the message into the file."""
+    expected = json.loads(DIGEST.read_text(encoding="utf-8"))[criterion]
+    got = {
+        shape: {
+            "sha256": hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest(),
+            "totals": totals[shape],
+        }
+        for shape, rows in answers.items()
+    }
+    moved = {
+        shape: {"expected": expected.get(shape), "got": got.get(shape)}
+        for shape in expected.keys() | got.keys()
+        if expected.get(shape) != got.get(shape)
+    }
+    assert not moved, f"{criterion} answers moved: {json.dumps(moved, sort_keys=True)}"
 
 
 def test_criterion_1_witness_suite_quadratic():
@@ -111,6 +141,7 @@ def test_criterion_4_randomized_genericity(tmp_path):
     min_margin = np.inf
     dumped = []
     full_budget = 0  # trials whose first round failed the completeness check
+    answers, totals = {}, {}
     for n, d in ((2, 3), (3, 3), (2, 4), (3, 4)):
         config = ExperimentConfig(
             n=n, d=d, trials=1000, seed=0, dump_dir=str(tmp_path / "dumps")
@@ -122,6 +153,24 @@ def test_criterion_4_randomized_genericity(tmp_path):
             min_margin = min(min_margin, report.min_sosc_margin)
         dumped.extend(report.dumped_files)
         full_budget += sum(r.starts_used == 50 * d * n for r in report.records)
+        records = report.records
+        verdicts = Counter()
+        for r in records:
+            verdicts.update(r.verdict_histogram)
+        answers[f"n={n},d={d}"] = [
+            [r.poly_seed, r.starts_used, r.critical_count, sorted(r.verdict_histogram.items()),
+             r.degenerate_hits, r.rank_witness_hits, r.oracle_on_locus]
+            for r in records
+        ]
+        totals[f"n={n},d={d}"] = {
+            "trials": len(records),
+            "starts_used": sum(r.starts_used for r in records),
+            "critical_count": sum(r.critical_count for r in records),
+            "verdicts": dict(verdicts),
+            "degenerate_hits": sum(r.degenerate_hits for r in records),
+            "rank_witness_hits": sum(r.rank_witness_hits for r in records),
+            "oracle_on_locus": sum(bool(r.oracle_on_locus) for r in records),
+        }
     elapsed = time.perf_counter() - t0
     ok = degenerate == 0 and rank_hits == 0 and min_margin > 0 and elapsed < 600.0
     _report(
@@ -135,18 +184,24 @@ def test_criterion_4_randomized_genericity(tmp_path):
     assert rank_hits == 0, f"rank witnesses found: {dumped}"
     assert min_margin > 0
     assert elapsed < 600.0
+    _check_digest("criterion_4", answers, totals)
 
 
 def test_criterion_5_n2_completeness_certification():
     t0 = time.perf_counter()
     certified = 0
     discrepancies = []
+    answers = {f"n=2,d={d}": [] for d in (3, 4, 5)}
     for i in range(100):
         d = (3, 4, 5)[i % 3]
         poly_seed = 31000 + i
         solver_seed = 32000 + i
         f = random_polynomial(2, d, poly_seed)
         report = certify_against_oracle(f, SolverConfig(seed=solver_seed))
+        answers[f"n=2,d={d}"].append(
+            [poly_seed, report.certified, report.matched,
+             len(report.only_multistart), len(report.only_oracle)]
+        )
         if report.certified:
             certified += 1
         else:
@@ -164,6 +219,14 @@ def test_criterion_5_n2_completeness_certification():
     _report(5, ok, elapsed, f"certified {certified}/100; discrepancies: {discrepancies}")
     assert certified >= 99, discrepancies
     assert elapsed < 120.0
+    totals = {
+        shape: {
+            key: sum(row[k] for row in rows)
+            for k, key in enumerate(("certified", "matched", "only_multistart", "only_oracle"), 1)
+        }
+        for shape, rows in answers.items()
+    }
+    _check_digest("criterion_5", answers, totals)
 
 
 def test_criterion_6_calculus_invariants():

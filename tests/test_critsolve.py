@@ -638,6 +638,27 @@ def test_resolution_ladder_near_degenerate_e1_n3(d):
     assert all(len(ks) == 1 for ks in counts.values()), counts
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the merge radius keeps a nearby FONC_ONLY row instead of the SOSC point e1 "
+    "(ROADMAP items 11 and 12)",
+)
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_resolution_ladder_keeps_the_local_minimizer_e1_n3(d):
+    # One rung below the ladder above: at eps = +1e-6, e1 is a critical
+    # point with residual 0 and margin +2e-6, a strict local minimizer.
+    # Today the only returned row within DEFAULT_DEDUP_RADIUS of e1 is a
+    # FONC_ONLY point 4.7e-7 to 9.4e-7 away.
+    f = _ladder_form_n3(d, 1e-6)
+    e1 = np.array([[1.0, 0.0, 0.0]])
+    if analyze_points(f, e1).verdicts != [Verdict.SOSC]:
+        pytest.fail("e1 is no longer SOSC at eps = +1e-6")
+    found = find_critical_pairs(f, SolverConfig(seed=0))
+    near = np.linalg.norm(found.X - e1, axis=1) <= DEFAULT_DEDUP_RADIUS
+    assert analyze_points(f, found.X[near]).verdicts == [Verdict.SOSC]
+
+
 def test_degenerate_circle_points_land_on_locus():
     # x1^3 with n = 2: the degenerate pair +-e2 must be located to high
     # accuracy despite the singular Jacobian there (multiple-root polish).

@@ -196,6 +196,22 @@ def test_witness_general_suite_passes(n, d):
     assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
+# analyze_points' margin band is 1e-7 max(1, ||f||), not scaled by the
+# Hessian at the point.  These forms' coefficients span many orders, so
+# exactly nondegenerate points (diagonal Hessians) read SONC_DEGENERATE:
+# 128, 4374 and 384 of them, and their bordered determinants vanish in the
+# band too.
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the margin band scales with ||f||, not with the Hessian at the point",
+)
+@pytest.mark.parametrize("n, d", [(7, 7), (8, 6), (8, 7)])
+def test_witness_general_suite_passes_at_wide_coefficient_spread(n, d):
+    report = run_witness_general(n, d)
+    assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
 def test_witness_general_checks_every_closed_form_point():
     report = run_witness_general(5, 4)
     assert report.passed, [c.name for c in report.checks if not c.passed]
