@@ -24,6 +24,10 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+# The gufunc behind np.linalg.eigh, called directly to skip the wrapper's
+# per-call cost; its LinAlgError cannot fire on the finite, bounded
+# tangent matrices of checked unit rows.
+from numpy.linalg import _umath_linalg
 
 from .critsolve import (
     DEFAULT_TOL_CRIT,
@@ -104,7 +108,7 @@ def _tangent_bases(X: np.ndarray) -> np.ndarray:
     """Householder bases of the tangent spaces at the rows of X, (k, n, n-1):
     the reflection sending e1 onto the line through x, minus its first column."""
     n = X.shape[1]
-    nrm = np.linalg.norm(X, axis=1)
+    nrm = np.sqrt(np.add.reduce(X * X, axis=1))
     V = X.copy()
     V[:, 0] += np.where(X[:, 0] >= 0, nrm, -nrm)
     scale = 2.0 / np.einsum("ij,ij->i", V, V)
@@ -126,7 +130,7 @@ def analyze_points(f: HomogeneousPolynomial, X) -> PointAnalysis:
     _reject_zero(f)
     X = np.asarray(X, dtype=np.float64)
     lam = f.d * f.evaluate_many(X)  # rejects X unless its shape is (k, n)
-    norms = np.linalg.norm(X, axis=1)
+    norms = np.sqrt(np.add.reduce(X * X, axis=1))
     off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN-safe
     if off.size:
         raise ValueError(f"point must lie on the unit sphere, got norm {norms[off[0]]!r}")
@@ -134,13 +138,14 @@ def analyze_points(f: HomogeneousPolynomial, X) -> PointAnalysis:
     class_tol = scaled_tolerance(f, DEFAULT_TOL_CLASS)
 
     G = f.gradient_many(X)
-    residuals = np.linalg.norm(G - lam[:, None] * X, axis=1)
+    R = G - lam[:, None] * X
+    residuals = np.sqrt(np.add.reduce(R * R, axis=1))
     H = f.hessian_many(X)
     B = _tangent_bases(X)
     M = B.swapaxes(1, 2) @ H @ B
-    eigenvalues, V = np.linalg.eigh(0.5 * (M + M.swapaxes(1, 2)))
+    eigenvalues, V = _umath_linalg.eigh_lo(0.5 * (M + M.swapaxes(1, 2)), signature="d->dd")
     Y = B @ V
-    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    Y /= np.sqrt(np.add.reduce(Y * Y, axis=1, keepdims=True))
     margins = np.full(X.shape[0], np.inf) if f.n == 1 else eigenvalues[:, 0] - lam
 
     verdicts = [

@@ -39,6 +39,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+# The gufunc behind np.linalg.solve, called directly: the wrapper costs a
+# few microseconds per Newton step, and its LinAlgError rejects the whole
+# batch for one singular row.
+from numpy.linalg import _umath_linalg
 
 from ._intpoly import _critical_form
 from .polyhom import HomogeneousPolynomial, ZeroPolynomialError
@@ -65,7 +69,8 @@ MAX_ITERATIONS = 100  # Newton iterations per start
 # keeps at least 94 % of the residual: a slow step by the MAX_SLOW_STEPS rule.
 # A row that finds no decrease by 2^-4 is abandoned one slow iteration early.
 MAX_HALVINGS = 4
-STEP_LENGTHS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))  # 1, 1/2, ..., 2^-MAX_HALVINGS
+# 1, 1/2, ..., 2^-MAX_HALVINGS, shaped (k, 1, 1) to scale a batch of steps
+STEP_LENGTHS = np.ldexp(1.0, -np.arange(MAX_HALVINGS + 1))[:, None, None]
 MAX_SLOW_STEPS = 2  # consecutive slow iterations before a start is abandoned
 # Converged starts each class {x, -x} needs before the first round is
 # trusted: a class seen only once or twice suggests unseen ones (Good, 1953).
@@ -74,7 +79,7 @@ MIN_CLASS_HITS = 3
 # at (4, 3) fall back to the full budget; at 16 most solves are 3-12 % slower.
 STARTS_PER_CLASS = 4 * MIN_CLASS_HITS
 LSTSQ_RCOND = 1e-10  # relative singular value cutoff of the multiple-root polish
-OVERSHOOT_FACTORS = np.array([1.0, 2.0, 3.0])  # step multiples the polish tries
+OVERSHOOT_FACTORS = np.array([1.0, 2.0, 3.0])[:, None, None]  # step multiples the polish tries
 
 
 def scaled_tolerance(f: HomogeneousPolynomial, base: float) -> float:
@@ -189,29 +194,23 @@ def _system_jacobian(f: HomogeneousPolynomial, Z: np.ndarray) -> np.ndarray:
     k, n = Z.shape[0], f.n
     J = f._jet(2, Z).reshape(k, n + 1, n + 1)
     X = Z[:, :n]
-    J[:, :n, n] = -X
+    np.negative(X, out=J[:, :n, n])
     J[:, n, :n] = X
     J[:, n, n] = 0.0
     return J
 
 
 def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched linear solve; rows with a singular Jacobian are flagged, not raised.
+    """Batched linear solve, one LAPACK dgesv call over the batch; a row is
+    usable exactly when its own step is finite.
 
-    The whole batch is solved first.  Only when LAPACK rejects it are rows
-    with a zero or non-finite determinant flagged unusable and the rest
-    solved again; ``_newton_polish`` hands the flagged rows to its
-    pseudo-inverse polish.  ``det`` and ``solve`` factor the same matrices
-    with the same LU, so the second solve meets no zero pivot.
+    A row with a zero pivot (an exactly singular Jacobian) comes back NaN
+    and one that overflows comes back non-finite; neither raises, and the
+    other rows are solved as they would be alone.  ``_newton_polish`` hands
+    the flagged rows to its pseudo-inverse polish.
     """
-    try:
-        steps = np.linalg.solve(J, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        det = np.linalg.det(J)
-        bad = ~np.isfinite(det) | (det == 0.0)
-        J = np.where(bad[:, None, None], np.eye(rhs.shape[1]), J)
-        steps = np.linalg.solve(J, rhs[..., None])[..., 0]
-        return steps, ~bad & np.isfinite(steps).all(axis=1)
+    with np.errstate(all="ignore"):
+        steps = _umath_linalg.solve1(J, rhs, signature="dd->d")
     return steps, np.isfinite(steps).all(axis=1)
 
 
@@ -240,14 +239,15 @@ def _trial_steps(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One Newton-type step from each row (x, lam) of z, whose residual rows
     are Fz, by ``solver`` on the Jacobian with non-finite entries zeroed,
-    tried at every scale in one residual call.  Returns the usable-step
-    mask, the trial rows and their residual rows, both (scales * rows,
-    n + 1) with row s * rows + i the step of row i at ``scales[s]``, and the
-    residual norms (scales, rows); each caller masks the unusable rows."""
+    tried at every scale of ``scales``, shaped (k, 1, 1), in one residual
+    call.  Returns the usable-step mask, the trial rows and their residual
+    rows, both (scales * rows, n + 1) with row s * rows + i the step of row
+    i at ``scales[s]``, and the residual norms (scales, rows); each caller
+    masks the unusable rows."""
     J = _system_jacobian(f, z)
     J[~np.isfinite(J)] = 0.0
     steps, usable = solver(J, -Fz)
-    trial = (z + scales[:, None, None] * steps).reshape(-1, z.shape[1])
+    trial = (z + scales * steps).reshape(-1, z.shape[1])
     Ft = _system_residual(f, trial)
     return usable, trial, Ft, _row_norms(Ft).reshape(scales.size, -1)
 
@@ -296,6 +296,7 @@ def _newton_polish(
     if rows.size:  # the enumeration's seeds start below the stop tolerance
         z, Fz, Fnz = Z.take(rows, axis=0), F.take(rows, axis=0), Fn.take(rows)
         stalls = np.zeros(rows.size, dtype=np.int64)
+        lanes = np.arange(rows.size)  # each active row's column in Ftn
         stopped = []  # (rows, z, Fz, Fnz) of the rows each iteration stops
 
         for _ in range(MAX_ITERATIONS):
@@ -307,7 +308,7 @@ def _newton_polish(
                 Ftn[:, ~usable] = np.inf
             ok = Ftn < Fnz
             moved = ok.any(axis=0)
-            pick = ok.argmax(axis=0) * rows.size + np.arange(rows.size)  # the longest decreasing step
+            pick = ok.argmax(axis=0) * rows.size + lanes[: rows.size]  # the longest decreasing step
             before = Fnz
             if not moved.all():  # no step length lowers these rows' residuals
                 idle, cols = (~moved).nonzero()[0], moved.nonzero()[0]
@@ -403,7 +404,7 @@ def _collect_pairs(
     per row the number of input rows the merge assigned to its class
     {x, -x}.  Rows of norm 1/2 or less are dropped: once ||f|| > 5e8 the
     acceptance tolerance no longer keeps a row off x = 0."""
-    norms = np.linalg.norm(X, axis=1)
+    norms = np.sqrt(np.add.reduce(X * X, axis=1))
     keep = norms > 0.5
     X, lam, res = X.compress(keep, axis=0) / norms[keep, None], lam[keep], res[keep]
 
@@ -437,21 +438,24 @@ def _collect_pairs(
     group[by_p] = first.cumsum() - 1
     starts = first.nonzero()[0]
     lead = np.minimum.reduceat(by_p, starts)  # the tightest row of each group
-    far = np.linalg.norm(Xo - Xo.take(lead[group], axis=0), axis=1) > DEFAULT_DEDUP_RADIUS
+    gap = Xo - Xo.take(lead[group], axis=0)
+    far = np.sqrt(np.add.reduce(gap * gap, axis=1)) > DEFAULT_DEDUP_RADIUS
     settled = ~np.logical_or.reduceat(far[by_p], starts)
     covered = settled[group]
     covered[lead[settled]] = False
     hits = np.ones(order.size, dtype=np.int64)
     hits[lead[settled]] = np.bincount(group)[settled]
-    pending = ((hi - lo > 1) & ~settled[group]).nonzero()[0]
-    while pending.size:  # visits only uncovered rows: one per tight cluster
-        i = pending[0]
-        near = by_p[lo[i] : hi[i]]
-        near = near[(near > i) & ~covered[near]]
-        near = near[np.linalg.norm(Xo.take(near, axis=0) - Xo[i], axis=1) <= DEFAULT_DEDUP_RADIUS]
-        covered[near] = True
-        hits[i] += near.size
-        pending = pending[1:][~covered[pending[1:]]]
+    if not settled.all():
+        pending = ((hi - lo > 1) & ~settled[group]).nonzero()[0]
+        while pending.size:  # visits only uncovered rows: one per tight cluster
+            i = pending[0]
+            near = by_p[lo[i] : hi[i]]
+            near = near[(near > i) & ~covered[near]]
+            gap = Xo.take(near, axis=0) - Xo[i]
+            near = near[np.sqrt(np.add.reduce(gap * gap, axis=1)) <= DEFAULT_DEDUP_RADIUS]
+            covered[near] = True
+            hits[i] += near.size
+            pending = pending[1:][~covered[pending[1:]]]
     kept = order[~covered]
     X, lam, hits = X.take(kept, axis=0), lam[kept], hits[~covered]
     # Ascending by (lam, x1, ..., xn); lexsort's last key is the primary one.
@@ -498,7 +502,7 @@ def _solve_from(f: HomogeneousPolynomial, X0: np.ndarray) -> CriticalSet:
 def _draw_starts(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     """The next ``rows`` uniform unit starts of ``rng``; a zero draw stays 0."""
     X0 = rng.standard_normal((rows, n))
-    norms = np.linalg.norm(X0, axis=1)
+    norms = np.sqrt(np.add.reduce(X0 * X0, axis=1))
     norms[norms == 0.0] = 1.0
     return X0 / norms[:, None]
 
@@ -590,7 +594,8 @@ def certify_against_oracle(
 
     # Each oracle row takes the first unused found row within the merge
     # radius, the merge's own test for "same point", if any.
-    near = np.linalg.norm(oracle.X[:, None] - found.X, axis=2) <= DEFAULT_DEDUP_RADIUS
+    gap = oracle.X[:, None] - found.X
+    near = np.sqrt(np.add.reduce(gap * gap, axis=2)) <= DEFAULT_DEDUP_RADIUS
     used = np.zeros(found.lam.shape[0], dtype=bool)
     matched = np.zeros(oracle.lam.shape[0], dtype=bool)
     for i, row in enumerate(near):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1013,16 +1014,33 @@ def test_solve_steps_skips_det_on_nonsingular_batch(monkeypatch):
     np.testing.assert_array_equal(steps, np.linalg.solve(J, rhs[..., None])[..., 0])
 
 
-def test_solve_steps_flags_singular_row():
+def test_solve_steps_flags_singular_row(monkeypatch):
+    # One LAPACK call over the batch: a singular row comes back NaN and an
+    # overflowing one non-finite, with no warning, no det and no re-solve,
+    # and every other row is its own solve bit for bit.
     J = np.random.default_rng(3).standard_normal((20, 4, 4))
     J[7] = np.outer([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 2.0, 0.5])  # rank one
+    J[12] = np.diag([1e-200, 1.0, 1.0, 1.0])
     rhs = np.random.default_rng(4).standard_normal((20, 4))
+    rhs[12] = [1e200, 1.0, 1.0, 1.0]  # the step's first entry, 1e400, overflows
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(J[7], rhs[7])
-    steps, usable = critsolve._solve_steps(J, rhs)
-    assert np.flatnonzero(~usable).tolist() == [7]
+    expected = {i: np.linalg.solve(J[i], rhs[i]) for i in range(20) if i != 7}
+    np.testing.assert_array_equal(expected[12], [np.inf, 1.0, 1.0, 1.0])
+
+    def forbidden(*_):
+        raise AssertionError("det or a second solve on a singular batch")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steps, usable = critsolve._solve_steps(J, rhs)
+    np.testing.assert_array_equal(usable, np.isfinite(steps).all(axis=1))
+    assert np.flatnonzero(~usable).tolist() == [7, 12]
+    assert np.isnan(steps[7]).all()
     for i in np.flatnonzero(usable):
-        np.testing.assert_array_equal(steps[i], np.linalg.solve(J[i], rhs[i]))
+        np.testing.assert_array_equal(steps[i], expected[i])
 
 
 def _explicit_system(f, Z):
