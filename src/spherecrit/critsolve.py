@@ -220,12 +220,15 @@ def _lstsq_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Near-null Jacobian directions (manifolds of critical points, multiple
     roots) are dropped rather than amplified, so the step corrects only the
-    well-determined components.
+    well-determined components.  When an SVD fails, the batch is retried
+    row by row, so only the failing row gets no step (zero, not usable).
     """
     try:
         steps = (np.linalg.pinv(J, rcond=LSTSQ_RCOND) @ rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
+        if rhs.shape[0] == 1:
+            return np.zeros_like(rhs), np.zeros(1, dtype=bool)
+        return tuple(map(np.concatenate, zip(*map(_lstsq_steps, J[:, None], rhs[:, None]))))
     return steps, np.isfinite(steps).all(axis=1)
 
 
@@ -471,18 +474,14 @@ def _class_bound(n: int, d: int) -> int:
 
 
 def _finish(
-    f: HomogeneousPolynomial, passes: list[tuple], tol: float
+    f: HomogeneousPolynomial, newton: tuple, tol: float
 ) -> tuple[CriticalSet, np.ndarray]:
-    """The one assembly of a :class:`CriticalSet`: one multiple-root polish and
-    one merge over the rows of every Newton pass, each row counted in
-    ``starts_used``.  Also returns the merge's hits, per returned row.
-    A single pass is used as it is, so the polish writes into its arrays;
-    :func:`find_critical_pairs` reuses its first pass only when that pass
-    has no row to polish."""
-    if len(passes) == 1:
-        Z, F, Fn, polish = passes[0]
-    else:
-        Z, F, Fn, polish = (np.concatenate(parts) for parts in zip(*passes))
+    """The one assembly of a :class:`CriticalSet`: the multiple-root polish
+    of one :func:`_newton_polish` result (Z, F, Fn, polish), in place, and
+    the merge of its converged rows, each row counted in ``starts_used``.
+    Also returns the merge's hits, per returned row.  Rows outside the
+    polish mask are left as they are."""
+    Z, F, Fn, polish = newton
     if polish.any():
         _polish_multiple_roots(f, Z, F, Fn, polish)
     ok = Fn <= tol
@@ -490,13 +489,6 @@ def _finish(
     fraction = float(np.count_nonzero(ok) / ok.size)  # a Python float: np.float64 prints otherwise
     found = CriticalSet(X, lam, starts_used=ok.size, converged_fraction=fraction)
     return found, hits
-
-
-def _solve_from(f: HomogeneousPolynomial, X0: np.ndarray) -> CriticalSet:
-    """Newton-polish the unit start rows X0 and collect the converged pairs."""
-    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    newton = _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
-    return _finish(f, [newton], tol)[0]
 
 
 def _draw_starts(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
@@ -541,14 +533,14 @@ def find_critical_pairs(
     _, _, Fn, polish = first
     # One class reached MIN_CLASS_HITS times needs that many converged rows.
     if np.count_nonzero(Fn <= tol) >= MIN_CLASS_HITS and not polish.any():
-        found, hits = _finish(f, [first], tol)
+        found, hits = _finish(f, first, tol)
         k = found.lam.size // 2
         # A generic form has at most B classes, so k = B leaves none unseen.
         if k == bound or (1 <= k < bound and (bound - k) % 2 == 0 and hits.min() >= MIN_CLASS_HITS):
             return found
     X0 = _draw_starts(rng, starts - first_round, n)
     second = _newton_polish(f, X0, d * f.evaluate_many(X0), accept_tol=tol)
-    return _finish(f, [first, second], tol)[0]
+    return _finish(f, tuple(map(np.concatenate, zip(first, second))), tol)[0]
 
 
 def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
@@ -573,7 +565,8 @@ def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
             if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
                 u = np.array([float(z.real), 1.0])
                 candidates.append(u / np.linalg.norm(u))
-    found = _solve_from(f, np.array(candidates))
+    X0, tol = np.array(candidates), scaled_tolerance(f, DEFAULT_TOL_CRIT)
+    found = _finish(f, _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol), tol)[0]
     found.all_critical = not g
     return found
 

@@ -89,20 +89,16 @@ class _BundlePlan(NamedTuple):
     ``exps`` is the monomial pool (rows in order of first appearance); with
     ``dmax`` and ``variables`` (0 .. width - 1, the gather's column index)
     it indexes the powers table, so that
-    value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c].  ``template``
-    holds the weights no coefficient sets, and zeros where the
-    coefficients go: entry t of the index arrays puts
-    ``(coefs[source[t]] * a[t]) * b[t]`` into weight cell
-    ``(rows[t], columns[t])``, where ``a`` and ``b`` are the exponents
+    value[k, c] = sum_j monomial_j(pts[k]) * weights[j, c].  The weights
+    are one gather, weights = (slots[source] * a) * b, where ``slots`` holds
+    the m coefficients, then 0.0 (slot m, the cells no term reaches) and
+    -1.0 (slot m + 1, the lam terms); ``a`` and ``b`` are the exponents
     brought down by the first and second derivative (1 where none was).
     """
 
     exps: np.ndarray
     dmax: int
     variables: np.ndarray
-    template: np.ndarray
-    rows: np.ndarray
-    columns: np.ndarray
     source: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -159,21 +155,21 @@ def _bundle_plan(
                 lowered[i] -= 1
             if min(lowered) >= 0:
                 entries.append((index.setdefault(tuple(lowered), len(index)), c, k, *brought))
-    template = np.zeros((len(index) + len(lam_terms), len(columns)))
+    source = np.full((len(index) + len(lam_terms), len(columns)), len(order))
     for exp, cells in lam_terms:
-        template[index.setdefault(exp, len(index)), cells] = -1.0
+        source[index.setdefault(exp, len(index)), cells] = len(order) + 1
+    a, b = np.ones(source.shape), np.ones(source.shape)
+    # Each (row, column) cell takes at most one term.
+    rows, cols, terms, brought_a, brought_b = np.array(entries, dtype=np.intp).reshape(-1, 5).T
+    source[rows, cols], a[rows, cols], b[rows, cols] = terms, brought_a, brought_b
     exps = _frozen(np.array(list(index), dtype=np.intp).reshape(len(index), width))
-    rows, weight_cols, source, a, b = _frozen(np.array(entries, dtype=np.intp).reshape(-1, 5).T)
     return _BundlePlan(
         exps=exps,
         dmax=int(exps.max(initial=0)),
         variables=_frozen(np.arange(width)),
-        template=_frozen(template),
-        rows=rows,
-        columns=weight_cols,
-        source=source,
-        a=_frozen(a.astype(np.float64)),
-        b=_frozen(b.astype(np.float64)),
+        source=_frozen(source),
+        a=_frozen(a),
+        b=_frozen(b),
     )
 
 
@@ -213,8 +209,8 @@ class HomogeneousPolynomial:
     coefficient lands in their weights) is a read-only derivative plan,
     cached per ``(n, support)`` and shared by all polynomials with that
     support.  The gradient and the Hessian are the system at lam = 0.
-    Construction validates the terms and fills this instance's own three
-    weight matrices from the plans.
+    Construction validates the terms and builds this instance's own three
+    weight matrices, one gather from each plan.
     Instances never mutate afterwards and are safe to share read-only across
     concurrent workers.  All methods are pure.
     """
@@ -267,11 +263,8 @@ class HomogeneousPolynomial:
         self._d = d
         self._coefs = coefs
         self._plans = _derivative_plan(n, order)
-        self._weights = tuple(plan.template.copy() for plan in self._plans)
-        for plan, weights in zip(self._plans, self._weights):
-            # Each (row, column) cell occurs at most once, so assignment is
-            # the sum over terms.
-            weights[plan.rows, plan.columns] = coefs[plan.source] * plan.a * plan.b
+        slots = np.concatenate((coefs, (0.0, -1.0)))
+        self._weights = tuple((slots[plan.source] * plan.a) * plan.b for plan in self._plans)
         self._exps = self._plans[0].exps  # the value pool is the support
 
     @property

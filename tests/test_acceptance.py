@@ -133,6 +133,7 @@ def test_criterion_3_degenerate_detection():
     assert elapsed < 10.0
 
 
+@pytest.mark.bitwise
 @pytest.mark.slow
 def test_criterion_4_randomized_genericity(tmp_path):
     t0 = time.perf_counter()
@@ -187,6 +188,7 @@ def test_criterion_4_randomized_genericity(tmp_path):
     _check_digest("criterion_4", answers, totals)
 
 
+@pytest.mark.bitwise
 def test_criterion_5_n2_completeness_certification():
     t0 = time.perf_counter()
     certified = 0

@@ -305,6 +305,7 @@ def test_verdicts_invariant_under_scaling_above_unit_norm(n, d):
         assert summaries == summaries[:1] * 6, (n, d, seed)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (3, 5)])
 def test_analysis_is_exact_under_the_antipodal_map(n, d):
     # f(-x) = (-1)^d f(x) exactly in floating point, and the solver returns

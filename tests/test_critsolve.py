@@ -397,6 +397,13 @@ def _unit_starts(n, starts, seed):
     return X0 / np.linalg.norm(X0, axis=1)[:, None]
 
 
+def _solve_all(f, X0):
+    """Every start row of X0 Newton-polished in one pass, then polished and merged."""
+    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
+    newton = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
+    return critsolve._finish(f, newton, tol)[0]
+
+
 @pytest.mark.parametrize(
     "n, d, first_round, fallbacks",
     [(2, 3, 36, ()), (3, 3, 84, ()), (2, 4, 48, ()), (3, 4, 156, ())],
@@ -411,7 +418,7 @@ def test_half_budget_matches_full_budget_on_criterion_4_shapes(n, d, first_round
     for s in range(20):
         f = random_polynomial(n, d, [24, n, d, s])
         found = find_critical_pairs(f, SolverConfig(seed=s))
-        full = critsolve._solve_from(f, _unit_starts(n, starts, s))
+        full = _solve_all(f, _unit_starts(n, starts, s))
         assert found.starts_used == (starts if s in fallbacks else first_round), s
         assert full.starts_used == starts, s
         assert found.X.shape == full.X.shape, s
@@ -440,7 +447,7 @@ def test_lazy_second_round_matches_up_front_draw(monkeypatch, f, seed):
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     rounds = (slice(None, first_round), slice(first_round, None))
     passes = [critsolve._newton_polish(f, X0[r], lam0[r], accept_tol=tol) for r in rounds]
-    reference = critsolve._finish(f, passes, tol)[0]
+    reference = critsolve._finish(f, tuple(map(np.concatenate, zip(*passes))), tol)[0]
 
     drawn = []
     inner = critsolve._newton_polish
@@ -458,6 +465,24 @@ def test_lazy_second_round_matches_up_front_draw(monkeypatch, f, seed):
     assert found.converged_fraction == reference.converged_fraction
     assert found.X.tobytes() == reference.X.tobytes()
     assert found.lam.tobytes() == reference.lam.tobytes()
+
+
+@pytest.mark.parametrize(
+    "f, masked", [(random_polynomial(3, 4, 5), False), (axis_monomial(3, 3), True)], ids=["generic", "x1^3"]
+)
+def test_finish_writes_only_the_polished_rows(f, masked):
+    # find_critical_pairs reuses its first pass after _finish only when no
+    # row of it is masked: the polish writes into the masked rows alone.
+    X0 = _unit_starts(f.n, 156, 1)
+    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
+    newton = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
+    polish = newton[3]
+    assert polish.any() == masked
+    before = [a.copy() for a in newton[:3]]
+    critsolve._finish(f, newton, tol)
+    for old, new in zip(before, newton[:3]):
+        assert old[~polish].tobytes() == new[~polish].tobytes()
+    assert (newton[2][polish] < before[2][polish]).any() == masked
 
 
 def _first_round(f, config):
@@ -520,7 +545,7 @@ def test_failed_check_spends_the_full_budget(f, config, failing):
     found = find_critical_pairs(f, config)
     budget = config.starts or 50 * f.d * f.n
     assert found.starts_used == budget
-    full = critsolve._solve_from(f, _unit_starts(f.n, budget, config.seed))
+    full = _solve_all(f, _unit_starts(f.n, budget, config.seed))
     assert found.X.shape == full.X.shape
 
 
@@ -1001,6 +1026,7 @@ def test_early_abandon_keeps_every_critical_class(monkeypatch):
     assert two_pass > 0
 
 
+@pytest.mark.bitwise
 def test_solve_steps_skips_det_on_nonsingular_batch(monkeypatch):
     J = np.random.default_rng(1).standard_normal((50, 4, 4))
     rhs = np.random.default_rng(2).standard_normal((50, 4))
@@ -1014,6 +1040,7 @@ def test_solve_steps_skips_det_on_nonsingular_batch(monkeypatch):
     np.testing.assert_array_equal(steps, np.linalg.solve(J, rhs[..., None])[..., 0])
 
 
+@pytest.mark.bitwise
 def test_solve_steps_flags_singular_row(monkeypatch):
     # One LAPACK call over the batch: a singular row comes back NaN and an
     # overflowing one non-finite, with no warning, no det and no re-solve,
@@ -1059,6 +1086,7 @@ def _explicit_system(f, Z):
     return G, J
 
 
+@pytest.mark.bitwise
 @np.errstate(all="ignore")
 def test_system_map_matches_explicit_assembly():
     # The kernel's two entry points evaluate the system as one polynomial
@@ -1105,6 +1133,7 @@ def test_system_map_matches_explicit_assembly():
                     assert (abs(H - H_ref)[finite[:, :n, :n]] <= slack[finite[:, :n, :n]]).all(), label
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (3, 4), (4, 3), (3, 5), (2, 6)])
 def test_kernel_rows_do_not_depend_on_the_batch(n, d):
     # Every kernel gives a row the same bits in a batch of any size at any
@@ -1172,6 +1201,34 @@ def test_singular_row_without_svd_is_not_converged(monkeypatch):
     X, _, done = _newton_then_polish(f, x, lam, tol)
     assert done.tolist() == [False]
     np.testing.assert_array_equal(X, x)
+
+
+@pytest.mark.bitwise
+def test_lstsq_steps_retry_a_failing_batch_row_by_row(monkeypatch):
+    # One failing SVD costs its own row the step, not the batch's: the
+    # batch is retried row by row, and each other row gets the step of the
+    # unpatched batch call bit for bit.
+    rng = np.random.default_rng(29)
+    J = rng.standard_normal((5, 4, 4)) @ np.diag([1.0, 1.0, 1.0, 0.0])  # rank 3
+    rhs = rng.standard_normal((5, 4))
+    expected, expected_usable = critsolve._lstsq_steps(J, rhs)
+    assert expected_usable.all()
+    marked = J[2].copy()
+    pinv = np.linalg.pinv
+    batches = []
+
+    def failing_on_marked(a, *args, **kwargs):
+        batches.append(a.shape[0])
+        if any(np.array_equal(m, marked) for m in a):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", failing_on_marked)
+    steps, usable = critsolve._lstsq_steps(J, rhs)
+    assert batches == [5, 1, 1, 1, 1, 1]
+    assert usable.tolist() == [True, True, False, True, True]
+    assert not steps[2].any()
+    assert steps[usable].tobytes() == expected[usable].tobytes()
 
 
 def _truncated_svd_steps(J, rhs):
@@ -1300,14 +1357,15 @@ def _binary_product(*factors):
 
 
 def _record_seeds(monkeypatch):
+    """The start rows of every Newton pass, one array per pass."""
     seeds = []
-    inner = critsolve._solve_from
+    inner = critsolve._newton_polish
 
-    def recorded(f, X0):
+    def recorded(f, X0, lam0, **kwargs):
         seeds.append(X0)
-        return inner(f, X0)
+        return inner(f, X0, lam0, **kwargs)
 
-    monkeypatch.setattr(critsolve, "_solve_from", recorded)
+    monkeypatch.setattr(critsolve, "_newton_polish", recorded)
     return seeds
 
 

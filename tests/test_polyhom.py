@@ -395,8 +395,9 @@ def _reference_bundles(f):
     term lists, merged into one monomial pool per bundle.  The residual and
     Jacobian bundles are in z = (x, lam), their columns f's partials and the
     Hessian's (n+1) x (n+1) cells, row-major with a zero border, and their
-    pools end with the lam terms.  Returns (exps, dmax, weights, template)
-    per bundle, the template holding only the lam terms' -1 weights."""
+    pools end with the lam terms.  Returns (exps, dmax, weights, template,
+    reached) per bundle, the template holding only the lam terms' -1
+    weights and ``reached`` marking the cells some term lands in."""
     n = f.n
 
     def bundle(term_sets, width, lam_terms):
@@ -410,11 +411,13 @@ def _reference_bundles(f):
         for exp, cols in lam_terms:
             template[index[exp], cols] = -1.0
         weights = template.copy()
+        reached = np.zeros(weights.shape, dtype=bool)
         for c, (exps, coefs) in enumerate(term_sets):
             for exp, coef in zip(exps, coefs):
                 weights[index[exp], c] += coef
+                reached[index[exp], c] = True
         exps = np.array(list(index), dtype=np.intp).reshape(len(index), width)
-        return exps, int(exps.max(initial=0)), weights, template
+        return exps, int(exps.max(initial=0)), weights, template, reached
 
     def differentiate(term_set, i):
         lowered = [
@@ -444,11 +447,17 @@ def _reference_bundles(f):
 
 
 def _assert_matches_reference(f):
-    for plan, got, (exps, dmax, weights, template) in zip(f._plans, f._weights, _reference_bundles(f)):
+    # The weights gather from f's coefficients, then 0.0 and -1.0.
+    zero, minus_one = f.num_terms, f.num_terms + 1
+    for plan, got, (exps, dmax, weights, template, reached) in zip(
+        f._plans, f._weights, _reference_bundles(f)
+    ):
         assert plan.exps.dtype == exps.dtype and plan.exps.shape == exps.shape
         assert np.array_equal(plan.exps, exps)
         assert plan.dmax == dmax
-        assert plan.template.tobytes() == template.tobytes()
+        assert plan.source.shape == plan.a.shape == plan.b.shape == weights.shape
+        assert np.array_equal(plan.source == zero, ~reached & (template == 0.0))
+        assert np.array_equal(plan.source == minus_one, template == -1.0)
         assert got.shape == weights.shape
         assert got.tobytes() == weights.tobytes()
     # Mirrored Hessian cells (i, j) and (j, i) hold the same weights, bit for bit.
@@ -492,7 +501,9 @@ def test_polynomials_of_one_support_share_no_mutable_weights():
     for a, b in zip(f._weights, g._weights):
         assert not np.shares_memory(a, b)
     for a, b in zip(f._plans, g._plans):
-        assert a.exps is b.exps and not a.exps.flags.writeable
+        assert a is b
+        for shared in (a.exps, a.variables, a.source, a.a, a.b):
+            assert not shared.flags.writeable
     assert f._exps is g._exps and not f._exps.flags.writeable
     before = f.gradient([0.6, 0.8])
     g._weights[1][:] = 0.0
