@@ -4,12 +4,17 @@ A form of degree k is a list of k + 1 ints, index i holding the coefficient
 of x1^i x2^(k-i); read in t = x1 it is the dehomogenization at x2 = 1, which
 the primitive polynomial remainder sequence runs on.  :func:`_critical_form`
 gives the n = 2 enumeration and the exact oracle the same g and the same
-repeated part gcd(g, g').
+repeated part gcd(g, g').  A Euclid modulo the word-size prime ``_PRIME``
+settles the generic, square-free g first; the primitive PRS, whose
+coefficients grow, runs only when that test fails.
 """
 
 import math
 
 from .polyhom import HomogeneousPolynomial
+
+# Residues below 2^31 keep every product of the modular Euclid a small int.
+_PRIME = 2**31 - 1
 
 
 def _partials(a: list) -> tuple[list, list]:
@@ -72,6 +77,37 @@ def _prs_gcd(u: list[int], v: list[int]) -> list[int]:
     return u
 
 
+def _coprime_mod_prime(g: list[int]) -> bool:
+    """True when g (stripped, degree >= 1) and dg/dt are coprime modulo
+    ``_PRIME`` and the prime does not divide g's leading coefficient.
+
+    Then gcd(g, dg/dt) over the integers is constant: a primitive common
+    factor h divides g, so the prime does not divide its leading
+    coefficient, and h mod the prime, of h's degree, divides both residues
+    (Brown, J. ACM 18(4), 1971).  Euclid runs on pseudo-remainders, as
+    :func:`_prem` does, with every coefficient reduced modulo the prime.
+    """
+    p = _PRIME
+    u = [c % p for c in g]
+    if not u[-1]:
+        return False
+    v = [i * c % p for i, c in enumerate(u)][1:]
+    while v and not v[-1]:
+        v.pop()
+    while len(v) > 1:
+        lead, low = v[-1], v[:-1]
+        while len(u) >= len(v):
+            top = u.pop()
+            shift = len(u) - len(low)
+            u = [lead * c % p for c in u[:shift]] + [
+                (lead * c - top * b) % p for c, b in zip(u[shift:], low)
+            ]
+        while u and not u[-1]:
+            u.pop()
+        u, v = v, u
+    return len(v) == 1
+
+
 def _integer_coefficients(f: HomogeneousPolynomial) -> list[int]:
     """Coefficients of the binary form f, index i that of x1^i x2^(d-i),
     times their common power-of-two denominator: exact integers."""
@@ -86,9 +122,12 @@ def _critical_form(f: HomogeneousPolynomial) -> tuple[list[int], list[int]]:
     g is :func:`_binary_form` of the exact integer coefficients of f, and h
     is the primitive gcd(g, dg/dt) of the dehomogenizations: its roots are
     the repeated finite roots of g.  h is [] when g is zero and [1] when g
-    is a nonzero constant.
+    is a nonzero constant or :func:`_coprime_mod_prime` holds; otherwise
+    the primitive PRS computes it.
     """
     g = _strip(_binary_form(_integer_coefficients(f)))
     if len(g) <= 1:
         return g, [1] * len(g)
+    if _coprime_mod_prime(g):
+        return g, [1]
     return g, _prs_gcd(_primitive(g), _primitive(_partials(g)[0]))

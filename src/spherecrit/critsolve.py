@@ -18,10 +18,10 @@ Two finders are provided:
   exact coefficients of f, so three decisions take no tolerance: f is
   radial exactly when g = 0, the x2 = 0 direction is a root exactly when
   g's x1^d coefficient is zero (a root at infinity), and repeated roots
-  are divided out through the primitive-PRS gcd(g, g').  The companion
-  matrix of the square-free part of g(t, 1) gives the other candidates;
-  only these are Newton-polished, so the returned set is the real
-  critical set up to root-finding tolerance.
+  are divided out through the exact gcd(g, g') of :mod:`._intpoly`.  The
+  companion matrix of the square-free part of g(t, 1) gives the other
+  candidates; only these are Newton-polished, so the returned set is the
+  real critical set up to root-finding tolerance.
 
 :func:`certify_against_oracle` cross-checks the two finders on the same
 input, which is how multistart coverage is validated at n = 2.
@@ -43,6 +43,13 @@ import numpy as np
 # few microseconds per Newton step, and its LinAlgError rejects the whole
 # batch for one singular row.
 from numpy.linalg import _umath_linalg
+
+# The C einsum behind np.einsum, called directly: the wrapper costs a few
+# microseconds per call, and each Newton step makes two calls.
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum
 
 from ._intpoly import _critical_form
 from .polyhom import HomogeneousPolynomial, ZeroPolynomialError
@@ -178,7 +185,7 @@ def _system_residual(f: HomogeneousPolynomial, Z: np.ndarray) -> np.ndarray:
     sphere row is computed apart, as a GEMM would move its last bit."""
     F = f._jet(1, Z)
     X = Z[:, : f.n]
-    F[:, f.n] = 0.5 * (np.einsum("ij,ij->i", X, X) - 1.0)
+    F[:, f.n] = 0.5 * (c_einsum("ij,ij->i", X, X) - 1.0)
     return F
 
 
@@ -211,7 +218,7 @@ def _solve_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     with np.errstate(all="ignore"):
         steps = _umath_linalg.solve1(J, rhs, signature="dd->d")
-    return steps, np.isfinite(steps).all(axis=1)
+    return steps, np.logical_and.reduce(np.isfinite(steps), axis=1)
 
 
 def _lstsq_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,12 +236,12 @@ def _lstsq_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         if rhs.shape[0] == 1:
             return np.zeros_like(rhs), np.zeros(1, dtype=bool)
         return tuple(map(np.concatenate, zip(*map(_lstsq_steps, J[:, None], rhs[:, None]))))
-    return steps, np.isfinite(steps).all(axis=1)
+    return steps, np.logical_and.reduce(np.isfinite(steps), axis=1)
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, the one norm kernel of the Newton loop."""
-    return np.sqrt(np.einsum("...i,...i", A, A))
+    return np.sqrt(c_einsum("...i,...i", A, A))
 
 
 def _trial_steps(
@@ -306,14 +313,14 @@ def _newton_polish(
             if rows.size == 0:
                 break
             usable, trial, Ft, Ftn = _trial_steps(f, z, Fz, _solve_steps, STEP_LENGTHS)
-            if not usable.all():  # NaN and inf never compare below a residual
+            if np.count_nonzero(usable) < rows.size:  # NaN and inf never compare below a residual
                 singular[rows[~usable]] = True
                 Ftn[:, ~usable] = np.inf
             ok = Ftn < Fnz
-            moved = ok.any(axis=0)
+            moved = np.logical_or.reduce(ok, axis=0)
             pick = ok.argmax(axis=0) * rows.size + lanes[: rows.size]  # the longest decreasing step
             before = Fnz
-            if not moved.all():  # no step length lowers these rows' residuals
+            if np.count_nonzero(moved) < rows.size:  # no step length lowers these rows' residuals
                 idle, cols = (~moved).nonzero()[0], moved.nonzero()[0]
                 stopped.append((rows[idle], z.take(idle, axis=0), Fz.take(idle, axis=0), Fnz[idle]))
                 pick, before, rows, stalls = pick[cols], Fnz[cols], rows[cols], stalls[cols]
@@ -326,7 +333,7 @@ def _newton_polish(
             linear[rows] = Fnz > 0.1 * before
             stalls = np.where(Fnz > 0.9 * before, stalls + 1, 0)
             going = (stalls < MAX_SLOW_STEPS) & (Fnz > stop_tol)
-            if not going.all():
+            if np.count_nonzero(going) < rows.size:
                 done, keep = (~going).nonzero()[0], going.nonzero()[0]
                 stopped.append((rows[done], z.take(done, axis=0), Fz.take(done, axis=0), Fnz[done]))
                 rows, stalls, Fnz = rows[keep], stalls[keep], Fnz[keep]
@@ -448,7 +455,7 @@ def _collect_pairs(
     covered[lead[settled]] = False
     hits = np.ones(order.size, dtype=np.int64)
     hits[lead[settled]] = np.bincount(group)[settled]
-    if not settled.all():
+    if np.count_nonzero(settled) < settled.size:
         pending = ((hi - lo > 1) & ~settled[group]).nonzero()[0]
         while pending.size:  # visits only uncovered rows: one per tight cluster
             i = pending[0]
@@ -482,7 +489,7 @@ def _finish(
     Also returns the merge's hits, per returned row.  Rows outside the
     polish mask are left as they are."""
     Z, F, Fn, polish = newton
-    if polish.any():
+    if np.count_nonzero(polish):
         _polish_multiple_roots(f, Z, F, Fn, polish)
     ok = Fn <= tol
     X, lam, hits = _collect_pairs(f, Z[ok, : f.n], Z[ok, f.n], Fn[ok])
@@ -532,7 +539,7 @@ def find_critical_pairs(
     first = _newton_polish(f, X0, d * f.evaluate_many(X0), accept_tol=tol)
     _, _, Fn, polish = first
     # One class reached MIN_CLASS_HITS times needs that many converged rows.
-    if np.count_nonzero(Fn <= tol) >= MIN_CLASS_HITS and not polish.any():
+    if np.count_nonzero(Fn <= tol) >= MIN_CLASS_HITS and not np.count_nonzero(polish):
         found, hits = _finish(f, first, tol)
         k = found.lam.size // 2
         # A generic form has at most B classes, so k = B leaves none unseen.
@@ -555,17 +562,29 @@ def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
     # and when g = 0 (radial f), where the whole circle is critical and e1,
     # the one candidate kept, represents it.
     g, h = _critical_form(f)
-    candidates = [np.array([1.0, 0.0])] if len(g) <= f.d else []
+    t = np.empty(0)  # the real finite roots of g(t, 1)
     if len(g) > 1:  # g(t, 1) has finite roots
         top = max(map(abs, g))  # int / int rounds correctly and cannot overflow here
         p = np.array([c / top for c in reversed(g)])
         if len(h) > 1:  # g has a repeated root: keep its square-free part
             p = np.polydiv(p, [c / h[-1] for c in reversed(h)])[0]
-        for z in np.roots(p):
-            if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
-                u = np.array([float(z.real), 1.0])
-                candidates.append(u / np.linalg.norm(u))
-    X0, tol = np.array(candidates), scaled_tolerance(f, DEFAULT_TOL_CRIT)
+        # np.roots without its wrapper: zero leading coefficients dropped,
+        # the eigenvalues of the companion matrix of the rest, then a root
+        # t = 0 per zero trailing coefficient.
+        nz = p.nonzero()[0]
+        q = p[nz[0] : nz[-1] + 1]
+        z = np.zeros(p.size - 1 - nz[0], complex)
+        if q.size > 1:
+            A = np.eye(q.size - 1, k=-1)
+            A[0] = -q[1:] / q[0]
+            z[: q.size - 1] = np.linalg.eigvals(A)
+        t = z.real[np.abs(z.imag) <= 1e-8 * np.maximum(1.0, np.abs(z))]
+    X0 = np.ones((t.size, 2))  # the direction (t, 1) of each root, normalized
+    X0[:, 0] = t
+    X0 /= np.sqrt(t * t + 1.0)[:, None]
+    if len(g) <= f.d:
+        X0 = np.concatenate(([[1.0, 0.0]], X0))
+    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     found = _finish(f, _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol), tol)[0]
     found.all_critical = not g
     return found
@@ -594,10 +613,11 @@ def certify_against_oracle(
     for i, row in enumerate(near):
         first = (row & ~used).nonzero()[0][:1]
         used[first] = matched[i] = first.size > 0
+    hits = int(np.count_nonzero(matched))
     return CertificationReport(
-        certified=bool(used.all() and matched.all()),
+        certified=bool(hits == matched.size and np.count_nonzero(used) == used.size),
         all_critical=False,
-        matched=int(np.count_nonzero(matched)),
+        matched=hits,
         only_multistart=found.X[~used],
         only_oracle=oracle.X[~matched],
     )

@@ -549,6 +549,29 @@ def test_failed_check_spends_the_full_budget(f, config, failing):
     assert found.X.shape == full.X.shape
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="rows on the x1 = 0 continuum of x1^6 contract too slowly to stop and too fast "
+    "to be abandoned, so both passes run every iteration (ROADMAP item 3)",
+)
+@pytest.mark.parametrize("n", [3, 4])
+def test_sixth_order_continuum_stops_before_the_iteration_cap(n, monkeypatch):
+    # Each Newton iteration makes one _trial_steps call with the LU solver;
+    # the multiple-root polish calls it with the least-squares one.
+    calls = []
+    trial_steps = critsolve._trial_steps
+
+    def counted(f, z, Fz, solver, scales):
+        if solver is critsolve._solve_steps:
+            calls.append(1)
+        return trial_steps(f, z, Fz, solver, scales)
+
+    monkeypatch.setattr(critsolve, "_trial_steps", counted)
+    find_critical_pairs(axis_monomial(n, 6), SolverConfig(seed=0))
+    assert len(calls) < 2 * critsolve.MAX_ITERATIONS
+
+
 @pytest.mark.parametrize("starts", [1, 2, 37])
 def test_small_start_budgets(starts):
     # One start has no second half; a class reached by one or two starts

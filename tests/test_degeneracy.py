@@ -32,8 +32,15 @@ from spherecrit import (
     weighted_axis_quadratic,
 )
 from spherecrit.classify import DEFAULT_TOL_CLASS
-from spherecrit._intpoly import _binary_form
-from spherecrit.critsolve import DEFAULT_TOL_CRIT, _system_jacobian
+from spherecrit import _intpoly
+from spherecrit._intpoly import _binary_form, _critical_form, _partials, _primitive, _prs_gcd
+from spherecrit.critsolve import (
+    DEFAULT_TOL_CRIT,
+    _finish,
+    _newton_polish,
+    _system_jacobian,
+    enumerate_critical_pairs_n2,
+)
 from spherecrit.degeneracy import OracleResult, _determinant_zero_bound
 from conftest import unit
 
@@ -682,11 +689,30 @@ def _assert_same_oracle_result(got, expected, label):
         assert [c.hex() for c in got.gcd] == [c.hex() for c in expected.gcd], label
 
 
-def test_integer_oracle_matches_rational_euclid():
+def _oracle_forms():
+    """Random forms of degree 1 to 8, the constructed forms, repeated-root
+    products and forms zero at infinity."""
     forms = [random_polynomial(2, d, 5100 + 10 * d + s) for d in range(1, 9) for s in range(6)]
     forms += list(_CONSTRUCTED_BINARY_FORMS)
-    forms += list(_REPEATED_ROOT_PRODUCTS) + list(_ZERO_AT_INFINITY_FORMS)
-    for f in forms:
+    return forms + list(_REPEATED_ROOT_PRODUCTS) + list(_ZERO_AT_INFINITY_FORMS)
+
+
+def _small_integer_forms():
+    """100 nonzero forms of each degree 1 to 8 with coefficients in -2 .. 2."""
+    rng = np.random.default_rng(31)
+    forms = []
+    for d in range(1, 9):
+        checked = 0
+        while checked < 100:
+            coefs = rng.integers(-2, 3, size=d + 1)
+            if coefs.any():
+                forms.append(_binary(d, {i: float(c) for i, c in enumerate(coefs) if c}))
+                checked += 1
+    return forms
+
+
+def test_integer_oracle_matches_rational_euclid():
+    for f in _oracle_forms():
         _assert_same_oracle_result(exact_oracle_n2(f), _reference_oracle(f), f.terms)
     for f in _REPEATED_ROOT_PRODUCTS:
         assert exact_oracle_n2(f).gcd_degree >= 1, f.terms
@@ -724,6 +750,43 @@ def _isotropic_products():
     ]
 
 
+def _enumerate_root_by_root(f):
+    """enumerate_critical_pairs_n2 with its seeds built one root at a time,
+    each a new array normalized by np.linalg.norm."""
+    g, h = _critical_form(f)
+    candidates = [np.array([1.0, 0.0])] if len(g) <= f.d else []
+    if len(g) > 1:
+        top = max(map(abs, g))
+        p = np.array([c / top for c in reversed(g)])
+        if len(h) > 1:
+            p = np.polydiv(p, [c / h[-1] for c in reversed(h)])[0]
+        for z in np.roots(p):
+            if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
+                u = np.array([float(z.real), 1.0])
+                candidates.append(u / np.linalg.norm(u))
+    X0, tol = np.array(candidates), scaled_tolerance(f, DEFAULT_TOL_CRIT)
+    return _finish(f, _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol), tol)[0]
+
+
+@pytest.mark.bitwise
+def test_array_built_seeds_match_root_by_root_seeds():
+    forms = [random_polynomial(2, d, 5500 + 10 * d + s) for d in range(2, 9) for s in range(20)]
+    forms += list(_REPEATED_ROOT_PRODUCTS) + list(_ZERO_AT_INFINITY_FORMS)
+    forms += _isotropic_products()
+    # g(t, 1) over its largest coefficient has leading coefficients that
+    # round to zero, which the root finder drops.
+    forms += [
+        _binary(3, {2: 1e-300, 0: 1e150, 3: 1.0}),
+        _binary(4, {3: 1e-200, 1: 1e150, 0: 1.0}),
+        _binary(5, {4: 1e-310, 0: 1e100, 2: 3.0}),
+    ]
+    for f in forms:
+        got, expected = enumerate_critical_pairs_n2(f), _enumerate_root_by_root(f)
+        assert got.X.tobytes() == expected.X.tobytes(), f.terms
+        assert got.lam.tobytes() == expected.lam.tobytes(), f.terms
+        assert got.starts_used == expected.starts_used, f.terms
+
+
 def test_isotropic_roots_of_g_are_not_degenerate():
     # x1 (x1^2 + x2^2) restricts to cos(theta) on the circle: no critical
     # point is degenerate, though g = x2 (x1^2 + x2^2) vanishes at (1, +-i).
@@ -736,15 +799,58 @@ def test_isotropic_roots_of_g_are_not_degenerate():
 
 
 def test_oracle_matches_rational_reference_on_small_integers():
-    rng = np.random.default_rng(31)
-    for d in range(1, 9):
-        checked = 0
-        while checked < 100:
-            coefs = rng.integers(-2, 3, size=d + 1)
-            if coefs.any():
-                f = _binary(d, {i: float(c) for i, c in enumerate(coefs) if c})
-                _assert_same_oracle_result(exact_oracle_n2(f), _reference_oracle(f), f.terms)
-                checked += 1
+    for f in _small_integer_forms():
+        _assert_same_oracle_result(exact_oracle_n2(f), _reference_oracle(f), f.terms)
+
+
+def _prs_critical_form(f):
+    """(g, h) of :func:`_critical_form` with h from the primitive PRS alone."""
+    g = _intpoly._strip(_binary_form(_intpoly._integer_coefficients(f)))
+    if len(g) <= 1:
+        return g, [1] * len(g)
+    return g, _prs_gcd(_primitive(g), _primitive(_partials(g)[0]))
+
+
+def test_modular_coprimality_test_matches_the_prs():
+    # h = [1] from the modular test only where the PRS gives [1] too, and the
+    # test settles every square-free g of these forms.
+    for f in _oracle_forms() + _small_integer_forms():
+        g, h = _prs_critical_form(f)
+        assert _critical_form(f) == (g, h), f.terms
+        if len(g) > 1:
+            assert _intpoly._coprime_mod_prime(g) == (h == [1]), f.terms
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_prime_dividing_the_leading_coefficient_takes_the_prs(d, monkeypatch):
+    # g's x1^d coefficient is -a_(d-1), the x1^(d-1) x2 coefficient of f:
+    # a multiple of the prime there leaves the modular test inconclusive.
+    coefs = dict(enumerate(np.random.default_rng(d).integers(1, 10, size=d + 1).tolist()))
+    coefs[d - 1] = float(3 * _intpoly._PRIME)  # exact in float64
+    f = _binary(d, coefs)
+    g, h = _prs_critical_form(f)
+    assert g[-1] % _intpoly._PRIME == 0 and not _intpoly._coprime_mod_prime(g)
+    calls = []
+    monkeypatch.setattr(_intpoly, "_prs_gcd", lambda u, v: calls.append(1) or _prs_gcd(u, v))
+    assert _critical_form(f) == (g, h) and calls == [1]
+    _assert_same_oracle_result(exact_oracle_n2(f), _reference_oracle(f), f.terms)
+
+
+@pytest.mark.parametrize("prime", [3, 5])
+def test_small_prime_falls_back_to_the_prs(prime, monkeypatch):
+    # Modulo 3 or 5 many square-free g share a factor with g' or lose their
+    # leading coefficient; each such form must still come out square-free,
+    # and the repeated-root products keep their h.
+    monkeypatch.setattr(_intpoly, "_PRIME", prime)
+    inconclusive = 0
+    for f in _small_integer_forms() + list(_REPEATED_ROOT_PRODUCTS):
+        g, h = _prs_critical_form(f)
+        inconclusive += len(g) > 1 and h == [1] and not _intpoly._coprime_mod_prime(g)
+        assert _critical_form(f) == (g, h), f.terms
+        _assert_same_oracle_result(exact_oracle_n2(f), _reference_oracle(f), f.terms)
+    assert inconclusive >= 20
+    for f in _REPEATED_ROOT_PRODUCTS:
+        assert len(_critical_form(f)[1]) > 1, f.terms
 
 
 def test_numeric_degenerate_point_implies_on_locus():
