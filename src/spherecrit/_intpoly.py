@@ -6,7 +6,9 @@ the primitive polynomial remainder sequence runs on.  :func:`_critical_form`
 gives the n = 2 enumeration and the exact oracle the same g and the same
 repeated part gcd(g, g').  A Euclid modulo the word-size prime ``_PRIME``
 settles the generic, square-free g first; the primitive PRS, whose
-coefficients grow, runs only when that test fails.
+coefficients grow, runs only when that test fails.  Both run the one
+pseudo-division loop of :func:`_pseudo_remainder`, over the integers for
+the PRS and modulo the prime for the coprimality test.
 """
 
 import math
@@ -51,29 +53,35 @@ def _primitive(p: list[int]) -> list[int]:
     return [a // c for a in p]
 
 
-def _prem(u: list[int], v: list[int]) -> list[int]:
-    """Primitive part of the pseudo-remainder of u by v, [] when it is zero.
+def _pseudo_remainder(u: list[int], v: list[int], p: int = 0) -> list[int]:
+    """Pseudo-remainder of u by v (both stripped, v nonzero), stripped: [] is zero.
 
-    Each step replaces u by lead(v) u - top(u) t^shift v, which cancels the
-    top coefficient, so the remainder is u mod v over the rationals times a
-    nonzero integer, which the primitive part drops.
+    Each step pops the top coefficient of u, which it consumes, and replaces
+    u by lead(v) u - top(u) t^shift v, so the remainder is u mod v over the
+    rationals times a nonzero integer.  With a prime p that does not divide
+    lead(v), every new coefficient is reduced modulo p, and that integer is
+    a unit modulo p.
     """
-    lead = v[-1]
-    shift = len(u) - len(v)
-    while u and shift >= 0:
-        top = u[-1]
-        u = [lead * c for c in u[:-1]]
-        for i, c in enumerate(v[:-1]):
-            u[shift + i] -= top * c
-        u = _strip(u)
-        shift = len(u) - len(v)
-    return _primitive(u) if u else []
+    lead, low = v[-1], v[:-1]
+    while len(u) >= len(v):
+        top = u.pop()
+        shift = len(u) - len(low)
+        if p:
+            u = [lead * c % p for c in u[:shift]] + [
+                (lead * c - top * b) % p for c, b in zip(u[shift:], low)
+            ]
+        else:
+            u = [lead * c for c in u[:shift]] + [lead * c - top * b for c, b in zip(u[shift:], low)]
+    while u and not u[-1]:
+        u.pop()
+    return u
 
 
 def _prs_gcd(u: list[int], v: list[int]) -> list[int]:
     """Primitive GCD of the primitive polynomials u and v ([] is zero)."""
     while v:
-        u, v = v, _prem(u, v)
+        r = _pseudo_remainder(u, v)
+        u, v = v, _primitive(r) if r else []
     return u
 
 
@@ -84,27 +92,16 @@ def _coprime_mod_prime(g: list[int]) -> bool:
     Then gcd(g, dg/dt) over the integers is constant: a primitive common
     factor h divides g, so the prime does not divide its leading
     coefficient, and h mod the prime, of h's degree, divides both residues
-    (Brown, J. ACM 18(4), 1971).  Euclid runs on pseudo-remainders, as
-    :func:`_prem` does, with every coefficient reduced modulo the prime.
+    (Brown, J. ACM 18(4), 1971).  Euclid runs on the pseudo-remainders of
+    :func:`_pseudo_remainder` modulo the prime.
     """
     p = _PRIME
     u = [c % p for c in g]
     if not u[-1]:
         return False
-    v = [i * c % p for i, c in enumerate(u)][1:]
-    while v and not v[-1]:
-        v.pop()
+    v = _strip([i * c % p for i, c in enumerate(u)][1:])
     while len(v) > 1:
-        lead, low = v[-1], v[:-1]
-        while len(u) >= len(v):
-            top = u.pop()
-            shift = len(u) - len(low)
-            u = [lead * c % p for c in u[:shift]] + [
-                (lead * c - top * b) % p for c, b in zip(u[shift:], low)
-            ]
-        while u and not u[-1]:
-            u.pop()
-        u, v = v, u
+        u, v = v, _pseudo_remainder(u, v, p)
     return len(v) == 1
 
 

@@ -268,8 +268,6 @@ def _newton_polish(
     f: HomogeneousPolynomial,
     X0: np.ndarray,
     lam0: np.ndarray,
-    *,
-    accept_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on the critical-pair system of ``f``, batched over
     start rows.
@@ -284,15 +282,15 @@ def _newton_polish(
     and rows whose residual fell by less than 10 % in each of the last
     ``MAX_SLOW_STEPS`` iterations, are abandoned.  A row is
     converged exactly when its final residual, after the multiple-root
-    polish, is at most ``accept_tol``: no row's residual ever rises, and the
-    stop tolerance lies below ``accept_tol``.
+    polish, is at most the scaled ``DEFAULT_TOL_CRIT``: no row's residual
+    ever rises, and the stop tolerance lies below it.
     The active rows are kept compact (indices, points, residual rows and
     norms, stall counts), each accepted trial gathered by its flat index;
-    a row is written back once, when it stops.
+    a row is written back into Z, F and Fn once, in the iteration it stops.
     Returns Z = [X | lam] with one row per start, the residual rows F and
     their norms Fn, and the mask of rows :func:`_polish_multiple_roots` must
     see: rows without a Newton step (a singular Jacobian, as at a degenerate
-    critical point), and rows within ``accept_tol`` whose last accepted step
+    critical point), and converged rows whose last accepted step
     left more than 10 % of the residual (linear convergence, or no step at
     all), unless they already lie below the polish floor.
     """
@@ -303,45 +301,44 @@ def _newton_polish(
     singular = np.zeros(Fn.size, dtype=bool)
     linear = np.ones(Fn.size, dtype=bool)  # last accepted step kept > 10 % of the residual
     rows = (np.isfinite(Fn) & (Fn > stop_tol)).nonzero()[0]
-    if rows.size:  # the enumeration's seeds start below the stop tolerance
-        z, Fz, Fnz = Z.take(rows, axis=0), F.take(rows, axis=0), Fn.take(rows)
-        stalls = np.zeros(rows.size, dtype=np.int64)
-        lanes = np.arange(rows.size)  # each active row's column in Ftn
-        stopped = []  # (rows, z, Fz, Fnz) of the rows each iteration stops
+    z, Fz, Fnz = Z.take(rows, axis=0), F.take(rows, axis=0), Fn.take(rows)
+    stalls = np.zeros(rows.size, dtype=np.int64)
+    lanes = np.arange(rows.size)  # each active row's column in Ftn
 
-        for _ in range(MAX_ITERATIONS):
-            if rows.size == 0:
-                break
-            usable, trial, Ft, Ftn = _trial_steps(f, z, Fz, _solve_steps, STEP_LENGTHS)
-            if np.count_nonzero(usable) < rows.size:  # NaN and inf never compare below a residual
-                singular[rows[~usable]] = True
-                Ftn[:, ~usable] = np.inf
-            ok = Ftn < Fnz
-            moved = np.logical_or.reduce(ok, axis=0)
-            pick = ok.argmax(axis=0) * rows.size + lanes[: rows.size]  # the longest decreasing step
-            before = Fnz
-            if np.count_nonzero(moved) < rows.size:  # no step length lowers these rows' residuals
-                idle, cols = (~moved).nonzero()[0], moved.nonzero()[0]
-                stopped.append((rows[idle], z.take(idle, axis=0), Fz.take(idle, axis=0), Fnz[idle]))
-                pick, before, rows, stalls = pick[cols], Fnz[cols], rows[cols], stalls[cols]
-            z, Fz, Fnz = trial.take(pick, axis=0), Ft.take(pick, axis=0), Ftn.take(pick)
-            # Wandering rows shave off a sliver of residual per iteration without
-            # converging (deep damping).  Genuine roots contract by at least half
-            # per step even at multiple roots, so MAX_SLOW_STEPS near-unit ratios
-            # in a row mark a start worth abandoning in favor of the remaining
-            # oversampled ones.
-            linear[rows] = Fnz > 0.1 * before
-            stalls = np.where(Fnz > 0.9 * before, stalls + 1, 0)
-            going = (stalls < MAX_SLOW_STEPS) & (Fnz > stop_tol)
-            if np.count_nonzero(going) < rows.size:
-                done, keep = (~going).nonzero()[0], going.nonzero()[0]
-                stopped.append((rows[done], z.take(done, axis=0), Fz.take(done, axis=0), Fnz[done]))
-                rows, stalls, Fnz = rows[keep], stalls[keep], Fnz[keep]
-                z, Fz = z.take(keep, axis=0), Fz.take(keep, axis=0)
-
-        stopped.append((rows, z, Fz, Fnz))  # rows still active after MAX_ITERATIONS
-        rows, z, Fz, Fnz = (np.concatenate(parts) for parts in zip(*stopped))
+    for _ in range(MAX_ITERATIONS):
+        if rows.size == 0:
+            break
+        usable, trial, Ft, Ftn = _trial_steps(f, z, Fz, _solve_steps, STEP_LENGTHS)
+        if np.count_nonzero(usable) < rows.size:  # NaN and inf never compare below a residual
+            singular[rows[~usable]] = True
+            Ftn[:, ~usable] = np.inf
+        ok = Ftn < Fnz
+        moved = np.logical_or.reduce(ok, axis=0)
+        pick = ok.argmax(axis=0) * rows.size + lanes[: rows.size]  # the longest decreasing step
+        before = Fnz
+        if np.count_nonzero(moved) < rows.size:  # no step length lowers these rows' residuals
+            idle, cols = (~moved).nonzero()[0], moved.nonzero()[0]
+            stop = rows[idle]
+            Z[stop], F[stop], Fn[stop] = z.take(idle, axis=0), Fz.take(idle, axis=0), Fnz[idle]
+            pick, before, rows, stalls = pick[cols], Fnz[cols], rows[cols], stalls[cols]
+        z, Fz, Fnz = trial.take(pick, axis=0), Ft.take(pick, axis=0), Ftn.take(pick)
+        # Wandering rows shave off a sliver of residual per iteration without
+        # converging (deep damping).  Genuine roots contract by at least half
+        # per step even at multiple roots, so MAX_SLOW_STEPS near-unit ratios
+        # in a row mark a start worth abandoning in favor of the remaining
+        # oversampled ones.
+        linear[rows] = Fnz > 0.1 * before
+        stalls = np.where(Fnz > 0.9 * before, stalls + 1, 0)
+        going = (stalls < MAX_SLOW_STEPS) & (Fnz > stop_tol)
+        if np.count_nonzero(going) < rows.size:
+            done, keep = (~going).nonzero()[0], going.nonzero()[0]
+            stop = rows[done]
+            Z[stop], F[stop], Fn[stop] = z.take(done, axis=0), Fz.take(done, axis=0), Fnz[done]
+            rows, stalls, Fnz = rows[keep], stalls[keep], Fnz[keep]
+            z, Fz = z.take(keep, axis=0), Fz.take(keep, axis=0)
+    else:  # rows still active after MAX_ITERATIONS
         Z[rows], F[rows], Fn[rows] = z, Fz, Fnz
+    accept_tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
     polish = (((Fn <= accept_tol) & linear) | singular) & (Fn > floor)
     return Z, F, Fn, polish
@@ -480,18 +477,17 @@ def _class_bound(n: int, d: int) -> int:
     return n if d == 2 else ((d - 1) ** n - 1) // (d - 2)
 
 
-def _finish(
-    f: HomogeneousPolynomial, newton: tuple, tol: float
-) -> tuple[CriticalSet, np.ndarray]:
+def _finish(f: HomogeneousPolynomial, newton: tuple) -> tuple[CriticalSet, np.ndarray]:
     """The one assembly of a :class:`CriticalSet`: the multiple-root polish
     of one :func:`_newton_polish` result (Z, F, Fn, polish), in place, and
-    the merge of its converged rows, each row counted in ``starts_used``.
-    Also returns the merge's hits, per returned row.  Rows outside the
-    polish mask are left as they are."""
+    the merge of its converged rows, those whose residual is at most
+    ``scaled_tolerance(f, DEFAULT_TOL_CRIT)``, each row counted in
+    ``starts_used``.  Also returns the merge's hits, per returned row.
+    Rows outside the polish mask are left as they are."""
     Z, F, Fn, polish = newton
     if np.count_nonzero(polish):
         _polish_multiple_roots(f, Z, F, Fn, polish)
-    ok = Fn <= tol
+    ok = Fn <= scaled_tolerance(f, DEFAULT_TOL_CRIT)
     X, lam, hits = _collect_pairs(f, Z[ok, : f.n], Z[ok, f.n], Fn[ok])
     fraction = float(np.count_nonzero(ok) / ok.size)  # a Python float: np.float64 prints otherwise
     found = CriticalSet(X, lam, starts_used=ok.size, converged_fraction=fraction)
@@ -536,18 +532,18 @@ def find_critical_pairs(
     bound = _class_bound(n, d)
     first_round = min((starts + 1) // 2, STARTS_PER_CLASS * bound)
     X0 = _draw_starts(rng, first_round, n)
-    first = _newton_polish(f, X0, d * f.evaluate_many(X0), accept_tol=tol)
+    first = _newton_polish(f, X0, d * f.evaluate_many(X0))
     _, _, Fn, polish = first
     # One class reached MIN_CLASS_HITS times needs that many converged rows.
     if np.count_nonzero(Fn <= tol) >= MIN_CLASS_HITS and not np.count_nonzero(polish):
-        found, hits = _finish(f, first, tol)
+        found, hits = _finish(f, first)
         k = found.lam.size // 2
         # A generic form has at most B classes, so k = B leaves none unseen.
         if k == bound or (1 <= k < bound and (bound - k) % 2 == 0 and hits.min() >= MIN_CLASS_HITS):
             return found
     X0 = _draw_starts(rng, starts - first_round, n)
-    second = _newton_polish(f, X0, d * f.evaluate_many(X0), accept_tol=tol)
-    return _finish(f, tuple(map(np.concatenate, zip(first, second))), tol)[0]
+    second = _newton_polish(f, X0, d * f.evaluate_many(X0))
+    return _finish(f, tuple(map(np.concatenate, zip(first, second))))[0]
 
 
 def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
@@ -584,8 +580,7 @@ def enumerate_critical_pairs_n2(f: HomogeneousPolynomial) -> CriticalSet:
     X0 /= np.sqrt(t * t + 1.0)[:, None]
     if len(g) <= f.d:
         X0 = np.concatenate(([[1.0, 0.0]], X0))
-    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    found = _finish(f, _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol), tol)[0]
+    found = _finish(f, _newton_polish(f, X0, f.d * f.evaluate_many(X0)))[0]
     found.all_critical = not g
     return found
 

@@ -323,6 +323,42 @@ def test_certification_flags_radial_case():
     assert not report.certified
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=(RuntimeWarning, np.linalg.LinAlgError),
+    reason="g(t, 1) over its largest coefficient leads with about 3e-311, so the "
+    "companion row overflows and the enumeration raises (ROADMAP item 9)",
+)
+def test_enumeration_survives_a_subnormal_leading_coefficient():
+    # g has 3 real root classes, 6 critical points; certification must
+    # report on the form rather than raise.
+    f = HomogeneousPolynomial(2, 3, {(2, 1): 1e-160, (0, 3): 1e150, (3, 0): 1.0})
+    assert enumerate_critical_pairs_n2(f).lam.size == 6
+    assert isinstance(certify_against_oracle(f), critsolve.CertificationReport)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the low coefficients of g(t, 1) over its largest one underflow, so "
+    "no seed reaches a critical point and the enumeration is empty (ROADMAP item 9)",
+)
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 4): 1e-300, (1, 3): 1e150, (3, 1): 1.0},
+        {(3, 1): 1e-150, (1, 3): 1e150, (0, 4): 1e-150, (2, 2): 1.0},
+    ],
+    ids=["1e-300", "1e-150"],
+)
+def test_enumeration_finds_the_extrema_at_huge_coefficient_norm(terms):
+    # g has 2 real root classes, 4 critical points: a form on the circle
+    # has a maximum and a minimum.
+    f = HomogeneousPolynomial(2, 4, terms)
+    assert enumerate_critical_pairs_n2(f).lam.size == 4
+    assert isinstance(certify_against_oracle(f), critsolve.CertificationReport)
+
+
 def test_deterministic_given_seed():
     f = random_polynomial(3, 3, 77)
     a = find_critical_pairs(f, SolverConfig(seed=5))
@@ -399,9 +435,8 @@ def _unit_starts(n, starts, seed):
 
 def _solve_all(f, X0):
     """Every start row of X0 Newton-polished in one pass, then polished and merged."""
-    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    newton = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
-    return critsolve._finish(f, newton, tol)[0]
+    newton = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0))
+    return critsolve._finish(f, newton)[0]
 
 
 @pytest.mark.parametrize(
@@ -444,17 +479,16 @@ def test_lazy_second_round_matches_up_front_draw(monkeypatch, f, seed):
     first_round = min((starts + 1) // 2, critsolve.STARTS_PER_CLASS * bound)
     X0 = _unit_starts(f.n, starts, seed)
     lam0 = f.d * f.evaluate_many(X0)
-    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     rounds = (slice(None, first_round), slice(first_round, None))
-    passes = [critsolve._newton_polish(f, X0[r], lam0[r], accept_tol=tol) for r in rounds]
-    reference = critsolve._finish(f, tuple(map(np.concatenate, zip(*passes))), tol)[0]
+    passes = [critsolve._newton_polish(f, X0[r], lam0[r]) for r in rounds]
+    reference = critsolve._finish(f, tuple(map(np.concatenate, zip(*passes))))[0]
 
     drawn = []
     inner = critsolve._newton_polish
 
-    def recorded(f, X0, lam0, **kwargs):
+    def recorded(f, X0, lam0):
         drawn.append((X0, lam0))
-        return inner(f, X0, lam0, **kwargs)
+        return inner(f, X0, lam0)
 
     monkeypatch.setattr(critsolve, "_newton_polish", recorded)
     found = find_critical_pairs(f, SolverConfig(seed=seed))
@@ -474,12 +508,11 @@ def test_finish_writes_only_the_polished_rows(f, masked):
     # find_critical_pairs reuses its first pass after _finish only when no
     # row of it is masked: the polish writes into the masked rows alone.
     X0 = _unit_starts(f.n, 156, 1)
-    tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    newton = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol)
+    newton = critsolve._newton_polish(f, X0, f.d * f.evaluate_many(X0))
     polish = newton[3]
     assert polish.any() == masked
     before = [a.copy() for a in newton[:3]]
-    critsolve._finish(f, newton, tol)
+    critsolve._finish(f, newton)
     for old, new in zip(before, newton[:3]):
         assert old[~polish].tobytes() == new[~polish].tobytes()
     assert (newton[2][polish] < before[2][polish]).any() == masked
@@ -494,7 +527,7 @@ def _first_round(f, config):
     X0 = _unit_starts(f.n, starts, config.seed)[:first_round]
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     lam0 = f.d * f.evaluate_many(X0)
-    Z, _, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
+    Z, _, Fn, polish = critsolve._newton_polish(f, X0, lam0)
     ok = Fn <= tol
     _, lam, hits = critsolve._collect_pairs(f, Z[ok, :-1], Z[ok, -1], Fn[ok])
     k = lam.size // 2
@@ -752,7 +785,6 @@ def _sequential_halving_polish(
     X0,
     lam0,
     *,
-    accept_tol,
     max_halvings=critsolve.MAX_HALVINGS,
     max_slow_steps=critsolve.MAX_SLOW_STEPS,
 ):
@@ -812,6 +844,7 @@ def _sequential_halving_polish(
         stalls[moved[slow]] += 1
         stalls[moved[~slow]] = 0
         active[np.concatenate([rows[~improved], moved[stalls[moved] >= max_slow_steps]])] = False
+    accept_tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     floor = scaled_tolerance(f, DEFAULT_TOL_POLISH)
     return Z, F, Fn, (((Fn <= accept_tol) & linear) | singular) & (Fn > floor)
 
@@ -878,8 +911,8 @@ def test_step_ladder_matches_sequential_halving(f):
     X0 /= np.linalg.norm(X0, axis=1)[:, None]
     tol = scaled_tolerance(f, DEFAULT_TOL_CRIT)
     lam0 = f.d * f.evaluate_many(X0)
-    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
-    Z_ref, F_ref, Fn_ref, polish_ref = _sequential_halving_polish(f, X0, lam0, accept_tol=tol)
+    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0)
+    Z_ref, F_ref, Fn_ref, polish_ref = _sequential_halving_polish(f, X0, lam0)
     np.testing.assert_array_equal(polish, polish_ref)
     critsolve._polish_multiple_roots(f, Z, F, Fn, polish)
     _reference_root_polish(f, Z_ref, F_ref, Fn_ref, polish_ref)
@@ -1033,9 +1066,9 @@ def test_early_abandon_keeps_every_critical_class(monkeypatch):
     reference = functools.partial(_sequential_halving_polish, max_halvings=30, max_slow_steps=8)
     polished = []
 
-    def counted(f, X0, lam0, **kwargs):
+    def counted(f, X0, lam0):
         polished.append(X0.shape[0])
-        return reference(f, X0, lam0, **kwargs)
+        return reference(f, X0, lam0)
 
     monkeypatch.setattr(critsolve, "_newton_polish", counted)
     two_pass = 0
@@ -1192,7 +1225,7 @@ def _singular_start():
 
 def _newton_then_polish(f, X0, lam0, tol):
     """One Newton pass and the multiple-root polish of the rows it flags."""
-    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0, accept_tol=tol)
+    Z, F, Fn, polish = critsolve._newton_polish(f, X0, lam0)
     assert polish.tolist() == [True]
     critsolve._polish_multiple_roots(f, Z, F, Fn, polish)
     return Z[:, :-1], Z[:, -1], Fn <= tol
@@ -1384,9 +1417,9 @@ def _record_seeds(monkeypatch):
     seeds = []
     inner = critsolve._newton_polish
 
-    def recorded(f, X0, lam0, **kwargs):
+    def recorded(f, X0, lam0):
         seeds.append(X0)
-        return inner(f, X0, lam0, **kwargs)
+        return inner(f, X0, lam0)
 
     monkeypatch.setattr(critsolve, "_newton_polish", recorded)
     return seeds

@@ -764,8 +764,8 @@ def _enumerate_root_by_root(f):
             if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
                 u = np.array([float(z.real), 1.0])
                 candidates.append(u / np.linalg.norm(u))
-    X0, tol = np.array(candidates), scaled_tolerance(f, DEFAULT_TOL_CRIT)
-    return _finish(f, _newton_polish(f, X0, f.d * f.evaluate_many(X0), accept_tol=tol), tol)[0]
+    X0 = np.array(candidates)
+    return _finish(f, _newton_polish(f, X0, f.d * f.evaluate_many(X0)))[0]
 
 
 @pytest.mark.bitwise
@@ -819,6 +819,35 @@ def test_modular_coprimality_test_matches_the_prs():
         assert _critical_form(f) == (g, h), f.terms
         if len(g) > 1:
             assert _intpoly._coprime_mod_prime(g) == (h == [1]), f.terms
+
+
+def _remainder_chain(u, v, p=0):
+    """u, v and Euclid's pseudo-remainders after them, down to [], with no
+    content removed, over the integers or modulo p."""
+    chain = [u, v]
+    while v:
+        u, v = v, _intpoly._pseudo_remainder(list(u), v, p)
+        chain.append(v)
+    return chain
+
+
+def test_integer_pseudo_remainders_reduce_to_the_modular_ones():
+    # The PRS and the modular coprimality test run one pseudo-division loop:
+    # where the prime divides no leading coefficient, Euclid's remainders of
+    # g and g' over the integers, reduced modulo the prime, are the
+    # remainders modulo the prime.
+    p = _intpoly._PRIME
+    compared = 0
+    for f in _small_integer_forms():
+        g = _intpoly._strip(_binary_form(_intpoly._integer_coefficients(f)))
+        if len(g) <= 1:
+            continue
+        over_z = _remainder_chain(g, _partials(g)[0])
+        assert all(r[-1] % p for r in over_z[:-1]), f.terms
+        reduced = [[c % p for c in r] for r in over_z]
+        assert _remainder_chain(reduced[0], reduced[1], p) == reduced, f.terms
+        compared += 1
+    assert compared >= 750
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
