@@ -6,16 +6,17 @@ randomized runners sample the coefficient space and check that degeneracy
 never occurs off the constructed instances, dumping any offending polynomial
 to disk for inspection.
 
-Reports are plain dataclasses with JSON and CSV views.  Everything is
-deterministic given the config seed except ``runtime_seconds``, which the
-JSON view writes last and the CSV view leaves out.
+Reports are plain dataclasses with JSON and CSV views; an experiment
+report's summary is read off its trial records.  Everything is deterministic
+given the config seed except ``runtime_seconds``, which the JSON view writes
+last and the CSV view leaves out.  The suites judge with the thresholds
+their analyses applied.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -23,14 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import DEFAULT_TOL_CLASS, UNIT_NORM_TOL, Verdict, analyze_points
-from .critsolve import (
-    DEFAULT_DEDUP_RADIUS,
-    DEFAULT_TOL_CRIT,
-    SolverConfig,
-    find_critical_pairs,
-    scaled_tolerance,
-)
+from .classify import UNIT_NORM_TOL, Verdict, analyze_points
+from .critsolve import DEFAULT_DEDUP_RADIUS, SolverConfig, find_critical_pairs
 from .degeneracy import (
     _determinant_zero_bound,
     _witness_matrices,
@@ -63,7 +58,7 @@ __all__ = [
 
 SEED_STRIDE = 1_000_003  # per-trial seeds: base * SEED_STRIDE + trial
 PLANTED_MULTIPLICITIES = (2, 3)  # least-eigenvalue multiplicities the quad sweep plants
-# The suites' own threshold, outside the scaled_tolerance rule.
+# The suites' own threshold, outside the analysis's scaled ones.
 CLOSED_FORM_TOL = 1e-8  # computed axes, lambdas, margins, determinants vs their closed forms
 
 
@@ -212,20 +207,46 @@ class TrialRecord:
 
 @dataclass
 class ExperimentReport:
+    """A genericity run, one record per trial; the summary properties are
+    read off ``records``."""
+
     n: int
     d: int
     trials: int
     seed: int
-    total_degenerate: int
-    total_rank_witnesses: int
-    min_sosc_margin: float | None
-    margin_quantiles: dict[str, float] | None
     dumped_files: list[str]
     records: list[TrialRecord]
     runtime_seconds: float
 
+    @property
+    def total_degenerate(self) -> int:
+        return sum(r.degenerate_hits for r in self.records)
+
+    @property
+    def total_rank_witnesses(self) -> int:
+        return sum(r.rank_witness_hits for r in self.records)
+
+    @property
+    def min_sosc_margin(self) -> float | None:
+        quantiles = self.margin_quantiles
+        return None if quantiles is None else quantiles["min"]
+
+    @property
+    def margin_quantiles(self) -> dict[str, float] | None:
+        """numpy's default quantiles of the trials' least SOSC margins."""
+        margins = [r.min_sosc_margin for r in self.records if r.min_sosc_margin is not None]
+        if not margins:
+            return None
+        qs = np.quantile(margins, (0.0, 0.25, 0.5, 0.75, 1.0)).tolist()
+        return dict(zip(("min", "q25", "median", "q75", "max"), qs))
+
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        """The config, the summary, then the fields after ``seed``."""
+        doc = asdict(self)
+        config = {key: doc.pop(key) for key in ("n", "d", "trials", "seed")}
+        summary = "total_degenerate", "total_rank_witnesses", "min_sosc_margin", "margin_quantiles"
+        doc = {**config, **{key: getattr(self, key) for key in summary}, **doc}
+        return json.dumps(doc, indent=2) + "\n"
 
     def write_csv(self, path) -> None:
         """One row per trial: seed, counts per class, min SOSC margin."""
@@ -290,27 +311,6 @@ def _dump_polynomial(f: HomogeneousPolynomial, dump_dir: str, name: str) -> str:
     return str(path)
 
 
-def _quantiles(values: list[float], probs) -> list[float]:
-    """``np.quantile(values, probs)`` bit for bit, in Python floats.
-
-    numpy's default linear rule: the virtual index (k - 1) q sits between
-    order statistics a = s[i] and b = s[i + 1] at weight t, and the value is
-    a + (b - a) t for t < 1/2, else b - (b - a) (1 - t).  An index at or
-    past the last one reads s[-1] on both sides, at t measured from -1.
-    The numpy call's set-up costs more than the sort of a short list.
-    """
-    s = sorted(values)
-    last = len(s) - 1
-    out = []
-    for q in probs:
-        v = last * q
-        i = -1 if v >= last else math.floor(v)
-        a, b = s[i], s[i + 1 if i >= 0 else -1]
-        t = v - i
-        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
-    return out
-
-
 def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
     """Sample random objectives and verify that no SONC point is degenerate.
 
@@ -321,7 +321,6 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     records: list[TrialRecord] = []
     dumped: list[str] = []
-    margins: list[float] = []
 
     for trial in range(config.trials):
         poly_seed = config.seed * SEED_STRIDE + trial
@@ -353,8 +352,6 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
                     f"degenerate_n{config.n}_d{config.d}_seed{poly_seed}.json",
                 )
             )
-        if min_margin is not None:
-            margins.append(min_margin)
         records.append(
             TrialRecord(
                 trial=trial,
@@ -369,20 +366,12 @@ def run_random_genericity(config: ExperimentConfig) -> ExperimentReport:
             )
         )
 
-    quantiles = None
-    if margins:
-        qs = _quantiles(margins, (0.0, 0.25, 0.5, 0.75, 1.0))
-        quantiles = dict(zip(("min", "q25", "median", "q75", "max"), qs))
     return ExperimentReport(
         n=config.n,
         d=config.d,
         trials=config.trials,
         seed=config.seed,
         records=records,
-        total_degenerate=sum(r.degenerate_hits for r in records),
-        total_rank_witnesses=sum(r.rank_witness_hits for r in records),
-        min_sosc_margin=min(margins) if margins else None,
-        margin_quantiles=quantiles,
         dumped_files=dumped,
         runtime_seconds=time.perf_counter() - t0,
     )
@@ -548,7 +537,7 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
             rank_deficient(f, build_witness_matrix(f, [witness.x], [[witness.y]]))[0, 0],
             f"third singular value {witness.rank_defect_measure:.3e}",
         )
-        bound = _determinant_zero_bound(anchor_gaps, scaled_tolerance(f, DEFAULT_TOL_CLASS))
+        bound = _determinant_zero_bound(anchor_gaps, analysis.class_tol)
         report.add(
             "bordered_determinant_vanishes",
             abs(witness.bordered_det) <= bound,
@@ -556,7 +545,7 @@ def run_degenerate_family(kind: str, n: int, d: int, seed: int = 0) -> SuiteRepo
         )
         report.add(
             "witness_residuals_small",
-            witness.bordered_residual <= scaled_tolerance(f, DEFAULT_TOL_CRIT)
+            witness.bordered_residual <= analysis.crit_tol
             and abs(witness.y @ witness.x) <= UNIT_NORM_TOL,
             f"bordered residual {witness.bordered_residual:.3e}",
         )

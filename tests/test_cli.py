@@ -327,6 +327,21 @@ def test_sample_writes_report(tmp_path, capsys):
     assert "degenerate_hits: 0" in out
 
 
+def test_sample_without_sosc_margin_prints_na(tmp_path, capsys):
+    # At n = 1 every point is SOSC with margin +inf, so no trial has a
+    # finite least margin and the summary has none.
+    report = tmp_path / "report.json"
+    args = ["sample", "--n", "1", "--d", "3", "--trials", "2",
+            "--output", str(report), "--dump-dir", str(tmp_path / "dumps")]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "trials: 2, critical points: 4, degenerate_hits: 0, rank_witnesses: 0, "
+        "min_sosc_margin: n/a"
+    )
+    doc = json.loads(report.read_text())
+    assert doc["min_sosc_margin"] is None and doc["margin_quantiles"] is None
+
+
 def test_sample_dump_exit_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(genlab, "random_polynomial", lambda n, d, seed: axis_monomial(3, 4))
     dumps = tmp_path / "dumps"

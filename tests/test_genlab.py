@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,27 +301,37 @@ def test_random_genericity_no_degenerate_hits(tmp_path):
     assert report.total_rank_witnesses == 0
     assert report.dumped_files == []
     assert report.min_sosc_margin is not None and report.min_sosc_margin > 0
-    assert report.margin_quantiles["min"] == pytest.approx(report.min_sosc_margin)
+    assert report.margin_quantiles["min"] == report.min_sosc_margin
 
 
-def test_quantiles_match_numpy_bitwise():
-    # Seeded lists of every length 1-50, with ties and mixed signs; the
-    # report's quantile rule must be numpy's default bit for bit.
-    rng = np.random.default_rng(17)
-    probs = (0.0, 0.25, 0.5, 0.75, 1.0)
-    for length in range(1, 51):
-        for _ in range(4):
-            values = rng.standard_normal(length) * 10.0 ** rng.integers(-3, 4, length)
-            values[rng.random(length) < 0.3] = rng.choice(values)  # ties
-            values = values.tolist()
-            got = genlab._quantiles(values, probs)
-            want = np.quantile(values, list(probs))
-            assert np.array(got).tobytes() == want.tobytes(), values
-            assert all(type(q) is float for q in got)
-    # A largest value of -0.0: the last-index rule keeps numpy's signed zeros.
-    for values in ([-0.0], [-2.0, -0.0], [-3.5, -1.0, -0.0, -0.0, -7.0]):
-        got = genlab._quantiles(values, probs)
-        assert np.array(got).tobytes() == np.quantile(values, list(probs)).tobytes(), values
+REPORT_KEYS = [
+    "n", "d", "trials", "seed", "total_degenerate", "total_rank_witnesses",
+    "min_sosc_margin", "margin_quantiles", "dumped_files", "records", "runtime_seconds",
+]
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_report_summary_is_read_off_its_records(n, d, tmp_path):
+    config = ExperimentConfig(n=n, d=d, trials=30, seed=1, dump_dir=str(tmp_path))
+    report = run_random_genericity(config)
+    records = report.records
+    margins = [r.min_sosc_margin for r in records if r.min_sosc_margin is not None]
+    assert report.total_degenerate == sum(r.degenerate_hits for r in records)
+    assert report.total_rank_witnesses == sum(r.rank_witness_hits for r in records)
+    assert np.float64(report.min_sosc_margin).tobytes() == np.float64(min(margins)).tobytes()
+    quantiles = np.quantile(margins, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert list(report.margin_quantiles) == ["min", "q25", "median", "q75", "max"]
+    assert np.array(list(report.margin_quantiles.values())).tobytes() == quantiles.tobytes()
+    assert list(json.loads(report.to_json())) == REPORT_KEYS
+
+    # A record appended after the run counts in every summary value.
+    extra = replace(records[0], degenerate_hits=1, rank_witness_hits=2, min_sosc_margin=1e-3)
+    records.append(extra)
+    assert report.total_degenerate == sum(r.degenerate_hits for r in records[:-1]) + 1
+    assert report.total_rank_witnesses == sum(r.rank_witness_hits for r in records[:-1]) + 2
+    assert report.min_sosc_margin == 1e-3 == report.margin_quantiles["min"]
+    doc = json.loads(report.to_json())
+    assert (doc["total_degenerate"], doc["min_sosc_margin"]) == (report.total_degenerate, 1e-3)
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 4), (3, 4)])
